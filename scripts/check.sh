@@ -3,10 +3,11 @@
 #
 #   1. tier-1 verify   — warnings-as-errors build + complete ctest suite
 #   2. scalar-only     — LDPC_SIMD=OFF build (portable kernel only) running
-#                        the SIMD equivalence suites (z-lane *and* the
-#                        inter-frame-batched fused path), proving the
-#                        portable tier alone still matches the scalar
-#                        decoder bit-for-bit
+#                        every test labelled `simd` (the z-lane and
+#                        inter-frame-batched suites of both families, built
+#                        by the `simd_tests` target), proving the portable
+#                        tier alone still matches the scalar decoders
+#                        bit-for-bit
 #   3. sanitizer pass  — ASan+UBSan build (LDPC_SANITIZE=ON) + ctest; the
 #                        SIMD kernels are ON here so the intrinsic paths run
 #                        under instrumentation too
@@ -84,11 +85,9 @@ ctest --test-dir build --output-on-failure --timeout "$TEST_TIMEOUT"
 
 echo "== [2/13] scalar-only build (LDPC_SIMD=OFF) — SIMD equivalence =="
 cmake -B build-nosimd -S . -DLDPC_SIMD=OFF -DLDPC_WERROR=ON
-cmake --build build-nosimd -j "$JOBS" \
-  --target simd_equivalence_test simd_batch_test simd_fa_equivalence_test \
-           fa_test
+cmake --build build-nosimd -j "$JOBS" --target simd_tests
 ctest --test-dir build-nosimd --output-on-failure --timeout "$TEST_TIMEOUT" \
-  -R 'SimdEquivalence|SimdBatch|SimdFaEquivalence|FaTables|FaDecoder'
+  -L simd --no-tests=error
 
 if [ "$FAST" -eq 0 ]; then
   echo "== [3/13] ASan + UBSan =="

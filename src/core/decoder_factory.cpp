@@ -1,6 +1,8 @@
 #include "core/decoder_factory.hpp"
 
+#include <cstdint>
 #include <sstream>
+#include <utility>
 
 #include "core/flooding_bp.hpp"
 #include "core/flooding_minsum.hpp"
@@ -15,84 +17,77 @@
 
 namespace ldpc {
 
+namespace {
+
+using Builder = std::unique_ptr<Decoder> (*)(const QCLdpcCode&,
+                                             const DecoderOptions&);
+
+/// Builder for `D(code, options, args...)`.
+template <class D, auto... kArgs>
+std::unique_ptr<Decoder> build(const QCLdpcCode& code,
+                               const DecoderOptions& options) {
+  return std::make_unique<D>(code, options, kArgs...);
+}
+
+constexpr FixedFormat kQ8{8, 2};
+constexpr FixedFormat kQ6{6, 1};
+/// Offset 0.5 in LLR units at the q8.2 format = 2 codes.
+constexpr std::int32_t kOffsetCode = 2;
+
+/// Every registered decoder, in decoder_names() order. The SIMD z-lane
+/// and batched names are bit-identical twins of their scalar references
+/// (tests/simd_*_test.cpp); the batch engine hands the batched ones whole
+/// frame blocks. The finite-alphabet family (fa2/fa3/fa4) uses MIM
+/// staircase tables on an int8 posterior, see core/fa_tables.hpp.
+const std::pair<const char*, Builder> kDecoders[] = {
+    {"flooding-bp", &build<FloodingBpDecoder>},
+    {"flooding-minsum", &build<FloodingMinSumDecoder, MinSumVariant::kPlain>},
+    {"flooding-minsum-norm",
+     &build<FloodingMinSumDecoder, MinSumVariant::kNormalized>},
+    {"flooding-minsum-offset",
+     &build<FloodingMinSumDecoder, MinSumVariant::kOffset>},
+    {"flooding-minsum-scms",
+     &build<FloodingMinSumDecoder, MinSumVariant::kSelfCorrected>},
+    {"gallager-b", &build<GallagerBDecoder>},
+    {"layered-minsum-float", &build<LayeredMinSumFloatDecoder>},
+    {"layered-minsum-fixed", &build<LayeredMinSumFixedDecoder, kQ8>},
+    {"layered-minsum-q6", &build<LayeredMinSumFixedDecoder, kQ6>},
+    {"layered-minsum-offset-fixed",
+     [](const QCLdpcCode& code,
+        const DecoderOptions& options) -> std::unique_ptr<Decoder> {
+       return std::make_unique<LayeredMinSumFixedDecoder>(
+           code, options, LayerRowKernel::offset_kernel(kQ8, kOffsetCode),
+           "layered-minsum-offset-" + kQ8.name());
+     }},
+    {"layered-minsum-simd", &build<SimdLayeredDecoder, kQ8>},
+    {"layered-minsum-simd-q6", &build<SimdLayeredDecoder, kQ6>},
+    {"layered-minsum-simd-offset",
+     [](const QCLdpcCode& code,
+        const DecoderOptions& options) -> std::unique_ptr<Decoder> {
+       return std::make_unique<SimdLayeredDecoder>(
+           code, options, kQ8, kOffsetCode,
+           "layered-minsum-simd-offset-" + kQ8.name());
+     }},
+    {"layered-minsum-simd-batched", &build<SimdBatchDecoder, kQ8>},
+    {"layered-minsum-simd-batched-q6", &build<SimdBatchDecoder, kQ6>},
+    {"layered-minsum-fa2", &build<LayeredMinSumFaDecoder, 2>},
+    {"layered-minsum-fa3", &build<LayeredMinSumFaDecoder, 3>},
+    {"layered-minsum-fa4", &build<LayeredMinSumFaDecoder, 4>},
+    {"layered-minsum-simd-fa2", &build<SimdFaLayeredDecoder, 2>},
+    {"layered-minsum-simd-fa3", &build<SimdFaLayeredDecoder, 3>},
+    {"layered-minsum-simd-fa4", &build<SimdFaLayeredDecoder, 4>},
+    {"layered-minsum-simd-batched-fa2", &build<SimdFaBatchDecoder, 2>},
+    {"layered-minsum-simd-batched-fa3", &build<SimdFaBatchDecoder, 3>},
+    {"layered-minsum-simd-batched-fa4", &build<SimdFaBatchDecoder, 4>},
+};
+
+}  // namespace
+
 std::unique_ptr<Decoder> make_decoder(const std::string& name,
                                       const QCLdpcCode& code,
                                       const DecoderOptions& options) {
-  if (name == "flooding-bp")
-    return std::make_unique<FloodingBpDecoder>(code, options);
-  if (name == "flooding-minsum")
-    return std::make_unique<FloodingMinSumDecoder>(code, options,
-                                                   MinSumVariant::kPlain);
-  if (name == "flooding-minsum-norm")
-    return std::make_unique<FloodingMinSumDecoder>(code, options,
-                                                   MinSumVariant::kNormalized);
-  if (name == "flooding-minsum-offset")
-    return std::make_unique<FloodingMinSumDecoder>(code, options,
-                                                   MinSumVariant::kOffset);
-  if (name == "flooding-minsum-scms")
-    return std::make_unique<FloodingMinSumDecoder>(code, options,
-                                                   MinSumVariant::kSelfCorrected);
-  if (name == "gallager-b")
-    return std::make_unique<GallagerBDecoder>(code, options);
-  if (name == "layered-minsum-float")
-    return std::make_unique<LayeredMinSumFloatDecoder>(code, options);
-  if (name == "layered-minsum-fixed")
-    return std::make_unique<LayeredMinSumFixedDecoder>(code, options,
-                                                       FixedFormat{8, 2});
-  if (name == "layered-minsum-q6")
-    return std::make_unique<LayeredMinSumFixedDecoder>(code, options,
-                                                       FixedFormat{6, 1});
-  if (name == "layered-minsum-offset-fixed") {
-    // Offset 0.5 in LLR units at the default q8.2 format = 2 codes.
-    const FixedFormat fmt{8, 2};
-    return std::make_unique<LayeredMinSumFixedDecoder>(
-        code, options, LayerRowKernel::offset_kernel(fmt, 2),
-        "layered-minsum-offset-" + fmt.name());
-  }
-  // SIMD z-lane twins of the fixed-point layered decoders: bit-identical
-  // results (asserted in tests/simd_equivalence_test.cpp), z rows of each
-  // layer processed as vector lanes. See src/core/simd/.
-  if (name == "layered-minsum-simd")
-    return std::make_unique<SimdLayeredDecoder>(code, options,
-                                                FixedFormat{8, 2});
-  if (name == "layered-minsum-simd-q6")
-    return std::make_unique<SimdLayeredDecoder>(code, options,
-                                                FixedFormat{6, 1});
-  if (name == "layered-minsum-simd-offset") {
-    const FixedFormat fmt{8, 2};
-    return std::make_unique<SimdLayeredDecoder>(
-        code, options, fmt, 2, "layered-minsum-simd-offset-" + fmt.name());
-  }
-  // Inter-frame-batched SIMD decoders: frame per lane instead of check row
-  // per lane, so every lane is full for any z. The batch engine detects
-  // block_width() > 1 and hands these decoders whole frame-blocks.
-  if (name == "layered-minsum-simd-batched")
-    return std::make_unique<SimdBatchDecoder>(code, options,
-                                              FixedFormat{8, 2});
-  if (name == "layered-minsum-simd-batched-q6")
-    return std::make_unique<SimdBatchDecoder>(code, options,
-                                              FixedFormat{6, 1});
-  // Finite-alphabet family (fa2/fa3/fa4): 2-4-bit check messages via MIM
-  // staircase tables on an int8 posterior, scalar reference plus the int8
-  // SIMD z-lane and inter-frame-batched twins. See core/fa_tables.hpp.
-  if (name == "layered-minsum-fa2")
-    return std::make_unique<LayeredMinSumFaDecoder>(code, options, 2);
-  if (name == "layered-minsum-fa3")
-    return std::make_unique<LayeredMinSumFaDecoder>(code, options, 3);
-  if (name == "layered-minsum-fa4")
-    return std::make_unique<LayeredMinSumFaDecoder>(code, options, 4);
-  if (name == "layered-minsum-simd-fa2")
-    return std::make_unique<SimdFaLayeredDecoder>(code, options, 2);
-  if (name == "layered-minsum-simd-fa3")
-    return std::make_unique<SimdFaLayeredDecoder>(code, options, 3);
-  if (name == "layered-minsum-simd-fa4")
-    return std::make_unique<SimdFaLayeredDecoder>(code, options, 4);
-  if (name == "layered-minsum-simd-batched-fa2")
-    return std::make_unique<SimdFaBatchDecoder>(code, options, 2);
-  if (name == "layered-minsum-simd-batched-fa3")
-    return std::make_unique<SimdFaBatchDecoder>(code, options, 3);
-  if (name == "layered-minsum-simd-batched-fa4")
-    return std::make_unique<SimdFaBatchDecoder>(code, options, 4);
+  for (const auto& [known, make] : kDecoders)
+    if (name == known) return make(code, options);
   // List the candidates in the error: factory names travel through CLI
   // flags and JSON configs, where a typo is otherwise a dead end.
   std::ostringstream msg;
@@ -103,24 +98,11 @@ std::unique_ptr<Decoder> make_decoder(const std::string& name,
 }
 
 const std::vector<std::string>& decoder_names() {
-  static const std::vector<std::string> names = {
-      "flooding-bp",           "flooding-minsum",
-      "flooding-minsum-norm",  "flooding-minsum-offset",
-      "flooding-minsum-scms",  "gallager-b",
-      "layered-minsum-float",  "layered-minsum-fixed",
-      "layered-minsum-q6",     "layered-minsum-offset-fixed",
-      "layered-minsum-simd",   "layered-minsum-simd-q6",
-      "layered-minsum-simd-offset",
-      "layered-minsum-simd-batched",
-      "layered-minsum-simd-batched-q6",
-      "layered-minsum-fa2",    "layered-minsum-fa3",
-      "layered-minsum-fa4",    "layered-minsum-simd-fa2",
-      "layered-minsum-simd-fa3",
-      "layered-minsum-simd-fa4",
-      "layered-minsum-simd-batched-fa2",
-      "layered-minsum-simd-batched-fa3",
-      "layered-minsum-simd-batched-fa4",
-  };
+  static const std::vector<std::string> names = [] {
+    std::vector<std::string> out;
+    for (const auto& entry : kDecoders) out.emplace_back(entry.first);
+    return out;
+  }();
   return names;
 }
 

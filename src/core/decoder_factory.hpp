@@ -18,18 +18,9 @@ namespace ldpc {
 /// per-call message memory, so each thread needs its own).
 using DecoderFactory = std::function<std::unique_ptr<Decoder>()>;
 
-/// Recognised names:
-///   "flooding-bp", "flooding-minsum", "flooding-minsum-norm",
-///   "flooding-minsum-offset", "layered-minsum-float",
-///   "layered-minsum-fixed" (8.2), "layered-minsum-q6" (6.1),
-///   and the bit-identical SIMD z-lane twins "layered-minsum-simd" (8.2),
-///   "layered-minsum-simd-q6" (6.1), "layered-minsum-simd-offset",
-///   the finite-alphabet family "layered-minsum-fa{2,3,4}" with its SIMD
-///   twins "layered-minsum-simd-fa{2,3,4}" and batched
-///   "layered-minsum-simd-batched-fa{2,3,4}" (see core/fa_tables.hpp)
-/// Throws ldpc::Error for unknown names (the message lists every known
-/// name). The returned decoder borrows `code`;
-/// the caller must keep the code alive for the decoder's lifetime.
+/// Recognised names: decoder_names(). Throws ldpc::Error for unknown names
+/// (the message lists every known name). The returned decoder borrows
+/// `code`; the caller must keep the code alive for the decoder's lifetime.
 std::unique_ptr<Decoder> make_decoder(const std::string& name,
                                       const QCLdpcCode& code,
                                       const DecoderOptions& options);

@@ -5,6 +5,7 @@
 
 #include <cstdlib>
 
+#include "core/simd/simd_row_update.hpp"
 #include "util/check.hpp"
 
 namespace ldpc::simd {
@@ -42,158 +43,22 @@ std::vector<SimdTier> available_tiers() {
   return tiers;
 }
 
-LayerPassFn layer_pass_for(SimdTier tier) {
+const KernelSet& kernels_for(SimdTier tier) {
   LDPC_CHECK_MSG(tier_available(tier),
                  "SIMD tier " << to_string(tier)
                               << " is not available in this build/CPU");
   switch (tier) {
-    case SimdTier::kPortable:
-      return &layer_pass_portable;
 #ifdef LDPC_SIMD_X86
     case SimdTier::kSse2:
-      return &layer_pass_sse2;
+      return detail::kSse2Kernels;
     case SimdTier::kAvx2:
-      return &layer_pass_avx2;
+      return detail::kAvx2Kernels;
     case SimdTier::kAvx512:
-      return &layer_pass_avx512;
-#else
-    default:
-      break;
+      return detail::kAvx512Kernels;
 #endif
-  }
-  return &layer_pass_portable;  // unreachable after the check above
-}
-
-BatchLayerPassFn batch_layer_pass_for(SimdTier tier) {
-  LDPC_CHECK_MSG(tier_available(tier),
-                 "SIMD tier " << to_string(tier)
-                              << " is not available in this build/CPU");
-  switch (tier) {
-    case SimdTier::kPortable:
-      return &batch_layer_pass_portable;
-#ifdef LDPC_SIMD_X86
-    case SimdTier::kSse2:
-      return &batch_layer_pass_sse2;
-    case SimdTier::kAvx2:
-      return &batch_layer_pass_avx2;
-    case SimdTier::kAvx512:
-      return &batch_layer_pass_avx512;
-#else
     default:
-      break;
-#endif
+      return detail::kPortableKernels;
   }
-  return &batch_layer_pass_portable;  // unreachable after the check above
-}
-
-BatchSyndromePassFn batch_syndrome_pass_for(SimdTier tier) {
-  LDPC_CHECK_MSG(tier_available(tier),
-                 "SIMD tier " << to_string(tier)
-                              << " is not available in this build/CPU");
-  switch (tier) {
-    case SimdTier::kPortable:
-      return &batch_syndrome_pass_portable;
-#ifdef LDPC_SIMD_X86
-    case SimdTier::kSse2:
-      return &batch_syndrome_pass_sse2;
-    case SimdTier::kAvx2:
-      return &batch_syndrome_pass_avx2;
-    case SimdTier::kAvx512:
-      return &batch_syndrome_pass_avx512;
-#else
-    default:
-      break;
-#endif
-  }
-  return &batch_syndrome_pass_portable;  // unreachable after the check above
-}
-
-FaLayerPassFn fa_layer_pass_for(SimdTier tier) {
-  LDPC_CHECK_MSG(tier_available(tier),
-                 "SIMD tier " << to_string(tier)
-                              << " is not available in this build/CPU");
-  switch (tier) {
-    case SimdTier::kPortable:
-      return &fa_layer_pass_portable;
-#ifdef LDPC_SIMD_X86
-    case SimdTier::kSse2:
-      return &fa_layer_pass_sse2;
-    case SimdTier::kAvx2:
-      return &fa_layer_pass_avx2;
-    case SimdTier::kAvx512:
-      return &fa_layer_pass_avx512;
-#else
-    default:
-      break;
-#endif
-  }
-  return &fa_layer_pass_portable;  // unreachable after the check above
-}
-
-FaBatchLayerPassFn fa_batch_layer_pass_for(SimdTier tier) {
-  LDPC_CHECK_MSG(tier_available(tier),
-                 "SIMD tier " << to_string(tier)
-                              << " is not available in this build/CPU");
-  switch (tier) {
-    case SimdTier::kPortable:
-      return &fa_batch_layer_pass_portable;
-#ifdef LDPC_SIMD_X86
-    case SimdTier::kSse2:
-      return &fa_batch_layer_pass_sse2;
-    case SimdTier::kAvx2:
-      return &fa_batch_layer_pass_avx2;
-    case SimdTier::kAvx512:
-      return &fa_batch_layer_pass_avx512;
-#else
-    default:
-      break;
-#endif
-  }
-  return &fa_batch_layer_pass_portable;  // unreachable after the check above
-}
-
-FaBatchSyndromePassFn fa_batch_syndrome_pass_for(SimdTier tier) {
-  LDPC_CHECK_MSG(tier_available(tier),
-                 "SIMD tier " << to_string(tier)
-                              << " is not available in this build/CPU");
-  switch (tier) {
-    case SimdTier::kPortable:
-      return &fa_batch_syndrome_pass_portable;
-#ifdef LDPC_SIMD_X86
-    case SimdTier::kSse2:
-      return &fa_batch_syndrome_pass_sse2;
-    case SimdTier::kAvx2:
-      return &fa_batch_syndrome_pass_avx2;
-    case SimdTier::kAvx512:
-      return &fa_batch_syndrome_pass_avx512;
-#else
-    default:
-      break;
-#endif
-  }
-  return &fa_batch_syndrome_pass_portable;  // unreachable after the check
-}
-
-FaQuantizePassFn fa_quantize_pass_for(SimdTier tier) {
-  LDPC_CHECK_MSG(tier_available(tier),
-                 "SIMD tier " << to_string(tier)
-                              << " is not available in this build/CPU");
-  switch (tier) {
-    case SimdTier::kPortable:
-      return &fa_quantize_pass_portable;
-#ifdef LDPC_SIMD_X86
-    case SimdTier::kSse2:
-      return &fa_quantize_pass_sse2;
-    case SimdTier::kAvx2:
-      return &fa_quantize_pass_avx2;
-    case SimdTier::kAvx512:
-      return &fa_quantize_pass_avx512;
-#else
-    default:
-      break;
-#endif
-  }
-  return &fa_quantize_pass_portable;  // unreachable after the check above
 }
 
 SimdTier tier_from_string(const std::string& name) {

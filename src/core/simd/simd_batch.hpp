@@ -1,50 +1,21 @@
-// Inter-frame-batched SIMD layered scaled-min-sum decoder.
-//
-// The z-lane decoder (simd_layered.hpp) maps the z check rows of a layer
-// onto vector lanes — full lanes only when z is a multiple of the tier
-// width, and never wider than z. This decoder turns the lane axis sideways:
-// lane f carries *frame* f of a block, every array is lane-major with
-// stride F = tier lane count (p[v * F + f]), and the z rows of a layer run
-// serially. Consequences:
-//
-//   * every lane is full for any z — z = 10 wastes 6 of 16 AVX2 lanes in
-//     the z-lane kernel, zero lanes here;
-//   * the circulant rotation becomes a scalar index per vector load — the
-//     barrel-shift gather/scatter memcpys of the z-lane kernel disappear;
-//   * the per-iteration syndrome probe vectorizes too (one XOR chain per
-//     row, all frames at once), so early termination no longer serializes;
-//   * the AVX-512 tier's 32 lanes decode 32 frames per kernel sweep.
-//
-// Frames inside a block are independent decodes at independent iteration
-// counts: when a lane's frame converges (or expires, or exhausts its
-// budget) the lane is refilled with the next pending frame *mid-block*, so
-// block throughput tracks the mean iteration count, not the max — a
-// lockstep batch would pay the slowest frame's iterations on every lane.
-//
-// Per-frame results are bit-identical to LayeredMinSumFixedDecoder —
-// hard bits, iteration counts, status, per-site SaturationStats — asserted
-// in tests/simd_batch_test.cpp across tiers, z values and block sizes.
-// Configurations outside the lane envelope (wide formats, fault campaigns,
-// per-iteration observers) fall back to per-frame decodes on the embedded
-// z-lane twin, with the reason recorded in DecodeResult::simd_fallback.
+// Inter-frame-batched SIMD layered scaled-min-sum decoder: lane f carries
+// frame f of a block, so every lane is full for any z (the AVX-512 tier
+// decodes 32 frames per kernel sweep) and the batch engine hands it
+// block_width() frames at a time. Per-frame results are bit-identical to
+// LayeredMinSumFixedDecoder — hard bits, iteration counts, status,
+// per-site SaturationStats — asserted in tests/simd_batch_test.cpp across
+// tiers, z values and block sizes. See simd_decoder.hpp for the layout and
+// the per-frame fallbacks.
 #pragma once
 
-#include <cstdint>
 #include <memory>
 #include <optional>
-#include <string>
-#include <vector>
 
-#include "codes/qc_code.hpp"
-#include "core/decoder.hpp"
-#include "core/quant.hpp"
-#include "core/simd/simd_kernel.hpp"
-#include "core/simd/simd_layered.hpp"
-#include "util/aligned.hpp"
+#include "core/simd/simd_decoder.hpp"
 
 namespace ldpc {
 
-class SimdBatchDecoder final : public Decoder {
+class SimdBatchDecoder final : public simd::BatchDecoder<simd::Fixed16> {
  public:
   /// Normalized min-sum; scale taken from options (0.75 -> the paper's
   /// shift-add, anything else -> truncating num/16), mirroring the scalar
@@ -52,90 +23,11 @@ class SimdBatchDecoder final : public Decoder {
   /// the best available at runtime.
   SimdBatchDecoder(const QCLdpcCode& code, DecoderOptions options,
                    FixedFormat format = FixedFormat{},
-                   std::optional<simd::SimdTier> tier = std::nullopt);
+                   std::optional<simd::SimdTier> tier = std::nullopt)
+      : BatchDecoder(std::make_unique<simd::ZLaneDecoder<simd::Fixed16>>(
+            code, options, simd::Fixed16(code, options, format), "", tier)) {}
 
-  /// Single-frame decode rides the embedded z-lane twin — with one frame
-  /// there is nothing to batch, and the z-lane kernel is the faster shape.
-  DecodeResult decode(std::span<const float> llr) override;
-
-  void decode_block(std::span<const BlockFrame> frames,
-                    std::span<DecodeResult> results,
-                    std::span<SaturationStats> saturation) override;
-
-  std::size_t n() const override { return code_.n(); }
-  std::size_t k() const override { return code_.k(); }
-  std::string name() const override;
-  SaturationStats saturation() const override { return last_saturation_; }
-  void set_cancel_token(const CancelToken* token) override;
-
-  /// Frames per full block = the tier's lane count.
-  std::size_t block_width() const override { return lanes_; }
-
-  simd::SimdTier tier() const { return tier_; }
-  FixedFormat format() const { return format_; }
-  std::string message_format() const override { return format_.name(); }
-
-  /// True when the configuration can never use the batched kernel and
-  /// every block decodes per-frame on the z-lane twin.
-  bool scalar_only() const { return force_fallback_; }
-
- private:
-  static constexpr std::size_t kIdleLane = static_cast<std::size_t>(-1);
-
-  /// Per-lane decode-in-flight state; `frame` indexes into the current
-  /// decode_block call's spans (kIdleLane when the lane holds no frame).
-  struct Lane {
-    std::size_t frame = kIdleLane;
-    std::size_t iter = 0;
-    WatchdogState watchdog{WatchdogOptions{}};
-    const CancelToken* cancel = nullptr;
-  };
-
-  void init_geometry();
-  void decode_block_fallback(std::span<const BlockFrame> frames,
-                             std::span<DecodeResult> results,
-                             std::span<SaturationStats> saturation,
-                             SimdFallback reason);
-  void run_block(std::span<const BlockFrame> frames,
-                 std::span<DecodeResult> results,
-                 std::span<SaturationStats> saturation);
-
-  const QCLdpcCode& code_;
-  DecoderOptions options_;
-  FixedFormat format_;
-  simd::ScaleMode mode_ = simd::ScaleMode::kThreeQuarters;
-  std::int16_t scale_num_ = 3;
-  simd::SimdTier tier_;
-  simd::BatchLayerPassFn pass_;
-  simd::BatchSyndromePassFn syndrome_;
-  std::uint32_t lanes_ = 0;  ///< F: frames per block, lane-major stride
-  std::uint32_t z_ = 0;
-  std::size_t r_rows_ = 0;  ///< nonzero_blocks * z rows of R memory
-
-  std::vector<std::vector<simd::BatchBlock>> layers_;
-  AlignedVec<std::int16_t> p16_;     ///< n rows * F lanes posteriors
-  AlignedVec<std::int16_t> r16_;     ///< r_rows_ * F check messages
-  AlignedVec<std::int16_t> q16_;     ///< max_deg * F row scratch
-  AlignedVec<std::int16_t> active_;  ///< F lane mask (-1 live, 0 idle)
-  AlignedVec<std::int16_t> r_keep_;  ///< F lane mask (0 = first iteration,
-                                     ///< R reads as 0 — see r_keep in
-                                     ///< SimdBatchLayerPass)
-  std::vector<std::int16_t> stage_;  ///< n quantized codes staging row
-                                     ///< (vector-quantized, then scattered
-                                     ///< into a lane column at refill)
-  std::vector<Lane> lane_;
-  std::vector<long long> q_clips_;         ///< per-lane clip accumulators
-  std::vector<long long> r_clips_;
-  std::vector<long long> p_clips_;
-  std::vector<long long> degenerate_;      ///< per-lane degenerate checks
-  std::vector<std::int32_t> weight_;       ///< per-lane syndrome weights
-
-  /// z-lane twin: single-frame decode path, construction-time validation,
-  /// and the exact per-frame fallback for out-of-envelope configurations.
-  std::unique_ptr<SimdLayeredDecoder> single_;
-  bool force_fallback_ = false;
-  const CancelToken* cancel_ = nullptr;  ///< single-frame path only
-  SaturationStats last_saturation_;
+  FixedFormat format() const { return family().posterior(); }
 };
 
 }  // namespace ldpc

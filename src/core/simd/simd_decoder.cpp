@@ -1,0 +1,646 @@
+#include "core/simd/simd_decoder.hpp"
+
+#include <algorithm>
+#include <cmath>
+#include <cstring>
+
+#include "fault/fault_injector.hpp"
+#include "util/check.hpp"
+
+namespace ldpc::simd {
+
+// ------------------------------------------------------------ families ----
+
+Fixed16::Fixed16(const QCLdpcCode& code, const DecoderOptions& options,
+                 FixedFormat format)
+    // The scalar twin runs the identical kernel-parameter derivation and
+    // validation (scale fraction bounds, format sanity, max_iterations).
+    : scalar_(std::make_unique<Scalar>(code, options, format)),
+      format_(format),
+      wide_(format.total_bits > 15) {
+  if (options.scale != 0.75F) {
+    map_.mode = ScaleMode::kNumOver16;
+    map_.scale_num = static_cast<std::int16_t>(
+        static_cast<std::int32_t>(options.scale * 16.0F + 0.5F));
+  }
+}
+
+Fixed16::Fixed16(const QCLdpcCode& code, const DecoderOptions& options,
+                 FixedFormat format, std::int32_t offset_code,
+                 const std::string& label)
+    : scalar_(std::make_unique<Scalar>(
+          code, options, LayerRowKernel::offset_kernel(format, offset_code),
+          label)),
+      format_(format),
+      wide_(format.total_bits > 15 || offset_code > INT16_MAX) {
+  map_.mode = ScaleMode::kOffset;
+  map_.offset_code =
+      static_cast<std::int16_t>(std::min<std::int32_t>(offset_code, INT16_MAX));
+}
+
+void Fixed16::quantize(const KernelSet& /*kernels*/,
+                       std::span<const float> llr, T* out,
+                       long long* clips) const {
+  if (clips != nullptr) {
+    for (std::size_t v = 0; v < llr.size(); ++v)
+      out[v] = static_cast<T>(format_.quantize(llr[v], *clips));
+    return;
+  }
+  // Uncounted path (the throughput configuration): a branchless
+  // restatement of FixedFormat::quantize the autovectorizer can chew on —
+  // same NaN -> 0, same rails-plus-one float pre-limit, same
+  // round-half-away in double (exact per the quantize() width argument),
+  // same integer rail clamp, so codes are bit-identical.
+  const float fscale = static_cast<float>(1 << format_.frac_bits);
+  const float fhi = static_cast<float>(format_.max_code()) + 1.0F;
+  const float flo = static_cast<float>(format_.min_code()) - 1.0F;
+  const std::int32_t rail_hi = format_.max_code();
+  const std::int32_t rail_lo = format_.min_code();
+  for (std::size_t v = 0; v < llr.size(); ++v) {
+    float s = llr[v] * fscale;
+    s = s != s ? 0.0F : s;
+    s = s > fhi ? fhi : s;
+    s = s < flo ? flo : s;
+    // trunc(d + copysign(0.5, d)) == round_half_away(d): the cast truncates
+    // toward zero, so the negative arm ceil(d - 0.5) equals
+    // -floor(0.5 - d) — one conversion, no branch.
+    const double d = static_cast<double>(s);
+    const std::int32_t t = static_cast<std::int32_t>(d + std::copysign(0.5, d));
+    out[v] = static_cast<T>(t > rail_hi ? rail_hi : (t < rail_lo ? rail_lo : t));
+  }
+}
+
+Fa8::Fa8(const QCLdpcCode& code, const DecoderOptions& options, int msg_bits,
+         float design_ebn0_db)
+    // The scalar twin builds (and owns) the MIM tables and runs the same
+    // option validation.
+    : scalar_(std::make_unique<Scalar>(code, options, msg_bits,
+                                       design_ebn0_db)) {
+  const FaTableSet& ts = tables();
+  const auto num_thr = static_cast<std::uint32_t>(ts.levels - 1);
+  iter_tables_.reserve(ts.tables.size());
+  for (const FaCnTable& t : ts.tables) {
+    IterTable it{};
+    it.recon0 = t.recon[0];
+    for (std::uint32_t k = 0; k < num_thr; ++k) {
+      it.thr[k] = t.thr[k];
+      // Deltas are nonnegative (recon is nondecreasing) and every prefix
+      // sum recon0 + delta[0..k] = recon[k+1] <= 127: the kernel's
+      // wrapping staircase adds cannot overflow.
+      it.delta[k] = static_cast<std::int8_t>(t.recon[k + 1] - t.recon[k]);
+    }
+    iter_tables_.push_back(it);
+  }
+}
+
+void Fa8::quantize(const KernelSet& kernels, std::span<const float> llr,
+                   T* out, long long* clips) const {
+  const FixedFormat fmt = posterior();
+  if (clips != nullptr) {
+    for (std::size_t v = 0; v < llr.size(); ++v)
+      out[v] = static_cast<T>(fa_quantize(fmt, llr[v], *clips));
+    return;
+  }
+  // The tier's vector quantize kernel, bit-identical to fa_quantize (see
+  // SimdFaQuantizePass), so counted and uncounted decodes see equal codes.
+  SimdFaQuantizePass qp;
+  qp.llr = llr.data();
+  qp.out = out;
+  qp.n = llr.size();
+  qp.fscale = static_cast<float>(1 << fmt.frac_bits);
+  qp.fhi = static_cast<float>(fmt.max_code()) + 1.0F;
+  qp.flo = static_cast<float>(fmt.min_code()) - 1.0F;
+  kernels.fa_quantize(qp);
+}
+
+Fa8::LaneMap::LaneMap(const Fa8& family, std::uint32_t lanes)
+    : tables_(family.iter_tables_),
+      lanes_(lanes),
+      num_thr_(static_cast<std::uint32_t>(family.tables().levels - 1)),
+      thr_(static_cast<std::size_t>(num_thr_) * lanes, 0),
+      delta_(static_cast<std::size_t>(num_thr_) * lanes, 0),
+      recon0_(lanes, 0),
+      table_(lanes, kNoTable) {}
+
+void Fa8::LaneMap::set(std::uint32_t lane, std::size_t iter) {
+  // Iterations beyond the table count reuse the last table.
+  const std::size_t t = std::min(iter - 1, tables_.size() - 1);
+  if (t == table_[lane]) return;
+  table_[lane] = t;
+  const IterTable& it = tables_[t];
+  recon0_[lane] = it.recon0;
+  for (std::uint32_t k = 0; k < num_thr_; ++k) {
+    thr_[k * lanes_ + lane] = it.thr[k];
+    delta_[k * lanes_ + lane] = it.delta[k];
+  }
+}
+
+StaircaseMap Fa8::LaneMap::args() const {
+  return {thr_.data(), delta_.data(), recon0_.data(), num_thr_};
+}
+
+// ------------------------------------------------------- z-lane shape ----
+
+template <class Family>
+ZLaneDecoder<Family>::ZLaneDecoder(const QCLdpcCode& code,
+                                   DecoderOptions options, Family family,
+                                   std::string label,
+                                   std::optional<SimdTier> tier)
+    : code_(code),
+      options_(std::move(options)),
+      family_(std::move(family)),
+      label_(std::move(label)),
+      tier_(tier.value_or(best_tier())),
+      kernels_(kernels_for(tier_)),
+      lane_map_(family_, lanes_for<T>(tier_)) {
+  z_ = static_cast<std::uint32_t>(code_.z());
+  // Stride granularity: at least 16 lanes (one layout covers the narrow
+  // tiers), or the tier's own lane count when wider — a vector step is a
+  // full vector, so z = 10 pads to 32 on the 32-lane tier.
+  const std::uint32_t lanes = lanes_for<T>(tier_);
+  const std::uint32_t grain = std::max(16U, lanes);
+  z_pad_ = (z_ + grain - 1) & ~(grain - 1);
+  std::size_t max_deg = 0;
+  for (const auto& layer : code_.layers()) {
+    std::vector<GatherBlock> gs;
+    std::vector<std::uint32_t> rb;
+    for (const auto& blk : layer) {
+      gs.push_back({blk.block_col * z_, blk.shift % z_});
+      rb.push_back(blk.r_slot * z_pad_);
+    }
+    max_deg = std::max(max_deg, layer.size());
+    gather_.push_back(std::move(gs));
+    r_base_.push_back(std::move(rb));
+  }
+  posterior_.resize(code_.n());
+  r_.resize(code_.base().nonzero_blocks() * static_cast<std::size_t>(z_pad_));
+  p_scratch_.resize(max_deg * z_pad_);
+  q_scratch_.resize(max_deg * z_pad_);
+  force_scalar_ =
+      family_.wide() || !counters_fit<T>(z_pad_ / lanes, max_deg);
+}
+
+template <class Family>
+SaturationStats ZLaneDecoder<Family>::saturation() const {
+  return last_used_scalar_ ? family_.scalar().saturation() : saturation_;
+}
+
+template <class Family>
+void ZLaneDecoder<Family>::set_cancel_token(const CancelToken* token) {
+  cancel_ = token;
+  family_.scalar().set_cancel_token(token);
+}
+
+template <class Family>
+SimdFallback ZLaneDecoder<Family>::bypass_reason() const {
+  if (force_scalar_) return SimdFallback::kWideFormat;
+  if (options_.fault_injector && options_.fault_injector->enabled())
+    return SimdFallback::kFaultInjector;
+  return SimdFallback::kNone;
+}
+
+template <class Family>
+DecodeResult ZLaneDecoder<Family>::fallback(DecodeResult result,
+                                            SimdFallback reason) {
+  // Record *why* the lane kernel was bypassed: a benchmark or serving
+  // config silently riding the scalar twin is a perf bug, not a
+  // correctness one, and must be visible from the outside.
+  last_used_scalar_ = true;
+  result.simd_fallback = reason;
+  return result;
+}
+
+template <class Family>
+DecodeResult ZLaneDecoder<Family>::decode(std::span<const float> llr) {
+  LDPC_CHECK(llr.size() == code_.n());
+  if (const SimdFallback why = bypass_reason(); why != SimdFallback::kNone)
+    return fallback(family_.scalar().decode(llr), why);
+  last_used_scalar_ = false;
+  saturation_.quantizer_clips = 0;
+  family_.quantize(kernels_, llr, posterior_.data(),
+                   options_.count_saturation ? &saturation_.quantizer_clips
+                                             : nullptr);
+  return run();
+}
+
+template <class Family>
+DecodeResult ZLaneDecoder<Family>::decode_quantized(
+    std::span<const std::int32_t> channel_codes) {
+  LDPC_CHECK(channel_codes.size() == code_.n());
+  SimdFallback why = bypass_reason();
+  if (why == SimdFallback::kNone) {
+    // The lane kernels assume rail-bounded inputs; out-of-rail codes
+    // (never produced by the quantizers) ride the scalar twin instead.
+    const std::int32_t lo = family_.lo();
+    const std::int32_t hi = family_.hi();
+    for (const std::int32_t c : channel_codes) {
+      if (c < lo || c > hi) {
+        why = SimdFallback::kOutOfRailInput;
+        break;
+      }
+    }
+  }
+  if (why != SimdFallback::kNone)
+    return fallback(family_.scalar().decode_quantized(channel_codes), why);
+  last_used_scalar_ = false;
+  for (std::size_t v = 0; v < channel_codes.size(); ++v)
+    posterior_[v] = static_cast<T>(channel_codes[v]);
+  return run();
+}
+
+template <class Family>
+DecodeResult ZLaneDecoder<Family>::run() {
+  std::fill(r_.begin(), r_.end(), T{0});
+  saturation_.datapath_clips = 0;
+  saturation_.q_clips = 0;
+  saturation_.r_clips = 0;
+  saturation_.p_clips = 0;
+  saturation_.degenerate_checks = 0;
+  WatchdogState watchdog(options_.watchdog);
+  bool watchdog_fired = false;
+  bool cancelled = false;
+
+  DecodeResult result;
+  result.hard_bits.resize(code_.n());
+  BitVec previous_hard;
+  if (options_.observer) previous_hard.resize(code_.n());
+
+  const std::uint32_t lanes = lanes_for<T>(tier_);
+  const auto pass_fn = Family::kernels(kernels_).zlane;
+  ZLanePass<T, typename Family::Map> pass{};
+  pass.p = p_scratch_.data();
+  pass.q = q_scratch_.data();
+  pass.r = r_.data();
+  pass.z_pad = z_pad_;
+  pass.lo = family_.lo();
+  pass.hi = family_.hi();
+  pass.count_clips = options_.count_saturation;
+  pass.stats = &saturation_;
+  const std::size_t pad = (z_pad_ - z_) * sizeof(T);
+
+  for (std::size_t iter = 1; iter <= options_.max_iterations; ++iter) {
+    result.iterations = iter;
+    for (std::uint32_t f = 0; f < lanes; ++f) lane_map_.set(f, iter);
+    pass.map = lane_map_.args();
+
+    for (std::size_t l = 0; l < gather_.size(); ++l) {
+      // Same cooperative-cancellation cadence as the scalar decoder: the
+      // posterior memory is consistent at every layer boundary.
+      if (cancel_ && cancel_->expired()) {
+        cancelled = true;
+        break;
+      }
+      const auto& gs = gather_[l];
+      const auto deg = static_cast<std::uint32_t>(gs.size());
+      if (deg == 0) continue;
+
+      // Barrel-shift gather: rotate each block column's z posteriors into
+      // contiguous lane order, zero the padding lanes.
+      for (std::uint32_t j = 0; j < deg; ++j) {
+        const T* src = posterior_.data() + gs[j].p_base;
+        T* dst = p_scratch_.data() + j * z_pad_;
+        const std::uint32_t shift = gs[j].shift;
+        std::memcpy(dst, src + shift, (z_ - shift) * sizeof(T));
+        std::memcpy(dst + (z_ - shift), src, shift * sizeof(T));
+        std::memset(dst + z_, 0, pad);
+      }
+
+      pass.r_base = r_base_[l].data();
+      pass.deg = deg;
+      pass.degenerate = deg < 2;
+      pass_fn(pass);
+      // A degree-1 layer forces R' = 0 on every one of its z rows, once
+      // per layer pass — same accounting as the scalar row kernels.
+      if (deg < 2) saturation_.degenerate_checks += z_;
+
+      // Keep the all-zero pad invariant of R: a zero row has positive sign
+      // product and min 0, so the staircase map writes +recon0 into pad
+      // lanes (the scale maps write 0). With P_pad = R_pad = 0 at pass
+      // entry, pad lanes provably produce no saturation events.
+      for (std::uint32_t j = 0; j < deg && pad != 0; ++j)
+        std::memset(r_.data() + r_base_[l][j] + z_, 0, pad);
+
+      // Scatter: inverse rotation back into natural variable order.
+      for (std::uint32_t j = 0; j < deg; ++j) {
+        const T* src = p_scratch_.data() + j * z_pad_;
+        T* dst = posterior_.data() + gs[j].p_base;
+        const std::uint32_t shift = gs[j].shift;
+        std::memcpy(dst + shift, src, (z_ - shift) * sizeof(T));
+        std::memcpy(dst, src + (z_ - shift), shift * sizeof(T));
+      }
+    }
+
+    for (std::size_t v = 0; v < code_.n(); ++v)
+      result.hard_bits.set(v, posterior_[v] < 0);
+    const bool want_weight =
+        static_cast<bool>(options_.observer) || options_.watchdog.enabled();
+    std::size_t weight = 0;
+    if (want_weight) weight = code_.syndrome_weight(result.hard_bits);
+    if (options_.observer) {
+      IterationSnapshot snap;
+      snap.iteration = iter;
+      snap.syndrome_weight = weight;
+      const FixedFormat fmt = family_.posterior();
+      double sum = 0.0;
+      for (const T p : posterior_)
+        sum += std::abs(static_cast<double>(fmt.dequantize(p)));
+      snap.mean_abs_llr = sum / static_cast<double>(code_.n());
+      snap.flipped_bits = result.hard_bits.hamming_distance(previous_hard);
+      snap.saturation_clips =
+          saturation_.q_clips + saturation_.r_clips + saturation_.p_clips;
+      previous_hard = result.hard_bits;
+      options_.observer(snap);
+    }
+    if (options_.early_termination &&
+        (want_weight ? weight == 0 : code_.parity_ok(result.hard_bits))) {
+      result.converged = true;
+      break;
+    }
+    if (cancelled) break;
+    if (options_.watchdog.enabled() && watchdog.should_abort(weight)) {
+      watchdog_fired = true;
+      break;
+    }
+  }
+
+  // Parity recheck on output: never report garbage as a codeword.
+  if (!result.converged) result.converged = code_.parity_ok(result.hard_bits);
+  saturation_.datapath_clips =
+      saturation_.q_clips + saturation_.r_clips + saturation_.p_clips;
+  result.status =
+      classify_exit(result.converged, watchdog_fired, 0, cancelled);
+  return result;
+}
+
+// ------------------------------------------------------ batched shape ----
+
+template <class Family>
+BatchDecoder<Family>::BatchDecoder(std::unique_ptr<ZLaneDecoder<Family>> single)
+    : single_(std::move(single)),
+      code_(single_->code()),
+      options_(single_->options()),
+      kernels_(kernels_for(single_->tier())),
+      lanes_(lanes_for<T>(single_->tier())),
+      z_(static_cast<std::uint32_t>(code_.z())),
+      lane_map_(single_->family(), lanes_) {
+  std::size_t max_deg = 0;
+  for (const auto& layer : code_.layers()) {
+    std::vector<BatchBlock> blocks;
+    for (const auto& blk : layer)
+      blocks.push_back({blk.block_col * z_, blk.shift % z_, blk.r_slot * z_});
+    max_deg = std::max(max_deg, blocks.size());
+    layers_.push_back(std::move(blocks));
+  }
+  const std::size_t r_rows =
+      code_.base().nonzero_blocks() * static_cast<std::size_t>(z_);
+  // kBatchPrefetchPad rows of slack so the kernels' look-ahead prefetches
+  // stay inside the allocations.
+  p_.resize((code_.n() + kBatchPrefetchPad) * lanes_);
+  r_.resize((r_rows + kBatchPrefetchPad) * lanes_);
+  q_.resize(std::max<std::size_t>(max_deg, 1) * lanes_);
+  active_.assign(lanes_, T{0});
+  r_keep_.assign(lanes_, T{-1});
+  stage_.resize(code_.n());
+  lane_.assign(lanes_, Lane{});
+  q_clips_.assign(lanes_, 0);
+  r_clips_.assign(lanes_, 0);
+  p_clips_.assign(lanes_, 0);
+  degenerate_.assign(lanes_, 0);
+  weight_.assign(lanes_, 0);
+  // Every shipped code is orders of magnitude inside the counter envelope
+  // (WiMAX 1/2 z=96: 96 rows x degree 7 against int16's 32767).
+  force_fallback_ = single_->family().wide() || !counters_fit<T>(z_, max_deg);
+}
+
+template <class Family>
+DecodeResult BatchDecoder<Family>::decode(std::span<const float> llr) {
+  DecodeResult result = single_->decode(llr);
+  last_saturation_ = single_->saturation();
+  return result;
+}
+
+template <class Family>
+void BatchDecoder<Family>::decode_block(std::span<const BlockFrame> frames,
+                                        std::span<DecodeResult> results,
+                                        std::span<SaturationStats> saturation) {
+  LDPC_CHECK(results.size() == frames.size());
+  LDPC_CHECK(saturation.size() == frames.size());
+  for (const BlockFrame& f : frames) LDPC_CHECK(f.llr.size() == code_.n());
+
+  SimdFallback reason = SimdFallback::kNone;
+  if (force_fallback_) {
+    reason = SimdFallback::kWideFormat;
+  } else if (options_.fault_injector && options_.fault_injector->enabled()) {
+    // Fault-campaign corruption order is defined by scalar access order.
+    reason = SimdFallback::kFaultInjector;
+  } else if (options_.observer) {
+    // The observer contract is one snapshot per iteration of one frame;
+    // interleaved lanes have no meaningful single-frame cadence.
+    reason = SimdFallback::kObserver;
+  }
+  if (reason == SimdFallback::kNone) {
+    run_block(frames, results, saturation);
+  } else {
+    for (std::size_t i = 0; i < frames.size(); ++i) {
+      single_->set_cancel_token(frames[i].cancel);
+      results[i] = single_->decode(frames[i].llr);
+      saturation[i] = single_->saturation();
+      // The twin stamps its own, more specific reason when *it* also had
+      // to bypass its lane kernel; otherwise record why batching was off.
+      if (results[i].simd_fallback == SimdFallback::kNone)
+        results[i].simd_fallback = reason;
+    }
+    if (!frames.empty()) last_saturation_ = saturation.back();
+  }
+  single_->set_cancel_token(nullptr);
+}
+
+template <class Family>
+void BatchDecoder<Family>::run_block(std::span<const BlockFrame> frames,
+                                     std::span<DecodeResult> results,
+                                     std::span<SaturationStats> saturation) {
+  const std::size_t count = frames.size();
+  const std::size_t n = code_.n();
+  const Family& family = single_->family();
+  const auto& kernels = Family::kernels(kernels_);
+  std::size_t next = 0;  // next pending frame to claim a lane
+  std::size_t done = 0;
+  std::uint32_t live = 0;  // lanes currently carrying a frame
+
+  BatchPass<T, typename Family::Map> pass{};
+  pass.p = p_.data();
+  pass.q = q_.data();
+  pass.r = r_.data();
+  pass.z = z_;
+  pass.active = active_.data();
+  pass.r_keep = r_keep_.data();
+  pass.lo = family.lo();
+  pass.hi = family.hi();
+  pass.map = lane_map_.args();
+  pass.count_clips = options_.count_saturation;
+  pass.q_clips = q_clips_.data();
+  pass.r_clips = r_clips_.data();
+  pass.p_clips = p_clips_.data();
+
+  SyndromePass<T> syn{};
+  syn.p = p_.data();
+  syn.z = z_;
+  syn.weight = weight_.data();
+
+  const bool et = options_.early_termination;
+  const bool wd = options_.watchdog.enabled();
+
+  const auto load_lane = [&](std::size_t f, std::size_t g) {
+    Lane& lane = lane_[f];
+    lane.frame = g;
+    lane.iter = 0;
+    lane.watchdog = WatchdogState(options_.watchdog);
+    lane.cancel = frames[g].cancel;
+    SaturationStats& sat = saturation[g];
+    sat = SaturationStats{};
+    // Quantize into a contiguous staging row, then spread it across lane
+    // f's strided column. Every store owns a fresh cache line (stride = one
+    // line at AVX-512 width), so the walk is RFO-latency-bound without the
+    // look-ahead prefetch — the kBatchPrefetchPad rows keep the +16 in
+    // bounds. The lane's R column is NOT zero-filled — r_keep_ masks its
+    // reads for the frame's first iteration instead.
+    family.quantize(kernels_, frames[g].llr, stage_.data(),
+                    options_.count_saturation ? &sat.quantizer_clips : nullptr);
+    for (std::size_t v = 0; v < n; ++v) {
+      __builtin_prefetch(&p_[(v + 16) * lanes_ + f], 1);
+      p_[v * lanes_ + f] = stage_[v];
+    }
+    q_clips_[f] = 0;
+    r_clips_[f] = 0;
+    p_clips_[f] = 0;
+    degenerate_[f] = 0;
+    active_[f] = -1;
+    ++live;
+  };
+
+  // Retire lane f, writing its frame's DecodeResult exactly as the scalar
+  // decoder's iteration tail + output parity recheck would have. When the
+  // caller just ran the vectorized syndrome pass, lane f's parity is
+  // already known (`parity_known` + `parity` = weight_[f] == 0) and the
+  // scalar whole-code parity_ok walk is skipped; only cancellation mid-
+  // iteration (stale weight_) and the no-probe configuration pay it.
+  const auto finalize = [&](std::size_t f, bool watchdog_fired,
+                            bool cancelled, bool parity_known, bool parity) {
+    Lane& lane = lane_[f];
+    const std::size_t g = lane.frame;
+    DecodeResult& res = results[g];
+    res.hard_bits.resize(n);
+    // Drain the lane's posterior signs 64 at a time: assembling a word
+    // locally keeps the strided loads independent (no per-bit RMW chain)
+    // and set_word skips BitVec's per-bit bounds checks; the prefetch hides
+    // the per-line L2 latency of the stride-one-line column walk.
+    for (std::size_t w = 0; w < (n + 63) / 64; ++w) {
+      const std::size_t base = w * 64;
+      const std::size_t limit = std::min<std::size_t>(64, n - base);
+      std::uint64_t bits = 0;
+      for (std::size_t b = 0; b < limit; ++b) {
+        __builtin_prefetch(&p_[(base + b + 16) * lanes_ + f], 0);
+        bits |= static_cast<std::uint64_t>(p_[(base + b) * lanes_ + f] < 0)
+                << b;
+      }
+      res.hard_bits.set_word(w, bits);
+    }
+    res.iterations = lane.iter;
+    res.converged = parity_known ? parity : code_.parity_ok(res.hard_bits);
+    res.status = classify_exit(res.converged, watchdog_fired, 0, cancelled);
+    res.faults_injected = 0;
+    res.simd_fallback = SimdFallback::kNone;
+    SaturationStats& sat = saturation[g];
+    sat.q_clips = q_clips_[f];
+    sat.r_clips = r_clips_[f];
+    sat.p_clips = p_clips_[f];
+    sat.datapath_clips = sat.q_clips + sat.r_clips + sat.p_clips;
+    sat.degenerate_checks = degenerate_[f];
+    last_saturation_ = sat;
+    lane.frame = kIdleLane;
+    lane.cancel = nullptr;
+    active_[f] = 0;
+    --live;
+    ++done;
+  };
+
+  while (done < count) {
+    // Refill: idle lanes pick up pending frames mid-block, so lanes stay
+    // full while their neighbours are still iterating.
+    for (std::uint32_t f = 0; f < lanes_ && next < count; ++f)
+      if (lane_[f].frame == kIdleLane) load_lane(f, next++);
+
+    for (std::uint32_t f = 0; f < lanes_; ++f) {
+      Lane& lane = lane_[f];
+      if (lane.frame == kIdleLane) continue;
+      ++lane.iter;
+      // First iteration of a refilled lane: its R column is stale memory
+      // and must read as 0 (the kernel masks it via r_keep).
+      r_keep_[f] = lane.iter == 1 ? T{0} : T{-1};
+      lane_map_.set(f, lane.iter);
+    }
+
+    for (std::size_t l = 0; l < layers_.size() && live > 0; ++l) {
+      // Same cooperative-cancellation cadence as the scalar decoder:
+      // polled at every layer boundary, where lane posteriors are
+      // consistent. An expired lane finalizes from its current state —
+      // parity recheck decides converged vs deadline-expired.
+      for (std::uint32_t f = 0; f < lanes_; ++f) {
+        const Lane& lane = lane_[f];
+        if (lane.frame != kIdleLane && lane.cancel && lane.cancel->expired())
+          finalize(f, false, true, false, false);
+      }
+      if (live == 0) break;
+      const auto& blocks = layers_[l];
+      if (blocks.empty()) continue;
+      pass.blocks = blocks.data();
+      pass.deg = static_cast<std::uint32_t>(blocks.size());
+      pass.degenerate = blocks.size() < 2;
+      kernels.batch(pass);
+      // A degree-1 layer forces R' = 0 on every one of its z rows, once
+      // per layer pass — same accounting as the scalar row kernels.
+      if (blocks.size() == 1)
+        for (std::uint32_t f = 0; f < lanes_; ++f)
+          if (active_[f] != 0) degenerate_[f] += z_;
+    }
+
+    if (live == 0) continue;  // everything cancelled mid-iteration
+
+    // Iteration tail, per lane in the scalar order: early termination,
+    // then the watchdog (which may abort even on the final iteration),
+    // then the iteration budget.
+    const bool probed = et || wd;  // weight_ holds this iteration's syndrome
+    if (probed) {
+      std::fill(weight_.begin(), weight_.end(), 0);
+      for (const auto& blocks : layers_) {
+        if (blocks.empty()) continue;
+        syn.blocks = blocks.data();
+        syn.deg = static_cast<std::uint32_t>(blocks.size());
+        kernels.syndrome(syn);
+      }
+    }
+    for (std::uint32_t f = 0; f < lanes_; ++f) {
+      Lane& lane = lane_[f];
+      if (lane.frame == kIdleLane) continue;
+      const bool parity = probed && weight_[f] == 0;
+      if (et && parity) {
+        finalize(f, false, false, true, true);
+        continue;
+      }
+      if (wd && lane.watchdog.should_abort(
+                    static_cast<std::size_t>(weight_[f]))) {
+        finalize(f, true, false, probed, parity);
+        continue;
+      }
+      if (lane.iter >= options_.max_iterations)
+        finalize(f, false, false, probed, parity);
+    }
+  }
+}
+
+template class ZLaneDecoder<Fixed16>;
+template class ZLaneDecoder<Fa8>;
+template class BatchDecoder<Fixed16>;
+template class BatchDecoder<Fa8>;
+
+}  // namespace ldpc::simd

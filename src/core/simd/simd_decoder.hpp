@@ -1,0 +1,330 @@
+// The two SIMD decoder shapes, each written once over a decoder family.
+//
+//   ZLaneDecoder<Family>   one frame at a time; the z check rows of a
+//                          layer are the lanes (the paper's z datapath
+//                          copies, Fig. 3). Posteriors live in natural
+//                          variable order; per layer each block column's z
+//                          posteriors are gathered pre-rotated into a
+//                          padded structure-of-arrays scratch — the
+//                          (row + shift) % z barrel shift collapses into
+//                          two memcpys — and scattered back after the pass.
+//   BatchDecoder<Family>   lane f carries frame f of a block; arrays are
+//                          lane-major with stride F (p[v * F + f]) and the
+//                          z rows of a layer run serially, so every lane is
+//                          full for any z and the rotation is a scalar
+//                          index. Frames iterate independently: a lane
+//                          whose frame converges, expires or exhausts its
+//                          budget is refilled with the next pending frame
+//                          mid-block, so block throughput tracks the mean
+//                          iteration count, not the max.
+//
+// A family fixes the lane element type, the magnitude map and the scalar
+// twin every result is bit-identical to:
+//
+//   Fixed16   int16 lanes, scaled (0.75 shift-add or num/16) or offset
+//             min-sum — LayeredMinSumFixedDecoder
+//   Fa8       int8 lanes, per-iteration finite-alphabet staircase —
+//             LayeredMinSumFaDecoder (fa2/fa3/fa4, see core/fa_tables.hpp)
+//
+// Both shapes embed their family's scalar twin (the batched decoder through
+// a z-lane twin, which also serves single-frame decode()). The twin runs
+// the construction-time validation and takes over any decode the lane
+// kernels cannot reproduce bit-exactly — a format outside the lane
+// envelope, an active fault injector (corruption order is scalar),
+// out-of-rail quantized input, or (batched only) a per-iteration observer.
+// The reason is recorded in DecodeResult::simd_fallback, never silent.
+#pragma once
+
+#include <cstdint>
+#include <memory>
+#include <optional>
+#include <span>
+#include <string>
+#include <vector>
+
+#include "codes/qc_code.hpp"
+#include "core/decoder.hpp"
+#include "core/fa_tables.hpp"
+#include "core/layered_minsum_fa.hpp"
+#include "core/layered_minsum_fixed.hpp"
+#include "core/quant.hpp"
+#include "core/simd/simd_kernel.hpp"
+#include "util/aligned.hpp"
+
+namespace ldpc::simd {
+
+/// int16 scaled / offset min-sum family.
+class Fixed16 {
+ public:
+  using T = std::int16_t;
+  using Map = ScaleMap;
+  using Scalar = LayeredMinSumFixedDecoder;
+
+  /// Normalized min-sum, scale from options (0.75 -> the paper's
+  /// shift-add, anything else -> truncating num/16).
+  Fixed16(const QCLdpcCode& code, const DecoderOptions& options,
+          FixedFormat format);
+  /// Offset min-sum, `offset_code` in quantized units
+  /// (LayerRowKernel::offset_kernel).
+  Fixed16(const QCLdpcCode& code, const DecoderOptions& options,
+          FixedFormat format, std::int32_t offset_code,
+          const std::string& label);
+
+  Scalar& scalar() const { return *scalar_; }
+  FixedFormat posterior() const { return format_; }
+  std::string format_name() const { return format_.name(); }
+  T lo() const { return static_cast<T>(format_.min_code()); }
+  T hi() const { return static_cast<T>(format_.max_code()); }
+  /// Outside the int16 exactness envelope: > 15-bit format (then P - R can
+  /// leave int16) or an offset that does not fit int16.
+  bool wide() const { return wide_; }
+  /// Quantize n LLRs into contiguous codes; `clips` (may be null) counts
+  /// rail clips.
+  void quantize(const KernelSet& kernels, std::span<const float> llr, T* out,
+                long long* clips) const;
+  static const ShapeKernels<T, Map>& kernels(const KernelSet& k) {
+    return k.fixed16;
+  }
+
+  /// Map parameters per lane and iteration: uniform for this family.
+  class LaneMap {
+   public:
+    LaneMap(const Fixed16& family, std::uint32_t /*lanes*/)
+        : map_(family.map_) {}
+    void set(std::uint32_t /*lane*/, std::size_t /*iter*/) {}
+    ScaleMap args() const { return map_; }
+
+   private:
+    ScaleMap map_;
+  };
+
+ private:
+  std::unique_ptr<Scalar> scalar_;
+  FixedFormat format_;
+  ScaleMap map_;
+  bool wide_ = false;
+};
+
+/// int8 finite-alphabet family (fa2/fa3/fa4).
+class Fa8 {
+  /// One decode iteration's staircase, kernel-ready: thresholds plus
+  /// nonnegative reconstruction deltas (recon[t+1] - recon[t]).
+  struct IterTable {
+    std::int8_t thr[kFaMaxThresholds];
+    std::int8_t delta[kFaMaxThresholds];
+    std::int8_t recon0;
+  };
+
+ public:
+  using T = std::int8_t;
+  using Map = StaircaseMap;
+  using Scalar = LayeredMinSumFaDecoder;
+
+  /// `msg_bits` in {2, 3, 4}; the scalar twin builds the MIM tables.
+  Fa8(const QCLdpcCode& code, const DecoderOptions& options, int msg_bits,
+      float design_ebn0_db);
+
+  Scalar& scalar() const { return *scalar_; }
+  const FaTableSet& tables() const { return scalar_->tables(); }
+  FixedFormat posterior() const { return tables().posterior; }
+  std::string format_name() const { return tables().name(); }
+  T lo() const { return -kFaRail; }
+  T hi() const { return kFaRail; }
+  /// Every value lives on the symmetric rail: no format-driven fallback.
+  bool wide() const { return false; }
+  void quantize(const KernelSet& kernels, std::span<const float> llr, T* out,
+                long long* clips) const;
+  static const ShapeKernels<T, Map>& kernels(const KernelSet& k) {
+    return k.fa8;
+  }
+
+  /// Per-lane staircase rows (StaircaseMap). A lane's column is rewritten
+  /// only when its table index min(iter - 1, T - 1) changes — a handful of
+  /// byte stores per lane per iteration, nothing on the row-sweep path.
+  class LaneMap {
+   public:
+    LaneMap(const Fa8& family, std::uint32_t lanes);
+    /// Point `lane` at the table of decode iteration `iter` (1-based).
+    void set(std::uint32_t lane, std::size_t iter);
+    StaircaseMap args() const;
+
+   private:
+    static constexpr std::size_t kNoTable = static_cast<std::size_t>(-1);
+    std::vector<IterTable> tables_;
+    std::uint32_t lanes_;
+    std::uint32_t num_thr_;
+    AlignedVec<std::int8_t> thr_;     ///< num_thr rows * lanes
+    AlignedVec<std::int8_t> delta_;   ///< num_thr rows * lanes
+    AlignedVec<std::int8_t> recon0_;  ///< lanes
+    std::vector<std::size_t> table_;  ///< per lane, the table it holds
+  };
+
+ private:
+  std::unique_ptr<Scalar> scalar_;
+  std::vector<IterTable> iter_tables_;
+};
+
+/// z-lane shape over `Family` (see the file comment).
+template <class Family>
+class ZLaneDecoder : public Decoder {
+ public:
+  using T = typename Family::T;
+
+  /// `label` overrides name() when non-empty; `tier` pins a kernel tier
+  /// (tests), default picks the best available at runtime.
+  ZLaneDecoder(const QCLdpcCode& code, DecoderOptions options, Family family,
+               std::string label, std::optional<SimdTier> tier);
+
+  DecodeResult decode(std::span<const float> llr) override;
+  std::size_t n() const override { return code_.n(); }
+  std::size_t k() const override { return code_.k(); }
+  std::string name() const override {
+    return label_.empty() ? "layered-minsum-simd-" + family_.format_name()
+                          : label_;
+  }
+  std::string message_format() const override {
+    return family_.format_name();
+  }
+  SaturationStats saturation() const override;
+  void set_cancel_token(const CancelToken* token) override;
+
+  /// Decode from already-quantized channel codes (the scalar twin's
+  /// bit-exact entry point). Codes outside the rails route to the scalar
+  /// twin, which accepts arbitrary int32 codes (kOutOfRailInput).
+  DecodeResult decode_quantized(std::span<const std::int32_t> channel_codes);
+
+  SimdTier tier() const { return tier_; }
+  const Family& family() const { return family_; }
+  const QCLdpcCode& code() const { return code_; }
+  const DecoderOptions& options() const { return options_; }
+
+  /// True when the configuration is outside the lane envelope and every
+  /// decode delegates to the scalar twin.
+  bool scalar_only() const { return force_scalar_; }
+
+ private:
+  struct GatherBlock {
+    std::uint32_t p_base;  ///< block_col * z into the posterior array
+    std::uint32_t shift;   ///< circulant rotation, already reduced mod z
+  };
+
+  SimdFallback bypass_reason() const;
+  DecodeResult fallback(DecodeResult result, SimdFallback reason);
+  DecodeResult run();
+
+  const QCLdpcCode& code_;
+  DecoderOptions options_;
+  Family family_;
+  std::string label_;
+  SimdTier tier_;
+  const KernelSet& kernels_;
+  const CancelToken* cancel_ = nullptr;  ///< non-owning, may be null
+
+  std::uint32_t z_ = 0;
+  std::uint32_t z_pad_ = 0;  ///< z rounded up to max(16, tier lane count)
+  std::vector<std::vector<GatherBlock>> gather_;    ///< per layer
+  std::vector<std::vector<std::uint32_t>> r_base_;  ///< per layer
+  typename Family::LaneMap lane_map_;
+  AlignedVec<T> posterior_;  ///< P memory, natural order
+  AlignedVec<T> r_;          ///< R memory, r_slot * z_pad + row
+  AlignedVec<T> p_scratch_;  ///< gathered P lanes, deg * z_pad
+  AlignedVec<T> q_scratch_;  ///< Q_array lanes, deg * z_pad
+
+  bool force_scalar_ = false;
+  bool last_used_scalar_ = false;
+  SaturationStats saturation_;
+};
+
+/// Inter-frame-batched shape over `Family` (see the file comment).
+template <class Family>
+class BatchDecoder : public Decoder {
+ public:
+  using T = typename Family::T;
+
+  /// `single` is the z-lane twin: single-frame decode path, the family's
+  /// validation and scalar twin, and the exact per-frame fallback.
+  explicit BatchDecoder(std::unique_ptr<ZLaneDecoder<Family>> single);
+
+  /// Single-frame decode rides the z-lane twin — with one frame there is
+  /// nothing to batch, and the z-lane kernel is the faster shape.
+  DecodeResult decode(std::span<const float> llr) override;
+
+  /// Any cancel token attached with set_cancel_token is detached on
+  /// return, as the Decoder contract requires.
+  void decode_block(std::span<const BlockFrame> frames,
+                    std::span<DecodeResult> results,
+                    std::span<SaturationStats> saturation) override;
+
+  std::size_t n() const override { return code_.n(); }
+  std::size_t k() const override { return code_.k(); }
+  std::string name() const override {
+    return "layered-minsum-simd-batched-" + family().format_name();
+  }
+  std::string message_format() const override {
+    return family().format_name();
+  }
+  SaturationStats saturation() const override { return last_saturation_; }
+  void set_cancel_token(const CancelToken* token) override {
+    single_->set_cancel_token(token);
+  }
+
+  /// Frames per full block = the tier's lane count for T.
+  std::size_t block_width() const override { return lanes_; }
+
+  SimdTier tier() const { return single_->tier(); }
+  const Family& family() const { return single_->family(); }
+
+  /// True when the configuration can never use the batched kernel and
+  /// every block decodes per-frame on the z-lane twin.
+  bool scalar_only() const { return force_fallback_; }
+
+ private:
+  static constexpr std::size_t kIdleLane = static_cast<std::size_t>(-1);
+
+  /// Per-lane decode-in-flight state; `frame` indexes into the current
+  /// decode_block call's spans (kIdleLane when the lane holds no frame).
+  struct Lane {
+    std::size_t frame = kIdleLane;
+    std::size_t iter = 0;
+    WatchdogState watchdog{WatchdogOptions{}};
+    const CancelToken* cancel = nullptr;
+  };
+
+  void run_block(std::span<const BlockFrame> frames,
+                 std::span<DecodeResult> results,
+                 std::span<SaturationStats> saturation);
+
+  std::unique_ptr<ZLaneDecoder<Family>> single_;
+  const QCLdpcCode& code_;
+  DecoderOptions options_;
+  const KernelSet& kernels_;
+  std::uint32_t lanes_ = 0;  ///< F: frames per block, lane-major stride
+  std::uint32_t z_ = 0;
+
+  std::vector<std::vector<BatchBlock>> layers_;
+  typename Family::LaneMap lane_map_;
+  AlignedVec<T> p_;       ///< n rows * F lanes posteriors
+  AlignedVec<T> r_;       ///< nonzero_blocks * z rows * F check messages
+  AlignedVec<T> q_;       ///< max_deg * F row scratch
+  AlignedVec<T> active_;  ///< F lane mask (-1 live, 0 idle)
+  AlignedVec<T> r_keep_;  ///< F lane mask (0 = first iteration, R reads
+                          ///< as 0 — see BatchPass::r_keep)
+  std::vector<T> stage_;  ///< n quantized codes, scattered into a lane
+                          ///< column at refill
+  std::vector<Lane> lane_;
+  std::vector<long long> q_clips_;     ///< per-lane clip accumulators
+  std::vector<long long> r_clips_;
+  std::vector<long long> p_clips_;
+  std::vector<long long> degenerate_;  ///< per-lane degenerate checks
+  std::vector<std::int32_t> weight_;   ///< per-lane syndrome weights
+
+  bool force_fallback_ = false;
+  SaturationStats last_saturation_;
+};
+
+extern template class ZLaneDecoder<Fixed16>;
+extern template class ZLaneDecoder<Fa8>;
+extern template class BatchDecoder<Fixed16>;
+extern template class BatchDecoder<Fa8>;
+
+}  // namespace ldpc::simd

@@ -1,147 +1,31 @@
 // Inter-frame-batched finite-alphabet decoder (fa2/fa3/fa4): frame f in
-// int8 lane f.
-//
-// Same lane-sideways layout as SimdBatchDecoder — lane-major arrays with
-// stride F, serial z rows, mid-block lane refill — at twice the lane
-// density (int8 lanes: portable/SSE2 16, AVX2 32, AVX-512 64 frames per
-// vector step) and with the staircase check-message reconstruction of the
-// finite-alphabet family instead of the 0.75 shift-add.
-//
-// One wrinkle the int16 batch decoder does not have: the FA tables are
-// per-iteration, and lanes sit at independent iteration counts, so the
-// kernel takes the staircase as per-lane *columns* (thr_lanes/delta_lanes/
-// recon0_lanes). The decoder refreshes a lane's column only when that
-// lane's table index min(iter-1, T-1) changes — a handful of scalar byte
-// stores per lane per iteration, nothing on the row-sweep hot path.
-//
-// Per-frame results are bit-identical to LayeredMinSumFaDecoder (hard
-// bits, iterations, status, SaturationStats — r_clips structurally zero on
-// both sides), asserted in tests/simd_fa_equivalence_test.cpp across
-// tiers, z values and block sizes. Fault campaigns and per-iteration
-// observers fall back to per-frame decodes on the embedded z-lane FA twin,
-// with the reason recorded in DecodeResult::simd_fallback.
+// int8 lane f — 64 frames per vector step on AVX-512. Lanes sit at
+// independent iteration counts, so the staircase tables ride as per-lane
+// columns (Fa8::LaneMap). Per-frame results are bit-identical to
+// LayeredMinSumFaDecoder (r_clips structurally zero on both sides),
+// asserted in tests/simd_fa_equivalence_test.cpp across tiers, z values
+// and block sizes.
 #pragma once
 
-#include <cstdint>
 #include <memory>
 #include <optional>
-#include <string>
-#include <vector>
 
-#include "codes/qc_code.hpp"
-#include "core/decoder.hpp"
-#include "core/fa_tables.hpp"
-#include "core/simd/simd_fa_layered.hpp"
-#include "core/simd/simd_kernel.hpp"
-#include "util/aligned.hpp"
+#include "core/simd/simd_decoder.hpp"
 
 namespace ldpc {
 
-class SimdFaBatchDecoder final : public Decoder {
+class SimdFaBatchDecoder final : public simd::BatchDecoder<simd::Fa8> {
  public:
   /// `msg_bits` in {2, 3, 4}; the MIM tables are built once by the z-lane
   /// twin's embedded scalar decoder. `tier` pins a kernel tier (tests).
   SimdFaBatchDecoder(const QCLdpcCode& code, DecoderOptions options,
                      int msg_bits, float design_ebn0_db = 2.0F,
-                     std::optional<simd::SimdTier> tier = std::nullopt);
+                     std::optional<simd::SimdTier> tier = std::nullopt)
+      : BatchDecoder(std::make_unique<simd::ZLaneDecoder<simd::Fa8>>(
+            code, options, simd::Fa8(code, options, msg_bits, design_ebn0_db),
+            "", tier)) {}
 
-  /// Single-frame decode rides the embedded z-lane twin — with one frame
-  /// there is nothing to batch, and the z-lane kernel is the faster shape.
-  DecodeResult decode(std::span<const float> llr) override;
-
-  void decode_block(std::span<const BlockFrame> frames,
-                    std::span<DecodeResult> results,
-                    std::span<SaturationStats> saturation) override;
-
-  std::size_t n() const override { return code_.n(); }
-  std::size_t k() const override { return code_.k(); }
-  std::string name() const override {
-    return "layered-minsum-simd-batched-" + single_->tables().name();
-  }
-  SaturationStats saturation() const override { return last_saturation_; }
-  void set_cancel_token(const CancelToken* token) override;
-
-  /// Frames per full block = the tier's int8 lane count (64 on AVX-512).
-  std::size_t block_width() const override { return lanes_; }
-
-  simd::SimdTier tier() const { return tier_; }
-  const FaTableSet& tables() const { return single_->tables(); }
-  std::string message_format() const override {
-    return single_->tables().name();
-  }
-
-  /// True when the configuration can never use the batched kernel and
-  /// every block decodes per-frame on the z-lane twin.
-  bool scalar_only() const { return force_fallback_; }
-
- private:
-  static constexpr std::size_t kIdleLane = static_cast<std::size_t>(-1);
-  static constexpr std::size_t kNoTable = static_cast<std::size_t>(-1);
-
-  /// Per-lane decode-in-flight state; `frame` indexes into the current
-  /// decode_block call's spans (kIdleLane when the lane holds no frame).
-  /// `table` is the staircase table index the lane's column currently
-  /// holds (kNoTable forces a refresh on the next iteration).
-  struct Lane {
-    std::size_t frame = kIdleLane;
-    std::size_t iter = 0;
-    std::size_t table = kNoTable;
-    WatchdogState watchdog{WatchdogOptions{}};
-    const CancelToken* cancel = nullptr;
-  };
-
-  /// One decode iteration's staircase, kernel-ready: thresholds plus
-  /// nonnegative reconstruction deltas (recon[t+1] - recon[t]).
-  struct IterTable {
-    std::int8_t thr[simd::kFaMaxThresholds];
-    std::int8_t delta[simd::kFaMaxThresholds];
-    std::int8_t recon0;
-  };
-
-  void init_geometry();
-  void decode_block_fallback(std::span<const BlockFrame> frames,
-                             std::span<DecodeResult> results,
-                             std::span<SaturationStats> saturation,
-                             SimdFallback reason);
-  void run_block(std::span<const BlockFrame> frames,
-                 std::span<DecodeResult> results,
-                 std::span<SaturationStats> saturation);
-
-  const QCLdpcCode& code_;
-  DecoderOptions options_;
-  simd::SimdTier tier_;
-  simd::FaBatchLayerPassFn pass_;
-  simd::FaBatchSyndromePassFn syndrome_;
-  simd::FaQuantizePassFn quantize_;  ///< uncounted frame-setup quantizer
-  std::uint32_t lanes_ = 0;  ///< F: frames per block, lane-major stride
-  std::uint32_t z_ = 0;
-  std::uint32_t num_thr_ = 0;
-  std::size_t r_rows_ = 0;  ///< nonzero_blocks * z rows of R memory
-
-  std::vector<IterTable> iter_tables_;  ///< one per table, kernel layout
-  std::vector<std::vector<simd::BatchBlock>> layers_;
-  AlignedVec<std::int8_t> p8_;      ///< n rows * F lanes posteriors
-  AlignedVec<std::int8_t> r8_;      ///< r_rows_ * F check messages
-  AlignedVec<std::int8_t> q8_;      ///< max_deg * F row scratch
-  AlignedVec<std::int8_t> active_;  ///< F lane mask (-1 live, 0 idle)
-  AlignedVec<std::int8_t> r_keep_;  ///< F lane mask (0 = first iteration,
-                                    ///< R reads as 0)
-  AlignedVec<std::int8_t> thr_lanes_;    ///< num_thr rows * F, per-lane
-  AlignedVec<std::int8_t> delta_lanes_;  ///< num_thr rows * F, per-lane
-  AlignedVec<std::int8_t> recon0_lanes_; ///< F, per-lane recon[0]
-  std::vector<std::int8_t> stage_;  ///< n quantized codes staging row
-  std::vector<Lane> lane_;
-  std::vector<long long> q_clips_;     ///< per-lane clip accumulators
-  std::vector<long long> p_clips_;     ///< (no r_clips: structurally zero)
-  std::vector<long long> degenerate_;  ///< per-lane degenerate checks
-  std::vector<std::int32_t> weight_;   ///< per-lane syndrome weights
-
-  /// z-lane FA twin: table construction + validation, the single-frame
-  /// decode path, and the exact per-frame fallback.
-  std::unique_ptr<SimdFaLayeredDecoder> single_;
-  bool force_fallback_ = false;
-  const CancelToken* cancel_ = nullptr;  ///< single-frame path only
-  SaturationStats last_saturation_;
+  const FaTableSet& tables() const { return family().tables(); }
 };
 
 }  // namespace ldpc

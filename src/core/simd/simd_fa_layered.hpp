@@ -1,115 +1,30 @@
-// SIMD z-lane finite-alphabet layered decoder (fa2/fa3/fa4).
-//
-// Same geometry and schedule as SimdLayeredDecoder — barrel-shift gather,
-// z check rows as lanes, scatter back — but on int8 storage at twice the
-// lane density (AVX-512: 64 rows per vector step), with the staircase
-// check-message reconstruction of the finite-alphabet family instead of
-// the 0.75 shift-add. Asserted bit-identical to LayeredMinSumFaDecoder
-// (hard bits, iterations, status, saturation counters) in
-// tests/simd_fa_equivalence_test.cpp.
-//
-// Pad-lane invariant: the gather zeroes pad lanes of P; the pass writes
-// +recon0 into pad lanes of each touched R slot (a zero row has positive
-// sign product and magnitude-0 min), so the decoder re-zeroes those pad
-// lanes after every layer pass. With P_pad = 0 and R_pad = 0 at pass
-// entry, Q_pad = 0 and P'_pad = recon0 <= 127 — pad lanes provably
-// produce no saturation events.
-//
-// Exactness envelope: every value the FA datapath produces lives on the
-// symmetric [-127, 127] rail, so unlike the int16 decoder there is no
-// wide-format delegation. The scalar twin still serves fault-injection
-// campaigns (corruption order is scalar) and out-of-rail quantized
-// inputs, with the bypass reason recorded in DecodeResult::simd_fallback.
+// SIMD z-lane finite-alphabet layered decoder (fa2/fa3/fa4): the z-lane
+// shape on int8 storage at twice the int16 lane density (AVX-512: 64 rows
+// per vector step), with the staircase check-message reconstruction of the
+// finite-alphabet family. Bit-identical to LayeredMinSumFaDecoder (hard
+// bits, iterations, status, saturation counters), asserted in
+// tests/simd_fa_equivalence_test.cpp. Fault campaigns and out-of-rail
+// quantized inputs delegate to the embedded scalar twin.
 #pragma once
 
-#include <cstdint>
-#include <memory>
 #include <optional>
-#include <string>
-#include <vector>
 
-#include "codes/qc_code.hpp"
-#include "core/decoder.hpp"
-#include "core/layered_minsum_fa.hpp"
-#include "core/simd/simd_kernel.hpp"
-#include "util/aligned.hpp"
+#include "core/simd/simd_decoder.hpp"
 
 namespace ldpc {
 
-class SimdFaLayeredDecoder final : public Decoder {
+class SimdFaLayeredDecoder final : public simd::ZLaneDecoder<simd::Fa8> {
  public:
   /// `msg_bits` in {2, 3, 4}; the MIM tables are built by the embedded
   /// scalar twin at construction. `tier` pins a kernel tier (tests).
   SimdFaLayeredDecoder(const QCLdpcCode& code, DecoderOptions options,
                        int msg_bits, float design_ebn0_db = 2.0F,
-                       std::optional<simd::SimdTier> tier = std::nullopt);
+                       std::optional<simd::SimdTier> tier = std::nullopt)
+      : ZLaneDecoder(code, options,
+                     simd::Fa8(code, options, msg_bits, design_ebn0_db), "",
+                     tier) {}
 
-  DecodeResult decode(std::span<const float> llr) override;
-  std::size_t n() const override { return code_.n(); }
-  std::size_t k() const override { return code_.k(); }
-  std::string name() const override {
-    return "layered-minsum-simd-" + scalar_->tables().name();
-  }
-  std::string message_format() const override {
-    return scalar_->tables().name();
-  }
-  SaturationStats saturation() const override;
-  void set_cancel_token(const CancelToken* token) override;
-
-  /// Decode from already-quantized channel codes; codes outside the
-  /// symmetric rail route to the scalar twin (kOutOfRailInput).
-  DecodeResult decode_quantized(std::span<const std::int32_t> channel_codes);
-
-  const FaTableSet& tables() const { return scalar_->tables(); }
-  simd::SimdTier tier() const { return tier_; }
-
-  /// True when every decode delegates to the scalar twin (a layer degree
-  /// beyond the int8 pos1 encoding — no shipped code comes close).
-  bool scalar_only() const { return force_scalar_; }
-  SimdFallback last_fallback() const { return last_fallback_; }
-
- private:
-  struct GatherBlock {
-    std::uint32_t p_base;  ///< block_col * z into the posterior array
-    std::uint32_t shift;   ///< circulant rotation, already reduced mod z
-  };
-  /// One decode iteration's staircase, kernel-ready: thresholds plus
-  /// nonnegative reconstruction deltas (recon[t+1] - recon[t]).
-  struct IterTable {
-    std::int8_t thr[simd::kFaMaxThresholds];
-    std::int8_t delta[simd::kFaMaxThresholds];
-    std::int8_t recon0;
-  };
-
-  void init_geometry();
-  bool must_use_scalar() const;
-  DecodeResult run();
-
-  const QCLdpcCode& code_;
-  DecoderOptions options_;
-  simd::SimdTier tier_;
-  simd::FaLayerPassFn pass_;
-  simd::FaQuantizePassFn quantize_;  ///< uncounted channel quantizer
-  const CancelToken* cancel_ = nullptr;  ///< non-owning, may be null
-
-  std::uint32_t z_ = 0;
-  std::uint32_t z_pad_ = 0;  ///< z rounded up to the int8 lane granularity
-  std::uint32_t num_thr_ = 0;
-  std::vector<IterTable> iter_tables_;  ///< one per table, kernel layout
-  std::vector<std::vector<GatherBlock>> gather_;    ///< per layer
-  std::vector<std::vector<std::uint32_t>> r_base_;  ///< per layer
-  AlignedVec<std::int8_t> posterior8_;  ///< P memory, natural order
-  AlignedVec<std::int8_t> r8_;          ///< R memory, r_slot * z_pad + row
-  AlignedVec<std::int8_t> p_scratch_;   ///< gathered P lanes, deg * z_pad
-  AlignedVec<std::int8_t> q_scratch_;   ///< Q lanes, deg * z_pad
-
-  /// Scalar twin: table construction + validation, and the exact fallback
-  /// for fault campaigns / out-of-rail inputs.
-  std::unique_ptr<LayeredMinSumFaDecoder> scalar_;
-  bool force_scalar_ = false;
-  bool last_used_scalar_ = false;
-  SimdFallback last_fallback_ = SimdFallback::kNone;
-  SaturationStats saturation_;
+  const FaTableSet& tables() const { return family().tables(); }
 };
 
 }  // namespace ldpc

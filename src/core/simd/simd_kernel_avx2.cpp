@@ -1,9 +1,9 @@
-// AVX2 lane kernel: 16 int16 lanes per step — a whole z = 96 layer is six
-// vector iterations. Compiled with -mavx2 (see src/core/CMakeLists.txt)
-// and only ever dispatched to after a runtime __builtin_cpu_supports
-// check, so the library binary stays safe on pre-AVX2 hosts.
-#include "core/simd/simd_kernel_impl.hpp"
-#include "core/simd/simd_kernel_impl8.hpp"
+// AVX2 lane kernels: 16 int16 / 32 int8 lanes per __m256i — a whole
+// z = 96 int16 layer is six vector steps. Compiled with -mavx2 (see
+// src/core/CMakeLists.txt) and only ever dispatched to after a runtime
+// __builtin_cpu_supports check, so the library binary stays safe on
+// pre-AVX2 hosts.
+#include "core/simd/simd_row_update.hpp"
 
 #ifdef LDPC_SIMD_X86
 
@@ -12,33 +12,36 @@
 namespace ldpc::simd {
 namespace {
 
-struct Avx2Ops {
-  static constexpr int kLanes = 16;
+/// Width-independent half of the AVX2 policies.
+template <class T_>
+struct Avx2Base {
+  using T = T_;
   using Vec = __m256i;
-
-  static Vec load(const std::int16_t* p) {
+  static Vec load(const T* p) {
     return _mm256_loadu_si256(reinterpret_cast<const __m256i*>(p));
   }
-  static void store(std::int16_t* p, Vec a) {
+  static void store(T* p, Vec a) {
     _mm256_storeu_si256(reinterpret_cast<__m256i*>(p), a);
   }
-  static Vec broadcast(std::int16_t x) { return _mm256_set1_epi16(x); }
   static Vec zero() { return _mm256_setzero_si256(); }
+  // blendv picks per byte; lane masks are all-ones per lane, so byte
+  // granularity is exact for both widths.
+  static Vec blend(Vec m, Vec a, Vec b) { return _mm256_blendv_epi8(b, a, m); }
+  static Vec xor_(Vec a, Vec b) { return _mm256_xor_si256(a, b); }
+  static Vec or_(Vec a, Vec b) { return _mm256_or_si256(a, b); }
+  static Vec and_(Vec a, Vec b) { return _mm256_and_si256(a, b); }
+};
+
+struct Avx2Ops16 : Avx2Base<std::int16_t> {
+  static constexpr int kLanes = 16;
+  static Vec broadcast(std::int16_t x) { return _mm256_set1_epi16(x); }
   static Vec add(Vec a, Vec b) { return _mm256_add_epi16(a, b); }
   static Vec sub(Vec a, Vec b) { return _mm256_sub_epi16(a, b); }
   static Vec min(Vec a, Vec b) { return _mm256_min_epi16(a, b); }
   static Vec max(Vec a, Vec b) { return _mm256_max_epi16(a, b); }
   static Vec cmpgt(Vec a, Vec b) { return _mm256_cmpgt_epi16(a, b); }
   static Vec cmpeq(Vec a, Vec b) { return _mm256_cmpeq_epi16(a, b); }
-  static Vec blend(Vec m, Vec a, Vec b) {
-    // blendv picks per byte; lane masks are all-ones per int16 lane, so
-    // byte granularity is exact.
-    return _mm256_blendv_epi8(b, a, m);
-  }
-  static Vec abs16(Vec a) { return _mm256_abs_epi16(a); }
-  static Vec xor_(Vec a, Vec b) { return _mm256_xor_si256(a, b); }
-  static Vec or_(Vec a, Vec b) { return _mm256_or_si256(a, b); }
-  static Vec and_(Vec a, Vec b) { return _mm256_and_si256(a, b); }
+  static Vec abs(Vec a) { return _mm256_abs_epi16(a); }
   template <int kShift>
   static Vec srl(Vec a) {
     return _mm256_srli_epi16(a, kShift);
@@ -49,82 +52,25 @@ struct Avx2Ops {
   }
   static Vec mullo(Vec a, Vec b) { return _mm256_mullo_epi16(a, b); }
   static Vec mulhi(Vec a, Vec b) { return _mm256_mulhi_epi16(a, b); }
-  static int count_diff(Vec a, Vec b) {
-    const int eq = _mm256_movemask_epi8(_mm256_cmpeq_epi16(a, b));
-    return (32 - __builtin_popcount(static_cast<unsigned>(eq))) / 2;
-  }
 };
 
-/// Int8 lane policy for the finite-alphabet kernels: 32 int8 lanes per
-/// __m256i — double the int16 lane density of Avx2Ops.
-struct Avx2Ops8 {
+struct Avx2Ops8 : Avx2Base<std::int8_t> {
   static constexpr int kLanes = 32;
-  using Vec = __m256i;
-
-  static Vec load(const std::int8_t* p) {
-    return _mm256_loadu_si256(reinterpret_cast<const __m256i*>(p));
-  }
-  static void store(std::int8_t* p, Vec a) {
-    _mm256_storeu_si256(reinterpret_cast<__m256i*>(p), a);
-  }
   static Vec broadcast(std::int8_t x) {
     return _mm256_set1_epi8(static_cast<char>(x));
   }
-  static Vec zero() { return _mm256_setzero_si256(); }
-  static Vec add8(Vec a, Vec b) { return _mm256_add_epi8(a, b); }
-  static Vec sub8(Vec a, Vec b) { return _mm256_sub_epi8(a, b); }
-  static Vec adds8(Vec a, Vec b) { return _mm256_adds_epi8(a, b); }
-  static Vec subs8(Vec a, Vec b) { return _mm256_subs_epi8(a, b); }
-  static Vec min8(Vec a, Vec b) { return _mm256_min_epi8(a, b); }
-  static Vec max8(Vec a, Vec b) { return _mm256_max_epi8(a, b); }
-  static Vec cmpgt8(Vec a, Vec b) { return _mm256_cmpgt_epi8(a, b); }
-  static Vec cmpeq8(Vec a, Vec b) { return _mm256_cmpeq_epi8(a, b); }
-  static Vec blend(Vec m, Vec a, Vec b) { return _mm256_blendv_epi8(b, a, m); }
-  static Vec abs8(Vec a) { return _mm256_abs_epi8(a); }
-  static Vec xor_(Vec a, Vec b) { return _mm256_xor_si256(a, b); }
-  static Vec or_(Vec a, Vec b) { return _mm256_or_si256(a, b); }
-  static Vec and_(Vec a, Vec b) { return _mm256_and_si256(a, b); }
+  static Vec add(Vec a, Vec b) { return _mm256_add_epi8(a, b); }
+  static Vec sub(Vec a, Vec b) { return _mm256_sub_epi8(a, b); }
+  static Vec adds(Vec a, Vec b) { return _mm256_adds_epi8(a, b); }
+  static Vec subs(Vec a, Vec b) { return _mm256_subs_epi8(a, b); }
+  static Vec min(Vec a, Vec b) { return _mm256_min_epi8(a, b); }
+  static Vec max(Vec a, Vec b) { return _mm256_max_epi8(a, b); }
+  static Vec cmpgt(Vec a, Vec b) { return _mm256_cmpgt_epi8(a, b); }
+  static Vec cmpeq(Vec a, Vec b) { return _mm256_cmpeq_epi8(a, b); }
+  static Vec abs(Vec a) { return _mm256_abs_epi8(a); }
 };
 
-}  // namespace
-
-void layer_pass_avx2(const SimdLayerPass& pass) {
-  if (pass.count_clips)
-    detail::layer_pass<Avx2Ops, true>(pass);
-  else
-    detail::layer_pass<Avx2Ops, false>(pass);
-}
-
-void batch_layer_pass_avx2(const SimdBatchLayerPass& pass) {
-  if (pass.count_clips)
-    detail::batch_layer_pass<Avx2Ops, true>(pass);
-  else
-    detail::batch_layer_pass<Avx2Ops, false>(pass);
-}
-
-void batch_syndrome_pass_avx2(const SimdBatchSyndromePass& pass) {
-  detail::batch_syndrome_pass<Avx2Ops>(pass);
-}
-
-void fa_layer_pass_avx2(const SimdFaLayerPass& pass) {
-  if (pass.count_clips)
-    detail::fa_layer_pass<Avx2Ops8, true>(pass);
-  else
-    detail::fa_layer_pass<Avx2Ops8, false>(pass);
-}
-
-void fa_batch_layer_pass_avx2(const SimdFaBatchLayerPass& pass) {
-  if (pass.count_clips)
-    detail::fa_batch_layer_pass<Avx2Ops8, true>(pass);
-  else
-    detail::fa_batch_layer_pass<Avx2Ops8, false>(pass);
-}
-
-void fa_batch_syndrome_pass_avx2(const SimdFaBatchSyndromePass& pass) {
-  detail::fa_batch_syndrome_pass<Avx2Ops8>(pass);
-}
-
-void fa_quantize_pass_avx2(const SimdFaQuantizePass& pass) {
+void fa_quantize_avx2(const SimdFaQuantizePass& pass) {
   // 16 LLRs per step: two 8-wide float pipelines; packs_epi32 interleaves
   // the 128-bit halves, fixed by one permute4x64 before the final int8
   // pack. The +-127 clamp runs on int16, before the saturating pack.
@@ -154,6 +100,13 @@ void fa_quantize_pass_avx2(const SimdFaQuantizePass& pass) {
   }
   detail::fa_quantize_scalar(pass, v);
 }
+
+}  // namespace
+
+namespace detail {
+extern const KernelSet kAvx2Kernels =
+    make_kernel_set<Avx2Ops16, Avx2Ops8>(&fa_quantize_avx2);
+}  // namespace detail
 
 }  // namespace ldpc::simd
 

@@ -1,17 +1,17 @@
-// AVX-512 lane kernel: 32 int16 lanes per step — one vector covers a whole
-// 32-frame batch row, and a z = 96 z-lane layer is three vector iterations.
-// Compiled with -mavx512f -mavx512bw (see src/core/CMakeLists.txt) and only
-// dispatched to after a runtime __builtin_cpu_supports check for both
-// features, so the library binary stays safe on pre-AVX-512 hosts.
+// AVX-512 lane kernels: 32 int16 / 64 int8 lanes per __m512i — one vector
+// covers a whole 32-frame int16 batch row (a 64-frame int8 row is exactly
+// one cache line). Compiled with -mavx512f -mavx512bw (see
+// src/core/CMakeLists.txt) and only dispatched to after a runtime
+// __builtin_cpu_supports check for both features, so the library binary
+// stays safe on pre-AVX-512 hosts.
 //
 // AVX-512 comparisons natively produce mask registers, not vectors; the
 // LaneOps contract wants all-ones-per-lane vector masks (shared with the
-// SSE2/AVX2/portable tiers), so cmpgt/cmpeq expand their __mmask32 through
-// vpmovm2w. blend() exploits the contract in the other direction: because
-// masks are all-ones per lane, a bitwise ternary-logic select (0xCA =
-// m ? a : b) replaces the mask-register blend with no conversion at all.
-#include "core/simd/simd_kernel_impl.hpp"
-#include "core/simd/simd_kernel_impl8.hpp"
+// other tiers), so cmpgt/cmpeq expand their mask through vpmovm2w/b.
+// blend() exploits the contract in the other direction: because masks are
+// all-ones per lane, a bitwise ternary-logic select (0xCA = m ? a : b)
+// replaces the mask-register blend with no conversion at all.
+#include "core/simd/simd_row_update.hpp"
 
 #ifdef LDPC_SIMD_X86
 
@@ -20,18 +20,29 @@
 namespace ldpc::simd {
 namespace {
 
-struct Avx512Ops {
-  static constexpr int kLanes = 32;
+/// Width-independent half of the AVX-512 policies.
+template <class T_>
+struct Avx512Base {
+  using T = T_;
   using Vec = __m512i;
-
-  static Vec load(const std::int16_t* p) {
+  static Vec load(const T* p) {
     return _mm512_loadu_si512(reinterpret_cast<const void*>(p));
   }
-  static void store(std::int16_t* p, Vec a) {
+  static void store(T* p, Vec a) {
     _mm512_storeu_si512(reinterpret_cast<void*>(p), a);
   }
-  static Vec broadcast(std::int16_t x) { return _mm512_set1_epi16(x); }
   static Vec zero() { return _mm512_setzero_si512(); }
+  static Vec blend(Vec m, Vec a, Vec b) {
+    return _mm512_ternarylogic_epi32(m, a, b, 0xCA);
+  }
+  static Vec xor_(Vec a, Vec b) { return _mm512_xor_si512(a, b); }
+  static Vec or_(Vec a, Vec b) { return _mm512_or_si512(a, b); }
+  static Vec and_(Vec a, Vec b) { return _mm512_and_si512(a, b); }
+};
+
+struct Avx512Ops16 : Avx512Base<std::int16_t> {
+  static constexpr int kLanes = 32;
+  static Vec broadcast(std::int16_t x) { return _mm512_set1_epi16(x); }
   static Vec add(Vec a, Vec b) { return _mm512_add_epi16(a, b); }
   static Vec sub(Vec a, Vec b) { return _mm512_sub_epi16(a, b); }
   static Vec min(Vec a, Vec b) { return _mm512_min_epi16(a, b); }
@@ -42,15 +53,7 @@ struct Avx512Ops {
   static Vec cmpeq(Vec a, Vec b) {
     return _mm512_movm_epi16(_mm512_cmpeq_epi16_mask(a, b));
   }
-  static Vec blend(Vec m, Vec a, Vec b) {
-    // Bitwise select (m & a) | (~m & b): exact because lane masks are
-    // all-ones per int16 lane. Truth table 0xCA = m ? a : b.
-    return _mm512_ternarylogic_epi32(m, a, b, 0xCA);
-  }
-  static Vec abs16(Vec a) { return _mm512_abs_epi16(a); }
-  static Vec xor_(Vec a, Vec b) { return _mm512_xor_si512(a, b); }
-  static Vec or_(Vec a, Vec b) { return _mm512_or_si512(a, b); }
-  static Vec and_(Vec a, Vec b) { return _mm512_and_si512(a, b); }
+  static Vec abs(Vec a) { return _mm512_abs_epi16(a); }
   template <int kShift>
   static Vec srl(Vec a) {
     return _mm512_srli_epi16(a, kShift);
@@ -61,51 +64,28 @@ struct Avx512Ops {
   }
   static Vec mullo(Vec a, Vec b) { return _mm512_mullo_epi16(a, b); }
   static Vec mulhi(Vec a, Vec b) { return _mm512_mulhi_epi16(a, b); }
-  static int count_diff(Vec a, Vec b) {
-    return __builtin_popcount(
-        static_cast<unsigned>(_mm512_cmpneq_epi16_mask(a, b)));
-  }
 };
 
-/// Int8 lane policy for the finite-alphabet kernels: 64 int8 lanes per
-/// __m512i — one vector per 64-frame batch row is exactly one cache line.
-/// Comparisons expand their __mmask64 through vpmovm2b; blend stays the
-/// all-ones-mask ternary-logic select, byte-exact.
-struct Avx512Ops8 {
+struct Avx512Ops8 : Avx512Base<std::int8_t> {
   static constexpr int kLanes = 64;
-  using Vec = __m512i;
-
-  static Vec load(const std::int8_t* p) {
-    return _mm512_loadu_si512(reinterpret_cast<const void*>(p));
-  }
-  static void store(std::int8_t* p, Vec a) {
-    _mm512_storeu_si512(reinterpret_cast<void*>(p), a);
-  }
   static Vec broadcast(std::int8_t x) {
     return _mm512_set1_epi8(static_cast<char>(x));
   }
-  static Vec zero() { return _mm512_setzero_si512(); }
-  static Vec add8(Vec a, Vec b) { return _mm512_add_epi8(a, b); }
-  static Vec sub8(Vec a, Vec b) { return _mm512_sub_epi8(a, b); }
-  static Vec adds8(Vec a, Vec b) { return _mm512_adds_epi8(a, b); }
-  static Vec subs8(Vec a, Vec b) { return _mm512_subs_epi8(a, b); }
-  static Vec min8(Vec a, Vec b) { return _mm512_min_epi8(a, b); }
-  static Vec max8(Vec a, Vec b) { return _mm512_max_epi8(a, b); }
-  static Vec cmpgt8(Vec a, Vec b) {
+  static Vec add(Vec a, Vec b) { return _mm512_add_epi8(a, b); }
+  static Vec sub(Vec a, Vec b) { return _mm512_sub_epi8(a, b); }
+  static Vec adds(Vec a, Vec b) { return _mm512_adds_epi8(a, b); }
+  static Vec subs(Vec a, Vec b) { return _mm512_subs_epi8(a, b); }
+  static Vec min(Vec a, Vec b) { return _mm512_min_epi8(a, b); }
+  static Vec max(Vec a, Vec b) { return _mm512_max_epi8(a, b); }
+  static Vec cmpgt(Vec a, Vec b) {
     return _mm512_movm_epi8(_mm512_cmpgt_epi8_mask(a, b));
   }
-  static Vec cmpeq8(Vec a, Vec b) {
+  static Vec cmpeq(Vec a, Vec b) {
     return _mm512_movm_epi8(_mm512_cmpeq_epi8_mask(a, b));
   }
-  static Vec blend(Vec m, Vec a, Vec b) {
-    return _mm512_ternarylogic_epi32(m, a, b, 0xCA);
-  }
-  static Vec abs8(Vec a) { return _mm512_abs_epi8(a); }
-  static Vec xor_(Vec a, Vec b) { return _mm512_xor_si512(a, b); }
-  static Vec or_(Vec a, Vec b) { return _mm512_or_si512(a, b); }
-  static Vec and_(Vec a, Vec b) { return _mm512_and_si512(a, b); }
+  static Vec abs(Vec a) { return _mm512_abs_epi8(a); }
   static Vec staircase_add(Vec s, Vec mag, Vec thr, Vec delta) {
-    // One masked add replaces the generic cmpgt8 (vpcmpb + vpmovm2b),
+    // One masked add replaces the generic cmpgt (vpcmpb + vpmovm2b),
     // vpand, vpaddb chain: s + ((mag > thr) ? delta : 0) in two
     // instructions, same value byte for byte.
     return _mm512_mask_add_epi8(s, _mm512_cmpgt_epi8_mask(mag, thr), s,
@@ -113,50 +93,12 @@ struct Avx512Ops8 {
   }
 };
 
-}  // namespace
-
-void layer_pass_avx512(const SimdLayerPass& pass) {
-  if (pass.count_clips)
-    detail::layer_pass<Avx512Ops, true>(pass);
-  else
-    detail::layer_pass<Avx512Ops, false>(pass);
-}
-
-void batch_layer_pass_avx512(const SimdBatchLayerPass& pass) {
-  if (pass.count_clips)
-    detail::batch_layer_pass<Avx512Ops, true>(pass);
-  else
-    detail::batch_layer_pass<Avx512Ops, false>(pass);
-}
-
-void batch_syndrome_pass_avx512(const SimdBatchSyndromePass& pass) {
-  detail::batch_syndrome_pass<Avx512Ops>(pass);
-}
-
-void fa_layer_pass_avx512(const SimdFaLayerPass& pass) {
-  if (pass.count_clips)
-    detail::fa_layer_pass<Avx512Ops8, true>(pass);
-  else
-    detail::fa_layer_pass<Avx512Ops8, false>(pass);
-}
-
-void fa_batch_layer_pass_avx512(const SimdFaBatchLayerPass& pass) {
-  if (pass.count_clips)
-    detail::fa_batch_layer_pass<Avx512Ops8, true>(pass);
-  else
-    detail::fa_batch_layer_pass<Avx512Ops8, false>(pass);
-}
-
-void fa_batch_syndrome_pass_avx512(const SimdFaBatchSyndromePass& pass) {
-  detail::fa_batch_syndrome_pass<Avx512Ops8>(pass);
-}
-
 // GCC 12's unmasked AVX-512 float intrinsics expand through
 // _mm512_undefined_ps() merge operands, tripping -Wmaybe-uninitialized
 // (GCC PR 105593). The operands are dead — full-mask forms ignore them.
 #pragma GCC diagnostic push
 #pragma GCC diagnostic ignored "-Wmaybe-uninitialized"
-void fa_quantize_pass_avx512(const SimdFaQuantizePass& pass) {
+void fa_quantize_avx512(const SimdFaQuantizePass& pass) {
   // 16 LLRs per step: one 16-wide float pipeline, clamp on int32, narrow
   // with vpmovdb. Float bit-ops go through integer casts — _mm512_and_ps
   // is AVX-512DQ, which this build does not assume (only F + BW).
@@ -184,6 +126,13 @@ void fa_quantize_pass_avx512(const SimdFaQuantizePass& pass) {
   detail::fa_quantize_scalar(pass, v);
 }
 #pragma GCC diagnostic pop
+
+}  // namespace
+
+namespace detail {
+extern const KernelSet kAvx512Kernels =
+    make_kernel_set<Avx512Ops16, Avx512Ops8>(&fa_quantize_avx512);
+}  // namespace detail
 
 }  // namespace ldpc::simd
 

@@ -1,282 +1,122 @@
-// Portable lane kernel: fixed-width 8-lane int16 arrays and plain loops.
-// No intrinsics — this tier compiles everywhere (and is the only one when
-// LDPC_SIMD=OFF), and the fixed trip counts give the autovectorizer a fair
-// shot at emitting vector code anyway. Arithmetic is bit-identical to the
-// x86 tiers by construction: all three instantiate the same template.
-#include "core/simd/simd_kernel_impl.hpp"
-#include "core/simd/simd_kernel_impl8.hpp"
-
+// Portable lane kernels: fixed-width int16[8] / int8[16] arrays and plain
+// loops. No intrinsics — this tier compiles everywhere (and is the only
+// one when LDPC_SIMD=OFF), and the fixed trip counts give the
+// autovectorizer a fair shot at emitting vector code anyway. Arithmetic is
+// bit-identical to the x86 tiers by construction: all of them instantiate
+// the same row update.
 #include <cstdint>
+#include <limits>
+#include <type_traits>
+
+#include "core/simd/simd_row_update.hpp"
 
 namespace ldpc::simd {
 namespace {
 
+/// One lane policy for both widths: kN lanes of element type T_.
+template <class T_, int kN>
 struct PortableOps {
-  static constexpr int kLanes = 8;
+  using T = T_;
+  using U = std::make_unsigned_t<T>;
+  static constexpr int kLanes = kN;
   struct Vec {
-    std::int16_t v[kLanes];
+    T v[kLanes];
   };
 
-  static Vec load(const std::int16_t* p) {
+  template <class F>
+  static Vec map(F f) {
     Vec r;
-    for (int i = 0; i < kLanes; ++i) r.v[i] = p[i];
+    for (int i = 0; i < kLanes; ++i) r.v[i] = static_cast<T>(f(i));
     return r;
   }
-  static void store(std::int16_t* p, Vec a) {
+
+  static Vec load(const T* p) {
+    return map([&](int i) { return p[i]; });
+  }
+  static void store(T* p, Vec a) {
     for (int i = 0; i < kLanes; ++i) p[i] = a.v[i];
   }
-  static Vec broadcast(std::int16_t x) {
-    Vec r;
-    for (int i = 0; i < kLanes; ++i) r.v[i] = x;
-    return r;
+  static Vec broadcast(T x) {
+    return map([&](int) { return x; });
   }
   static Vec zero() { return broadcast(0); }
   static Vec add(Vec a, Vec b) {
-    Vec r;
-    for (int i = 0; i < kLanes; ++i)
-      r.v[i] = static_cast<std::int16_t>(a.v[i] + b.v[i]);
-    return r;
+    return map([&](int i) { return a.v[i] + b.v[i]; });
   }
   static Vec sub(Vec a, Vec b) {
-    Vec r;
-    for (int i = 0; i < kLanes; ++i)
-      r.v[i] = static_cast<std::int16_t>(a.v[i] - b.v[i]);
-    return r;
+    return map([&](int i) { return a.v[i] - b.v[i]; });
+  }
+  static int sat(int s) {
+    constexpr int kHi = std::numeric_limits<T>::max();
+    constexpr int kLo = std::numeric_limits<T>::min();
+    return s > kHi ? kHi : (s < kLo ? kLo : s);
+  }
+  static Vec adds(Vec a, Vec b) {
+    return map([&](int i) { return sat(a.v[i] + b.v[i]); });
+  }
+  static Vec subs(Vec a, Vec b) {
+    return map([&](int i) { return sat(a.v[i] - b.v[i]); });
   }
   static Vec min(Vec a, Vec b) {
-    Vec r;
-    for (int i = 0; i < kLanes; ++i) r.v[i] = a.v[i] < b.v[i] ? a.v[i] : b.v[i];
-    return r;
+    return map([&](int i) { return a.v[i] < b.v[i] ? a.v[i] : b.v[i]; });
   }
   static Vec max(Vec a, Vec b) {
-    Vec r;
-    for (int i = 0; i < kLanes; ++i) r.v[i] = a.v[i] > b.v[i] ? a.v[i] : b.v[i];
-    return r;
+    return map([&](int i) { return a.v[i] > b.v[i] ? a.v[i] : b.v[i]; });
   }
   static Vec cmpgt(Vec a, Vec b) {
-    Vec r;
-    for (int i = 0; i < kLanes; ++i)
-      r.v[i] = a.v[i] > b.v[i] ? static_cast<std::int16_t>(-1) : 0;
-    return r;
+    return map([&](int i) { return a.v[i] > b.v[i] ? -1 : 0; });
   }
   static Vec cmpeq(Vec a, Vec b) {
-    Vec r;
-    for (int i = 0; i < kLanes; ++i)
-      r.v[i] = a.v[i] == b.v[i] ? static_cast<std::int16_t>(-1) : 0;
-    return r;
+    return map([&](int i) { return a.v[i] == b.v[i] ? -1 : 0; });
   }
   static Vec blend(Vec m, Vec a, Vec b) {
-    Vec r;
-    for (int i = 0; i < kLanes; ++i) r.v[i] = m.v[i] != 0 ? a.v[i] : b.v[i];
-    return r;
+    return map([&](int i) { return m.v[i] != 0 ? a.v[i] : b.v[i]; });
   }
-  static Vec abs16(Vec a) {
-    Vec r;
-    for (int i = 0; i < kLanes; ++i)
-      r.v[i] = static_cast<std::int16_t>(a.v[i] < 0 ? -a.v[i] : a.v[i]);
-    return r;
+  static Vec abs(Vec a) {
+    return map([&](int i) { return a.v[i] < 0 ? -a.v[i] : a.v[i]; });
   }
   static Vec xor_(Vec a, Vec b) {
-    Vec r;
-    for (int i = 0; i < kLanes; ++i)
-      r.v[i] = static_cast<std::int16_t>(a.v[i] ^ b.v[i]);
-    return r;
+    return map([&](int i) { return a.v[i] ^ b.v[i]; });
   }
   static Vec or_(Vec a, Vec b) {
-    Vec r;
-    for (int i = 0; i < kLanes; ++i)
-      r.v[i] = static_cast<std::int16_t>(a.v[i] | b.v[i]);
-    return r;
+    return map([&](int i) { return a.v[i] | b.v[i]; });
   }
   static Vec and_(Vec a, Vec b) {
-    Vec r;
-    for (int i = 0; i < kLanes; ++i)
-      r.v[i] = static_cast<std::int16_t>(a.v[i] & b.v[i]);
-    return r;
+    return map([&](int i) { return a.v[i] & b.v[i]; });
   }
   template <int kShift>
   static Vec srl(Vec a) {
-    Vec r;
-    for (int i = 0; i < kLanes; ++i)
-      r.v[i] = static_cast<std::int16_t>(
-          static_cast<std::uint16_t>(a.v[i]) >> kShift);
-    return r;
+    return map([&](int i) { return static_cast<U>(a.v[i]) >> kShift; });
   }
   template <int kShift>
   static Vec sll(Vec a) {
-    Vec r;
-    for (int i = 0; i < kLanes; ++i)
-      r.v[i] = static_cast<std::int16_t>(
-          static_cast<std::uint16_t>(a.v[i]) << kShift);
-    return r;
+    return map([&](int i) {
+      return static_cast<U>(static_cast<U>(a.v[i]) << kShift);
+    });
   }
   static Vec mullo(Vec a, Vec b) {
-    Vec r;
-    for (int i = 0; i < kLanes; ++i)
-      r.v[i] = static_cast<std::int16_t>(
-          static_cast<std::uint32_t>(static_cast<std::int32_t>(a.v[i]) *
-                                     static_cast<std::int32_t>(b.v[i])) &
-          0xFFFFU);
-    return r;
+    return map([&](int i) {
+      return static_cast<U>(static_cast<std::int32_t>(a.v[i]) * b.v[i]);
+    });
   }
   static Vec mulhi(Vec a, Vec b) {
-    Vec r;
-    for (int i = 0; i < kLanes; ++i)
-      r.v[i] = static_cast<std::int16_t>((static_cast<std::int32_t>(a.v[i]) *
-                                          static_cast<std::int32_t>(b.v[i])) >>
-                                         16);
-    return r;
-  }
-  static int count_diff(Vec a, Vec b) {
-    int n = 0;
-    for (int i = 0; i < kLanes; ++i) n += a.v[i] != b.v[i];
-    return n;
+    return map([&](int i) {
+      return (static_cast<std::int32_t>(a.v[i]) * b.v[i]) >>
+             (8 * sizeof(T));
+    });
   }
 };
 
-/// Int8 lane policy for the finite-alphabet kernels: 16 fixed-width lanes
-/// and plain loops, same autovectorizer-friendly shape as PortableOps.
-struct PortableOps8 {
-  static constexpr int kLanes = 16;
-  struct Vec {
-    std::int8_t v[kLanes];
-  };
-
-  static Vec load(const std::int8_t* p) {
-    Vec r;
-    for (int i = 0; i < kLanes; ++i) r.v[i] = p[i];
-    return r;
-  }
-  static void store(std::int8_t* p, Vec a) {
-    for (int i = 0; i < kLanes; ++i) p[i] = a.v[i];
-  }
-  static Vec broadcast(std::int8_t x) {
-    Vec r;
-    for (int i = 0; i < kLanes; ++i) r.v[i] = x;
-    return r;
-  }
-  static Vec zero() { return broadcast(0); }
-  static Vec add8(Vec a, Vec b) {
-    Vec r;
-    for (int i = 0; i < kLanes; ++i)
-      r.v[i] = static_cast<std::int8_t>(a.v[i] + b.v[i]);
-    return r;
-  }
-  static Vec sub8(Vec a, Vec b) {
-    Vec r;
-    for (int i = 0; i < kLanes; ++i)
-      r.v[i] = static_cast<std::int8_t>(a.v[i] - b.v[i]);
-    return r;
-  }
-  static Vec adds8(Vec a, Vec b) {
-    Vec r;
-    for (int i = 0; i < kLanes; ++i) {
-      const int s = a.v[i] + b.v[i];
-      r.v[i] = static_cast<std::int8_t>(s > 127 ? 127 : (s < -128 ? -128 : s));
-    }
-    return r;
-  }
-  static Vec subs8(Vec a, Vec b) {
-    Vec r;
-    for (int i = 0; i < kLanes; ++i) {
-      const int s = a.v[i] - b.v[i];
-      r.v[i] = static_cast<std::int8_t>(s > 127 ? 127 : (s < -128 ? -128 : s));
-    }
-    return r;
-  }
-  static Vec min8(Vec a, Vec b) {
-    Vec r;
-    for (int i = 0; i < kLanes; ++i) r.v[i] = a.v[i] < b.v[i] ? a.v[i] : b.v[i];
-    return r;
-  }
-  static Vec max8(Vec a, Vec b) {
-    Vec r;
-    for (int i = 0; i < kLanes; ++i) r.v[i] = a.v[i] > b.v[i] ? a.v[i] : b.v[i];
-    return r;
-  }
-  static Vec cmpgt8(Vec a, Vec b) {
-    Vec r;
-    for (int i = 0; i < kLanes; ++i)
-      r.v[i] = a.v[i] > b.v[i] ? static_cast<std::int8_t>(-1) : 0;
-    return r;
-  }
-  static Vec cmpeq8(Vec a, Vec b) {
-    Vec r;
-    for (int i = 0; i < kLanes; ++i)
-      r.v[i] = a.v[i] == b.v[i] ? static_cast<std::int8_t>(-1) : 0;
-    return r;
-  }
-  static Vec blend(Vec m, Vec a, Vec b) {
-    Vec r;
-    for (int i = 0; i < kLanes; ++i) r.v[i] = m.v[i] != 0 ? a.v[i] : b.v[i];
-    return r;
-  }
-  static Vec abs8(Vec a) {
-    Vec r;
-    for (int i = 0; i < kLanes; ++i)
-      r.v[i] = static_cast<std::int8_t>(a.v[i] < 0 ? -a.v[i] : a.v[i]);
-    return r;
-  }
-  static Vec xor_(Vec a, Vec b) {
-    Vec r;
-    for (int i = 0; i < kLanes; ++i)
-      r.v[i] = static_cast<std::int8_t>(a.v[i] ^ b.v[i]);
-    return r;
-  }
-  static Vec or_(Vec a, Vec b) {
-    Vec r;
-    for (int i = 0; i < kLanes; ++i)
-      r.v[i] = static_cast<std::int8_t>(a.v[i] | b.v[i]);
-    return r;
-  }
-  static Vec and_(Vec a, Vec b) {
-    Vec r;
-    for (int i = 0; i < kLanes; ++i)
-      r.v[i] = static_cast<std::int8_t>(a.v[i] & b.v[i]);
-    return r;
-  }
-};
+void fa_quantize_portable(const SimdFaQuantizePass& pass) {
+  detail::fa_quantize_scalar(pass, 0);
+}
 
 }  // namespace
 
-void layer_pass_portable(const SimdLayerPass& pass) {
-  if (pass.count_clips)
-    detail::layer_pass<PortableOps, true>(pass);
-  else
-    detail::layer_pass<PortableOps, false>(pass);
-}
-
-void batch_layer_pass_portable(const SimdBatchLayerPass& pass) {
-  if (pass.count_clips)
-    detail::batch_layer_pass<PortableOps, true>(pass);
-  else
-    detail::batch_layer_pass<PortableOps, false>(pass);
-}
-
-void batch_syndrome_pass_portable(const SimdBatchSyndromePass& pass) {
-  detail::batch_syndrome_pass<PortableOps>(pass);
-}
-
-void fa_layer_pass_portable(const SimdFaLayerPass& pass) {
-  if (pass.count_clips)
-    detail::fa_layer_pass<PortableOps8, true>(pass);
-  else
-    detail::fa_layer_pass<PortableOps8, false>(pass);
-}
-
-void fa_batch_layer_pass_portable(const SimdFaBatchLayerPass& pass) {
-  if (pass.count_clips)
-    detail::fa_batch_layer_pass<PortableOps8, true>(pass);
-  else
-    detail::fa_batch_layer_pass<PortableOps8, false>(pass);
-}
-
-void fa_batch_syndrome_pass_portable(const SimdFaBatchSyndromePass& pass) {
-  detail::fa_batch_syndrome_pass<PortableOps8>(pass);
-}
-
-void fa_quantize_pass_portable(const SimdFaQuantizePass& pass) {
-  detail::fa_quantize_scalar(pass, 0);
-}
+namespace detail {
+extern const KernelSet kPortableKernels =
+    make_kernel_set<PortableOps<std::int16_t, 8>, PortableOps<std::int8_t, 16>>(
+        &fa_quantize_portable);
+}  // namespace detail
 
 }  // namespace ldpc::simd

@@ -1,10 +1,10 @@
-// SSE2 lane kernel: 8 int16 lanes per step. SSE2 is baseline on every
-// x86-64 CPU, so this tier needs no runtime feature check — it is the
-// floor the AVX2 tier falls back to. SSE2 lacks blendv/pabsw, so blend is
-// the classic and/andnot/or select and abs is max(v, 0 - v) (exact for
-// |v| < 2^15, which the dispatcher's width envelope guarantees).
-#include "core/simd/simd_kernel_impl.hpp"
-#include "core/simd/simd_kernel_impl8.hpp"
+// SSE2 lane kernels: 8 int16 / 16 int8 lanes per __m128i. SSE2 is
+// baseline on every x86-64 CPU, so this tier needs no runtime feature
+// check — it is the floor the AVX2 tier falls back to. SSE2 lacks
+// blendv/pabsw and the int8 min/max/abs (SSE4.1/SSSE3), so blend is the
+// classic and/andnot/or select, int8 min/max are cmpgt + select, and abs
+// is max(v, 0 - v) (exact for every railed value).
+#include "core/simd/simd_row_update.hpp"
 
 #ifdef LDPC_SIMD_X86
 
@@ -13,31 +13,36 @@
 namespace ldpc::simd {
 namespace {
 
-struct Sse2Ops {
-  static constexpr int kLanes = 8;
+/// Width-independent half of the SSE2 policies.
+template <class T_>
+struct Sse2Base {
+  using T = T_;
   using Vec = __m128i;
-
-  static Vec load(const std::int16_t* p) {
+  static Vec load(const T* p) {
     return _mm_loadu_si128(reinterpret_cast<const __m128i*>(p));
   }
-  static void store(std::int16_t* p, Vec a) {
+  static void store(T* p, Vec a) {
     _mm_storeu_si128(reinterpret_cast<__m128i*>(p), a);
   }
-  static Vec broadcast(std::int16_t x) { return _mm_set1_epi16(x); }
   static Vec zero() { return _mm_setzero_si128(); }
+  static Vec blend(Vec m, Vec a, Vec b) {
+    return _mm_or_si128(_mm_and_si128(m, a), _mm_andnot_si128(m, b));
+  }
+  static Vec xor_(Vec a, Vec b) { return _mm_xor_si128(a, b); }
+  static Vec or_(Vec a, Vec b) { return _mm_or_si128(a, b); }
+  static Vec and_(Vec a, Vec b) { return _mm_and_si128(a, b); }
+};
+
+struct Sse2Ops16 : Sse2Base<std::int16_t> {
+  static constexpr int kLanes = 8;
+  static Vec broadcast(std::int16_t x) { return _mm_set1_epi16(x); }
   static Vec add(Vec a, Vec b) { return _mm_add_epi16(a, b); }
   static Vec sub(Vec a, Vec b) { return _mm_sub_epi16(a, b); }
   static Vec min(Vec a, Vec b) { return _mm_min_epi16(a, b); }
   static Vec max(Vec a, Vec b) { return _mm_max_epi16(a, b); }
   static Vec cmpgt(Vec a, Vec b) { return _mm_cmpgt_epi16(a, b); }
   static Vec cmpeq(Vec a, Vec b) { return _mm_cmpeq_epi16(a, b); }
-  static Vec blend(Vec m, Vec a, Vec b) {
-    return _mm_or_si128(_mm_and_si128(m, a), _mm_andnot_si128(m, b));
-  }
-  static Vec abs16(Vec a) { return _mm_max_epi16(a, _mm_sub_epi16(zero(), a)); }
-  static Vec xor_(Vec a, Vec b) { return _mm_xor_si128(a, b); }
-  static Vec or_(Vec a, Vec b) { return _mm_or_si128(a, b); }
-  static Vec and_(Vec a, Vec b) { return _mm_and_si128(a, b); }
+  static Vec abs(Vec a) { return _mm_max_epi16(a, _mm_sub_epi16(zero(), a)); }
   template <int kShift>
   static Vec srl(Vec a) {
     return _mm_srli_epi16(a, kShift);
@@ -48,86 +53,25 @@ struct Sse2Ops {
   }
   static Vec mullo(Vec a, Vec b) { return _mm_mullo_epi16(a, b); }
   static Vec mulhi(Vec a, Vec b) { return _mm_mulhi_epi16(a, b); }
-  static int count_diff(Vec a, Vec b) {
-    // movemask yields one bit per byte; equal int16 lanes contribute two
-    // set bits, so differing lanes = (16 - popcount) / 2.
-    const int eq = _mm_movemask_epi8(_mm_cmpeq_epi16(a, b));
-    return (16 - __builtin_popcount(static_cast<unsigned>(eq))) / 2;
-  }
 };
 
-/// Int8 lane policy for the finite-alphabet kernels: 16 int8 lanes per
-/// __m128i. SSE2 has no pminsb/pmaxsb/pabsb (those are SSE4.1/SSSE3), so
-/// min/max are cmpgt+select and abs is max(v, 0 - v) — exact for v >= -127,
-/// which the symmetric rail guarantees.
-struct Sse2Ops8 {
+struct Sse2Ops8 : Sse2Base<std::int8_t> {
   static constexpr int kLanes = 16;
-  using Vec = __m128i;
-
-  static Vec load(const std::int8_t* p) {
-    return _mm_loadu_si128(reinterpret_cast<const __m128i*>(p));
+  static Vec broadcast(std::int8_t x) {
+    return _mm_set1_epi8(static_cast<char>(x));
   }
-  static void store(std::int8_t* p, Vec a) {
-    _mm_storeu_si128(reinterpret_cast<__m128i*>(p), a);
-  }
-  static Vec broadcast(std::int8_t x) { return _mm_set1_epi8(static_cast<char>(x)); }
-  static Vec zero() { return _mm_setzero_si128(); }
-  static Vec add8(Vec a, Vec b) { return _mm_add_epi8(a, b); }
-  static Vec sub8(Vec a, Vec b) { return _mm_sub_epi8(a, b); }
-  static Vec adds8(Vec a, Vec b) { return _mm_adds_epi8(a, b); }
-  static Vec subs8(Vec a, Vec b) { return _mm_subs_epi8(a, b); }
-  static Vec cmpgt8(Vec a, Vec b) { return _mm_cmpgt_epi8(a, b); }
-  static Vec cmpeq8(Vec a, Vec b) { return _mm_cmpeq_epi8(a, b); }
-  static Vec blend(Vec m, Vec a, Vec b) {
-    return _mm_or_si128(_mm_and_si128(m, a), _mm_andnot_si128(m, b));
-  }
-  static Vec min8(Vec a, Vec b) { return blend(cmpgt8(a, b), b, a); }
-  static Vec max8(Vec a, Vec b) { return blend(cmpgt8(a, b), a, b); }
-  static Vec abs8(Vec a) { return max8(a, _mm_sub_epi8(zero(), a)); }
-  static Vec xor_(Vec a, Vec b) { return _mm_xor_si128(a, b); }
-  static Vec or_(Vec a, Vec b) { return _mm_or_si128(a, b); }
-  static Vec and_(Vec a, Vec b) { return _mm_and_si128(a, b); }
+  static Vec add(Vec a, Vec b) { return _mm_add_epi8(a, b); }
+  static Vec sub(Vec a, Vec b) { return _mm_sub_epi8(a, b); }
+  static Vec adds(Vec a, Vec b) { return _mm_adds_epi8(a, b); }
+  static Vec subs(Vec a, Vec b) { return _mm_subs_epi8(a, b); }
+  static Vec cmpgt(Vec a, Vec b) { return _mm_cmpgt_epi8(a, b); }
+  static Vec cmpeq(Vec a, Vec b) { return _mm_cmpeq_epi8(a, b); }
+  static Vec min(Vec a, Vec b) { return blend(cmpgt(a, b), b, a); }
+  static Vec max(Vec a, Vec b) { return blend(cmpgt(a, b), a, b); }
+  static Vec abs(Vec a) { return max(a, _mm_sub_epi8(zero(), a)); }
 };
 
-}  // namespace
-
-void layer_pass_sse2(const SimdLayerPass& pass) {
-  if (pass.count_clips)
-    detail::layer_pass<Sse2Ops, true>(pass);
-  else
-    detail::layer_pass<Sse2Ops, false>(pass);
-}
-
-void batch_layer_pass_sse2(const SimdBatchLayerPass& pass) {
-  if (pass.count_clips)
-    detail::batch_layer_pass<Sse2Ops, true>(pass);
-  else
-    detail::batch_layer_pass<Sse2Ops, false>(pass);
-}
-
-void batch_syndrome_pass_sse2(const SimdBatchSyndromePass& pass) {
-  detail::batch_syndrome_pass<Sse2Ops>(pass);
-}
-
-void fa_layer_pass_sse2(const SimdFaLayerPass& pass) {
-  if (pass.count_clips)
-    detail::fa_layer_pass<Sse2Ops8, true>(pass);
-  else
-    detail::fa_layer_pass<Sse2Ops8, false>(pass);
-}
-
-void fa_batch_layer_pass_sse2(const SimdFaBatchLayerPass& pass) {
-  if (pass.count_clips)
-    detail::fa_batch_layer_pass<Sse2Ops8, true>(pass);
-  else
-    detail::fa_batch_layer_pass<Sse2Ops8, false>(pass);
-}
-
-void fa_batch_syndrome_pass_sse2(const SimdFaBatchSyndromePass& pass) {
-  detail::fa_batch_syndrome_pass<Sse2Ops8>(pass);
-}
-
-void fa_quantize_pass_sse2(const SimdFaQuantizePass& pass) {
+void fa_quantize_sse2(const SimdFaQuantizePass& pass) {
   // 16 LLRs per step: four 4-wide float pipelines narrowed through the
   // saturating packs (harmless — the +-127 clamp runs first, on int16
   // because SSE2 has no epi32 min/max). copysign(0.5, s) = 0.5 | signbit.
@@ -156,6 +100,13 @@ void fa_quantize_pass_sse2(const SimdFaQuantizePass& pass) {
   }
   detail::fa_quantize_scalar(pass, v);
 }
+
+}  // namespace
+
+namespace detail {
+extern const KernelSet kSse2Kernels =
+    make_kernel_set<Sse2Ops16, Sse2Ops8>(&fa_quantize_sse2);
+}  // namespace detail
 
 }  // namespace ldpc::simd
 

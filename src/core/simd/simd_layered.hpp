@@ -1,46 +1,21 @@
-// SIMD z-lane layered scaled-min-sum decoder.
-//
-// Same algorithm, schedule, and fixed-point arithmetic as
-// LayeredMinSumFixedDecoder — and asserted bit-identical to it (hard
-// bits, iteration counts, convergence status, saturation counters) in
-// tests/simd_equivalence_test.cpp — but the z check rows of each layer
-// execute as SIMD lanes instead of a scalar loop, mirroring the paper's z
-// parallel datapath copies (Fig. 3).
-//
-// Memory layout: posteriors live in natural variable order as int16
-// codes. Per layer, each non-zero block column's z posteriors are gathered
-// into an aligned structure-of-arrays scratch with the circulant rotation
-// applied — (row + shift) % z collapses into two memcpys, the software
-// analogue of the barrel shifter — so that lane r of every vector op is
-// exactly check row r of the layer. Check messages are stored row-major
-// per R slot with a padded stride, so they need no rotation at all.
-// After the vector pass the updated posteriors rotate back on scatter.
-//
-// Exactness envelope: the int16 lane arithmetic reproduces the scalar
-// int32/int64 saturating ops only for formats up to 15 total bits (every
-// format the library ships is 8 or less). Wider formats, offsets beyond
-// int16, and decodes with an active fault injector (whose corruption
-// sequence is defined by scalar access order) transparently delegate to
-// an embedded scalar twin — behaviour, results, and stats stay identical,
-// only the speed differs.
+// SIMD z-lane layered scaled-min-sum decoder: the z check rows of each
+// layer execute as SIMD lanes, mirroring the paper's z parallel datapath
+// copies (Fig. 3). Bit-identical to LayeredMinSumFixedDecoder — hard bits,
+// iteration counts, convergence status, saturation counters — asserted in
+// tests/simd_equivalence_test.cpp. Formats wider than 15 bits, offsets
+// beyond int16 and active fault campaigns delegate to the embedded scalar
+// twin (see simd_decoder.hpp).
 #pragma once
 
 #include <cstdint>
-#include <memory>
 #include <optional>
 #include <string>
-#include <vector>
 
-#include "codes/qc_code.hpp"
-#include "core/decoder.hpp"
-#include "core/layered_minsum_fixed.hpp"
-#include "core/quant.hpp"
-#include "core/simd/simd_kernel.hpp"
-#include "util/aligned.hpp"
+#include "core/simd/simd_decoder.hpp"
 
 namespace ldpc {
 
-class SimdLayeredDecoder final : public Decoder {
+class SimdLayeredDecoder final : public simd::ZLaneDecoder<simd::Fixed16> {
  public:
   /// Normalized min-sum, scale taken from options (0.75 -> the paper's
   /// shift-add, anything else -> truncating num/16), like the scalar
@@ -48,79 +23,21 @@ class SimdLayeredDecoder final : public Decoder {
   /// (tests); default picks the best available at runtime.
   SimdLayeredDecoder(const QCLdpcCode& code, DecoderOptions options,
                      FixedFormat format = FixedFormat{},
-                     std::optional<simd::SimdTier> tier = std::nullopt);
+                     std::optional<simd::SimdTier> tier = std::nullopt)
+      : ZLaneDecoder(code, options, simd::Fixed16(code, options, format), "",
+                     tier) {}
 
   /// Offset-min-sum variant: magnitudes corrected by max(|m| - offset, 0),
   /// `offset_code` in quantized units (mirrors LayerRowKernel::offset_kernel).
   SimdLayeredDecoder(const QCLdpcCode& code, DecoderOptions options,
                      FixedFormat format, std::int32_t offset_code,
                      std::string label,
-                     std::optional<simd::SimdTier> tier = std::nullopt);
+                     std::optional<simd::SimdTier> tier = std::nullopt)
+      : ZLaneDecoder(code, options,
+                     simd::Fixed16(code, options, format, offset_code, label),
+                     label, tier) {}
 
-  DecodeResult decode(std::span<const float> llr) override;
-  std::size_t n() const override { return code_.n(); }
-  std::size_t k() const override { return code_.k(); }
-  std::string name() const override;
-  SaturationStats saturation() const override;
-  void set_cancel_token(const CancelToken* token) override;
-
-  /// Decode from already-quantized channel codes (the scalar decoder's
-  /// bit-exact entry point). Codes outside the format rails route to the
-  /// scalar twin, which accepts arbitrary int32 messages.
-  DecodeResult decode_quantized(std::span<const std::int32_t> channel_codes);
-
-  std::string message_format() const override { return format_.name(); }
-
-  FixedFormat format() const { return format_; }
-
-  /// Kernel tier this decoder dispatches to.
-  simd::SimdTier tier() const { return tier_; }
-
-  /// True when the configuration is outside the int16 lane envelope and
-  /// every decode delegates to the scalar twin.
-  bool scalar_only() const { return force_scalar_; }
-
-  /// Why the most recent decode bypassed the lane kernel (kNone when the
-  /// vector path ran) — the same value stamped into its DecodeResult.
-  SimdFallback last_fallback() const { return last_fallback_; }
-
- private:
-  struct GatherBlock {
-    std::uint32_t p_base;  ///< block_col * z into the posterior array
-    std::uint32_t shift;   ///< circulant rotation, already reduced mod z
-  };
-
-  void init_geometry();
-  bool must_use_scalar() const;
-  DecodeResult run();
-
-  const QCLdpcCode& code_;
-  DecoderOptions options_;
-  FixedFormat format_;
-  std::string label_;
-  simd::ScaleMode mode_ = simd::ScaleMode::kThreeQuarters;
-  std::int16_t scale_num_ = 3;
-  std::int16_t offset_code_ = 0;
-  simd::SimdTier tier_;
-  simd::LayerPassFn pass_;
-  const CancelToken* cancel_ = nullptr;  ///< non-owning, may be null
-
-  std::uint32_t z_ = 0;
-  std::uint32_t z_pad_ = 0;  ///< z rounded up to max(16, tier lane count)
-  std::vector<std::vector<GatherBlock>> gather_;     ///< per layer
-  std::vector<std::vector<std::uint32_t>> r_base_;   ///< per layer, kernel view
-  AlignedVec<std::int16_t> posterior16_;  ///< P memory, natural order
-  AlignedVec<std::int16_t> r16_;          ///< R memory, r_slot * z_pad + row
-  AlignedVec<std::int16_t> p_scratch_;    ///< gathered P lanes, deg * z_pad
-  AlignedVec<std::int16_t> q_scratch_;    ///< Q_array lanes, deg * z_pad
-
-  /// Scalar twin: construction-time validation of the kernel config plus
-  /// the exact fallback for out-of-envelope formats and fault campaigns.
-  std::unique_ptr<LayeredMinSumFixedDecoder> scalar_;
-  bool force_scalar_ = false;
-  bool last_used_scalar_ = false;
-  SimdFallback last_fallback_ = SimdFallback::kNone;
-  SaturationStats saturation_;
+  FixedFormat format() const { return family().posterior(); }
 };
 
 }  // namespace ldpc

@@ -1,0 +1,458 @@
+// The check-row update every SIMD pass runs — the single source of truth
+// for the vectorized Algorithm 1 arithmetic of both families (Fixed16,
+// Fa8) and both shapes (z-lane, batched). Each tier TU defines one LaneOps
+// policy per element width and builds its KernelSet with make_kernel_set,
+// so all tiers execute the same operation sequence on different widths.
+//
+// One row update = a reduction followed by a magnitude map:
+//   stage 1 (core 1)  Q = rail(P - R) per block, min1/min2/pos1/sign
+//                     across the layer, each lane its own check row
+//   map               s1 = map(min1), s2 = map(min2) — hoisted out of the
+//                     block loop, like the hardware's once-per-row scaler
+//   stage 2 (core 2)  R' = ±(pos1 == j ? s2 : s1), P' = rail(Q + R')
+//
+// LaneOps contract (Vec is a pack of kLanes values of element type T):
+//   load/store (unaligned), broadcast, zero
+//   add/sub           wrapping
+//   adds/subs         saturating (int8 policies only)
+//   srl<k>/sll<k>     logical shifts, mullo/mulhi (int16 policies only)
+//   min/max           signed
+//   cmpgt/cmpeq       lane masks, all-ones where true
+//   blend(m, a, b)    m ? a : b, m a lane mask
+//   abs               |v| for every railed v
+//   xor_/or_/and_     bitwise
+//   staircase_add     optional fused s + (mag > thr ? delta : 0)
+//
+// What differs by width lives in Width<T> below; what differs by family is
+// the magnitude map (MagnitudeMap); what differs by shape is addressing
+// (ZLaneRow / BatchRow). Everything else is shared.
+#pragma once
+
+#include <cmath>
+#include <cstdint>
+#include <limits>
+
+#include "core/simd/simd_kernel.hpp"
+
+namespace ldpc::simd::detail {
+
+/// Per-width policy.
+///
+/// int16 (Fixed16): the dispatcher only routes formats with total_bits
+/// <= 15 here, so |P|,|R| <= 2^14 and P - R, Q + R' fit int16 exactly;
+/// the wrapping result is clamped to the format rails. Clip counters
+/// accumulate in int16 lanes across a whole pass (callers keep the
+/// geometry inside counters_fit).
+///
+/// int8 (Fa8): every value lives on the symmetric [-127, +127] rail, so
+/// abs/negate are always representable. Saturating int8 ops supply the
+/// upper rail and one max() the lower. Clip counters hold at most `deg`
+/// (< 128) events per row step, so they drain every step. Rows are half
+/// the bytes, so the batched prefetch looks further ahead.
+///
+/// Both widths share one clip predicate: railed != wrapping result. For
+/// int16 that is "clamped differs from exact". For int8 it is exactly
+/// "exact result outside [-127, +127]": in range, railed == wrap; above
+/// it, railed = 127 while wrap is negative; at or below -128, railed = -127
+/// while wrap is -128 or positive.
+template <class T>
+struct Width;
+
+template <>
+struct Width<std::int16_t> {
+  static constexpr std::uint32_t kPrefetchRows = 8;
+  static constexpr bool kDrainEveryStep = simd::kDrainEveryStep<std::int16_t>;
+  static constexpr std::uint32_t kSyndromeRows = 1U << 14;
+  template <class Ops, class V>
+  static V rail_sub(V a, V b, V lo, V hi) {
+    return Ops::max(lo, Ops::min(hi, Ops::sub(a, b)));
+  }
+  template <class Ops, class V>
+  static V rail_add(V a, V b, V lo, V hi) {
+    return Ops::max(lo, Ops::min(hi, Ops::add(a, b)));
+  }
+};
+
+template <>
+struct Width<std::int8_t> {
+  static constexpr std::uint32_t kPrefetchRows = 12;
+  static constexpr bool kDrainEveryStep = simd::kDrainEveryStep<std::int8_t>;
+  static constexpr std::uint32_t kSyndromeRows = 64;
+  template <class Ops, class V>
+  static V rail_sub(V a, V b, V lo, V /*hi*/) {
+    return Ops::max(Ops::subs(a, b), lo);
+  }
+  template <class Ops, class V>
+  static V rail_add(V a, V b, V lo, V /*hi*/) {
+    return Ops::max(Ops::adds(a, b), lo);
+  }
+};
+
+template <class Ops, class Map>
+struct MagnitudeMap;
+
+/// Fixed16 map: scale_three_quarters, num/16 or offset, with the same
+/// truncation as LayerRowKernel::scale.
+template <class Ops>
+struct MagnitudeMap<Ops, ScaleMap> {
+  using V = typename Ops::Vec;
+  static constexpr bool kInAlphabet = false;  ///< R' needs the rail clamp
+
+  explicit MagnitudeMap(const ScaleMap& m)
+      : mode(m.mode),
+        num(Ops::broadcast(m.scale_num)),
+        offset(Ops::broadcast(m.offset_code)) {}
+
+  V operator()(V mag) const {
+    switch (mode) {
+      case ScaleMode::kThreeQuarters:
+        // Each shift truncates separately, exactly like the hardware
+        // shift-add.
+        return Ops::add(Ops::template srl<1>(mag), Ops::template srl<2>(mag));
+      case ScaleMode::kNumOver16: {
+        // mag <= 2^14, num <= 16: the 32-bit product is < 2^19, so the
+        // truncating divide is a logical shift of the {mulhi:mullo} pair.
+        // Both factors are non-negative, so the signed high half equals
+        // the unsigned one.
+        const V lo = Ops::mullo(mag, num);
+        const V hi = Ops::mulhi(mag, num);
+        return Ops::or_(Ops::template srl<4>(lo), Ops::template sll<12>(hi));
+      }
+      case ScaleMode::kOffset:
+        // mag - offset >= -2^15 + 1, no wrap.
+        return Ops::max(Ops::zero(), Ops::sub(mag, offset));
+    }
+    return Ops::zero();  // unreachable
+  }
+
+  ScaleMode mode;
+  V num;
+  V offset;
+};
+
+/// Fa8 map: the staircase lookup (see StaircaseMap). A policy may provide
+/// staircase_add(s, mag, thr, delta) to fuse the compare/mask/add step
+/// (AVX-512 does it in two masked instructions); either way each step is
+/// s + ((mag > thr) ? delta : 0) exactly. The output is a table entry, so
+/// R' needs no clamp and r_clips stays zero, like the scalar FaRowKernel.
+template <class Ops>
+struct MagnitudeMap<Ops, StaircaseMap> {
+  using V = typename Ops::Vec;
+  static constexpr bool kInAlphabet = true;
+
+  explicit MagnitudeMap(const StaircaseMap& m)
+      : recon0(Ops::load(m.recon0_lanes)), num_thr(m.num_thr) {
+    for (std::uint32_t t = 0; t < num_thr; ++t) {
+      thr[t] = Ops::load(m.thr_lanes + t * Ops::kLanes);
+      delta[t] = Ops::load(m.delta_lanes + t * Ops::kLanes);
+    }
+  }
+
+  V operator()(V mag) const {
+    V s = recon0;
+    for (std::uint32_t t = 0; t < num_thr; ++t) {
+      if constexpr (requires { Ops::staircase_add(s, mag, thr[t], delta[t]); })
+        s = Ops::staircase_add(s, mag, thr[t], delta[t]);
+      else
+        s = Ops::add(s, Ops::and_(Ops::cmpgt(mag, thr[t]), delta[t]));
+    }
+    return s;
+  }
+
+  V recon0;
+  V thr[kFaMaxThresholds];
+  V delta[kFaMaxThresholds];
+  std::uint32_t num_thr;
+};
+
+/// Pass-wide constants and the in-register clip counters.
+template <class Ops>
+struct Lanes {
+  using V = typename Ops::Vec;
+  using T = typename Ops::T;
+
+  Lanes(T lo_code, T hi_code)
+      : lo(Ops::broadcast(lo_code)),
+        hi(Ops::broadcast(hi_code)),
+        zero(Ops::zero()),
+        ones(Ops::broadcast(static_cast<T>(-1))),
+        // The type maximum is the min1/min2 sentinel: every railed |Q| is
+        // no larger, and for int8 a first magnitude of 127 still leaves
+        // pos1 = 0, like the scalar kernel's huge sentinel.
+        sentinel(Ops::broadcast(std::numeric_limits<T>::max())),
+        q_clips(zero),
+        r_clips(zero),
+        p_clips(zero) {}
+
+  /// Count one event in every lane where railed != exact (and `live`).
+  V count(V acc, V railed, V exact, V live) const {
+    return Ops::sub(acc, Ops::and_(live, Ops::xor_(Ops::cmpeq(railed, exact),
+                                                   ones)));
+  }
+
+  /// Move the counters into long long sinks, per lane or summed.
+  void drain(long long* q, long long* r, long long* p, bool per_lane) {
+    add_lanes(q_clips, q, per_lane);
+    add_lanes(r_clips, r, per_lane);
+    add_lanes(p_clips, p, per_lane);
+    q_clips = r_clips = p_clips = zero;
+  }
+
+  template <class Acc>
+  static void add_lanes(V v, Acc* sink, bool per_lane) {
+    T tmp[Ops::kLanes];
+    Ops::store(tmp, v);
+    for (int f = 0; f < Ops::kLanes; ++f) sink[per_lane ? f : 0] += tmp[f];
+  }
+
+  V lo, hi, zero, ones, sentinel;
+  V q_clips, r_clips, p_clips;
+};
+
+/// z-lane addressing: lane i of step c is check row c + i of the layer,
+/// posteriors pre-rotated by the caller. Pad lanes are provably clip-free,
+/// so clip events need no lane mask. The row views hold copies of the pass
+/// fields: stores through int8 pointers may alias anything, so fields read
+/// through the pass reference would be reloaded after every store.
+template <class Ops>
+struct ZLaneRow {
+  using T = typename Ops::T;
+  using V = typename Ops::Vec;
+  T* p_;
+  T* q_;
+  T* r_;
+  const std::uint32_t* r_base;
+  std::uint32_t z_pad;
+  std::uint32_t c;
+  V all;
+
+  T* p(std::uint32_t j) const { return p_ + j * z_pad + c; }
+  T* q(std::uint32_t j) const { return q_ + j * z_pad + c; }
+  T* r(std::uint32_t j) const { return r_ + r_base[j] + c; }
+  V keep_r(V r) const { return r; }
+  void prefetch(const T*, const T*) const {}
+  V live() const { return all; }
+};
+
+/// Batched addressing: lane f is frame f, `row` is the check row; the
+/// circulant rotation is a scalar index per load.
+template <class Ops>
+struct BatchRow {
+  using T = typename Ops::T;
+  using V = typename Ops::Vec;
+  static constexpr std::size_t kF = Ops::kLanes;
+  T* p_;
+  T* q_;
+  T* r_;
+  const BatchBlock* blocks;
+  std::uint32_t z;
+  std::uint32_t row;
+  V active;
+  V r_keep;
+
+  T* p(std::uint32_t j) const {
+    const BatchBlock& b = blocks[j];
+    std::uint32_t rot = row + b.shift;
+    if (rot >= z) rot -= z;
+    return p_ + static_cast<std::size_t>(b.p_base + rot) * kF;
+  }
+  T* q(std::uint32_t j) const { return q_ + j * kF; }
+  T* r(std::uint32_t j) const {
+    return r_ + static_cast<std::size_t>(blocks[j].r_base + row) * kF;
+  }
+  // First-iteration lanes read R as 0 (r_keep masks the stale column);
+  // stage 2 then stores the real value, so iteration 2 reads it back.
+  V keep_r(V r) const { return Ops::and_(r, r_keep); }
+  // Both streams advance one F-lane row per z-step; with ~2 * deg
+  // concurrent streams the hardware prefetcher gives up, so fetch a few
+  // rows ahead by hand. The look-ahead can run past a wrap or the last
+  // row — the arrays carry kBatchPrefetchPad padding rows.
+  void prefetch(const T* pj, const T* rj) const {
+    constexpr std::size_t kAhead = Width<T>::kPrefetchRows * kF;
+    __builtin_prefetch(pj + kAhead, 1);
+    __builtin_prefetch(rj + kAhead, 1);
+  }
+  V live() const { return active; }
+};
+
+template <class Ops, bool kCount, class Row, class Map>
+inline void row_update(const Row& row, std::uint32_t deg, bool degenerate,
+                       const Map& map, Lanes<Ops>& k) {
+  using V = typename Ops::Vec;
+  using T = typename Ops::T;
+  using W = Width<T>;
+  V min1 = k.sentinel;
+  V min2 = k.sentinel;
+  V pos1 = k.zero;
+  V signs = k.zero;
+  for (std::uint32_t j = 0; j < deg; ++j) {
+    T* const pj = row.p(j);
+    T* const rj = row.r(j);
+    row.prefetch(pj, rj);
+    const V p = Ops::load(pj);
+    const V r = row.keep_r(Ops::load(rj));
+    const V q = W::template rail_sub<Ops>(p, r, k.lo, k.hi);
+    if constexpr (kCount)
+      k.q_clips = k.count(k.q_clips, q, Ops::sub(p, r), row.live());
+    Ops::store(row.q(j), q);
+    const V mag = Ops::abs(q);
+    const V lt1 = Ops::cmpgt(min1, mag);  // mag < min1, strict
+    min2 = Ops::blend(lt1, min1, Ops::min(min2, mag));
+    min1 = Ops::blend(lt1, mag, min1);
+    pos1 = Ops::blend(lt1, Ops::broadcast(static_cast<T>(j)), pos1);
+    signs = Ops::xor_(signs, Ops::cmpgt(k.zero, q));
+  }
+
+  // Degree < 2: no extrinsic input, R' = 0 before any clamp — the scalar
+  // kernels return early, so no clip event either.
+  const V s1 = degenerate ? k.zero : map(min1);
+  const V s2 = degenerate ? k.zero : map(min2);
+
+  for (std::uint32_t j = 0; j < deg; ++j) {
+    T* const pj = row.p(j);
+    const V q = Ops::load(row.q(j));
+    V r_new = k.zero;
+    if (!degenerate) {
+      const V eq = Ops::cmpeq(pos1, Ops::broadcast(static_cast<T>(j)));
+      const V mag = Ops::blend(eq, s2, s1);
+      const V neg = Ops::xor_(signs, Ops::cmpgt(k.zero, q));
+      const V val = Ops::blend(neg, Ops::sub(k.zero, mag), mag);
+      if constexpr (Map::kInAlphabet) {
+        r_new = val;
+      } else {
+        r_new = Ops::max(k.lo, Ops::min(k.hi, val));
+        if constexpr (kCount)
+          k.r_clips = k.count(k.r_clips, r_new, val, row.live());
+      }
+    }
+    Ops::store(row.r(j), r_new);
+    const V p_new = W::template rail_add<Ops>(q, r_new, k.lo, k.hi);
+    if constexpr (kCount)
+      k.p_clips = k.count(k.p_clips, p_new, Ops::add(q, r_new), row.live());
+    Ops::store(pj, p_new);
+  }
+}
+
+// The passes are flattened: the row update, the maps and the lane ops must
+// inline into one loop nest with the pass constants in registers. At -O2
+// GCC otherwise leaves the portable tier's array-of-lanes helpers out of
+// line, passing every vector through memory.
+template <class Ops, bool kCount, class MapArgs>
+[[gnu::flatten]] void zlane_pass(const ZLanePass<typename Ops::T, MapArgs>& a) {
+  using W = Width<typename Ops::T>;
+  Lanes<Ops> k(a.lo, a.hi);
+  const MagnitudeMap<Ops, MapArgs> map(a.map);
+  const auto drain = [&] {
+    k.drain(&a.stats->q_clips, &a.stats->r_clips, &a.stats->p_clips, false);
+  };
+  for (std::uint32_t c = 0; c < a.z_pad; c += Ops::kLanes) {
+    row_update<Ops, kCount>(
+        ZLaneRow<Ops>{a.p, a.q, a.r, a.r_base, a.z_pad, c, k.ones}, a.deg,
+        a.degenerate, map, k);
+    if constexpr (kCount && W::kDrainEveryStep) drain();
+  }
+  if constexpr (kCount && !W::kDrainEveryStep) drain();
+}
+
+template <class Ops, bool kCount, class MapArgs>
+[[gnu::flatten]] void batch_pass(const BatchPass<typename Ops::T, MapArgs>& a) {
+  using W = Width<typename Ops::T>;
+  Lanes<Ops> k(a.lo, a.hi);
+  const MagnitudeMap<Ops, MapArgs> map(a.map);
+  const typename Ops::Vec active = Ops::load(a.active);
+  const typename Ops::Vec r_keep = Ops::load(a.r_keep);
+  const auto drain = [&] { k.drain(a.q_clips, a.r_clips, a.p_clips, true); };
+  for (std::uint32_t row = 0; row < a.z; ++row) {
+    row_update<Ops, kCount>(
+        BatchRow<Ops>{a.p, a.q, a.r, a.blocks, a.z, row, active, r_keep},
+        a.deg, a.degenerate, map, k);
+    if constexpr (kCount && W::kDrainEveryStep) drain();
+  }
+  if constexpr (kCount && !W::kDrainEveryStep) drain();
+}
+
+/// Per-lane syndrome contribution of one layer: for each check row, XOR
+/// the hard-decision masks (posterior < 0) of its variables; an all-ones
+/// lane means that lane's row is unsatisfied. Row counts accumulate in
+/// lanes and widen into the int32 weights every kSyndromeRows rows.
+template <class Ops>
+[[gnu::flatten]] void syndrome_pass(const SyndromePass<typename Ops::T>& a) {
+  using V = typename Ops::Vec;
+  using W = Width<typename Ops::T>;
+  constexpr std::size_t kF = Ops::kLanes;
+  const V zero = Ops::zero();
+  std::uint32_t row = 0;
+  while (row < a.z) {
+    const std::uint32_t end =
+        a.z - row > W::kSyndromeRows ? row + W::kSyndromeRows : a.z;
+    V w = zero;
+    for (; row < end; ++row) {
+      V acc = zero;
+      for (std::uint32_t j = 0; j < a.deg; ++j) {
+        const BatchBlock& b = a.blocks[j];
+        std::uint32_t rot = row + b.shift;
+        if (rot >= a.z) rot -= a.z;
+        const auto* pj = a.p + static_cast<std::size_t>(b.p_base + rot) * kF;
+        __builtin_prefetch(pj + W::kPrefetchRows * kF, 0);
+        acc = Ops::xor_(acc, Ops::cmpgt(zero, Ops::load(pj)));
+      }
+      w = Ops::sub(w, acc);  // acc is all-ones exactly in unsatisfied lanes
+    }
+    Lanes<Ops>::add_lanes(w, a.weight, true);
+  }
+}
+
+/// Scalar body of the Fa8 channel quantizer, used by the portable tier and
+/// as the vector tiers' tail loop. Bit-identical to fa_quantize (see
+/// SimdFaQuantizePass; the 127 below is kFaRail). `static`: every tier TU
+/// gets its own copy, compiled for that TU's ISA.
+static inline void fa_quantize_scalar(const SimdFaQuantizePass& a,
+                                      std::size_t v0) {
+  for (std::size_t v = v0; v < a.n; ++v) {
+    float s = a.llr[v] * a.fscale;
+    s = s != s ? 0.0F : s;
+    s = s > a.fhi ? a.fhi : s;
+    s = s < a.flo ? a.flo : s;
+    const std::int32_t t =
+        static_cast<std::int32_t>(s + std::copysign(0.5F, s));
+    const std::int32_t c = t > 127 ? 127 : (t < -127 ? -127 : t);
+    a.out[v] = static_cast<std::int8_t>(c);
+  }
+}
+
+template <class Ops, class MapArgs>
+void zlane_entry(const ZLanePass<typename Ops::T, MapArgs>& a) {
+  if (a.count_clips)
+    zlane_pass<Ops, true>(a);
+  else
+    zlane_pass<Ops, false>(a);
+}
+
+template <class Ops, class MapArgs>
+void batch_entry(const BatchPass<typename Ops::T, MapArgs>& a) {
+  if (a.count_clips)
+    batch_pass<Ops, true>(a);
+  else
+    batch_pass<Ops, false>(a);
+}
+
+/// A tier's KernelSet from its int16 and int8 lane policies.
+template <class Ops16, class Ops8>
+constexpr KernelSet make_kernel_set(
+    void (*fa_quantize)(const SimdFaQuantizePass&)) {
+  return {{&zlane_entry<Ops16, ScaleMap>, &batch_entry<Ops16, ScaleMap>,
+           &syndrome_pass<Ops16>},
+          {&zlane_entry<Ops8, StaircaseMap>, &batch_entry<Ops8, StaircaseMap>,
+           &syndrome_pass<Ops8>},
+          fa_quantize};
+}
+
+/// One table per compiled tier, defined in its TU.
+extern const KernelSet kPortableKernels;
+#ifdef LDPC_SIMD_X86
+extern const KernelSet kSse2Kernels;
+extern const KernelSet kAvx2Kernels;
+extern const KernelSet kAvx512Kernels;
+#endif
+
+}  // namespace ldpc::simd::detail

@@ -22,8 +22,10 @@
 #include "codes/wifi.hpp"
 #include "codes/wimax.hpp"
 #include "core/decoder_factory.hpp"
+#include "core/layered_minsum_fa.hpp"
 #include "core/layered_minsum_fixed.hpp"
 #include "core/simd/simd_batch.hpp"
+#include "core/simd/simd_fa_batch.hpp"
 #include "fault/fault_injector.hpp"
 #include "util/rng.hpp"
 
@@ -244,6 +246,42 @@ TEST(SimdBatch, CancelledFrameInBlockLeavesLaneMatesIntact) {
                              saturation[f],
                              ctx + " frame=" + std::to_string(f));
     }
+  }
+}
+
+/// decode_block must detach a token attached with set_cancel_token (the
+/// Decoder contract): a pre-cancelled token attached before the block must
+/// not cut a later single-frame decode short.
+void expect_block_detaches_token(Decoder& scalar, Decoder& batched,
+                                 std::span<const float> llr,
+                                 const std::string& ctx) {
+  const DecodeResult ref = scalar.decode(llr);
+  ASSERT_EQ(ref.status, DecodeStatus::kConverged) << ctx;
+  CancelToken cancelled;
+  cancelled.cancel();
+  batched.set_cancel_token(&cancelled);
+  const BlockFrame frames[] = {{llr, nullptr}, {llr, nullptr}};
+  std::vector<DecodeResult> results(2);
+  std::vector<SaturationStats> saturation(2);
+  batched.decode_block(frames, results, saturation);
+  const DecodeResult rv = batched.decode(llr);
+  EXPECT_EQ(rv.status, ref.status) << ctx;
+  EXPECT_EQ(rv.iterations, ref.iterations) << ctx;
+  EXPECT_TRUE(rv.hard_bits == ref.hard_bits) << ctx;
+}
+
+TEST(SimdBatch, DecodeBlockDetachesAttachedCancelToken) {
+  const auto code = make_wimax_2304_half_rate();
+  const DecoderOptions opt;
+  const auto llr = noisy_llr(code, 2.0F, 5);
+  for (const simd::SimdTier tier : simd::available_tiers()) {
+    const std::string ctx = std::string("tier=") + simd::to_string(tier);
+    LayeredMinSumFixedDecoder scalar(code, opt, FixedFormat{8, 2});
+    SimdBatchDecoder batched(code, opt, FixedFormat{8, 2}, tier);
+    expect_block_detaches_token(scalar, batched, llr, "q8.2 " + ctx);
+    LayeredMinSumFaDecoder scalar_fa(code, opt, 4);
+    SimdFaBatchDecoder batched_fa(code, opt, 4, 2.0F, tier);
+    expect_block_detaches_token(scalar_fa, batched_fa, llr, "fa4 " + ctx);
   }
 }
 

@@ -233,6 +233,33 @@ TEST(SimdEquivalence, QuantizedEntryPoint) {
   }
 }
 
+TEST(SimdEquivalence, OutOfRailQuantizedInputFallsBack) {
+  // A code one past the format rail never comes out of the quantizer; the
+  // lane kernel cannot take it, so the scalar twin decodes and says so.
+  const auto code = make_wifi_648_half_rate();
+  const FixedFormat fmt{8, 2};
+  DecoderOptions opt;
+  opt.count_saturation = true;
+  LayeredMinSumFixedDecoder scalar(code, opt, fmt);
+  const auto llr = noisy_llr(code, 1.8F, 19);
+  std::vector<std::int32_t> codes(llr.size());
+  for (std::size_t v = 0; v < llr.size(); ++v) codes[v] = fmt.quantize(llr[v]);
+  codes[5] = fmt.max_code() + 1;
+  const DecodeResult rs = scalar.decode_quantized(codes);
+  for (const simd::SimdTier tier : simd::available_tiers()) {
+    SimdLayeredDecoder simd_dec(code, opt, fmt, tier);
+    const DecodeResult rv = simd_dec.decode_quantized(codes);
+    const std::string ctx = std::string("tier=") + simd::to_string(tier);
+    EXPECT_EQ(rv.simd_fallback, SimdFallback::kOutOfRailInput) << ctx;
+    EXPECT_TRUE(rs.hard_bits == rv.hard_bits) << ctx;
+    EXPECT_EQ(rs.iterations, rv.iterations) << ctx;
+    EXPECT_EQ(rs.status, rv.status) << ctx;
+    EXPECT_EQ(scalar.saturation().datapath_clips,
+              simd_dec.saturation().datapath_clips)
+        << ctx;
+  }
+}
+
 TEST(SimdEquivalence, ObserverSnapshotsIdentical) {
   const auto code = make_wifi_648_half_rate();
   const auto llr = noisy_llr(code, 1.8F, 13);

@@ -25,6 +25,7 @@
 #include "core/layered_minsum_fa.hpp"
 #include "core/simd/simd_fa_batch.hpp"
 #include "core/simd/simd_fa_layered.hpp"
+#include "fault/fault_injector.hpp"
 #include "util/rng.hpp"
 
 namespace ldpc {
@@ -205,6 +206,179 @@ TEST(SimdFaEquivalence, WatchdogAbort) {
   opt.watchdog.stall_window = 4;
   // 0 dB: most frames stall, so the watchdog path actually fires.
   sweep_code(make_wifi_648_half_rate(), opt, 4, 0.0F);
+}
+
+// ------------------------------------------------------- entry points ----
+// The fa4 analogues of the int16 family's SimdEquivalence / SimdBatch
+// entry-point, observer, cancellation and fallback tests.
+
+TEST(SimdFaEquivalence, QuantizedEntryPoint) {
+  const auto code = make_wifi_648_half_rate();
+  DecoderOptions opt;
+  opt.count_saturation = true;
+  LayeredMinSumFaDecoder scalar(code, opt, 4);
+  const FixedFormat posterior = scalar.tables().posterior;
+  const auto llr = noisy_llr(code, 2.4F, 9);
+  std::vector<std::int32_t> codes(llr.size());
+  for (std::size_t v = 0; v < llr.size(); ++v)
+    codes[v] = fa_quantize(posterior, llr[v]);
+  for (const simd::SimdTier tier : simd::available_tiers()) {
+    SimdFaLayeredDecoder lane(code, opt, 4, 2.0F, tier);
+    const Reference ref{scalar.decode_quantized(codes), scalar.saturation()};
+    const DecodeResult rv = lane.decode_quantized(codes);
+    const SaturationStats sv = lane.saturation();
+    const std::string ctx = std::string("tier=") + simd::to_string(tier);
+    EXPECT_TRUE(ref.result.hard_bits == rv.hard_bits) << ctx;
+    EXPECT_EQ(ref.result.iterations, rv.iterations) << ctx;
+    EXPECT_EQ(ref.result.status, rv.status) << ctx;
+    EXPECT_EQ(rv.simd_fallback, SimdFallback::kNone) << ctx;
+    EXPECT_EQ(ref.saturation.datapath_clips, sv.datapath_clips) << ctx;
+    EXPECT_EQ(ref.saturation.q_clips, sv.q_clips) << ctx;
+    EXPECT_EQ(ref.saturation.r_clips, sv.r_clips) << ctx;
+    EXPECT_EQ(ref.saturation.p_clips, sv.p_clips) << ctx;
+  }
+}
+
+TEST(SimdFaEquivalence, OutOfRailQuantizedInputFallsBack) {
+  // A code one past the symmetric rail never comes out of fa_quantize; the
+  // lane kernel cannot take it, so the scalar twin decodes and says so.
+  const auto code = make_wifi_648_half_rate();
+  DecoderOptions opt;
+  opt.count_saturation = true;
+  LayeredMinSumFaDecoder scalar(code, opt, 4);
+  const FixedFormat posterior = scalar.tables().posterior;
+  const auto llr = noisy_llr(code, 2.4F, 19);
+  std::vector<std::int32_t> codes(llr.size());
+  for (std::size_t v = 0; v < llr.size(); ++v)
+    codes[v] = fa_quantize(posterior, llr[v]);
+  codes[5] = kFaRail + 1;
+  const Reference ref{scalar.decode_quantized(codes), scalar.saturation()};
+  for (const simd::SimdTier tier : simd::available_tiers()) {
+    SimdFaLayeredDecoder lane(code, opt, 4, 2.0F, tier);
+    const DecodeResult rv = lane.decode_quantized(codes);
+    const std::string ctx = std::string("tier=") + simd::to_string(tier);
+    EXPECT_EQ(rv.simd_fallback, SimdFallback::kOutOfRailInput) << ctx;
+    EXPECT_TRUE(ref.result.hard_bits == rv.hard_bits) << ctx;
+    EXPECT_EQ(ref.result.iterations, rv.iterations) << ctx;
+    EXPECT_EQ(ref.result.status, rv.status) << ctx;
+    EXPECT_EQ(ref.saturation.datapath_clips, lane.saturation().datapath_clips)
+        << ctx;
+  }
+}
+
+TEST(SimdFaEquivalence, ObserverSnapshotsIdentical) {
+  const auto code = make_wifi_648_half_rate();
+  const auto llr = noisy_llr(code, 2.4F, 13);
+  for (const simd::SimdTier tier : simd::available_tiers()) {
+    std::vector<IterationSnapshot> scalar_snaps;
+    std::vector<IterationSnapshot> simd_snaps;
+    DecoderOptions opt_s;
+    opt_s.count_saturation = true;
+    opt_s.observer = [&](const IterationSnapshot& s) {
+      scalar_snaps.push_back(s);
+    };
+    DecoderOptions opt_v = opt_s;
+    opt_v.observer = [&](const IterationSnapshot& s) {
+      simd_snaps.push_back(s);
+    };
+    LayeredMinSumFaDecoder scalar(code, opt_s, 4);
+    SimdFaLayeredDecoder lane(code, opt_v, 4, 2.0F, tier);
+    scalar.decode(llr);
+    EXPECT_EQ(lane.decode(llr).simd_fallback, SimdFallback::kNone);
+    ASSERT_EQ(scalar_snaps.size(), simd_snaps.size());
+    for (std::size_t i = 0; i < scalar_snaps.size(); ++i) {
+      EXPECT_EQ(scalar_snaps[i].iteration, simd_snaps[i].iteration);
+      EXPECT_EQ(scalar_snaps[i].syndrome_weight, simd_snaps[i].syndrome_weight);
+      EXPECT_EQ(scalar_snaps[i].mean_abs_llr, simd_snaps[i].mean_abs_llr);
+      EXPECT_EQ(scalar_snaps[i].flipped_bits, simd_snaps[i].flipped_bits);
+      EXPECT_EQ(scalar_snaps[i].saturation_clips,
+                simd_snaps[i].saturation_clips);
+    }
+  }
+}
+
+// --------------------------------------------------------- cancellation ----
+
+TEST(SimdFaEquivalence, CancelledFrameInBlockLeavesLaneMatesIntact) {
+  const auto code = make_wifi_648_half_rate();
+  const DecoderOptions opt = counting_options();
+  LayeredMinSumFaDecoder scalar(code, opt, 4);
+
+  std::vector<std::vector<float>> pool;
+  std::vector<Reference> refs;
+  for (std::size_t f = 0; f < 8; ++f) {
+    pool.push_back(noisy_llr(code, 2.4F, f * 977 + 3));
+    refs.push_back({scalar.decode(pool.back()), scalar.saturation()});
+  }
+
+  CancelToken cancelled;
+  cancelled.cancel();  // expired before the block starts
+  scalar.set_cancel_token(&cancelled);
+  const Reference cancelled_ref{scalar.decode(pool[2]), scalar.saturation()};
+  scalar.set_cancel_token(nullptr);
+  EXPECT_EQ(cancelled_ref.result.status, DecodeStatus::kDeadlineExpired);
+
+  for (const simd::SimdTier tier : simd::available_tiers()) {
+    SimdFaBatchDecoder batched(code, opt, 4, 2.0F, tier);
+    std::vector<BlockFrame> frames;
+    for (std::size_t f = 0; f < pool.size(); ++f)
+      frames.push_back({pool[f], f == 2 ? &cancelled : nullptr});
+    std::vector<DecodeResult> results(frames.size());
+    std::vector<SaturationStats> saturation(frames.size());
+    batched.decode_block(frames, results, saturation);
+    const std::string ctx = std::string("tier=") + simd::to_string(tier);
+    for (std::size_t f = 0; f < frames.size(); ++f) {
+      expect_frame_identical(f == 2 ? cancelled_ref : refs[f], results[f],
+                             saturation[f],
+                             ctx + " frame=" + std::to_string(f));
+    }
+  }
+}
+
+// ------------------------------------------------------------ fallbacks ----
+
+TEST(SimdFaEquivalence, FaultCampaignFallsBackPerFrame) {
+  // Fault-injection corruption order is defined by scalar access order:
+  // both shapes must take the scalar twin and stamp why.
+  const auto code = make_wifi_648_half_rate();
+  FaultConfig cfg;
+  cfg.rate = 1e-4;
+  FaultInjector injector(cfg);
+  DecoderOptions opt;
+  opt.fault_injector = &injector;
+  const auto llr = noisy_llr(code, 2.4F, 99);
+
+  SimdFaLayeredDecoder lane(code, opt, 4);
+  EXPECT_FALSE(lane.scalar_only());  // config-dependent, not structural
+  EXPECT_EQ(lane.decode(llr).simd_fallback, SimdFallback::kFaultInjector);
+
+  SimdFaBatchDecoder batched(code, opt, 4);
+  EXPECT_FALSE(batched.scalar_only());
+  const BlockFrame frames[] = {{llr, nullptr}, {llr, nullptr}};
+  std::vector<DecodeResult> results(2);
+  std::vector<SaturationStats> saturation(2);
+  batched.decode_block(frames, results, saturation);
+  for (const DecodeResult& r : results)
+    EXPECT_EQ(r.simd_fallback, SimdFallback::kFaultInjector);
+}
+
+TEST(SimdFaEquivalence, ObserverFallsBackPerFrame) {
+  // One snapshot per iteration of one frame is meaningless across
+  // interleaved lanes, so an observed block decodes per-frame.
+  const auto code = make_wifi_648_half_rate();
+  std::size_t snapshots = 0;
+  DecoderOptions opt;
+  opt.observer = [&](const IterationSnapshot&) { ++snapshots; };
+  SimdFaBatchDecoder batched(code, opt, 4);
+
+  const auto llr = noisy_llr(code, 2.4F, 42);
+  const BlockFrame frames[] = {{llr, nullptr}, {llr, nullptr}};
+  std::vector<DecodeResult> results(2);
+  std::vector<SaturationStats> saturation(2);
+  batched.decode_block(frames, results, saturation);
+  for (const DecodeResult& r : results)
+    EXPECT_EQ(r.simd_fallback, SimdFallback::kObserver);
+  EXPECT_GT(snapshots, 0U);
 }
 
 }  // namespace
