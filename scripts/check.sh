@@ -12,17 +12,20 @@
 #                        SIMD kernels are ON here so the intrinsic paths run
 #                        under instrumentation too
 #   4. TSan pass       — ThreadSanitizer build (LDPC_SANITIZE=thread) running
-#                        the concurrency-sensitive tests: the runtime batch
-#                        engine (scalar and fused block paths), the
+#                        every test labelled `concurrency` (built by the
+#                        `concurrency_tests` target): the runtime batch
+#                        engine (per-frame, task and block jobs), the
 #                        retry/escalation supervisor, the fault-injection
 #                        chaos test, the BER runner, the Rayleigh fading
 #                        paths and the HARQ link loop (multi-worker chase /
 #                        incremental-redundancy combining)
-#   5. service stage   — the network decode service under TSan: wire-codec
-#                        corpus, registry, service robustness tests, then a
-#                        short chaos load-generator smoke (malformed frames,
-#                        disconnects, deadline storm, worker faults); any
-#                        crash, hang, race or failed invariant fails the gate
+#   5. service stage   — the network decode service under TSan: every test
+#                        labelled `service` (wire-codec corpus, registry,
+#                        service robustness tests, built by `service_tests`),
+#                        then a short chaos load-generator smoke (malformed
+#                        frames, disconnects, deadline storm, worker faults);
+#                        any crash, hang, race or failed invariant fails the
+#                        gate
 #
 # Every ctest invocation carries a per-test --timeout so a wedged worker
 # thread fails loudly instead of hanging the gate.
@@ -97,17 +100,15 @@ if [ "$FAST" -eq 0 ]; then
 
   echo "== [4/13] ThreadSanitizer (runtime engine, supervisor, chaos, BER, HARQ) =="
   cmake -B build-tsan -S . -DLDPC_SANITIZE=thread -DLDPC_WERROR=ON
-  cmake --build build-tsan -j "$JOBS" \
-    --target runtime_test chaos_test channel_test simd_batch_test \
-             fading_test harq_test
+  cmake --build build-tsan -j "$JOBS" --target concurrency_tests
   ctest --test-dir build-tsan --output-on-failure --timeout "$TEST_TIMEOUT" \
-    -R 'JobQueue|BatchEngine|RetryPolicy|Supervisor|ChaosEngine|BerRunner|BerFrameSeeds|SimdBatch|Rayleigh|BerExtensions|RateMatcher|LlrBuffer|RedundancyRung|HarqLink'
+    -L concurrency --no-tests=error
 
   echo "== [5/13] decode service under TSan (tests + chaos load smoke) =="
   cmake --build build-tsan -j "$JOBS" \
-    --target service_wire_test registry_test service_test bench_decode_service
+    --target service_tests bench_decode_service
   ctest --test-dir build-tsan --output-on-failure --timeout "$TEST_TIMEOUT" \
-    -R 'ServiceWire|Registry|ServiceTest|EngineSnapshot|CodecCacheTest'
+    -L service --no-tests=error
   # Short hostile-load smoke: malformed frames, mid-request disconnects, a
   # deadline storm and worker faults against a live loopback server. The
   # robustness invariants (exactly-once resolution, server stays responsive,

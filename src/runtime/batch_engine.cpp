@@ -61,42 +61,6 @@ BatchEngine::~BatchEngine() {
   }
 }
 
-BatchEngine::Job BatchEngine::make_job(std::size_t frame_index,
-                                       std::vector<float>&& llr,
-                                       DecodeResult* slot, Task&& task,
-                                       const JobOptions& options) {
-  Job job;
-  job.frame_index = frame_index;
-  job.llr = std::move(llr);
-  job.slot = slot;
-  job.task = std::move(task);
-  job.deadline = options.deadline;
-  job.rung = options.rung;
-  job.enqueued = std::chrono::steady_clock::now();
-  return job;
-}
-
-void BatchEngine::record_submit(std::size_t frame_index) {
-  const MutexLock lock(state_mutex_);
-  if (!started_) {
-    started_ = true;
-    first_enqueue_ = std::chrono::steady_clock::now();
-  }
-  ++submitted_;
-  ++outstanding_[frame_index];
-}
-
-void BatchEngine::unrecord_submit(std::size_t frame_index, bool rejected) {
-  const MutexLock lock(state_mutex_);
-  --submitted_;
-  if (rejected) ++jobs_rejected_;
-  const auto it = outstanding_.find(frame_index);
-  if (it != outstanding_.end() && --it->second == 0) outstanding_.erase(it);
-  // A concurrent drain() may have been waiting on the job that was just
-  // backed out; re-evaluate its predicate.
-  if (completed_ == submitted_) all_done_.notify_all();
-}
-
 void BatchEngine::finish_job_locked(
     std::size_t frame_index, std::chrono::steady_clock::time_point now) {
   last_complete_ = now;
@@ -106,135 +70,115 @@ void BatchEngine::finish_job_locked(
   if (completed_ == submitted_) all_done_.notify_all();
 }
 
-void BatchEngine::complete_undecoded(Job&& job, DecodeStatus status) {
-  const auto write_slot = [status](DecodeResult* slot) {
-    if (!slot) return;
-    DecodeResult result;
-    result.status = status;
-    *slot = result;
-  };
-  if (job.block.empty()) {
-    write_slot(job.slot);
-    const auto now = std::chrono::steady_clock::now();
+SubmitStatus BatchEngine::enqueue(Job& job, EnqueueMode mode) {
+  job.enqueued = std::chrono::steady_clock::now();
+  {
     const MutexLock lock(state_mutex_);
-    if (status == DecodeStatus::kShedOverload) ++jobs_shed_;
-    if (status == DecodeStatus::kDeadlineExpired) ++jobs_expired_;
-    finish_job_locked(job.frame_index, now);
-    return;
+    if (!started_) {
+      started_ = true;
+      first_enqueue_ = job.enqueued;
+    }
+    submitted_ += job.frames.size();
+    for (const BlockFrameJob& frame : job.frames)
+      ++outstanding_[frame.frame_index];
   }
-  // A shed block job resolves every one of its frames — a frame that
-  // silently vanished would wedge drain() forever.
-  for (const BlockFrameJob& frame : job.block) write_slot(frame.slot);
-  const auto now = std::chrono::steady_clock::now();
+  using Push = BoundedJobQueue<Job>::PushResult;
+  Job shed;
+  Push pushed = Push::kClosed;
+  if (mode == EnqueueMode::kPolicy)
+    pushed = queue_.push(std::move(job), &shed);
+  else if (mode == EnqueueMode::kTry)
+    pushed = queue_.try_push(job) ? Push::kAccepted : Push::kRejected;
+  else
+    pushed =
+        queue_.push_forced(std::move(job)) ? Push::kAccepted : Push::kClosed;
+
+  switch (pushed) {
+    case Push::kAccepted:
+      return SubmitStatus::kAccepted;
+    case Push::kAcceptedShed: {
+      // The evicted entry resolves every one of its frames — a frame that
+      // silently vanished would wedge drain() forever.
+      DecodeResult result;
+      result.status = DecodeStatus::kShedOverload;
+      for (const BlockFrameJob& frame : shed.frames)
+        if (frame.slot) *frame.slot = result;
+      const auto now = std::chrono::steady_clock::now();
+      const MutexLock lock(state_mutex_);
+      jobs_shed_ += shed.frames.size();
+      for (const BlockFrameJob& frame : shed.frames)
+        finish_job_locked(frame.frame_index, now);
+      return SubmitStatus::kAcceptedShedOldest;
+    }
+    case Push::kRejected:
+    case Push::kClosed:
+      break;
+  }
+  // Refused: the queue left `job` intact. Back its frames out; try_submit
+  // hands the LLRs back to its caller, which is not a rejection.
   const MutexLock lock(state_mutex_);
-  for (const BlockFrameJob& frame : job.block) {
-    if (status == DecodeStatus::kShedOverload) ++jobs_shed_;
-    if (status == DecodeStatus::kDeadlineExpired) ++jobs_expired_;
-    finish_job_locked(frame.frame_index, now);
+  submitted_ -= job.frames.size();
+  if (mode != EnqueueMode::kTry) jobs_rejected_ += job.frames.size();
+  for (const BlockFrameJob& frame : job.frames) {
+    const auto it = outstanding_.find(frame.frame_index);
+    if (it != outstanding_.end() && --it->second == 0) outstanding_.erase(it);
   }
+  // A concurrent drain() may have been waiting on the job that was just
+  // backed out; re-evaluate its predicate.
+  if (completed_ == submitted_) all_done_.notify_all();
+  return pushed == Push::kRejected ? SubmitStatus::kRejectedQueueFull
+                                   : SubmitStatus::kRejectedClosed;
 }
 
 SubmitStatus BatchEngine::submit(std::size_t frame_index,
                                  std::vector<float> llr, DecodeResult* slot,
                                  JobOptions options) {
   LDPC_CHECK(slot != nullptr);
-  record_submit(frame_index);
-  Job shed;
-  switch (queue_.push(make_job(frame_index, std::move(llr), slot, {}, options),
-                      &shed)) {
-    case BoundedJobQueue<Job>::PushResult::kClosed:
-      unrecord_submit(frame_index, /*rejected=*/true);
-      return SubmitStatus::kRejectedClosed;
-    case BoundedJobQueue<Job>::PushResult::kRejected:
-      unrecord_submit(frame_index, /*rejected=*/true);
-      return SubmitStatus::kRejectedQueueFull;
-    case BoundedJobQueue<Job>::PushResult::kAcceptedShed:
-      complete_undecoded(std::move(shed), DecodeStatus::kShedOverload);
-      return SubmitStatus::kAcceptedShedOldest;
-    case BoundedJobQueue<Job>::PushResult::kAccepted:
-      break;
-  }
-  return SubmitStatus::kAccepted;
+  Job job;
+  job.frames.push_back({frame_index, std::move(llr), slot, options.deadline});
+  job.rung = options.rung;
+  return enqueue(job, EnqueueMode::kPolicy);
 }
 
 bool BatchEngine::try_submit(std::size_t frame_index, std::vector<float>& llr,
                              DecodeResult* slot, JobOptions options) {
   LDPC_CHECK(slot != nullptr);
-  record_submit(frame_index);
-  Job job = make_job(frame_index, std::move(llr), slot, {}, options);
-  if (!queue_.try_push(job)) {
-    llr = std::move(job.llr);  // hand the frame back to the caller
-    unrecord_submit(frame_index, /*rejected=*/false);
-    return false;
-  }
-  return true;
+  Job job;
+  job.frames.push_back({frame_index, std::move(llr), slot, options.deadline});
+  job.rung = options.rung;
+  if (submit_accepted(enqueue(job, EnqueueMode::kTry))) return true;
+  llr = std::move(job.frames[0].llr);  // hand the frame back to the caller
+  return false;
 }
 
 SubmitStatus BatchEngine::submit_task(std::size_t frame_index, Task task,
                                       JobOptions options, DecodeResult* slot) {
   LDPC_CHECK(task != nullptr);
-  record_submit(frame_index);
-  Job shed;
-  switch (queue_.push(make_job(frame_index, {}, slot, std::move(task), options),
-                      &shed)) {
-    case BoundedJobQueue<Job>::PushResult::kClosed:
-      unrecord_submit(frame_index, /*rejected=*/true);
-      return SubmitStatus::kRejectedClosed;
-    case BoundedJobQueue<Job>::PushResult::kRejected:
-      unrecord_submit(frame_index, /*rejected=*/true);
-      return SubmitStatus::kRejectedQueueFull;
-    case BoundedJobQueue<Job>::PushResult::kAcceptedShed:
-      complete_undecoded(std::move(shed), DecodeStatus::kShedOverload);
-      return SubmitStatus::kAcceptedShedOldest;
-    case BoundedJobQueue<Job>::PushResult::kAccepted:
-      break;
-  }
-  return SubmitStatus::kAccepted;
+  Job job;
+  job.frames.push_back({frame_index, {}, slot, options.deadline});
+  job.task = std::move(task);
+  job.rung = options.rung;
+  return enqueue(job, EnqueueMode::kPolicy);
 }
 
 SubmitStatus BatchEngine::submit_block(std::vector<BlockFrameJob> frames,
                                        unsigned rung) {
   LDPC_CHECK_MSG(!frames.empty(), "submit_block needs >= 1 frame");
   for (const BlockFrameJob& f : frames) LDPC_CHECK(f.slot != nullptr);
-  // Kept aside before the move: a rejected push must unrecord every frame.
-  std::vector<std::size_t> indices;
-  indices.reserve(frames.size());
-  for (const BlockFrameJob& f : frames) {
-    indices.push_back(f.frame_index);
-    record_submit(f.frame_index);
-  }
   Job job;
+  job.frames = std::move(frames);
   job.rung = rung;
-  job.enqueued = std::chrono::steady_clock::now();
-  job.block = std::move(frames);
-  Job shed;
-  switch (queue_.push(std::move(job), &shed)) {
-    case BoundedJobQueue<Job>::PushResult::kClosed:
-      for (const std::size_t i : indices) unrecord_submit(i, /*rejected=*/true);
-      return SubmitStatus::kRejectedClosed;
-    case BoundedJobQueue<Job>::PushResult::kRejected:
-      for (const std::size_t i : indices) unrecord_submit(i, /*rejected=*/true);
-      return SubmitStatus::kRejectedQueueFull;
-    case BoundedJobQueue<Job>::PushResult::kAcceptedShed:
-      // The evicted queue entry may itself be a block.
-      complete_undecoded(std::move(shed), DecodeStatus::kShedOverload);
-      return SubmitStatus::kAcceptedShedOldest;
-    case BoundedJobQueue<Job>::PushResult::kAccepted:
-      break;
-  }
-  return SubmitStatus::kAccepted;
+  return enqueue(job, EnqueueMode::kPolicy);
 }
 
 bool BatchEngine::submit_retry(std::size_t frame_index, Task task,
                                JobOptions options, DecodeResult* slot) {
   LDPC_CHECK(task != nullptr);
-  record_submit(frame_index);
-  if (!queue_.push_forced(
-          make_job(frame_index, {}, slot, std::move(task), options))) {
-    unrecord_submit(frame_index, /*rejected=*/true);
-    return false;
-  }
-  return true;
+  Job job;
+  job.frames.push_back({frame_index, {}, slot, options.deadline});
+  job.task = std::move(task);
+  job.rung = options.rung;
+  return submit_accepted(enqueue(job, EnqueueMode::kForced));
 }
 
 void BatchEngine::drain() {
@@ -267,25 +211,17 @@ std::vector<DecodeResult> BatchEngine::decode_batch(
   // Sized up front: slots must not move while jobs are in flight.
   std::vector<DecodeResult> results(frames.size());
   const std::size_t bw = std::max<std::size_t>(config_.block_frames, 1);
-  if (bw > 1) {
-    for (std::size_t base = 0; base < frames.size(); base += bw) {
-      const std::size_t count = std::min(bw, frames.size() - base);
-      std::vector<BlockFrameJob> block(count);
-      for (std::size_t i = 0; i < count; ++i) {
-        block[i].frame_index = base + i;
-        block[i].llr = frames[base + i];
-        block[i].slot = &results[base + i];
-      }
-      const SubmitStatus s = submit_block(std::move(block));
-      LDPC_CHECK_MSG(submit_accepted(s),
-                     "decode_batch submit failed: " << to_string(s));
+  for (std::size_t base = 0; base < frames.size(); base += bw) {
+    const std::size_t count = std::min(bw, frames.size() - base);
+    std::vector<BlockFrameJob> block(count);
+    for (std::size_t i = 0; i < count; ++i) {
+      block[i].frame_index = base + i;
+      block[i].llr = frames[base + i];
+      block[i].slot = &results[base + i];
     }
-  } else {
-    for (std::size_t i = 0; i < frames.size(); ++i) {
-      const SubmitStatus s = submit(i, frames[i], &results[i]);
-      LDPC_CHECK_MSG(submit_accepted(s),
-                     "decode_batch submit failed: " << to_string(s));
-    }
+    const SubmitStatus s = submit_block(std::move(block));
+    LDPC_CHECK_MSG(submit_accepted(s),
+                   "decode_batch submit failed: " << to_string(s));
   }
   drain();
   return results;
@@ -294,11 +230,9 @@ std::vector<DecodeResult> BatchEngine::decode_batch(
 void BatchEngine::worker_main(unsigned worker_id) {
   // Rung decoder cache: [0] primary, [r] = escalation ladder entry r - 1.
   // Created lazily so a worker that never sees an escalated job never pays
-  // for the wider decoders; each decoder is wired to this worker's cancel
-  // token once, at creation.
+  // for the wider decoders.
   std::vector<std::unique_ptr<Decoder>> decoders(
       1 + config_.escalation_factories.size());
-  CancelToken cancel;
   auto decoder_for = [&](unsigned rung) -> Decoder& {
     const std::size_t idx =
         std::min<std::size_t>(rung, config_.escalation_factories.size());
@@ -306,86 +240,115 @@ void BatchEngine::worker_main(unsigned worker_id) {
     if (!entry) {
       entry = idx == 0 ? factory_() : config_.escalation_factories[idx - 1]();
       LDPC_CHECK(entry != nullptr);
-      entry->set_cancel_token(&cancel);
     }
     return *entry;
   };
+  // A task decodes under this worker's token, attached and armed with the
+  // task's deadline just before it runs; block frames carry their own.
+  CancelToken task_token;
 
   Job job;
   while (queue_.pop(job)) {
-    bool retire = false;
-    if (!job.block.empty()) {
-      run_block_job(worker_id, job, decoder_for(job.rung), cancel, &retire);
-      job = Job{};
-      if (retire) return;
-      continue;
-    }
-    // A queued job whose deadline already passed is completed without
-    // touching a decoder — but only when the engine owns a result slot to
-    // report through; a slotless task must still run (with the token
-    // pre-expired, so a cancellation-aware decode bails at its first poll).
-    if (job.deadline && job.slot &&
-        std::chrono::steady_clock::now() >= *job.deadline) {
-      complete_undecoded(std::move(job), DecodeStatus::kDeadlineExpired);
-      job = Job{};
-      continue;
-    }
-    cancel.clear();
-    if (job.deadline) cancel.arm_deadline(*job.deadline);
+    // 1. A frame already past its deadline completes without touching a
+    // decoder — but only when the engine owns a slot to report through; a
+    // slotless task must still run (under a pre-expired token, so a
+    // cancellation-aware decode bails at its first poll).
+    const auto pop_time = std::chrono::steady_clock::now();
+    const auto expired = std::stable_partition(
+        job.frames.begin(), job.frames.end(), [&](const BlockFrameJob& f) {
+          return !f.slot || !f.deadline || pop_time < *f.deadline;
+        });
+    DecodeResult expired_result;
+    expired_result.status = DecodeStatus::kDeadlineExpired;
+    for (auto it = expired; it != job.frames.end(); ++it)
+      *it->slot = expired_result;
 
-    Decoder& decoder = decoder_for(job.rung);
-    DecodeResult result;
+    // 2. The rest run the task or share one decode_block.
+    const auto count = static_cast<std::size_t>(expired - job.frames.begin());
+    std::vector<DecodeResult> results(count);
+    std::vector<SaturationStats> sats(count);
+    std::size_t n = 0, k = 0;
     bool failed = false;
-    try {
-      result = job.task ? job.task(decoder) : decoder.decode(job.llr);
-    } catch (...) {
-      // A throwing decode must not take the worker (and every queued job
-      // behind it) down; it is surfaced as EngineWorkerStats::exceptions
-      // and the slot keeps its default (non-converged) DecodeResult.
-      failed = true;
+    if (count > 0) {
+      Decoder& decoder = decoder_for(job.rung);
+      try {
+        if (job.task) {
+          task_token.clear();
+          if (job.frames[0].deadline)
+            task_token.arm_deadline(*job.frames[0].deadline);
+          decoder.set_cancel_token(&task_token);
+          results[0] = job.task(decoder);
+          sats[0] = decoder.saturation();
+        } else {
+          // Per-frame cancel tokens let one late frame bail at a layer
+          // boundary while its lane-mates decode to completion.
+          std::vector<CancelToken> tokens(count);
+          std::vector<BlockFrame> frames(count);
+          for (std::size_t i = 0; i < count; ++i) {
+            if (job.frames[i].deadline)
+              tokens[i].arm_deadline(*job.frames[i].deadline);
+            frames[i] = {job.frames[i].llr, &tokens[i]};
+          }
+          decoder.decode_block(frames, results, sats);
+        }
+      } catch (...) {
+        // A throwing job must not take the worker (and every queued job
+        // behind it) down. Each of its frames still resolves, the slot
+        // keeping its default (non-converged) result, and the failure
+        // counts once against this worker.
+        failed = true;
+      }
+      n = decoder.n();
+      k = decoder.k();
     }
-    const auto now = std::chrono::steady_clock::now();
-    const std::size_t iterations = result.iterations;
-    const DecodeStatus status = result.status;
-    const bool converged = status == DecodeStatus::kConverged;
-    const SimdFallback fallback = result.simd_fallback;
-    // Task jobs own their result delivery (a retry layer may already have
-    // the *next* attempt in flight by the time the task returns — writing
-    // the slot here would race with it); the engine writes task-job slots
-    // only for jobs it completed without running (expired / shed).
-    if (!failed && job.slot && !job.task) *job.slot = std::move(result);
 
-    const SaturationStats sat = decoder.saturation();
+    // 3. Book every frame in one critical section.
+    const auto now = std::chrono::steady_clock::now();
+    const double latency_us =
+        std::chrono::duration<double, std::micro>(now - job.enqueued).count();
+    bool retire = false;
     {
       const MutexLock lock(state_mutex_);
+      for (auto it = expired; it != job.frames.end(); ++it) {
+        ++jobs_expired_;
+        finish_job_locked(it->frame_index, now);
+      }
       EngineWorkerStats& stats = worker_stats_[worker_id];
-      ++stats.jobs;
       if (failed) {
         ++stats.exceptions;
-      } else {
-        stats.sum_iterations += iterations;
-        stats.status_counts[static_cast<std::size_t>(status)] += 1;
-        if (converged) ++stats.early_terminations;
-        if (fallback != SimdFallback::kNone) ++stats.simd_fallbacks;
-        stats.saturation.quantizer_clips += sat.quantizer_clips;
-        stats.saturation.datapath_clips += sat.datapath_clips;
-        stats.saturation.q_clips += sat.q_clips;
-        stats.saturation.r_clips += sat.r_clips;
-        stats.saturation.p_clips += sat.p_clips;
-        stats.saturation.degenerate_checks += sat.degenerate_checks;
-        decoded_bits_ += decoder.n();
-        decoded_info_bits_ += decoder.k();
-      }
-      if (failed || status == DecodeStatus::kFaultDetected ||
-          status == DecodeStatus::kWatchdogAbort)
         ++stats.strikes;
+      }
+      for (std::size_t i = 0; i < count; ++i) {
+        ++stats.jobs;
+        if (!failed) {
+          const DecodeResult& res = results[i];
+          stats.sum_iterations += res.iterations;
+          stats.status_counts[static_cast<std::size_t>(res.status)] += 1;
+          if (res.status == DecodeStatus::kConverged)
+            ++stats.early_terminations;
+          if (res.simd_fallback != SimdFallback::kNone) ++stats.simd_fallbacks;
+          if (res.status == DecodeStatus::kFaultDetected ||
+              res.status == DecodeStatus::kWatchdogAbort)
+            ++stats.strikes;
+          stats.saturation.quantizer_clips += sats[i].quantizer_clips;
+          stats.saturation.datapath_clips += sats[i].datapath_clips;
+          stats.saturation.q_clips += sats[i].q_clips;
+          stats.saturation.r_clips += sats[i].r_clips;
+          stats.saturation.p_clips += sats[i].p_clips;
+          stats.saturation.degenerate_checks += sats[i].degenerate_checks;
+          decoded_bits_ += n;
+          decoded_info_bits_ += k;
+          // Tasks own their result delivery: a retry layer may already
+          // have the next attempt in flight, so writing the slot would race
+          // with it.
+          if (!job.task) *job.frames[i].slot = std::move(results[i]);
+        }
+        record_latency_locked(latency_us);
+        finish_job_locked(job.frames[i].frame_index, now);
+      }
       retire = maybe_quarantine_locked(worker_id);
-      record_latency_locked(
-          std::chrono::duration<double, std::micro>(now - job.enqueued)
-              .count());
-      finish_job_locked(job.frame_index, now);
     }
-    job = Job{};  // release the frame buffer before blocking on the queue
+    job = Job{};  // release the frame buffers before blocking on the queue
     if (retire) return;
   }
 }
@@ -406,92 +369,6 @@ bool BatchEngine::maybe_quarantine_locked(unsigned worker_id) {
   worker_stats_.emplace_back();
   workers_.emplace_back([this, new_id] { worker_main(new_id); });
   return true;
-}
-
-void BatchEngine::run_block_job(unsigned worker_id, Job& job, Decoder& decoder,
-                                CancelToken& worker_token, bool* retire) {
-  const auto pop_time = std::chrono::steady_clock::now();
-  // Frames already past their deadline complete without decoding, exactly
-  // like an expired scalar job at pop; the rest share one decode_block.
-  std::vector<BlockFrameJob*> runnable;
-  runnable.reserve(job.block.size());
-  std::vector<std::size_t> expired;
-  for (BlockFrameJob& frame : job.block) {
-    if (frame.deadline && pop_time >= *frame.deadline) {
-      DecodeResult result;
-      result.status = DecodeStatus::kDeadlineExpired;
-      *frame.slot = result;
-      expired.push_back(frame.frame_index);
-    } else {
-      runnable.push_back(&frame);
-    }
-  }
-
-  // Per-frame cancel tokens let one late frame bail at a layer boundary
-  // while its lane-mates decode to completion.
-  std::vector<CancelToken> tokens(runnable.size());
-  std::vector<BlockFrame> frames(runnable.size());
-  std::vector<DecodeResult> results(runnable.size());
-  std::vector<SaturationStats> sats(runnable.size());
-  for (std::size_t i = 0; i < runnable.size(); ++i) {
-    if (runnable[i]->deadline) tokens[i].arm_deadline(*runnable[i]->deadline);
-    frames[i].llr = runnable[i]->llr;
-    frames[i].cancel = &tokens[i];
-  }
-
-  bool failed = false;
-  if (!runnable.empty()) {
-    try {
-      decoder.decode_block(frames, results, sats);
-    } catch (...) {
-      // One throwing block must not take the worker down. Every runnable
-      // frame still resolves — with its default (non-converged) result —
-      // and the failure counts once against this worker.
-      failed = true;
-    }
-    // decode_block detaches whatever token the per-frame ones replaced;
-    // re-attach this worker's own so later scalar jobs keep deadlines.
-    decoder.set_cancel_token(&worker_token);
-  }
-  const auto now = std::chrono::steady_clock::now();
-  if (!failed)
-    for (std::size_t i = 0; i < runnable.size(); ++i)
-      *runnable[i]->slot = std::move(results[i]);
-
-  const double latency_us =
-      std::chrono::duration<double, std::micro>(now - job.enqueued).count();
-  const MutexLock lock(state_mutex_);
-  EngineWorkerStats& stats = worker_stats_[worker_id];
-  for (const std::size_t index : expired) {
-    ++jobs_expired_;
-    finish_job_locked(index, now);
-  }
-  if (failed) ++stats.exceptions;
-  for (std::size_t i = 0; i < runnable.size(); ++i) {
-    ++stats.jobs;
-    if (!failed) {
-      const DecodeResult& res = *runnable[i]->slot;
-      stats.sum_iterations += res.iterations;
-      stats.status_counts[static_cast<std::size_t>(res.status)] += 1;
-      if (res.status == DecodeStatus::kConverged) ++stats.early_terminations;
-      if (res.simd_fallback != SimdFallback::kNone) ++stats.simd_fallbacks;
-      stats.saturation.quantizer_clips += sats[i].quantizer_clips;
-      stats.saturation.datapath_clips += sats[i].datapath_clips;
-      stats.saturation.q_clips += sats[i].q_clips;
-      stats.saturation.r_clips += sats[i].r_clips;
-      stats.saturation.p_clips += sats[i].p_clips;
-      stats.saturation.degenerate_checks += sats[i].degenerate_checks;
-      decoded_bits_ += decoder.n();
-      decoded_info_bits_ += decoder.k();
-      if (res.status == DecodeStatus::kFaultDetected ||
-          res.status == DecodeStatus::kWatchdogAbort)
-        ++stats.strikes;
-    }
-    record_latency_locked(latency_us);
-    finish_job_locked(runnable[i]->frame_index, now);
-  }
-  if (failed) ++stats.strikes;
-  *retire = maybe_quarantine_locked(worker_id);
 }
 
 void BatchEngine::record_latency_locked(double us) {

@@ -73,17 +73,19 @@ struct BatchEngineConfig {
   /// supervisor to re-attempt failed frames with more iterations or a
   /// wider fixed-point format.
   std::vector<DecoderFactory> escalation_factories;
-  /// Cap on retained per-job latency samples. 0 (default) keeps every
-  /// sample — right for bounded batches, where percentiles are exact. A
-  /// long-running service sets a cap: once reached, samples are admitted by
-  /// deterministic reservoir sampling (seeded from the sample ordinal, not
-  /// wall time), so the latency summary stays an unbiased estimate while
-  /// memory stays O(cap) over days of traffic.
-  std::size_t latency_sample_cap = 0;
+  /// Cap on retained per-job latency samples (8 B each). Below the cap
+  /// every sample is kept and percentiles are exact; once it is reached,
+  /// samples are admitted by deterministic reservoir sampling (seeded from
+  /// the sample ordinal, not wall time), so the latency summary stays an
+  /// unbiased estimate while memory — and the copy snapshot() takes under
+  /// the state mutex — stays O(cap) over days of traffic. The default
+  /// (65,536 samples, 512 KiB) bounds a long-running service; 0 keeps
+  /// every sample.
+  std::size_t latency_sample_cap = 65536;
   /// Frames per block for decode_batch(): values > 1 group consecutive
   /// frames into block jobs so an inter-frame-batched decoder
   /// (Decoder::block_width() > 1) keeps every SIMD lane full. 0 and 1 both
-  /// mean per-frame jobs. Deadlines, cancellation, and the determinism
+  /// mean one-frame jobs. Deadlines, cancellation, and the determinism
   /// contract are unchanged — each frame still resolves exactly once into
   /// its own slot; only queue granularity (and therefore shed/occupancy
   /// granularity) becomes the block.
@@ -200,12 +202,13 @@ struct JobOptions {
   unsigned rung = 0;
 };
 
-/// One frame of a block submission (submit_block): the engine-owned LLRs,
-/// the caller's result slot, and an optional per-frame deadline. Frames in
-/// one block share a worker and a decoder call but resolve individually —
-/// every frame's slot is written exactly once, expired frames are reported
-/// kDeadlineExpired without decoding, and the rest of the block decodes
-/// normally.
+/// One frame of a block submission (submit_block; the other submits wrap
+/// their frame in a one-frame job of the same shape): the engine-owned
+/// LLRs, the caller's result slot, and an optional per-frame deadline.
+/// Frames in one block share a worker and a decoder call but resolve
+/// individually — every frame's slot is written exactly once, expired
+/// frames are reported kDeadlineExpired without decoding, and the rest of
+/// the block decodes normally.
 struct BlockFrameJob {
   std::size_t frame_index = 0;
   std::vector<float> llr;
@@ -243,12 +246,14 @@ class BatchEngine {
   BatchEngine(const BatchEngine&) = delete;
   BatchEngine& operator=(const BatchEngine&) = delete;
 
-  /// Submit one decode job. `*slot` receives the result when the job
-  /// completes; it must stay valid until drain() returns and must be unique
-  /// per job (slot-per-frame-index is the determinism contract). Blocks
-  /// while the queue is full under kBlock; never blocks under the other
-  /// overload policies. The caller must handle rejection (the LLR frame is
-  /// consumed only when the submit is accepted).
+  /// Submit one decode job: a one-frame block, decoded through
+  /// Decoder::decode_block like any other block. `*slot` receives the
+  /// result when the job completes; it must stay valid until drain()
+  /// returns and must be unique per job (slot-per-frame-index is the
+  /// determinism contract). Blocks while the queue is full under kBlock;
+  /// never blocks under the other overload policies. The caller must handle
+  /// rejection (the LLR frame is consumed only when the submit is
+  /// accepted).
   [[nodiscard]] SubmitStatus submit(std::size_t frame_index,
                                     std::vector<float> llr, DecodeResult* slot,
                                     JobOptions options = {});
@@ -328,35 +333,32 @@ class BatchEngine {
   unsigned num_workers() const { return config_.num_workers; }
 
  private:
+  /// The engine's one job shape: frames that share a worker, a decoder rung
+  /// and either one decode_block call or one task. submit / try_submit
+  /// enqueue a one-frame block; submit_task / submit_retry a one-frame task
+  /// job whose frame has no LLRs and whose slot may be null.
   struct Job {
-    std::size_t frame_index = 0;
-    std::vector<float> llr;
-    DecodeResult* slot = nullptr;
-    Task task;  ///< when set, runs instead of decoder.decode(llr)
-    std::optional<std::chrono::steady_clock::time_point> deadline;
+    std::vector<BlockFrameJob> frames;
+    Task task;  ///< when set, runs instead of decode_block
     unsigned rung = 0;
     std::chrono::steady_clock::time_point enqueued;
-    /// Non-empty: this is a block job (one decode_block call); the scalar
-    /// fields above except rung/enqueued are unused.
-    std::vector<BlockFrameJob> block;
   };
 
+  /// How enqueue pushes: under the overload policy (submit, submit_task,
+  /// submit_block), non-blocking (try_submit) or capacity-exempt
+  /// (submit_retry).
+  enum class EnqueueMode { kPolicy, kTry, kForced };
+
+  /// Record the job's frames as submitted and push it. A refused job is
+  /// un-recorded and left intact in `job`; an evicted (shed) one resolves
+  /// every frame kShedOverload.
+  SubmitStatus enqueue(Job& job, EnqueueMode mode) LDPC_EXCLUDES(state_mutex_);
+  /// Pop jobs until the queue closes or this worker is quarantined. Per
+  /// job: frames with a slot past their deadline resolve kDeadlineExpired,
+  /// the rest run the task or one decode_block, and every frame is booked
+  /// in one critical section.
   void worker_main(unsigned worker_id);
-  /// Run a block job on this worker's decoder: expired frames complete at
-  /// pop, the rest decode in one decode_block call with per-frame cancel
-  /// tokens, and every frame's stats/latency/slot resolve exactly once.
-  void run_block_job(unsigned worker_id, Job& job, Decoder& decoder,
-                     CancelToken& worker_token, bool* retire)
-      LDPC_EXCLUDES(state_mutex_);
-  Job make_job(std::size_t frame_index, std::vector<float>&& llr,
-               DecodeResult* slot, Task&& task, const JobOptions& options);
-  void record_submit(std::size_t frame_index) LDPC_EXCLUDES(state_mutex_);
-  void unrecord_submit(std::size_t frame_index, bool rejected)
-      LDPC_EXCLUDES(state_mutex_);
-  /// Complete a job that never reached a decoder (expired / shed).
-  void complete_undecoded(Job&& job, DecodeStatus status)
-      LDPC_EXCLUDES(state_mutex_);
-  /// Bookkeeping for one finished job.
+  /// Bookkeeping for one finished frame.
   void finish_job_locked(std::size_t frame_index,
                          std::chrono::steady_clock::time_point now)
       LDPC_REQUIRES(state_mutex_);

@@ -86,20 +86,22 @@ class WorkerDecoderCache final : public Decoder {
     return *it->second.decoder;
   }
 
-  /// Book the finished decode so the engine's per-worker accounting
-  /// (decoded bits, saturation) reflects the codec that actually ran.
-  void record(std::size_t n, const SaturationStats& saturation) {
-    last_n_ = n;
-    last_saturation_ = saturation;
-  }
+  /// Book the codec decoder the current task ran, so the engine's
+  /// per-worker accounting (decoded and info bits, saturation) reflects the
+  /// codec that actually decoded; nullptr books nothing — a task that
+  /// resolved without decoding.
+  void record(const Decoder* decoded) { decoded_ = decoded; }
 
   DecodeResult decode(std::span<const float> /*llr*/) override {
     // The service submits tasks only; a plain decode has no codec context.
     throw Error("WorkerDecoderCache decodes via service tasks only");
   }
-  std::size_t n() const override { return last_n_; }
+  std::size_t n() const override { return decoded_ ? decoded_->n() : 0; }
+  std::size_t k() const override { return decoded_ ? decoded_->k() : 0; }
   std::string name() const override { return "service-worker-cache"; }
-  SaturationStats saturation() const override { return last_saturation_; }
+  SaturationStats saturation() const override {
+    return decoded_ ? decoded_->saturation() : SaturationStats{};
+  }
 
  private:
   struct CacheEntry {
@@ -111,8 +113,7 @@ class WorkerDecoderCache final : public Decoder {
   DecoderOptions options_;
   std::function<void(DecoderOptions&)> hook_;
   std::map<const CodecEntry*, CacheEntry> cache_;
-  std::size_t last_n_ = 0;
-  SaturationStats last_saturation_;
+  const Decoder* decoded_ = nullptr;  ///< owned by cache_; see record()
 };
 
 }  // namespace
@@ -291,20 +292,7 @@ void DecodeService::loop_main() {
           continue;
         }
         if (job->deadline && now >= *job->deadline) {
-          const auto conn_it = conns_.find(job->conn_fd);
-          if (conn_it != conns_.end()) {
-            // Raw pointer: send_bytes may evict this very connection, which
-            // invalidates conn_it (the object itself outlives the tick via
-            // the graveyard).
-            Connection* c = conn_it->second.get();
-            DecodeResponse response;
-            response.request_id = job->request_id;
-            response.status =
-                static_cast<std::uint8_t>(DecodeStatus::kDeadlineExpired);
-            send_bytes(*c, encode_decode_response(response));
-            c->pending_serials.erase(job->serial);
-            ++counters_.responses_sent;
-          }
+          answer_parked_expired(*job);
           ++counters_.jobs_completed;
           ++counters_.jobs_deadline_expired;
           admission_.on_park_abandoned(tenant_id);
@@ -640,6 +628,9 @@ void DecodeService::submit_to_engine(const std::shared_ptr<PendingJob>& job) {
   JobOptions options;
   options.deadline = job->deadline;
   auto task = [service, job](Decoder& worker_decoder) -> DecodeResult {
+    // The engine factory (start()) builds only WorkerDecoderCache workers.
+    auto& cache = static_cast<WorkerDecoderCache&>(worker_decoder);
+    cache.record(nullptr);  // until a codec decoder actually runs below
     DecodeResult result;
     SaturationStats saturation;
     try {
@@ -647,13 +638,12 @@ void DecodeService::submit_to_engine(const std::shared_ptr<PendingJob>& job) {
         // Expired while queued: resolve without touching a codec decoder.
         result.status = DecodeStatus::kDeadlineExpired;
       } else {
-        auto& cache = dynamic_cast<WorkerDecoderCache&>(worker_decoder);
         Decoder& decoder = cache.decoder_for(job->codec);
         decoder.set_cancel_token(&job->token);
         result = decoder.decode(job->llr);
         saturation = decoder.saturation();
         decoder.set_cancel_token(nullptr);
-        cache.record(decoder.n(), saturation);
+        cache.record(&decoder);
       }
     } catch (...) {
       // The task must never throw (a throwing task strikes the worker and
@@ -732,16 +722,7 @@ void DecodeService::unpark_tenant(std::uint32_t tenant_id) {
     if (job->conn_fd < 0 ||
         (job->deadline && Clock::now() >= *job->deadline)) {
       admission_.on_park_abandoned(tenant_id);
-      const auto conn_it = conns_.find(job->conn_fd);
-      if (conn_it != conns_.end()) {
-        Connection* c = conn_it->second.get();
-        DecodeResponse response;
-        response.request_id = job->request_id;
-        response.status =
-            static_cast<std::uint8_t>(DecodeStatus::kDeadlineExpired);
-        send_bytes(*c, encode_decode_response(response));
-        c->pending_serials.erase(serial);
-        ++counters_.responses_sent;
+      if (answer_parked_expired(*job)) {
         ++counters_.jobs_completed;
         ++counters_.jobs_deadline_expired;
       }
@@ -751,6 +732,22 @@ void DecodeService::unpark_tenant(std::uint32_t tenant_id) {
     admission_.on_unparked(tenant_id);
     submit_to_engine(job);
   }
+}
+
+bool DecodeService::answer_parked_expired(const PendingJob& job) {
+  const auto conn_it = conns_.find(job.conn_fd);
+  if (conn_it == conns_.end()) return false;
+  // Raw pointer: send_bytes may evict this very connection, which
+  // invalidates conn_it (the object itself outlives the tick via the
+  // graveyard).
+  Connection* c = conn_it->second.get();
+  DecodeResponse response;
+  response.request_id = job.request_id;
+  response.status = static_cast<std::uint8_t>(DecodeStatus::kDeadlineExpired);
+  send_bytes(*c, encode_decode_response(response));
+  c->pending_serials.erase(job.serial);
+  ++counters_.responses_sent;
+  return true;
 }
 
 void DecodeService::flush_for_drain() {
@@ -764,17 +761,7 @@ void DecodeService::flush_for_drain() {
       if (it == pending_.end()) continue;
       const auto& job = it->second;
       admission_.on_park_abandoned(tenant_id);
-      const auto conn_it = conns_.find(job->conn_fd);
-      if (conn_it != conns_.end()) {
-        Connection* c = conn_it->second.get();
-        DecodeResponse response;
-        response.request_id = job->request_id;
-        response.status =
-            static_cast<std::uint8_t>(DecodeStatus::kDeadlineExpired);
-        send_bytes(*c, encode_decode_response(response));
-        c->pending_serials.erase(serial);
-        ++counters_.responses_sent;
-      }
+      answer_parked_expired(*job);
       ++counters_.jobs_completed;
       ++counters_.jobs_deadline_expired;
       ++counters_.jobs_flushed_at_drain;

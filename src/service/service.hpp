@@ -204,6 +204,12 @@ class DecodeService {
   /// capacity, or an emptied wait line).
   void maybe_unthrottle(std::uint32_t tenant_id) LDPC_REQUIRES(state_mutex_);
   void flush_for_drain() LDPC_REQUIRES(state_mutex_);
+  /// Answer a parked request kDeadlineExpired on its connection: send the
+  /// response, drop its serial from the connection and count the response.
+  /// False (nothing sent) when the connection is gone. Callers keep their
+  /// own completion counters.
+  bool answer_parked_expired(const PendingJob& job)
+      LDPC_REQUIRES(state_mutex_);
   void send_bytes(Connection& conn, std::vector<std::uint8_t> bytes)
       LDPC_REQUIRES(state_mutex_);
   void send_error(Connection& conn, std::uint64_t request_id,

@@ -382,6 +382,43 @@ TEST(BatchEngine, CancelTokenBailsMidDecode) {
   EXPECT_LE(result.iterations, 1u);  // bailed without burning the budget
 }
 
+TEST(BatchEngine, TaskAfterBlockHonoursDeadline) {
+  const auto code = make_wimax_code(WimaxRate::kRate1_2, 24);
+  BatchEngine engine(fixed_factory(code, 50), engine_config(1, 8));
+  // A block first: decode_block detaches the per-frame tokens it attached,
+  // leaving the worker's decoder with no token at all.
+  const auto frames = make_frames(code, 1, 6.0F);
+  DecodeResult block_slot;
+  std::vector<BlockFrameJob> block;
+  block.push_back(BlockFrameJob{0, frames[0], &block_slot, std::nullopt});
+  ASSERT_TRUE(submit_accepted(engine.submit_block(std::move(block))));
+  engine.drain();
+  ASSERT_TRUE(block_slot.converged);
+
+  // Then, on the same worker and decoder, a slotless task already past its
+  // deadline decodes pure noise: it must run under the worker's token,
+  // armed with that deadline, and bail at the first poll.
+  AwgnChannel noise(1.0F, 7);
+  const std::vector<float> llr =
+      noise.transmit(std::vector<float>(code.n(), 0.0F));
+  DecodeResult result;
+  std::atomic<bool> ran{false};
+  JobOptions options;
+  options.deadline = std::chrono::steady_clock::now();
+  ASSERT_TRUE(submit_accepted(engine.submit_task(
+      1,
+      [&](Decoder& decoder) {
+        ran = true;
+        result = decoder.decode(llr);
+        return result;
+      },
+      options)));
+  engine.drain();
+  EXPECT_TRUE(ran.load());
+  EXPECT_EQ(result.status, DecodeStatus::kDeadlineExpired);
+  EXPECT_LE(result.iterations, 1u);  // not the 50-iteration budget
+}
+
 TEST(BatchEngine, RejectNewestReportsAndCounts) {
   const auto code = make_wimax_code(WimaxRate::kRate1_2, 24);
   const auto frames = make_frames(code, 3, 4.0F);

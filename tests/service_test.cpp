@@ -17,6 +17,7 @@
 #include <thread>
 #include <vector>
 
+#include "channel/awgn.hpp"
 #include "codes/encoder.hpp"
 #include "codes/registry.hpp"
 #include "codes/wimax.hpp"
@@ -126,6 +127,28 @@ TEST(EngineSnapshot, LatencyReservoirCapBoundsMemory) {
   EXPECT_LE(m.latency.p50_us, m.latency.max_us);
 }
 
+TEST(EngineSnapshot, DefaultConfigBoundsLatencyMemory) {
+  // A long-running server never sets latency_sample_cap: the default alone
+  // must bound the reservoir (and the copy every snapshot() takes).
+  const QCLdpcCode& code = external_code("hamsternz-demo-32");
+  BatchEngine engine([&] { return make_decoder("layered-minsum-fixed", code,
+                                               DecoderOptions{}); });
+  const std::vector<float> llr = zero_codeword_llrs(code.n());
+  constexpr std::size_t kBlocks = 70;
+  std::vector<DecodeResult> slots(1000);
+  for (std::size_t b = 0; b < kBlocks; ++b) {
+    std::vector<BlockFrameJob> block;
+    for (std::size_t i = 0; i < slots.size(); ++i)
+      block.push_back(
+          BlockFrameJob{b * slots.size() + i, llr, &slots[i], std::nullopt});
+    ASSERT_TRUE(submit_accepted(engine.submit_block(std::move(block))));
+    engine.drain();  // the next block reuses the slots
+  }
+  const EngineMetrics m = engine.snapshot();
+  EXPECT_EQ(m.jobs_completed, kBlocks * slots.size());
+  EXPECT_EQ(m.latency.samples, 65536U);
+}
+
 // ---------------------------------------------------------------------------
 // Basic request/response.
 
@@ -165,6 +188,74 @@ TEST(ServiceTest, PingStatsAndDecodeRoundTrip) {
 
   const ShutdownReport report = service.shutdown_after(2s);
   EXPECT_TRUE(report.drained_clean);
+}
+
+TEST(ServiceTest, EngineBooksOnlyDecodedFrames) {
+  // One worker: the 1 us request below queues behind the noisy decode and
+  // expires there, so its task resolves without decoding.
+  DecodeService service(base_config(/*workers=*/1));
+  service.start();
+  BlockingClient client;
+  client.connect("127.0.0.1", service.port());
+  const QCLdpcCode small = make_wimax_code(all_wimax_rates()[0], 24);
+  const QCLdpcCode large = make_wimax_code(all_wimax_rates()[0], 96);
+  const CodecRef small_ref{kWimaxStd, 0, 24};
+  const CodecRef large_ref{kWimaxStd, 0, 96};
+
+  // Sum of n and k over the frames that actually reached a decoder.
+  std::size_t decoded_n = 0, decoded_k = 0;
+  for (std::uint64_t id = 1; id <= 5; ++id) {
+    const auto outcome = client.decode(
+        make_request(id, 0, small_ref, zero_codeword_llrs(small.n())),
+        5000ms);
+    ASSERT_TRUE(outcome.has_value());
+    ASSERT_FALSE(outcome->is_error) << to_string(outcome->error.code);
+    ASSERT_EQ(outcome->response.status,
+              static_cast<std::uint8_t>(DecodeStatus::kConverged));
+    decoded_n += small.n();
+    decoded_k += small.k();
+  }
+
+  // A noisy z=96 frame, and pipelined behind it on the same connection a
+  // request with a 1 us deadline.
+  AwgnChannel awgn(0.8F, 11);
+  std::vector<float> noisy =
+      awgn.transmit(std::vector<float>(large.n(), 1.0F));
+  for (float& v : noisy) v *= 2.0F / 0.8F;  // BPSK LLR = 2y / sigma^2
+  ASSERT_TRUE(client.send_raw(
+      encode_decode_request(make_request(6, 0, large_ref, noisy))));
+  ASSERT_TRUE(client.send_raw(encode_decode_request(make_request(
+      7, 0, large_ref, zero_codeword_llrs(large.n()), /*deadline_us=*/1))));
+  std::map<std::uint64_t, std::uint8_t> statuses;
+  for (int seen = 0; seen < 2; ++seen) {
+    const auto frame = client.read_frame(5000ms);
+    ASSERT_TRUE(frame.has_value()) << "request starved after " << seen;
+    ASSERT_EQ(frame->type, FrameType::kDecodeResponse);
+    DecodeResponse response;
+    ASSERT_EQ(parse_decode_response(frame->body, &response),
+              WireErrorCode::kNone);
+    statuses[response.request_id] = response.status;
+  }
+  ASSERT_EQ(statuses.size(), 2U);
+  EXPECT_NE(statuses[6],
+            static_cast<std::uint8_t>(DecodeStatus::kDeadlineExpired));
+  EXPECT_EQ(statuses[7],
+            static_cast<std::uint8_t>(DecodeStatus::kDeadlineExpired));
+  decoded_n += large.n();
+  decoded_k += large.k();
+
+  // A task's completion is posted before the engine books it: wait for
+  // the engine to book all seven.
+  EngineMetrics engine;
+  for (int i = 0; i < 500; ++i) {
+    engine = service.stats().engine;
+    if (engine.jobs_completed == 7) break;
+    std::this_thread::sleep_for(10ms);
+  }
+  ASSERT_EQ(engine.jobs_completed, 7U);
+  EXPECT_EQ(engine.decoded_bits, decoded_n);
+  EXPECT_EQ(engine.decoded_info_bits, decoded_k);
+  service.shutdown_after(2s);
 }
 
 TEST(ServiceTest, TypedErrorsKeepTheConnectionUsable) {
