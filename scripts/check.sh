@@ -7,7 +7,9 @@
 #                        inter-frame-batched suites of both families, built
 #                        by the `simd_tests` target), proving the portable
 #                        tier alone still matches the scalar decoders
-#                        bit-for-bit
+#                        bit-for-bit, and every test labelled `service`
+#                        (built by `service_tests`): the service's default
+#                        batched decoder runs the portable tier there
 #   3. sanitizer pass  — ASan+UBSan build (LDPC_SANITIZE=ON) + ctest; the
 #                        SIMD kernels are ON here so the intrinsic paths run
 #                        under instrumentation too
@@ -86,11 +88,13 @@ cmake -B build -S . -DLDPC_WERROR=ON
 cmake --build build -j "$JOBS"
 ctest --test-dir build --output-on-failure --timeout "$TEST_TIMEOUT"
 
-echo "== [2/13] scalar-only build (LDPC_SIMD=OFF) — SIMD equivalence =="
+echo "== [2/13] scalar-only build (LDPC_SIMD=OFF) — SIMD equivalence + service =="
 cmake -B build-nosimd -S . -DLDPC_SIMD=OFF -DLDPC_WERROR=ON
-cmake --build build-nosimd -j "$JOBS" --target simd_tests
+cmake --build build-nosimd -j "$JOBS" --target simd_tests service_tests
 ctest --test-dir build-nosimd --output-on-failure --timeout "$TEST_TIMEOUT" \
   -L simd --no-tests=error
+ctest --test-dir build-nosimd --output-on-failure --timeout "$TEST_TIMEOUT" \
+  -L service --no-tests=error
 
 if [ "$FAST" -eq 0 ]; then
   echo "== [3/13] ASan + UBSan =="

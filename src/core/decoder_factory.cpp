@@ -2,7 +2,6 @@
 
 #include <cstdint>
 #include <sstream>
-#include <utility>
 
 #include "core/flooding_bp.hpp"
 #include "core/flooding_minsum.hpp"
@@ -34,12 +33,28 @@ constexpr FixedFormat kQ6{6, 1};
 /// Offset 0.5 in LLR units at the q8.2 format = 2 codes.
 constexpr std::int32_t kOffsetCode = 2;
 
+std::size_t one_frame() { return 1; }
+
+/// A batched decoder's block_width(): one frame per lane of the tier its
+/// constructor picks, whatever the code.
+template <class D>
+std::size_t lanes() {
+  return simd::lanes_for<typename D::T>(simd::best_tier());
+}
+
+struct Entry {
+  const char* name;
+  Builder make;
+  /// block_width() of every decoder `make` builds (decoder_block_width).
+  std::size_t (*block_width)() = &one_frame;
+};
+
 /// Every registered decoder, in decoder_names() order. The SIMD z-lane
 /// and batched names are bit-identical twins of their scalar references
 /// (tests/simd_*_test.cpp); the batch engine hands the batched ones whole
 /// frame blocks. The finite-alphabet family (fa2/fa3/fa4) uses MIM
 /// staircase tables on an int8 posterior, see core/fa_tables.hpp.
-const std::pair<const char*, Builder> kDecoders[] = {
+const Entry kDecoders[] = {
     {"flooding-bp", &build<FloodingBpDecoder>},
     {"flooding-minsum", &build<FloodingMinSumDecoder, MinSumVariant::kPlain>},
     {"flooding-minsum-norm",
@@ -68,26 +83,27 @@ const std::pair<const char*, Builder> kDecoders[] = {
            code, options, kQ8, kOffsetCode,
            "layered-minsum-simd-offset-" + kQ8.name());
      }},
-    {"layered-minsum-simd-batched", &build<SimdBatchDecoder, kQ8>},
-    {"layered-minsum-simd-batched-q6", &build<SimdBatchDecoder, kQ6>},
+    {"layered-minsum-simd-batched", &build<SimdBatchDecoder, kQ8>,
+     &lanes<SimdBatchDecoder>},
+    {"layered-minsum-simd-batched-q6", &build<SimdBatchDecoder, kQ6>,
+     &lanes<SimdBatchDecoder>},
     {"layered-minsum-fa2", &build<LayeredMinSumFaDecoder, 2>},
     {"layered-minsum-fa3", &build<LayeredMinSumFaDecoder, 3>},
     {"layered-minsum-fa4", &build<LayeredMinSumFaDecoder, 4>},
     {"layered-minsum-simd-fa2", &build<SimdFaLayeredDecoder, 2>},
     {"layered-minsum-simd-fa3", &build<SimdFaLayeredDecoder, 3>},
     {"layered-minsum-simd-fa4", &build<SimdFaLayeredDecoder, 4>},
-    {"layered-minsum-simd-batched-fa2", &build<SimdFaBatchDecoder, 2>},
-    {"layered-minsum-simd-batched-fa3", &build<SimdFaBatchDecoder, 3>},
-    {"layered-minsum-simd-batched-fa4", &build<SimdFaBatchDecoder, 4>},
+    {"layered-minsum-simd-batched-fa2", &build<SimdFaBatchDecoder, 2>,
+     &lanes<SimdFaBatchDecoder>},
+    {"layered-minsum-simd-batched-fa3", &build<SimdFaBatchDecoder, 3>,
+     &lanes<SimdFaBatchDecoder>},
+    {"layered-minsum-simd-batched-fa4", &build<SimdFaBatchDecoder, 4>,
+     &lanes<SimdFaBatchDecoder>},
 };
 
-}  // namespace
-
-std::unique_ptr<Decoder> make_decoder(const std::string& name,
-                                      const QCLdpcCode& code,
-                                      const DecoderOptions& options) {
-  for (const auto& [known, make] : kDecoders)
-    if (name == known) return make(code, options);
+const Entry& find_entry(const std::string& name) {
+  for (const Entry& entry : kDecoders)
+    if (name == entry.name) return entry;
   // List the candidates in the error: factory names travel through CLI
   // flags and JSON configs, where a typo is otherwise a dead end.
   std::ostringstream msg;
@@ -97,10 +113,22 @@ std::unique_ptr<Decoder> make_decoder(const std::string& name,
   throw Error(msg.str());
 }
 
+}  // namespace
+
+std::unique_ptr<Decoder> make_decoder(const std::string& name,
+                                      const QCLdpcCode& code,
+                                      const DecoderOptions& options) {
+  return find_entry(name).make(code, options);
+}
+
+std::size_t decoder_block_width(const std::string& name) {
+  return find_entry(name).block_width();
+}
+
 const std::vector<std::string>& decoder_names() {
   static const std::vector<std::string> names = [] {
     std::vector<std::string> out;
-    for (const auto& entry : kDecoders) out.emplace_back(entry.first);
+    for (const Entry& entry : kDecoders) out.emplace_back(entry.name);
     return out;
   }();
   return names;

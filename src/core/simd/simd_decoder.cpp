@@ -410,6 +410,10 @@ BatchDecoder<Family>::BatchDecoder(std::unique_ptr<ZLaneDecoder<Family>> single)
   // Every shipped code is orders of magnitude inside the counter envelope
   // (WiMAX 1/2 z=96: 96 rows x degree 7 against int16's 32767).
   force_fallback_ = single_->family().wide() || !counters_fit<T>(z_, max_deg);
+  const std::size_t z_pad = single_->z_pad();
+  min_block_ = std::max<std::size_t>(
+      1, (batch_break_even<T>(single_->tier()) * std::size_t{z_} + z_pad - 1) /
+             z_pad);
 }
 
 template <class Family>
@@ -438,7 +442,7 @@ void BatchDecoder<Family>::decode_block(std::span<const BlockFrame> frames,
     // interleaved lanes have no meaningful single-frame cadence.
     reason = SimdFallback::kObserver;
   }
-  if (reason == SimdFallback::kNone) {
+  if (reason == SimdFallback::kNone && frames.size() >= min_block_) {
     run_block(frames, results, saturation);
   } else {
     for (std::size_t i = 0; i < frames.size(); ++i) {
@@ -446,7 +450,8 @@ void BatchDecoder<Family>::decode_block(std::span<const BlockFrame> frames,
       results[i] = single_->decode(frames[i].llr);
       saturation[i] = single_->saturation();
       // The twin stamps its own, more specific reason when *it* also had
-      // to bypass its lane kernel; otherwise record why batching was off.
+      // to bypass its lane kernel; otherwise record why batching was off
+      // (nothing for a small block).
       if (results[i].simd_fallback == SimdFallback::kNone)
         results[i].simd_fallback = reason;
     }

@@ -16,7 +16,10 @@
 //                          whose frame converges, expires or exhausts its
 //                          budget is refilled with the next pending frame
 //                          mid-block, so block throughput tracks the mean
-//                          iteration count, not the max.
+//                          iteration count, not the max. A block too small
+//                          to pay for the idle lanes (below
+//                          batch_break_even, scaled by the z-lane fill)
+//                          decodes frame by frame on the z-lane twin.
 //
 // A family fixes the lane element type, the magnitude map and the scalar
 // twin every result is bit-identical to:
@@ -197,6 +200,8 @@ class ZLaneDecoder : public Decoder {
   const Family& family() const { return family_; }
   const QCLdpcCode& code() const { return code_; }
   const DecoderOptions& options() const { return options_; }
+  /// Lanes per row sweep: z rounded up to the stride granularity.
+  std::uint32_t z_pad() const { return z_pad_; }
 
   /// True when the configuration is outside the lane envelope and every
   /// decode delegates to the scalar twin.
@@ -246,11 +251,14 @@ class BatchDecoder : public Decoder {
   explicit BatchDecoder(std::unique_ptr<ZLaneDecoder<Family>> single);
 
   /// Single-frame decode rides the z-lane twin — with one frame there is
-  /// nothing to batch, and the z-lane kernel is the faster shape.
+  /// nothing to batch.
   DecodeResult decode(std::span<const float> llr) override;
 
-  /// Any cancel token attached with set_cancel_token is detached on
-  /// return, as the Decoder contract requires.
+  /// Blocks of at least min_block() frames run the batched kernel; smaller
+  /// ones decode frame by frame on the z-lane twin (bit-identical either
+  /// way, simd_fallback kNone). Any cancel token attached with
+  /// set_cancel_token is detached on return, as the Decoder contract
+  /// requires.
   void decode_block(std::span<const BlockFrame> frames,
                     std::span<DecodeResult> results,
                     std::span<SaturationStats> saturation) override;
@@ -270,6 +278,11 @@ class BatchDecoder : public Decoder {
 
   /// Frames per full block = the tier's lane count for T.
   std::size_t block_width() const override { return lanes_; }
+  /// Smallest block decoded on the batched kernel: the tier's
+  /// batch_break_even times the twin's lane fill z / z_pad, rounded up —
+  /// the twin's cost per frame grows with its idle lanes (a z = 1 code
+  /// fills one of them), the batched kernel's does not.
+  std::size_t min_block() const { return min_block_; }
 
   SimdTier tier() const { return single_->tier(); }
   const Family& family() const { return single_->family(); }
@@ -300,6 +313,7 @@ class BatchDecoder : public Decoder {
   const KernelSet& kernels_;
   std::uint32_t lanes_ = 0;  ///< F: frames per block, lane-major stride
   std::uint32_t z_ = 0;
+  std::size_t min_block_ = 1;  ///< see min_block()
 
   std::vector<std::vector<BatchBlock>> layers_;
   typename Family::LaneMap lane_map_;

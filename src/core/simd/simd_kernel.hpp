@@ -86,6 +86,23 @@ constexpr std::uint32_t lanes_for(SimdTier t) {
   return sizeof(T) == 1 ? tier_lanes8(t) : tier_lanes(t);
 }
 
+/// Smallest block the batched kernel decodes faster than the z-lane kernel
+/// does frame by frame, for a code whose z fills the z-lane vectors exactly
+/// (measured per tier with LDPC_SIMD_TIER on WiMAX 1/2 z = 96 at 2.0 dB,
+/// where the int8 AVX-512 z-lane stride pads 96 to 128, so its entry is the
+/// measured 10 / 0.75; see docs/simd_kernel.md). A batched decoder scales
+/// it by its z-lane twin's lane fill and decodes smaller blocks on the twin.
+template <class T>
+constexpr std::uint32_t batch_break_even(SimdTier t) {
+  switch (t) {
+    case SimdTier::kPortable: return sizeof(T) == 1 ? 11 : 7;
+    case SimdTier::kSse2:     return sizeof(T) == 1 ? 8 : 7;
+    case SimdTier::kAvx2:     return sizeof(T) == 1 ? 10 : 8;
+    case SimdTier::kAvx512:   return sizeof(T) == 1 ? 13 : 10;
+  }
+  return 8;
+}
+
 /// Clip events accumulate in T lanes, at most `deg` per lane per row step.
 /// int8 lanes drain them every row step, int16 lanes once per pass.
 template <class T>

@@ -3,8 +3,6 @@
 #include <algorithm>
 #include <utility>
 
-#include "util/rng.hpp"
-
 namespace ldpc {
 
 std::size_t EngineMetrics::status_total(DecodeStatus s) const {
@@ -104,10 +102,13 @@ SubmitStatus BatchEngine::enqueue(Job& job, EnqueueMode mode) {
       for (const BlockFrameJob& frame : shed.frames)
         if (frame.slot) *frame.slot = result;
       const auto now = std::chrono::steady_clock::now();
-      const MutexLock lock(state_mutex_);
-      jobs_shed_ += shed.frames.size();
-      for (const BlockFrameJob& frame : shed.frames)
-        finish_job_locked(frame.frame_index, now);
+      {
+        const MutexLock lock(state_mutex_);
+        jobs_shed_ += shed.frames.size();
+        for (const BlockFrameJob& frame : shed.frames)
+          finish_job_locked(frame.frame_index, now);
+      }
+      if (shed.block.on_booked) shed.block.on_booked();
       return SubmitStatus::kAcceptedShedOldest;
     }
     case Push::kRejected:
@@ -136,7 +137,7 @@ SubmitStatus BatchEngine::submit(std::size_t frame_index,
   LDPC_CHECK(slot != nullptr);
   Job job;
   job.frames.push_back({frame_index, std::move(llr), slot, options.deadline});
-  job.rung = options.rung;
+  job.block.rung = options.rung;
   return enqueue(job, EnqueueMode::kPolicy);
 }
 
@@ -145,7 +146,7 @@ bool BatchEngine::try_submit(std::size_t frame_index, std::vector<float>& llr,
   LDPC_CHECK(slot != nullptr);
   Job job;
   job.frames.push_back({frame_index, std::move(llr), slot, options.deadline});
-  job.rung = options.rung;
+  job.block.rung = options.rung;
   if (submit_accepted(enqueue(job, EnqueueMode::kTry))) return true;
   llr = std::move(job.frames[0].llr);  // hand the frame back to the caller
   return false;
@@ -157,17 +158,17 @@ SubmitStatus BatchEngine::submit_task(std::size_t frame_index, Task task,
   Job job;
   job.frames.push_back({frame_index, {}, slot, options.deadline});
   job.task = std::move(task);
-  job.rung = options.rung;
+  job.block.rung = options.rung;
   return enqueue(job, EnqueueMode::kPolicy);
 }
 
 SubmitStatus BatchEngine::submit_block(std::vector<BlockFrameJob> frames,
-                                       unsigned rung) {
+                                       BlockJobOptions options) {
   LDPC_CHECK_MSG(!frames.empty(), "submit_block needs >= 1 frame");
   for (const BlockFrameJob& f : frames) LDPC_CHECK(f.slot != nullptr);
   Job job;
   job.frames = std::move(frames);
-  job.rung = rung;
+  job.block = std::move(options);
   return enqueue(job, EnqueueMode::kPolicy);
 }
 
@@ -177,7 +178,7 @@ bool BatchEngine::submit_retry(std::size_t frame_index, Task task,
   Job job;
   job.frames.push_back({frame_index, {}, slot, options.deadline});
   job.task = std::move(task);
-  job.rung = options.rung;
+  job.block.rung = options.rung;
   return submit_accepted(enqueue(job, EnqueueMode::kForced));
 }
 
@@ -270,26 +271,31 @@ void BatchEngine::worker_main(unsigned worker_id) {
     std::size_t n = 0, k = 0;
     bool failed = false;
     if (count > 0) {
-      Decoder& decoder = decoder_for(job.rung);
+      Decoder* decoder = &decoder_for(job.block.rung);
       try {
         if (job.task) {
           task_token.clear();
           if (job.frames[0].deadline)
             task_token.arm_deadline(*job.frames[0].deadline);
-          decoder.set_cancel_token(&task_token);
-          results[0] = job.task(decoder);
-          sats[0] = decoder.saturation();
+          decoder->set_cancel_token(&task_token);
+          results[0] = job.task(*decoder);
+          sats[0] = decoder->saturation();
         } else {
+          if (job.block.decoder) decoder = &job.block.decoder(*decoder);
           // Per-frame cancel tokens let one late frame bail at a layer
           // boundary while its lane-mates decode to completion.
           std::vector<CancelToken> tokens(count);
           std::vector<BlockFrame> frames(count);
           for (std::size_t i = 0; i < count; ++i) {
-            if (job.frames[i].deadline)
-              tokens[i].arm_deadline(*job.frames[i].deadline);
-            frames[i] = {job.frames[i].llr, &tokens[i]};
+            const CancelToken* token = job.frames[i].cancel;
+            if (!token) {
+              if (job.frames[i].deadline)
+                tokens[i].arm_deadline(*job.frames[i].deadline);
+              token = &tokens[i];
+            }
+            frames[i] = {job.frames[i].llr, token};
           }
-          decoder.decode_block(frames, results, sats);
+          decoder->decode_block(frames, results, sats);
         }
       } catch (...) {
         // A throwing job must not take the worker (and every queued job
@@ -298,8 +304,8 @@ void BatchEngine::worker_main(unsigned worker_id) {
         // counts once against this worker.
         failed = true;
       }
-      n = decoder.n();
-      k = decoder.k();
+      n = decoder->n();
+      k = decoder->k();
     }
 
     // 3. Book every frame in one critical section.
@@ -343,11 +349,12 @@ void BatchEngine::worker_main(unsigned worker_id) {
           // with it.
           if (!job.task) *job.frames[i].slot = std::move(results[i]);
         }
-        record_latency_locked(latency_us);
+        latency_us_.add(latency_us);
         finish_job_locked(job.frames[i].frame_index, now);
       }
       retire = maybe_quarantine_locked(worker_id);
     }
+    if (job.block.on_booked) job.block.on_booked();
     job = Job{};  // release the frame buffers before blocking on the queue
     if (retire) return;
   }
@@ -371,25 +378,10 @@ bool BatchEngine::maybe_quarantine_locked(unsigned worker_id) {
   return true;
 }
 
-void BatchEngine::record_latency_locked(double us) {
-  ++latency_samples_seen_;
-  const std::size_t cap = config_.latency_sample_cap;
-  if (cap == 0 || latency_us_.size() < cap) {
-    latency_us_.push_back(us);
-    return;
-  }
-  // Algorithm R with a deterministic stream: sample i (1-based) replaces a
-  // uniformly random reservoir slot with probability cap / i.
-  std::uint64_t sm = 0x9e3779b97f4a7c15ULL ^ latency_samples_seen_;
-  const std::size_t slot =
-      static_cast<std::size_t>(splitmix64(sm) % latency_samples_seen_);
-  if (slot < cap) latency_us_[slot] = us;
-}
-
 EngineMetrics BatchEngine::snapshot() const {
   EngineMetrics m;
   RunningStats occupancy;
-  std::vector<double> latencies;
+  LogLinearHistogram latency;
   {
     const MutexLock lock(state_mutex_);
     // The queue's internal mutex nests inside state_mutex_ here (no engine
@@ -413,7 +405,7 @@ EngineMetrics BatchEngine::snapshot() const {
           std::chrono::duration<double>(end - first_enqueue_).count();
     }
     m.workers = worker_stats_;
-    latencies = latency_us_;
+    latency = latency_us_;
   }
   if (m.wall_seconds > 0.0) {
     m.code_throughput_mbps =
@@ -425,17 +417,12 @@ EngineMetrics BatchEngine::snapshot() const {
   m.queue_mean_occupancy = occupancy.mean();
   m.queue_max_occupancy =
       occupancy.count() == 0 ? 0 : static_cast<std::size_t>(occupancy.max());
-  std::sort(latencies.begin(), latencies.end());
-  m.latency.samples = latencies.size();
-  if (!latencies.empty()) {
-    double sum = 0.0;
-    for (const double v : latencies) sum += v;
-    m.latency.mean_us = sum / static_cast<double>(latencies.size());
-    m.latency.p50_us = percentile_sorted(latencies, 0.50);
-    m.latency.p95_us = percentile_sorted(latencies, 0.95);
-    m.latency.p99_us = percentile_sorted(latencies, 0.99);
-    m.latency.max_us = latencies.back();
-  }
+  m.latency.samples = static_cast<std::size_t>(latency.count());
+  m.latency.mean_us = latency.mean();
+  m.latency.p50_us = latency.quantile(0.50);
+  m.latency.p95_us = latency.quantile(0.95);
+  m.latency.p99_us = latency.quantile(0.99);
+  m.latency.max_us = latency.max();
   return m;
 }
 

@@ -47,6 +47,7 @@
 #include "core/decoder.hpp"
 #include "core/decoder_factory.hpp"
 #include "runtime/job_queue.hpp"
+#include "util/stats.hpp"
 #include "util/thread_annotations.hpp"
 
 namespace ldpc {
@@ -73,15 +74,6 @@ struct BatchEngineConfig {
   /// supervisor to re-attempt failed frames with more iterations or a
   /// wider fixed-point format.
   std::vector<DecoderFactory> escalation_factories;
-  /// Cap on retained per-job latency samples (8 B each). Below the cap
-  /// every sample is kept and percentiles are exact; once it is reached,
-  /// samples are admitted by deterministic reservoir sampling (seeded from
-  /// the sample ordinal, not wall time), so the latency summary stays an
-  /// unbiased estimate while memory — and the copy snapshot() takes under
-  /// the state mutex — stays O(cap) over days of traffic. The default
-  /// (65,536 samples, 512 KiB) bounds a long-running service; 0 keeps
-  /// every sample.
-  std::size_t latency_sample_cap = 65536;
   /// Frames per block for decode_batch(): values > 1 group consecutive
   /// frames into block jobs so an inter-frame-batched decoder
   /// (Decoder::block_width() > 1) keeps every SIMD lane full. 0 and 1 both
@@ -121,7 +113,11 @@ struct EngineWorkerStats {
 /// Order statistics of per-job latency (enqueue -> completion, so queue
 /// wait is included — the number a caller sizing queue_capacity cares
 /// about). Microseconds. Only decoded jobs contribute samples; expired and
-/// shed jobs would skew the distribution with near-zero non-decodes.
+/// shed jobs would skew the distribution with near-zero non-decodes. Every
+/// sample lands in one fixed LogLinearHistogram (util/stats.hpp): count,
+/// mean and max are exact, the percentiles lie within one 6.25%-wide bucket
+/// of the exact values, and memory stays constant however long the engine
+/// runs.
 struct LatencySummary {
   std::size_t samples = 0;
   double mean_us = 0.0;
@@ -214,6 +210,30 @@ struct BlockFrameJob {
   std::vector<float> llr;
   DecodeResult* slot = nullptr;
   std::optional<std::chrono::steady_clock::time_point> deadline;
+  /// Caller-owned token the frame decodes under instead of one the engine
+  /// arms from `deadline` — for a caller that may also cancel the frame
+  /// (a drain). The caller arms it and keeps it alive until the frame is
+  /// booked; `deadline` still decides expiry at pop.
+  const CancelToken* cancel = nullptr;
+};
+
+/// Per-block options of submit_block.
+struct BlockJobOptions {
+  /// Escalation rung selecting the worker's decoder (0 = primary factory).
+  unsigned rung = 0;
+  /// Picks the decoder the block runs on, given the worker's rung decoder
+  /// — e.g. that worker's decoder for the block's code, so one engine
+  /// serves many codes. The engine books the picked decoder's n() and k().
+  /// Runs on the worker thread; a throw fails the block like a throwing
+  /// decode. Empty = the rung decoder itself.
+  std::function<Decoder&(Decoder&)> decoder;
+  /// Runs once the engine has resolved and booked every frame of the block
+  /// (slots written, counters, latency and drain accounting updated): on
+  /// the worker thread, or on the submitting thread for a block shed from a
+  /// full queue. Not run for a refused submit. Must not throw. drain() may
+  /// return while the last hooks still run — a caller that needs their
+  /// effect waits on it through its own channel.
+  std::function<void()> on_booked;
 };
 
 /// Result of a bounded drain (drain_until / drain_for).
@@ -281,11 +301,12 @@ class BatchEngine {
   /// one job in the engine's counters and resolves exactly once: expired
   /// frames complete kDeadlineExpired (at pop, or cooperatively mid-decode
   /// via their per-frame CancelToken), shed blocks complete every frame
-  /// kShedOverload, and decoded frames land in their own slots. `rung`
-  /// selects the decoder for the whole block. Blocks may be any size >= 1
-  /// (a ragged final block simply leaves lanes idle).
+  /// kShedOverload, and decoded frames land in their own slots. `options`
+  /// selects the decoder for the whole block and the hook run once it is
+  /// booked. Blocks may be any size >= 1 (a ragged final block simply
+  /// leaves lanes idle).
   [[nodiscard]] SubmitStatus submit_block(std::vector<BlockFrameJob> frames,
-                                          unsigned rung = 0);
+                                          BlockJobOptions options = {});
 
   /// Capacity-exempt resubmission for retry layers: enqueues even on a full
   /// queue so a worker-thread callback can never deadlock the pool against
@@ -340,7 +361,8 @@ class BatchEngine {
   struct Job {
     std::vector<BlockFrameJob> frames;
     Task task;  ///< when set, runs instead of decode_block
-    unsigned rung = 0;
+    /// Block options (submit_block); the other submits set only the rung.
+    BlockJobOptions block;
     std::chrono::steady_clock::time_point enqueued;
   };
 
@@ -362,8 +384,6 @@ class BatchEngine {
   void finish_job_locked(std::size_t frame_index,
                          std::chrono::steady_clock::time_point now)
       LDPC_REQUIRES(state_mutex_);
-  /// Admit one latency sample into the (possibly capped) reservoir.
-  void record_latency_locked(double us) LDPC_REQUIRES(state_mutex_);
   /// Quarantine worker_id if its strikes crossed the threshold, spawning a
   /// replacement. Returns true when the calling worker must retire.
   bool maybe_quarantine_locked(unsigned worker_id)
@@ -395,9 +415,7 @@ class BatchEngine {
       LDPC_GUARDED_BY(state_mutex_);
   std::chrono::steady_clock::time_point last_complete_
       LDPC_GUARDED_BY(state_mutex_);
-  std::vector<double> latency_us_ LDPC_GUARDED_BY(state_mutex_);
-  /// Admitted + reservoir-skipped samples.
-  std::size_t latency_samples_seen_ LDPC_GUARDED_BY(state_mutex_) = 0;
+  LogLinearHistogram latency_us_ LDPC_GUARDED_BY(state_mutex_);
   std::vector<EngineWorkerStats> worker_stats_ LDPC_GUARDED_BY(state_mutex_);
 };
 

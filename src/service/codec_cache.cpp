@@ -9,41 +9,6 @@
 
 namespace ldpc::service {
 
-void DecoderLease::release() {
-  if (entry_ && decoder_) entry_->give_back(std::move(decoder_));
-  entry_.reset();
-  decoder_.reset();
-}
-
-DecoderLease CodecEntry::lease() {
-  {
-    const MutexLock lock(pool_mutex_);
-    if (!pool_.empty()) {
-      std::unique_ptr<Decoder> decoder = std::move(pool_.back());
-      pool_.pop_back();
-      return {shared_from_this(), std::move(decoder)};
-    }
-    ++decoders_built_;
-  }
-  // Built outside the pool lock: decoder construction allocates message
-  // memory proportional to the code size and must not serialize the pool.
-  return {shared_from_this(), make_decoder(decoder_name_, *code_, options_)};
-}
-
-void CodecEntry::give_back(std::unique_ptr<Decoder> decoder) {
-  decoder->set_cancel_token(nullptr);
-  const MutexLock lock(pool_mutex_);
-  pool_.push_back(std::move(decoder));
-}
-
-std::size_t CodecEntry::decoders_built() const {
-  const MutexLock lock(pool_mutex_);
-  return decoders_built_;
-}
-
-CodecCache::CodecCache(std::string decoder_name, DecoderOptions options)
-    : decoder_name_(std::move(decoder_name)), options_(options) {}
-
 std::unique_ptr<QCLdpcCode> CodecCache::build_code(const CodecRef& ref) {
   switch (static_cast<CodeStandard>(ref.standard)) {
     case CodeStandard::kWimax: {
@@ -128,9 +93,7 @@ std::shared_ptr<CodecEntry> CodecCache::resolve(const CodecRef& ref,
   // re-importing a registry alist must not stall unrelated codecs.
   std::shared_ptr<CodecEntry> entry;
   std::unique_ptr<QCLdpcCode> code = build_code(ref);
-  if (code)
-    entry = std::make_shared<CodecEntry>(ref, std::move(code), decoder_name_,
-                                         options_);
+  if (code) entry = std::make_shared<CodecEntry>(ref, std::move(code));
   {
     const MutexLock lock(slot->mutex);
     slot->entry = entry;

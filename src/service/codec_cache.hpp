@@ -1,98 +1,42 @@
-// Codec cache: wire CodecRef -> built code + decoder pool, with
-// single-flight construction.
+// Codec cache: wire CodecRef -> built code, with single-flight
+// construction.
 //
 // Building a QCLdpcCode expands the full Tanner graph (adjacency, edge
-// numbering) and a decoder allocates its message memory — milliseconds of
-// work and megabytes of state for the big codes. A thundering herd of new
-// tenants all naming the same (standard, rate, z) must pay that cost once:
-// the first requester builds while later requesters wait on the same entry
-// (coalesced), and a failed build is reported to every waiter without
-// poisoning the cache (the next request retries).
-//
-// Each entry owns a pool of ready decoder instances. Decoders carry mutable
-// per-call message memory, so a decoder is leased to exactly one decode at
-// a time and returned to the pool afterwards; the pool grows on demand up
-// to the engine's worker count (more can never be in use at once).
+// numbering) — milliseconds of work and megabytes of state for the big
+// codes. A thundering herd of new tenants all naming the same (standard,
+// rate, z) must pay that cost once: the first requester builds while later
+// requesters wait on the same entry (coalesced), and a failed build is
+// reported to every waiter without poisoning the cache (the next request
+// retries). Decoders are not cached here: each engine worker builds its
+// own per codec (the service's WorkerDecoderCache), so a decoder never
+// migrates between threads.
 #pragma once
 
 #include <condition_variable>
 #include <cstdint>
 #include <map>
 #include <memory>
-#include <string>
 #include <vector>
 
 #include "codes/qc_code.hpp"
-#include "core/decoder.hpp"
-#include "core/decoder_factory.hpp"
 #include "service/wire.hpp"
 #include "util/thread_annotations.hpp"
 
 namespace ldpc::service {
 
-class CodecEntry;
-
-/// RAII decoder lease: returns the decoder to its entry's pool on
-/// destruction. Movable, not copyable.
-class DecoderLease {
+/// One resolved codec: the built code, shared by every decoder built for
+/// it (stable address: decoders borrow it).
+class CodecEntry {
  public:
-  DecoderLease() = default;
-  DecoderLease(std::shared_ptr<CodecEntry> entry,
-               std::unique_ptr<Decoder> decoder)
-      : entry_(std::move(entry)), decoder_(std::move(decoder)) {}
-  DecoderLease(DecoderLease&&) = default;
-  DecoderLease& operator=(DecoderLease&& other) noexcept {
-    release();
-    entry_ = std::move(other.entry_);
-    decoder_ = std::move(other.decoder_);
-    return *this;
-  }
-  DecoderLease(const DecoderLease&) = delete;
-  DecoderLease& operator=(const DecoderLease&) = delete;
-  ~DecoderLease() { release(); }
-
-  explicit operator bool() const { return decoder_ != nullptr; }
-  Decoder& operator*() { return *decoder_; }
-  Decoder* operator->() { return decoder_.get(); }
-
- private:
-  void release();
-
-  std::shared_ptr<CodecEntry> entry_;
-  std::unique_ptr<Decoder> decoder_;
-};
-
-/// One resolved codec: the built code plus its decoder pool.
-class CodecEntry : public std::enable_shared_from_this<CodecEntry> {
- public:
-  CodecEntry(CodecRef ref, std::unique_ptr<QCLdpcCode> code,
-             std::string decoder_name, DecoderOptions options)
-      : ref_(ref),
-        code_(std::move(code)),
-        decoder_name_(std::move(decoder_name)),
-        options_(options) {}
+  CodecEntry(CodecRef ref, std::unique_ptr<QCLdpcCode> code)
+      : ref_(ref), code_(std::move(code)) {}
 
   const CodecRef& ref() const { return ref_; }
   const QCLdpcCode& code() const { return *code_; }
 
-  /// Lease a decoder, building a fresh one when the pool is empty.
-  DecoderLease lease() LDPC_EXCLUDES(pool_mutex_);
-
-  /// Decoders built over this entry's lifetime (pool growth metric).
-  std::size_t decoders_built() const LDPC_EXCLUDES(pool_mutex_);
-
  private:
-  friend class DecoderLease;
-  void give_back(std::unique_ptr<Decoder> decoder) LDPC_EXCLUDES(pool_mutex_);
-
   CodecRef ref_;
-  std::unique_ptr<QCLdpcCode> code_;  ///< stable address: decoders borrow it
-  std::string decoder_name_;
-  DecoderOptions options_;
-
-  mutable Mutex pool_mutex_;
-  std::vector<std::unique_ptr<Decoder>> pool_ LDPC_GUARDED_BY(pool_mutex_);
-  std::size_t decoders_built_ LDPC_GUARDED_BY(pool_mutex_) = 0;
+  std::unique_ptr<QCLdpcCode> code_;
 };
 
 struct CodecCacheStats {
@@ -107,11 +51,6 @@ struct CodecCacheStats {
 /// any thread.
 class CodecCache {
  public:
-  /// `decoder_name` / `options` configure every decoder the cache builds
-  /// (make_decoder names; see core/decoder_factory.hpp).
-  explicit CodecCache(std::string decoder_name = "layered-minsum-fixed",
-                      DecoderOptions options = {});
-
   /// Resolve a wire codec reference. Returns nullptr and sets *error to
   /// kUnknownCodec when (standard, rate, z) names no bundled code; never
   /// throws on wire-derived values.
@@ -141,9 +80,6 @@ class CodecCache {
 
   /// Build the code named by `ref`, or nullptr for unknown refs.
   static std::unique_ptr<QCLdpcCode> build_code(const CodecRef& ref);
-
-  std::string decoder_name_;
-  DecoderOptions options_;
 
   mutable Mutex mutex_;
   std::map<CodecRef, std::shared_ptr<Slot>> slots_ LDPC_GUARDED_BY(mutex_);

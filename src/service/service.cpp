@@ -2,6 +2,9 @@
 
 #include <arpa/inet.h>
 #include <fcntl.h>
+#ifdef __GLIBC__
+#include <malloc.h>
+#endif
 #include <netinet/in.h>
 #include <netinet/tcp.h>
 #include <sys/epoll.h>
@@ -13,6 +16,7 @@
 #include <array>
 #include <cerrno>
 #include <cstring>
+#include <iterator>
 #include <set>
 #include <sstream>
 #include <utility>
@@ -61,11 +65,11 @@ void set_nonblocking(int fd) {
 }
 
 /// The engine-factory decoder for service workers: a per-worker cache of
-/// per-codec decoder instances. Tasks downcast the engine-provided Decoder
-/// to this and fetch the decoder their codec needs, so decoders never
-/// migrate between threads (a FaultInjector wired through
+/// per-codec decoder instances. A block job's decoder picker downcasts the
+/// engine-provided Decoder to this and fetches the decoder its codec needs,
+/// so decoders never migrate between threads (a FaultInjector wired through
 /// decoder_options_hook may be thread_local, exactly the chaos-test idiom)
-/// and a worker serving one tenant's code never rebuilds it per job.
+/// and a worker serving one tenant's code never rebuilds it per block.
 class WorkerDecoderCache final : public Decoder {
  public:
   WorkerDecoderCache(std::string decoder_name, DecoderOptions options,
@@ -86,22 +90,14 @@ class WorkerDecoderCache final : public Decoder {
     return *it->second.decoder;
   }
 
-  /// Book the codec decoder the current task ran, so the engine's
-  /// per-worker accounting (decoded and info bits, saturation) reflects the
-  /// codec that actually decoded; nullptr books nothing — a task that
-  /// resolved without decoding.
-  void record(const Decoder* decoded) { decoded_ = decoded; }
-
   DecodeResult decode(std::span<const float> /*llr*/) override {
-    // The service submits tasks only; a plain decode has no codec context.
-    throw Error("WorkerDecoderCache decodes via service tasks only");
+    // The service submits picked block jobs only; a plain decode has no
+    // codec context.
+    throw Error("WorkerDecoderCache decodes via service block jobs only");
   }
-  std::size_t n() const override { return decoded_ ? decoded_->n() : 0; }
-  std::size_t k() const override { return decoded_ ? decoded_->k() : 0; }
+  /// 0: the engine books the n() and k() of the codec decoder it picked.
+  std::size_t n() const override { return 0; }
   std::string name() const override { return "service-worker-cache"; }
-  SaturationStats saturation() const override {
-    return decoded_ ? decoded_->saturation() : SaturationStats{};
-  }
 
  private:
   struct CacheEntry {
@@ -113,7 +109,6 @@ class WorkerDecoderCache final : public Decoder {
   DecoderOptions options_;
   std::function<void(DecoderOptions&)> hook_;
   std::map<const CodecEntry*, CacheEntry> cache_;
-  const Decoder* decoded_ = nullptr;  ///< owned by cache_; see record()
 };
 
 }  // namespace
@@ -142,10 +137,21 @@ struct DecodeService::PendingJob {
   std::uint32_t tenant_id = 0;
   int conn_fd = -1;  ///< -1 once the owning connection died
   std::shared_ptr<CodecEntry> codec;
-  std::vector<float> llr;
+  std::vector<float> llr;  ///< moved into the engine with its block
   std::optional<Clock::time_point> deadline;
+  /// The token the frame decodes under: armed with the deadline when the
+  /// request leaves admission, cancelled by a drain that runs out of time.
   CancelToken token;
-  bool submitted = false;  ///< false while parked
+};
+
+/// Admitted requests of one codec that decode as one engine block job:
+/// forming on the event loop until submitted, then owned by the engine job
+/// (its completion hook holds the last reference) until answered.
+struct DecodeService::Block {
+  std::shared_ptr<CodecEntry> codec;
+  std::vector<std::shared_ptr<PendingJob>> jobs;
+  /// The engine's result slots, one per job, sized at submit.
+  std::vector<DecodeResult> results;
 };
 
 DecodeService::DecodeService(ServiceConfig config)
@@ -158,14 +164,24 @@ DecodeService::DecodeService(ServiceConfig config)
   admission_ = AdmissionController(config_.default_tenant);
   for (const auto& [id, tenant_config] : config_.tenants)
     admission_.configure_tenant(id, tenant_config);
-  codecs_ = std::make_unique<CodecCache>(config_.decoder_name,
-                                         config_.decoder_options);
+  codecs_ = std::make_unique<CodecCache>();
+  // Learned from the factory: a decoder built here would hold lanes x n of
+  // message memory the loop never uses.
+  block_width_ = decoder_block_width(config_.decoder_name);
 }
 
 DecodeService::~DecodeService() {
   if (loop_thread_.joinable())
     shutdown_after(std::chrono::seconds(1));
   engine_.reset();  // joins workers; nothing posts completions after this
+#ifdef __GLIBC__
+  // The workers' decoders (lanes x n of message memory each) were freed
+  // into their threads' malloc arenas, which keep freed memory resident
+  // and hand it to whichever thread comes next; return it, so a process
+  // that sets services up and tears them down does not hold every set-up's
+  // high-water mark.
+  ::malloc_trim(0);
+#endif
   if (event_fd_ >= 0) ::close(event_fd_);
   if (epoll_fd_ >= 0) ::close(epoll_fd_);
 }
@@ -227,12 +243,10 @@ void DecodeService::wake_loop() {
   [[maybe_unused]] const auto n = ::write(event_fd_, &one, sizeof(one));
 }
 
-void DecodeService::post_completion(std::uint64_t serial,
-                                    const DecodeResult& result,
-                                    const SaturationStats& saturation) {
+void DecodeService::post_completion(std::shared_ptr<Block> block) {
   {
     const MutexLock lock(completions_mutex_);
-    completions_.push_back(Completion{serial, result, saturation});
+    completions_.push_back(std::move(block));
   }
   wake_loop();
 }
@@ -319,6 +333,7 @@ void DecodeService::loop_main() {
       flush_requested_ = false;
       flush_for_drain();
     }
+    submit_forming_blocks();
     if (draining_ && pending_.empty()) drained_cv_.notify_all();
     if (stop_requested_) {
       // Best-effort final flush, then close every connection.
@@ -542,7 +557,7 @@ void DecodeService::handle_decode_request(Connection& conn,
   conn.pending_serials.insert(job->serial);
 
   if (decision == AdmitDecision::kAdmit) {
-    submit_to_engine(job);
+    join_block(job);
     return;
   }
 
@@ -621,43 +636,84 @@ void DecodeService::maybe_unthrottle(std::uint32_t tenant_id) {
     unthrottle_tenant(tenant_id);
 }
 
-void DecodeService::submit_to_engine(const std::shared_ptr<PendingJob>& job) {
-  job->submitted = true;
+void DecodeService::join_block(const std::shared_ptr<PendingJob>& job) {
   if (job->deadline) job->token.arm_deadline(*job->deadline);
-  DecodeService* service = this;
-  JobOptions options;
-  options.deadline = job->deadline;
-  auto task = [service, job](Decoder& worker_decoder) -> DecodeResult {
-    // The engine factory (start()) builds only WorkerDecoderCache workers.
-    auto& cache = static_cast<WorkerDecoderCache&>(worker_decoder);
-    cache.record(nullptr);  // until a codec decoder actually runs below
-    DecodeResult result;
-    SaturationStats saturation;
-    try {
-      if (job->token.expired()) {
-        // Expired while queued: resolve without touching a codec decoder.
-        result.status = DecodeStatus::kDeadlineExpired;
-      } else {
-        Decoder& decoder = cache.decoder_for(job->codec);
-        decoder.set_cancel_token(&job->token);
-        result = decoder.decode(job->llr);
-        saturation = decoder.saturation();
-        decoder.set_cancel_token(nullptr);
-        cache.record(&decoder);
-      }
-    } catch (...) {
-      // The task must never throw (a throwing task strikes the worker and
-      // would leave the request unresolved): surface as a watchdog abort.
-      result = DecodeResult{};
-      result.status = DecodeStatus::kWatchdogAbort;
+  auto it = std::find_if(
+      forming_.begin(), forming_.end(),
+      [&](const std::shared_ptr<Block>& b) { return b->codec == job->codec; });
+  if (it == forming_.end()) {
+    forming_.push_back(std::make_shared<Block>());
+    forming_.back()->codec = job->codec;
+    it = forming_.end() - 1;
+  }
+  (*it)->jobs.push_back(job);
+  if ((*it)->jobs.size() < block_width_) return;
+  // Submission stays in arrival order across codecs: every older forming
+  // block goes first, so a stream of full blocks of one codec can never
+  // hold back a partial block of another for longer than one block fill.
+  const auto end = std::next(it);
+  const std::vector<std::shared_ptr<Block>> ready(
+      std::make_move_iterator(forming_.begin()), std::make_move_iterator(end));
+  forming_.erase(forming_.begin(), end);
+  for (const std::shared_ptr<Block>& block : ready) submit_block(block);
+}
+
+void DecodeService::submit_forming_blocks() {
+  // No linger timer: a partial block waits only while every worker already
+  // has a service block, and only until one completes or a younger block
+  // fills (join_block). A drain waits for nothing.
+  while (!forming_.empty() &&
+         (draining_ || blocks_in_flight_ < engine_->num_workers())) {
+    const std::shared_ptr<Block> block = std::move(forming_.front());
+    forming_.erase(forming_.begin());
+    submit_block(block);
+  }
+}
+
+void DecodeService::submit_block(const std::shared_ptr<Block>& block) {
+  // The global backstop counts frames, as it did when every request was its
+  // own engine job: requests that would take more than
+  // engine.queue_capacity frames out to the engine at once are refused,
+  // newest first.
+  const std::size_t capacity = config_.engine.queue_capacity;
+  const std::size_t room =
+      capacity > frames_in_flight_ ? capacity - frames_in_flight_ : 0;
+  std::vector<std::shared_ptr<PendingJob>> refused;
+  if (block->jobs.size() > room) {
+    refused.assign(block->jobs.begin() + static_cast<std::ptrdiff_t>(room),
+                   block->jobs.end());
+    block->jobs.resize(room);
+  }
+  if (!block->jobs.empty()) {
+    // A decode that throws leaves the slots as they are here: the request
+    // is answered kWatchdogAbort, never silence.
+    DecodeResult failed;
+    failed.status = DecodeStatus::kWatchdogAbort;
+    block->results.assign(block->jobs.size(), failed);
+    std::vector<BlockFrameJob> frames(block->jobs.size());
+    for (std::size_t i = 0; i < frames.size(); ++i) {
+      PendingJob& job = *block->jobs[i];
+      frames[i] = {job.serial, std::move(job.llr), &block->results[i],
+                   job.deadline, &job.token};
     }
-    service->post_completion(job->serial, result, saturation);
-    return result;
-  };
-  const SubmitStatus status =
-      engine_->submit_task(job->serial, std::move(task), options, nullptr);
-  if (!submit_accepted(status)) {
-    // Engine queue full (global backstop) or engine stopped: resolve now.
+    BlockJobOptions options;
+    options.decoder = [codec = block->codec](Decoder& worker) -> Decoder& {
+      // The engine factory (start()) builds only WorkerDecoderCache workers.
+      return static_cast<WorkerDecoderCache&>(worker).decoder_for(codec);
+    };
+    options.on_booked = [this, block] { post_completion(block); };
+    if (submit_accepted(
+            engine_->submit_block(std::move(frames), std::move(options)))) {
+      ++blocks_in_flight_;
+      frames_in_flight_ += block->jobs.size();
+      ++counters_.blocks_submitted;
+      counters_.jobs_admitted += block->jobs.size();
+    } else {
+      refused.insert(refused.begin(), block->jobs.begin(), block->jobs.end());
+    }
+  }
+  // Over the backstop, or the engine stopped: resolve now.
+  for (const std::shared_ptr<PendingJob>& job : refused) {
     ++counters_.jobs_engine_rejected;
     admission_.on_admit_failed(job->tenant_id);
     maybe_unthrottle(job->tenant_id);
@@ -669,43 +725,55 @@ void DecodeService::submit_to_engine(const std::shared_ptr<PendingJob>& job) {
       c->pending_serials.erase(job->serial);
     }
     pending_.erase(job->serial);
-    return;
   }
-  ++counters_.jobs_admitted;
 }
 
 void DecodeService::process_completions() {
-  std::vector<Completion> batch;
+  std::vector<std::shared_ptr<Block>> batch;
   {
     const MutexLock lock(completions_mutex_);
     batch.swap(completions_);
   }
-  for (const Completion& completion : batch) {
-    const auto it = pending_.find(completion.serial);
-    if (it == pending_.end()) continue;
-    const std::shared_ptr<PendingJob> job = it->second;
-    pending_.erase(it);
-    ++counters_.jobs_completed;
-    if (completion.result.status == DecodeStatus::kDeadlineExpired)
-      ++counters_.jobs_deadline_expired;
-    const auto conn_it = conns_.find(job->conn_fd);
-    if (conn_it != conns_.end()) {
-      Connection* c = conn_it->second.get();
-      DecodeResponse response;
-      response.request_id = job->request_id;
-      response.status = static_cast<std::uint8_t>(completion.result.status);
-      response.flags = completion.result.converged ? 1 : 0;
-      response.iterations =
-          static_cast<std::uint16_t>(completion.result.iterations);
-      response.bit_count =
-          static_cast<std::uint32_t>(completion.result.hard_bits.size());
-      response.packed_bits = pack_bits(completion.result.hard_bits);
-      send_bytes(*c, encode_decode_response(response));
-      c->pending_serials.erase(job->serial);
-      ++counters_.responses_sent;
+  // Responses are appended as they are built and each connection they went
+  // to is written once at the end: a block's responses to one client cost
+  // one write(), not one each.
+  std::vector<int> answered_fds;
+  for (const std::shared_ptr<Block>& block : batch) {
+    --blocks_in_flight_;
+    frames_in_flight_ -= block->jobs.size();
+    for (std::size_t i = 0; i < block->jobs.size(); ++i) {
+      const std::shared_ptr<PendingJob>& job = block->jobs[i];
+      const DecodeResult& result = block->results[i];
+      if (pending_.erase(job->serial) == 0) continue;
+      ++counters_.jobs_completed;
+      if (result.status == DecodeStatus::kDeadlineExpired)
+        ++counters_.jobs_deadline_expired;
+      const auto conn_it = conns_.find(job->conn_fd);
+      if (conn_it != conns_.end()) {
+        Connection* c = conn_it->second.get();
+        DecodeResponse response;
+        response.request_id = job->request_id;
+        response.status = static_cast<std::uint8_t>(result.status);
+        response.flags = result.converged ? 1 : 0;
+        response.iterations = static_cast<std::uint16_t>(result.iterations);
+        response.bit_count =
+            static_cast<std::uint32_t>(result.hard_bits.size());
+        response.packed_bits = pack_bits(result.hard_bits);
+        if (append_bytes(*c, encode_decode_response(response)) &&
+            std::find(answered_fds.begin(), answered_fds.end(), c->fd) ==
+                answered_fds.end())
+          answered_fds.push_back(c->fd);
+        c->pending_serials.erase(job->serial);
+        ++counters_.responses_sent;
+      }
+      if (admission_.on_complete(job->tenant_id))
+        unpark_tenant(job->tenant_id);
+      maybe_unthrottle(job->tenant_id);
     }
-    if (admission_.on_complete(job->tenant_id)) unpark_tenant(job->tenant_id);
-    maybe_unthrottle(job->tenant_id);
+  }
+  for (const int fd : answered_fds) {
+    const auto it = conns_.find(fd);
+    if (it != conns_.end()) handle_writable(*it->second);  // closed since
   }
 }
 
@@ -730,7 +798,7 @@ void DecodeService::unpark_tenant(std::uint32_t tenant_id) {
       continue;
     }
     admission_.on_unparked(tenant_id);
-    submit_to_engine(job);
+    join_block(job);
   }
 }
 
@@ -794,10 +862,15 @@ void DecodeService::send_error(Connection& conn, std::uint64_t request_id,
 
 void DecodeService::send_bytes(Connection& conn,
                                std::vector<std::uint8_t> bytes) {
+  if (append_bytes(conn, std::move(bytes))) handle_writable(conn);
+}
+
+bool DecodeService::append_bytes(Connection& conn,
+                                 std::vector<std::uint8_t> bytes) {
   if (conn.queued_bytes() + bytes.size() > config_.max_write_buffer) {
     // A client that stopped reading does not get to grow our heap: evict.
     close_connection(conn.fd, /*evicted=*/true, /*by_peer=*/false);
-    return;
+    return false;
   }
   if (conn.write_off > 0 && conn.write_off >= conn.write_buf.size() / 2) {
     conn.write_buf.erase(
@@ -806,7 +879,7 @@ void DecodeService::send_bytes(Connection& conn,
     conn.write_off = 0;
   }
   conn.write_buf.insert(conn.write_buf.end(), bytes.begin(), bytes.end());
-  handle_writable(conn);
+  return true;
 }
 
 void DecodeService::handle_writable(Connection& conn) {
@@ -886,6 +959,7 @@ std::string DecodeService::build_stats_json() {
   std::ostringstream os;
   os << "{";
   os << "\"jobs_admitted\": " << counters_.jobs_admitted
+     << ", \"blocks_submitted\": " << counters_.blocks_submitted
      << ", \"jobs_completed\": " << counters_.jobs_completed
      << ", \"jobs_deadline_expired\": " << counters_.jobs_deadline_expired
      << ", \"jobs_shed\": " << counters_.jobs_shed

@@ -8,16 +8,34 @@
 //                -> codec cache resolve (unknown codec -> kError)
 //                -> admission control (deadline / rate / quota gates;
 //                   per-tenant overload policy: park, reject, shed)
-//                -> BatchEngine::submit_task (kRejectNewest at the engine
-//                   queue = the global overload backstop)
-//                -> worker decode on a per-worker per-codec decoder
-//                -> completion queue -> event loop -> response frame
+//                -> forming block: admitted requests of one codec, from
+//                   any tenant or connection, gather on the event loop
+//                -> BatchEngine::submit_block, one engine block job per
+//                   block (global overload backstop: at most
+//                   engine.queue_capacity frames out to the engine, the
+//                   newest refused kOverloaded); expiry at pop, per-frame
+//                   slots and per-frame booking stay with the engine
+//                -> the worker's decoder for the block's codec (a
+//                   per-worker cache the block's decoder picker reads):
+//                   one decode_block, lanes full of independent requests
+//                -> completion hook, after the engine booked the block ->
+//                   completion queue -> event loop -> decode responses,
+//                   one write per connection per batch of completions
+//
+// Flush rule: a forming block is submitted the moment it reaches the
+// decoder's block_width() (older forming blocks of other codecs first:
+// submission stays in arrival order), and at the end of every event-loop
+// tick while fewer service blocks are in flight than the engine has workers
+// (during a drain, always). There is no linger timer and so no linger knob:
+// a request waits for lane-mates only while every worker is busy, and then
+// only until a block completes or a younger block fills; an idle worker
+// never waits for a block to fill. Codecs never share a block.
 //
 // Threading: one event-loop thread owns every socket and all service state
-// (connections, parked requests, tenant accounting) under state_mutex_;
-// engine workers only run decode tasks and push completions through a
-// mutex-guarded queue + eventfd. stats() and shutdown() may be called from
-// any thread.
+// (connections, forming blocks, parked requests, tenant accounting) under
+// state_mutex_; engine workers only decode blocks and push completed
+// blocks through a mutex-guarded queue + eventfd. stats() and shutdown()
+// may be called from any thread.
 //
 // Robustness invariants (tests/service_test.cpp enforces these):
 //   * every byte from the wire is hostile — no input can crash, hang, or
@@ -68,9 +86,12 @@ struct ServiceConfig {
   /// traffic.
   int send_buffer_bytes = 0;
 
-  /// Decoder the codec cache builds per (standard, rate, z); see
-  /// core/decoder_factory.hpp for names.
-  std::string decoder_name = "layered-minsum-fixed";
+  /// Decoder each worker builds per (standard, rate, z); see
+  /// core/decoder_factory.hpp for names. The default is the batched SIMD
+  /// twin of layered-minsum-fixed (bit-identical results), which decodes a
+  /// block's requests one per lane; any name works, a one-lane decoder
+  /// just decodes its blocks frame by frame.
+  std::string decoder_name = "layered-minsum-simd-batched";
   DecoderOptions decoder_options;
   /// Hook run on the *worker thread* when it builds a decoder, after
   /// `decoder_options` is copied — the place to wire a thread_local
@@ -78,8 +99,10 @@ struct ServiceConfig {
   std::function<void(DecoderOptions&)> decoder_options_hook;
 
   /// Engine shape. overload_policy is forced to kRejectNewest — per-tenant
-  /// policy lives in admission control; the engine queue is the global
-  /// backstop and must never block the event loop or silently shed.
+  /// policy lives in admission control, and the engine must never block
+  /// the event loop or silently shed. queue_capacity is the global backstop
+  /// in frames: requests past that many submitted and not yet answered are
+  /// refused kOverloaded. The engine's job counters count frames.
   BatchEngineConfig engine;
 
   TenantConfig default_tenant;
@@ -102,13 +125,18 @@ struct ServiceStats {
   std::size_t errors_sent = 0;
   // Admission outcomes.
   std::size_t jobs_admitted = 0;   ///< entered the engine (incl. unparked)
+  /// Engine block jobs submitted; jobs_admitted / blocks_submitted is the
+  /// mean block size.
+  std::size_t blocks_submitted = 0;
   std::size_t jobs_parked = 0;     ///< ever parked
   std::size_t jobs_shed = 0;       ///< parked requests evicted (shed-oldest)
   std::size_t jobs_rate_limited = 0;
   std::size_t jobs_quota_rejected = 0;
   std::size_t jobs_deadline_refused = 0;  ///< dead on arrival
   std::size_t jobs_refused_draining = 0;
-  std::size_t jobs_engine_rejected = 0;  ///< engine queue full
+  /// Refused kOverloaded: over the global backstop (engine.queue_capacity
+  /// frames out to the engine), or the engine stopped.
+  std::size_t jobs_engine_rejected = 0;
   /// Connections whose reads were paused for wire-level backpressure (the
   /// owning tenant's wait line filled); reads resume when capacity frees.
   std::size_t read_throttle_events = 0;
@@ -172,11 +200,7 @@ class DecodeService {
  private:
   struct Connection;
   struct PendingJob;
-  struct Completion {
-    std::uint64_t serial = 0;
-    DecodeResult result;
-    SaturationStats saturation;
-  };
+  struct Block;
 
   // Every handler below runs on the event-loop thread with state_mutex_
   // held for the whole tick; the REQUIRES annotations make that discipline
@@ -188,7 +212,15 @@ class DecodeService {
   void process_frames(Connection& conn) LDPC_REQUIRES(state_mutex_);
   void handle_decode_request(Connection& conn, DecodeRequest&& request)
       LDPC_REQUIRES(state_mutex_);
-  void submit_to_engine(const std::shared_ptr<PendingJob>& job)
+  /// Add an admitted request to its codec's forming block, submitting the
+  /// block, after every older forming block, once it reaches block_width_.
+  void join_block(const std::shared_ptr<PendingJob>& job)
+      LDPC_REQUIRES(state_mutex_);
+  /// End of tick: the flush rule (see the file comment).
+  void submit_forming_blocks() LDPC_REQUIRES(state_mutex_);
+  /// One engine block job; requests over the global backstop, or refused by
+  /// the engine, are answered kOverloaded.
+  void submit_block(const std::shared_ptr<Block>& block)
       LDPC_REQUIRES(state_mutex_);
   void process_completions() LDPC_REQUIRES(state_mutex_)
       LDPC_EXCLUDES(completions_mutex_);
@@ -210,7 +242,12 @@ class DecodeService {
   /// own completion counters.
   bool answer_parked_expired(const PendingJob& job)
       LDPC_REQUIRES(state_mutex_);
+  /// append_bytes, then write what the socket takes.
   void send_bytes(Connection& conn, std::vector<std::uint8_t> bytes)
+      LDPC_REQUIRES(state_mutex_);
+  /// Append to the connection's write buffer without writing; a client
+  /// whose buffer would pass max_write_buffer is evicted instead (false).
+  bool append_bytes(Connection& conn, std::vector<std::uint8_t> bytes)
       LDPC_REQUIRES(state_mutex_);
   void send_error(Connection& conn, std::uint64_t request_id,
                   WireErrorCode code, const std::string& detail)
@@ -219,13 +256,15 @@ class DecodeService {
       LDPC_REQUIRES(state_mutex_);
   void update_epoll(Connection& conn) LDPC_REQUIRES(state_mutex_);
   std::string build_stats_json() LDPC_REQUIRES(state_mutex_);
-  void post_completion(std::uint64_t serial, const DecodeResult& result,
-                       const SaturationStats& saturation)
+  /// Completion hook of a block job (worker thread).
+  void post_completion(std::shared_ptr<Block> block)
       LDPC_EXCLUDES(completions_mutex_);
   void wake_loop();
 
   ServiceConfig config_;
   std::uint16_t bound_port_ = 0;
+  /// The decoder's block_width(), from the factory (no decoder built).
+  std::size_t block_width_ = 1;
 
   int epoll_fd_ = -1;
   int listen_fd_ = -1;
@@ -254,6 +293,12 @@ class DecodeService {
       LDPC_GUARDED_BY(state_mutex_);
   std::map<std::uint64_t, std::shared_ptr<PendingJob>> pending_
       LDPC_GUARDED_BY(state_mutex_);
+  /// Forming blocks, one per codec with admitted requests, oldest first.
+  std::vector<std::shared_ptr<Block>> forming_ LDPC_GUARDED_BY(state_mutex_);
+  /// Blocks submitted whose completion the loop has not processed yet, and
+  /// their frames (the global backstop's count).
+  std::size_t blocks_in_flight_ LDPC_GUARDED_BY(state_mutex_) = 0;
+  std::size_t frames_in_flight_ LDPC_GUARDED_BY(state_mutex_) = 0;
   /// Tenant id -> parked serials, oldest first.
   std::map<std::uint32_t, std::deque<std::uint64_t>> parked_
       LDPC_GUARDED_BY(state_mutex_);
@@ -270,7 +315,8 @@ class DecodeService {
   std::size_t drain_cancelled_ LDPC_GUARDED_BY(state_mutex_) = 0;
 
   Mutex completions_mutex_;
-  std::vector<Completion> completions_ LDPC_GUARDED_BY(completions_mutex_);
+  std::vector<std::shared_ptr<Block>> completions_
+      LDPC_GUARDED_BY(completions_mutex_);
 
   Mutex shutdown_mutex_;  ///< serializes shutdown(); taken first
   bool shutdown_done_ LDPC_GUARDED_BY(shutdown_mutex_) = false;

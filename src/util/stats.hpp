@@ -1,6 +1,7 @@
 // Streaming statistics accumulators for benchmark harnesses.
 #pragma once
 
+#include <array>
 #include <cstddef>
 #include <cstdint>
 #include <limits>
@@ -42,6 +43,51 @@ class RunningStats {
 /// between the two neighbours. Distinct from the previous ceil-rank rule,
 /// which returned the max for p50 of two samples. Empty input returns 0.
 double percentile_sorted(const std::vector<double>& sorted, double q);
+
+/// Fixed-memory log-linear histogram of nonnegative samples (latencies in
+/// microseconds): kSubBuckets equal-width buckets per power of two from
+/// 2^kMinExp up, so a bucket spans at most 1/kSubBuckets of its lower edge
+/// (6.25%), plus one underflow bucket [0, 2^kMinExp); samples past the top
+/// octave land in the last bucket. One fixed array: adding is O(1) and the
+/// memory (and the cost of a copy) does not grow with the sample count.
+/// Count, sum, min and max are kept exactly alongside.
+class LogLinearHistogram {
+ public:
+  static constexpr int kSubBuckets = 16;
+  static constexpr int kMinExp = -2;    ///< 0.25 us lower edge
+  static constexpr int kOctaves = 32;   ///< up to 2^30 us, about 18 minutes
+  static constexpr std::size_t kBuckets = 1 + kOctaves * kSubBuckets;
+
+  void add(double x);
+
+  std::uint64_t count() const { return count_; }
+  double mean() const {
+    return count_ ? sum_ / static_cast<double>(count_) : 0.0;
+  }
+  double min() const { return count_ ? min_ : 0.0; }
+  double max() const { return count_ ? max_ : 0.0; }
+
+  /// Estimate of percentile_sorted(all samples, q): the R-7 interpolation
+  /// between the two order statistics around rank q * (count - 1), each
+  /// placed inside its bucket as if the bucket's samples were evenly
+  /// spread, so the estimate lies within one bucket of the exact value.
+  /// Rank 0 and the top rank return the exact min and max. Empty -> 0.
+  double quantile(double q) const;
+
+  static std::size_t bucket_of(double x);
+  static double bucket_lo(std::size_t b);
+  static double bucket_hi(std::size_t b);
+
+ private:
+  /// The sample of rank r (0-based), placed inside its bucket.
+  double value_at_rank(std::uint64_t r) const;
+
+  std::array<std::uint64_t, kBuckets> counts_{};
+  std::uint64_t count_ = 0;
+  double sum_ = 0.0;
+  double min_ = std::numeric_limits<double>::infinity();
+  double max_ = 0.0;
+};
 
 /// Fixed-bin histogram over [lo, hi); out-of-range samples land in the edge
 /// bins so nothing is silently dropped.

@@ -35,6 +35,20 @@ TEST(DecoderFactory, EveryRegisteredNameConstructs) {
   }
 }
 
+TEST(DecoderFactory, BlockWidthKnownWithoutBuildingADecoder) {
+  // The decode service sizes its forming blocks with decoder_block_width
+  // instead of building a decoder on its event loop: it must agree with
+  // every decoder the factory builds, for any code.
+  for (const int z : {24, 96}) {
+    const QCLdpcCode code = make_wimax_code(WimaxRate::kRate1_2, z);
+    for (const std::string& name : decoder_names())
+      EXPECT_EQ(decoder_block_width(name),
+                make_decoder(name, code, DecoderOptions{})->block_width())
+          << name << " z=" << z;
+  }
+  EXPECT_THROW(decoder_block_width("no-such-decoder"), Error);
+}
+
 TEST(DecoderFactory, NamesAreUniqueAndNonEmpty) {
   std::vector<std::string> names = decoder_names();
   EXPECT_FALSE(names.empty());

@@ -1003,6 +1003,64 @@ TEST(BatchEngineBlocks, DestructorCompletesBlockInFlight) {
   for (const auto& r : slots) EXPECT_GE(r.iterations, 1u);
 }
 
+TEST(BatchEngineBlocks, PickedDecoderAndHookRunOncePerBookedBlock) {
+  // A block may pick its decoder (here a z = 24 decoder, while the
+  // engine's own factory builds for z = 28) and runs its hook once the
+  // engine booked every frame — on the submitting thread when the block
+  // is shed, on the worker when it decodes.
+  const auto code = make_wimax_code(WimaxRate::kRate1_2, 24);
+  const auto other = make_wimax_code(WimaxRate::kRate1_2, 28);
+  const auto frames = make_frames(code, 4, 4.0F);
+  BatchEngineConfig config = engine_config(1, 1);
+  config.overload_policy = OverloadPolicy::kShedOldest;
+  BatchEngine engine(fixed_factory(other), config);
+  std::atomic<bool> running{false}, release{false};
+  ASSERT_TRUE(submit_accepted(
+      engine.submit_task(0, gate_task(running, release))));
+  wait_for(running);
+
+  const auto picked = make_decoder("layered-minsum-fixed", code, {});
+  std::vector<DecodeResult> slots(frames.size());
+  std::atomic<int> hooks_shed{0}, hooks_decoded{0};
+  std::atomic<std::size_t> completed_at_hook{0};
+  const auto block = [&](std::size_t first) {
+    std::vector<BlockFrameJob> frames_of_block;
+    for (std::size_t f = first; f < first + 2; ++f)
+      frames_of_block.push_back(
+          BlockFrameJob{1 + f, frames[f], &slots[f], std::nullopt});
+    return frames_of_block;
+  };
+  BlockJobOptions shed;
+  shed.decoder = [&](Decoder&) -> Decoder& { return *picked; };
+  shed.on_booked = [&] { ++hooks_shed; };
+  ASSERT_TRUE(submit_accepted(engine.submit_block(block(0), shed)));
+  BlockJobOptions decoded = shed;
+  decoded.on_booked = [&] {
+    completed_at_hook = engine.snapshot().jobs_completed;
+    ++hooks_decoded;
+  };
+  EXPECT_EQ(engine.submit_block(block(2), decoded),
+            SubmitStatus::kAcceptedShedOldest);
+  EXPECT_EQ(hooks_shed.load(), 1);  // ran on this thread, at the shed
+  release = true;
+  engine.drain();
+  // drain() may return while the last hook still runs.
+  for (int i = 0; i < 2000 && hooks_decoded.load() == 0; ++i)
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  EXPECT_EQ(hooks_decoded.load(), 1);
+  EXPECT_EQ(hooks_shed.load(), 1);
+  EXPECT_EQ(completed_at_hook.load(), 5u);  // task + shed pair + this pair
+  EXPECT_EQ(slots[0].status, DecodeStatus::kShedOverload);
+  EXPECT_EQ(slots[1].status, DecodeStatus::kShedOverload);
+  for (std::size_t f = 2; f < 4; ++f) {
+    EXPECT_EQ(slots[f].status, DecodeStatus::kConverged) << f;
+    EXPECT_EQ(slots[f].hard_bits.size(), code.n()) << f;
+  }
+  // The gate task ran on the factory decoder, the block on the picked one:
+  // each is booked with the n of the decoder that ran it.
+  EXPECT_EQ(engine.metrics().decoded_bits, other.n() + 2 * code.n());
+}
+
 TEST(Supervisor, RetryWithoutLadderRejectedAtConstruction) {
   const auto code = make_wimax_code(WimaxRate::kRate1_2, 24);
   SupervisorConfig config;

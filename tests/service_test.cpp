@@ -7,9 +7,14 @@
 // Runs in the ThreadSanitizer stage of scripts/check.sh: the event loop /
 // worker / shutdown handshakes are the code under test.
 #include <gtest/gtest.h>
+#ifdef __GLIBC__
+#include <malloc.h>
+#endif
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
+#include <cmath>
 #include <cstring>
 #include <map>
 #include <span>
@@ -24,6 +29,8 @@
 #include "runtime/batch_engine.hpp"
 #include "service/client.hpp"
 #include "service/service.hpp"
+#include "util/rng.hpp"
+#include "util/stats.hpp"
 
 namespace ldpc::service {
 namespace {
@@ -105,37 +112,65 @@ TEST(EngineSnapshot, ConsistentUnderConcurrentLoad) {
   EXPECT_EQ(m.latency.samples, 400U);
 }
 
-TEST(EngineSnapshot, LatencyReservoirCapBoundsMemory) {
-  BatchEngineConfig config;
-  config.num_workers = 2;
-  config.latency_sample_cap = 16;
-  const QCLdpcCode& code = external_code("hamsternz-demo-32");
-  BatchEngine engine([&] { return make_decoder("layered-minsum-fixed", code,
-                                               DecoderOptions{}); },
-                     config);
-  const std::vector<float> llr = zero_codeword_llrs(code.n());
-  std::vector<DecodeResult> results(300);
-  for (std::size_t i = 0; i < results.size(); ++i)
-    ASSERT_TRUE(submit_accepted(engine.submit(i, llr, &results[i])));
-  engine.drain();
-  const EngineMetrics m = engine.snapshot();
-  EXPECT_EQ(m.jobs_completed, 300U);
-  // The reservoir holds exactly the cap; the summary stays a valid
-  // order-statistics estimate over it.
-  EXPECT_EQ(m.latency.samples, 16U);
-  EXPECT_GT(m.latency.max_us, 0.0);
-  EXPECT_LE(m.latency.p50_us, m.latency.max_us);
+TEST(EngineSnapshot, LatencyQuantilesWithinOneBucket) {
+  // The engine's latency percentiles come off one LogLinearHistogram. On a
+  // synthetic heavy-tailed sample (log-uniform 0.5 us .. 200 ms, plus
+  // zeros) and on a sparse one, every quantile lies within one bucket of
+  // the exact R-7 value; count, mean, min and max are exact.
+  Xoshiro256 rng(2024);
+  for (const std::size_t size : {std::size_t{100000}, std::size_t{5}}) {
+    LogLinearHistogram hist;
+    std::vector<double> sample;
+    for (std::size_t i = 0; i < size; ++i) {
+      const double v =
+          i % 997 == 3 ? 0.0 : 0.5 * std::exp(rng.uniform() * std::log(4e5));
+      hist.add(v);
+      sample.push_back(v);
+    }
+    std::sort(sample.begin(), sample.end());
+    double sum = 0.0;
+    for (const double v : sample) sum += v;
+    EXPECT_EQ(hist.count(), sample.size());
+    EXPECT_NEAR(hist.mean(), sum / static_cast<double>(size), 1e-9 * sum);
+    EXPECT_EQ(hist.min(), sample.front());
+    EXPECT_EQ(hist.max(), sample.back());
+    for (const double q : {0.0, 0.01, 0.25, 0.5, 0.9, 0.95, 0.99, 0.999, 1.0}) {
+      const double exact = percentile_sorted(sample, q);
+      const double estimate = hist.quantile(q);
+      const auto bucket = [](double v) {
+        return static_cast<long>(LogLinearHistogram::bucket_of(v));
+      };
+      EXPECT_LE(std::abs(bucket(estimate) - bucket(exact)), 1)
+          << "size " << size << " q " << q << ": " << estimate << " vs "
+          << exact;
+    }
+  }
+}
+
+/// Heap bytes in use (small and mmapped chunks); 0 where glibc's
+/// accounting is unavailable.
+std::size_t heap_in_use() {
+#ifdef __GLIBC__
+  const struct mallinfo2 info = mallinfo2();
+  return info.uordblks + info.hblkhd;
+#else
+  return 0;
+#endif
 }
 
 TEST(EngineSnapshot, DefaultConfigBoundsLatencyMemory) {
-  // A long-running server never sets latency_sample_cap: the default alone
-  // must bound the reservoir (and the copy every snapshot() takes).
+  // A long-running server keeps every latency sample in one fixed-size
+  // histogram: the count stays exact past 65,536 samples, and the heap does
+  // not grow with it (a sample vector would grow 8 B a frame, 552 KB here).
+  // Small blocks keep the worker's per-job buffers, which it may still be
+  // freeing when drain() returns, far below the bound.
   const QCLdpcCode& code = external_code("hamsternz-demo-32");
   BatchEngine engine([&] { return make_decoder("layered-minsum-fixed", code,
                                                DecoderOptions{}); });
   const std::vector<float> llr = zero_codeword_llrs(code.n());
-  constexpr std::size_t kBlocks = 70;
-  std::vector<DecodeResult> slots(1000);
+  constexpr std::size_t kBlocks = 700;
+  std::vector<DecodeResult> slots(100);
+  std::size_t heap_after_first = 0;
   for (std::size_t b = 0; b < kBlocks; ++b) {
     std::vector<BlockFrameJob> block;
     for (std::size_t i = 0; i < slots.size(); ++i)
@@ -143,10 +178,15 @@ TEST(EngineSnapshot, DefaultConfigBoundsLatencyMemory) {
           BlockFrameJob{b * slots.size() + i, llr, &slots[i], std::nullopt});
     ASSERT_TRUE(submit_accepted(engine.submit_block(std::move(block))));
     engine.drain();  // the next block reuses the slots
+    if (b == 0) heap_after_first = heap_in_use();
   }
   const EngineMetrics m = engine.snapshot();
   EXPECT_EQ(m.jobs_completed, kBlocks * slots.size());
-  EXPECT_EQ(m.latency.samples, 65536U);
+  EXPECT_EQ(m.latency.samples, kBlocks * slots.size());
+  EXPECT_LE(m.latency.p50_us, m.latency.max_us);
+  EXPECT_LT(static_cast<long long>(heap_in_use()) -
+                static_cast<long long>(heap_after_first),
+            64 << 10);
 }
 
 // ---------------------------------------------------------------------------
@@ -255,6 +295,306 @@ TEST(ServiceTest, EngineBooksOnlyDecodedFrames) {
   ASSERT_EQ(engine.jobs_completed, 7U);
   EXPECT_EQ(engine.decoded_bits, decoded_n);
   EXPECT_EQ(engine.decoded_info_bits, decoded_k);
+  service.shutdown_after(2s);
+}
+
+// ---------------------------------------------------------------------------
+// Micro-batching: admitted requests decode as engine block jobs.
+
+/// BPSK LLRs of the all-zero codeword through AWGN of `variance`.
+std::vector<float> noisy_llrs(std::size_t n, float variance,
+                              std::uint64_t seed) {
+  AwgnChannel awgn(variance, seed);
+  std::vector<float> llr = awgn.transmit(std::vector<float>(n, 1.0F));
+  for (float& v : llr) v *= 2.0F / variance;  // BPSK LLR = 2y / sigma^2
+  return llr;
+}
+
+/// Reads `count` frames (fewer on EOF or timeout), failing on anything but
+/// a decode response; returns every answer per request id, so callers can
+/// check exactly-once resolution.
+std::map<std::uint64_t, std::vector<DecodeResponse>> read_responses(
+    BlockingClient& client, std::size_t count) {
+  std::map<std::uint64_t, std::vector<DecodeResponse>> answers;
+  for (std::size_t seen = 0; seen < count; ++seen) {
+    const auto frame = client.read_frame(10000ms);
+    if (!frame) break;
+    DecodeResponse response;
+    if (frame->type != FrameType::kDecodeResponse ||
+        parse_decode_response(frame->body, &response) !=
+            WireErrorCode::kNone) {
+      ADD_FAILURE() << "not a decode response";
+      continue;
+    }
+    answers[response.request_id].push_back(response);
+  }
+  return answers;
+}
+
+/// One burst of requests, request i + 1 carrying codec `codecs[i % size]`
+/// and tenant i % 4: each response must match the scalar
+/// layered-minsum-fixed decode of its LLRs in status, iterations and hard
+/// bits, and arrive exactly once.
+void expect_burst_matches_scalar(DecodeService& service,
+                                 const std::vector<CodecRef>& codecs,
+                                 std::size_t count) {
+  BlockingClient client;
+  client.connect("127.0.0.1", service.port());
+  CodecCache cache;
+  std::vector<std::uint8_t> burst;
+  std::vector<DecodeResult> refs;
+  for (std::size_t i = 0; i < count; ++i) {
+    WireErrorCode error = WireErrorCode::kNone;
+    const auto entry = cache.resolve(codecs[i % codecs.size()], &error);
+    ASSERT_NE(entry, nullptr);
+    std::vector<float> llr = noisy_llrs(entry->code().n(), 0.8F, 100 + i);
+    refs.push_back(make_decoder("layered-minsum-fixed", entry->code(),
+                                DecoderOptions{})
+                       ->decode(llr));
+    const auto bytes = encode_decode_request(
+        make_request(i + 1, static_cast<std::uint32_t>(i % 4),
+                     codecs[i % codecs.size()], std::move(llr)));
+    burst.insert(burst.end(), bytes.begin(), bytes.end());
+  }
+  ASSERT_TRUE(client.send_raw(burst));
+  const auto answers = read_responses(client, count);
+  ASSERT_EQ(answers.size(), count);
+  for (std::size_t i = 0; i < count; ++i) {
+    const auto it = answers.find(i + 1);
+    ASSERT_NE(it, answers.end()) << "request " << i + 1 << " unanswered";
+    ASSERT_EQ(it->second.size(), 1U) << "request " << i + 1;
+    const DecodeResponse& r = it->second.front();
+    EXPECT_EQ(r.status, static_cast<std::uint8_t>(refs[i].status)) << i;
+    EXPECT_EQ(r.iterations, refs[i].iterations) << i;
+    EXPECT_TRUE(unpack_bits(r.packed_bits, r.bit_count) == refs[i].hard_bits)
+        << i;
+  }
+}
+
+TEST(ServiceTest, BurstDecodesInBlocksBitIdenticalToScalar) {
+  // More than two full blocks of one codec from four tenants in one burst.
+  ServiceConfig config = base_config();
+  config.default_tenant.max_in_flight = 1024;  // nothing parks
+  DecodeService service(config);
+  service.start();
+  const std::size_t count = 2 * decoder_block_width(config.decoder_name) + 3;
+  expect_burst_matches_scalar(service, {CodecRef{kWimaxStd, 0, 24}}, count);
+
+  // The completion hook runs after the engine booked the block, so every
+  // answered frame is already counted — as a frame, not as a block.
+  const ServiceStats stats = service.stats();
+  EXPECT_EQ(stats.engine.jobs_completed, count);
+  EXPECT_EQ(stats.jobs_admitted, count);
+  EXPECT_GE(stats.blocks_submitted, 3U);
+  EXPECT_LT(stats.blocks_submitted, count);  // requests shared blocks
+  for (const EngineWorkerStats& w : stats.engine.workers) {
+    EXPECT_EQ(w.simd_fallbacks, 0U);
+    EXPECT_EQ(w.exceptions, 0U);
+  }
+  service.shutdown_after(2s);
+}
+
+TEST(ServiceTest, InterleavedCodecsNeverShareABlock) {
+  // Alternating codecs of different n: a block decodes on one codec's
+  // decoder, so a mixed block would fail decode_block's LLR-count check —
+  // an exception on the worker and kWatchdogAbort answers.
+  ServiceConfig config = base_config(/*workers=*/1);
+  config.default_tenant.max_in_flight = 1024;
+  DecodeService service(config);
+  service.start();
+  expect_burst_matches_scalar(
+      service, {CodecRef{kWimaxStd, 0, 24}, kTinyCodec, CodecRef{kWimaxStd, 0, 28}},
+      60);
+  const ServiceStats stats = service.stats();
+  EXPECT_EQ(stats.engine.jobs_completed, 60U);
+  EXPECT_GE(stats.blocks_submitted, 3U);
+  for (const EngineWorkerStats& w : stats.engine.workers)
+    EXPECT_EQ(w.exceptions, 0U);
+  service.shutdown_after(2s);
+}
+
+TEST(ServiceTest, ShutdownAnswersAFormingBlockExactlyOnce) {
+  // One worker held by a slow decode (an observer sleeping per iteration),
+  // three requests forming a block behind it, then a drain whose deadline
+  // passes first: the forming block still reaches the engine, and every
+  // accepted request is answered exactly once.
+  ServiceConfig config = base_config(/*workers=*/1);
+  config.decoder_options_hook = [](DecoderOptions& options) {
+    options.observer = [](const IterationSnapshot&) {
+      std::this_thread::sleep_for(20ms);
+    };
+  };
+  DecodeService service(config);
+  service.start();
+  BlockingClient client;
+  client.connect("127.0.0.1", service.port());
+  const CodecRef ref{kWimaxStd, 0, 24};
+  constexpr std::size_t kN = 576;
+
+  // Random signs are no codeword: the full iteration budget, ~200 ms.
+  Xoshiro256 rng(3);
+  std::vector<float> noise(kN);
+  for (float& v : noise) v = rng.coin() ? 1.0F : -1.0F;
+  ASSERT_TRUE(client.send_raw(
+      encode_decode_request(make_request(1, 0, ref, noise))));
+  for (int i = 0; i < 500 && service.stats().blocks_submitted < 1; ++i)
+    std::this_thread::sleep_for(2ms);
+  ASSERT_EQ(service.stats().blocks_submitted, 1U);
+  for (std::uint64_t id = 2; id <= 4; ++id)
+    ASSERT_TRUE(client.send_raw(encode_decode_request(make_request(
+        id, static_cast<std::uint32_t>(id), ref, zero_codeword_llrs(kN)))));
+  for (int i = 0; i < 500 && service.stats().requests_received < 4; ++i)
+    std::this_thread::sleep_for(2ms);
+  ServiceStats stats = service.stats();
+  ASSERT_EQ(stats.requests_received, 4U);
+  ASSERT_EQ(stats.blocks_submitted, 1U) << "requests 2-4 should be forming";
+
+  const ShutdownReport report = service.shutdown_after(50ms);
+  const auto answers = read_responses(client, 5);  // the 5th read sees EOF
+  EXPECT_EQ(answers.size(), 4U);
+  for (const auto& [id, responses] : answers)
+    EXPECT_EQ(responses.size(), 1U) << "request " << id;
+  EXPECT_EQ(report.stragglers, 0U);
+  stats = service.stats();
+  EXPECT_EQ(stats.responses_sent, 4U);
+  EXPECT_EQ(stats.blocks_submitted, 2U);
+  EXPECT_EQ(stats.engine.jobs_completed, 4U);
+}
+
+TEST(ServiceTest, FullBlocksOfOneCodecDoNotStarveAnother) {
+  // One worker, slowed to 1 ms per iteration by an observer, and a closed
+  // loop holding four blocks of codec A in flight: every block of A leaves
+  // the loop full and the worker is never idle at the end of a tick. One
+  // request on codec B, from a tenant within its default quota, forms a
+  // block that can never fill; it must still be decoded and answered inside
+  // its deadline.
+  ServiceConfig config = base_config(/*workers=*/1);
+  constexpr std::uint32_t kLoadTenant = 1;
+  TenantConfig load;
+  load.max_in_flight = 1024;
+  config.tenants[kLoadTenant] = load;
+  config.decoder_options_hook = [](DecoderOptions& options) {
+    options.observer = [](const IterationSnapshot&) {
+      std::this_thread::sleep_for(1ms);
+    };
+  };
+  DecodeService service(config);
+  service.start();
+  const std::size_t width = decoder_block_width(config.decoder_name);
+  const CodecRef a{kWimaxStd, 0, 24};
+
+  // Random signs are no codeword: every frame of A runs the full budget.
+  Xoshiro256 rng(5);
+  std::vector<float> noise(576);
+  for (float& v : noise) v = rng.coin() ? 1.0F : -1.0F;
+  std::atomic<bool> stop{false};
+  std::thread loader([&] {
+    BlockingClient client;
+    client.connect("127.0.0.1", service.port());
+    std::uint64_t next_id = 1;
+    const auto send_one = [&] {
+      return client.send_raw(encode_decode_request(
+          make_request(next_id++, kLoadTenant, a, noise)));
+    };
+    for (std::size_t i = 0; i < 4 * width; ++i)
+      if (!send_one()) return;
+    while (!stop.load()) {
+      const auto frame = client.read_frame(100ms);
+      if (frame && frame->type == FrameType::kDecodeResponse && !send_one())
+        return;
+    }
+  });
+  for (int i = 0; i < 2500 && service.stats().blocks_submitted < 4; ++i)
+    std::this_thread::sleep_for(2ms);
+  EXPECT_EQ(service.stats().blocks_submitted, 4U) << "load not in flight";
+
+  BlockingClient client;
+  client.connect("127.0.0.1", service.port());
+  const auto outcome = client.decode(
+      make_request(1, /*tenant=*/2, kTinyCodec, zero_codeword_llrs(32),
+                   /*deadline_us=*/5'000'000),
+      5000ms);
+  stop.store(true);
+  loader.join();
+  ASSERT_TRUE(outcome.has_value()) << "request on codec B starved";
+  ASSERT_FALSE(outcome->is_error) << to_string(outcome->error.code);
+  EXPECT_EQ(outcome->response.status,
+            static_cast<std::uint8_t>(DecodeStatus::kConverged));
+  service.shutdown_after(3s);
+}
+
+TEST(ServiceTest, BackstopCountsFramesNotBlocks) {
+  // engine.queue_capacity caps the frames out to the engine, however they
+  // are grouped into blocks. One frame holds the worker (an observer sleeps
+  // from its second iteration on; the zero codewords below converge in
+  // one), and two full blocks arrive behind it: exactly queue_capacity
+  // frames are admitted, and the newest of the rest are refused
+  // kOverloaded, each request answered once.
+  ServiceConfig config = base_config(/*workers=*/1);
+  const std::size_t width = decoder_block_width(config.decoder_name);
+  const std::size_t capacity = width + width / 2;
+  config.engine.queue_capacity = capacity;
+  config.default_tenant.max_in_flight = 1024;
+  config.decoder_options_hook = [](DecoderOptions& options) {
+    options.observer = [](const IterationSnapshot& snapshot) {
+      if (snapshot.iteration >= 2) std::this_thread::sleep_for(50ms);
+    };
+  };
+  DecodeService service(config);
+  service.start();
+  BlockingClient client;
+  client.connect("127.0.0.1", service.port());
+  const CodecRef ref{kWimaxStd, 0, 24};
+  constexpr std::size_t kN = 576;
+
+  Xoshiro256 rng(3);
+  std::vector<float> noise(kN);
+  for (float& v : noise) v = rng.coin() ? 1.0F : -1.0F;
+  ASSERT_TRUE(client.send_raw(
+      encode_decode_request(make_request(1, 0, ref, noise))));
+  for (int i = 0; i < 500 && service.stats().blocks_submitted < 1; ++i)
+    std::this_thread::sleep_for(2ms);
+  ASSERT_EQ(service.stats().blocks_submitted, 1U);
+
+  const std::size_t total = 1 + 2 * width;
+  std::vector<std::uint8_t> burst;
+  for (std::uint64_t id = 2; id <= total; ++id) {
+    const auto bytes = encode_decode_request(
+        make_request(id, 0, ref, zero_codeword_llrs(kN)));
+    burst.insert(burst.end(), bytes.begin(), bytes.end());
+  }
+  ASSERT_TRUE(client.send_raw(burst));
+
+  std::map<std::uint64_t, int> answers;
+  std::size_t decoded = 0, overloaded = 0;
+  for (std::size_t seen = 0; seen < total; ++seen) {
+    const auto frame = client.read_frame(10000ms);
+    ASSERT_TRUE(frame.has_value()) << "only " << seen << " answers";
+    if (frame->type == FrameType::kDecodeResponse) {
+      DecodeResponse response;
+      ASSERT_EQ(parse_decode_response(frame->body, &response),
+                WireErrorCode::kNone);
+      ++answers[response.request_id];
+      ++decoded;
+    } else {
+      ErrorResponse error;
+      ASSERT_EQ(frame->type, FrameType::kError);
+      ASSERT_EQ(parse_error_response(frame->body, &error),
+                WireErrorCode::kNone);
+      EXPECT_EQ(error.code, WireErrorCode::kOverloaded);
+      EXPECT_GT(error.request_id, 1 + width) << "an older request refused";
+      ++answers[error.request_id];
+      ++overloaded;
+    }
+  }
+  EXPECT_EQ(answers.size(), total);
+  for (const auto& [id, count] : answers)
+    EXPECT_EQ(count, 1) << "request " << id;
+  EXPECT_EQ(decoded, capacity);
+  EXPECT_EQ(overloaded, total - capacity);
+  const ServiceStats stats = service.stats();
+  EXPECT_EQ(stats.jobs_admitted, capacity);
+  EXPECT_EQ(stats.jobs_engine_rejected, total - capacity);
   service.shutdown_after(2s);
 }
 

@@ -19,6 +19,7 @@
 #include "channel/modem.hpp"
 #include "codes/encoder.hpp"
 #include "codes/random_qc.hpp"
+#include "codes/registry.hpp"
 #include "codes/wifi.hpp"
 #include "codes/wimax.hpp"
 #include "core/decoder_factory.hpp"
@@ -245,6 +246,77 @@ TEST(SimdBatch, CancelledFrameInBlockLeavesLaneMatesIntact) {
       expect_frame_identical(f == 2 ? cancelled_ref : refs[f], results[f],
                              saturation[f],
                              ctx + " frame=" + std::to_string(f));
+    }
+  }
+}
+
+/// Blocks below, at and above `batched`'s min_block() — the twin's
+/// frame-by-frame path and the batched kernel — each with a pre-cancelled
+/// frame, must match `scalar` frame for frame with no SIMD fallback.
+template <class Batched>
+void expect_break_even_identical(Decoder& scalar, Batched& batched,
+                                 const QCLdpcCode& code,
+                                 const std::string& ctx) {
+  const std::size_t m = batched.min_block();
+  ASSERT_GE(m, 1U) << ctx;
+  ASSERT_LE(m, batched.block_width()) << ctx;
+  // The all-zero codeword through AWGN: needs no encoder, so any code works.
+  const float variance = awgn_noise_variance(1.8F, code.rate());
+  std::vector<std::vector<float>> pool;
+  std::vector<Reference> refs;
+  for (std::size_t f = 0; f < m + 1; ++f) {
+    AwgnChannel ch(variance, f * 313 + 11);
+    pool.push_back(BpskModem::demodulate(
+        ch.transmit(BpskModem::modulate(BitVec(code.n()))), variance));
+    refs.push_back({scalar.decode(pool.back()), scalar.saturation()});
+  }
+  CancelToken cancelled;
+  cancelled.cancel();
+  scalar.set_cancel_token(&cancelled);
+  const Reference cancelled_ref{scalar.decode(pool[0]), scalar.saturation()};
+  scalar.set_cancel_token(nullptr);
+  for (const std::size_t count : {m - 1, m, m + 1}) {
+    if (count == 0) continue;
+    std::vector<BlockFrame> frames;
+    for (std::size_t f = 0; f < count; ++f)
+      frames.push_back({pool[f], f == 0 ? &cancelled : nullptr});
+    std::vector<DecodeResult> results(count);
+    std::vector<SaturationStats> saturation(count);
+    batched.decode_block(frames, results, saturation);
+    for (std::size_t f = 0; f < count; ++f)
+      expect_frame_identical(f == 0 ? cancelled_ref : refs[f], results[f],
+                             saturation[f],
+                             ctx + " min_block=" + std::to_string(m) +
+                                 " block=" + std::to_string(count) +
+                                 " frame=" + std::to_string(f));
+  }
+}
+
+TEST(SimdBatch, BlocksAroundBreakEvenMatchScalar) {
+  // Small blocks decode frame by frame on the z-lane twin, larger ones on
+  // the batched kernel: the switch must be invisible in every result. At
+  // z = 96 every tier has a block size below the break-even; a z = 1 code
+  // fills one z-lane, so every block of it runs the batched kernel.
+  const DecoderOptions opt = counting_options();
+  const QCLdpcCode wimax = make_wimax_2304_half_rate();
+  for (const QCLdpcCode* code_ptr : {&wimax, &external_code("ft8-174")}) {
+    const QCLdpcCode& code = *code_ptr;
+    LayeredMinSumFixedDecoder scalar(code, opt, FixedFormat{8, 2});
+    LayeredMinSumFaDecoder scalar_fa(code, opt, 4);
+    for (const simd::SimdTier tier : simd::available_tiers()) {
+      const std::string ctx = "z=" + std::to_string(code.z()) +
+                              " tier=" + simd::to_string(tier);
+      SimdBatchDecoder batched(code, opt, FixedFormat{8, 2}, tier);
+      SimdFaBatchDecoder batched_fa(code, opt, 4, 2.0F, tier);
+      if (code.z() == 1) {
+        EXPECT_EQ(batched.min_block(), 1U) << ctx;
+        EXPECT_EQ(batched_fa.min_block(), 1U) << ctx;
+      } else {
+        EXPECT_GT(batched.min_block(), 1U) << ctx;
+        EXPECT_GT(batched_fa.min_block(), 1U) << ctx;
+      }
+      expect_break_even_identical(scalar, batched, code, "q8.2 " + ctx);
+      expect_break_even_identical(scalar_fa, batched_fa, code, "fa4 " + ctx);
     }
   }
 }
