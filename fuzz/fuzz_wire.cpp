@@ -11,6 +11,7 @@
 #include <cstdint>
 #include <span>
 #include <string>
+#include <vector>
 
 #include "service/wire.hpp"
 
@@ -54,6 +55,15 @@ void exercise_frame(const Frame& frame) {
       if (parse_decode_response(body, &again) != WireErrorCode::kNone) trap();
       if (again.request_id != response.request_id ||
           again.bit_count != response.bit_count)
+        trap();
+      // The payload too: unpacking and repacking gives back the received
+      // bytes with the last byte's padding bits cleared.
+      std::vector<std::uint8_t> clean = response.packed_bits;
+      if (response.bit_count % 8 != 0)
+        clean.back() &= static_cast<std::uint8_t>(
+            (1U << (response.bit_count % 8)) - 1U);
+      if (pack_bits(unpack_bits(response.packed_bits, response.bit_count)) !=
+          clean)
         trap();
       return;
     }

@@ -88,6 +88,22 @@ int main(int argc, char** argv) {
   write_file(wire_dir / "decode_request.bin", steer(0xFF, request_frame));
   write_file(wire_dir / "decode_request_split.bin", steer(0x00, request_frame));
   write_file(wire_dir / "decode_response.bin", steer(0xFF, response_frame));
+  // Responses around byte and word boundaries with the last byte's padding
+  // bits set (2304, a WiMAX frame, has none): fuzz_wire checks that
+  // unpack -> pack gives back the payload with that padding cleared.
+  for (const std::uint32_t bit_count : {1U, 63U, 65U, 2304U}) {
+    DecodeResponse padded = response;
+    padded.bit_count = bit_count;
+    padded.packed_bits.resize((bit_count + 7) / 8);
+    for (std::size_t i = 0; i < padded.packed_bits.size(); ++i)
+      padded.packed_bits[i] = static_cast<std::uint8_t>(0x5A ^ (i * 37));
+    if (bit_count % 8 != 0)
+      padded.packed_bits.back() |=
+          static_cast<std::uint8_t>(0xFFU << (bit_count % 8));
+    write_file(wire_dir / ("decode_response_" + std::to_string(bit_count) +
+                           "_bits.bin"),
+               steer(0xFF, encode_decode_response(padded)));
+  }
   write_file(wire_dir / "error_response.bin",
              steer(0xFF, encode_error_response(error)));
   write_file(wire_dir / "ping.bin", steer(0xFF, encode_ping(0x1122334455667788)));

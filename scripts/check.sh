@@ -44,7 +44,8 @@
 #   8. finite-alphabet — runs the finite-alphabet bench and gates on
 #                        BENCH_finite_alphabet.json: the int8 fa4 batched
 #                        kernel >= 1.6x the int16 q8.2 batched kernel's
-#                        info throughput, fa4 within 0.2 dB of q6 at
+#                        info throughput (median of the bench's 8 paired
+#                        per-round ratios), fa4 within 0.2 dB of q6 at
 #                        info-bit BER 1e-5 (outright better when q6 never
 #                        reaches the target), and zero SIMD fallbacks
 #   9. clang-tidy      — the `lint` target (.clang-tidy profile); skipped
@@ -212,11 +213,12 @@ missing = {"q8.2", "fa4"} - tput.keys()
 if missing:
     failures.append(f"missing throughput rows: {sorted(missing)}")
 else:
-    speedup = tput["fa4"]["info_mbps"] / tput["q8.2"]["info_mbps"]
+    # Median of the per-round ratios: one slow phase moves one round of 8.
+    speedup = tput["fa4"]["speedup_int8_vs_int16"]
     if speedup < 1.6:
         failures.append(
             f"int8 fa4 batched only {speedup:.2f}x the int16 q8.2 batched "
-            f"kernel (need >= 1.6x)")
+            f"kernel (median of paired rounds; need >= 1.6x)")
     for fmt, row in tput.items():
         if row["simd_fallbacks"] != 0:
             failures.append(f"{fmt}: {row['simd_fallbacks']} SIMD fallbacks")
@@ -234,11 +236,13 @@ if failures:
     for f in failures:
         print(f"  {f}", file=sys.stderr)
     sys.exit(1)
-speedup = tput["fa4"]["info_mbps"] / tput["q8.2"]["info_mbps"]
+speedup = tput["fa4"]["speedup_int8_vs_int16"]
+best = tput["fa4"]["info_mbps"] / tput["q8.2"]["info_mbps"]
 q6_note = (f"q6 at {cross['q6.1']['ebn0_db']:.2f} dB"
            if cross.get("q6.1", {}).get("crossed")
            else "q6 never reaches 1e-5 (fa4 strictly better)")
-print(f"finite-alphabet gate: fa4 {speedup:.2f}x int16 throughput, "
+print(f"finite-alphabet gate: fa4 {speedup:.2f}x int16 throughput "
+      f"(median of paired rounds; best-of-rounds ratio {best:.2f}x), "
       f"BER 1e-5 at {cross['fa4']['ebn0_db']:.2f} dB, {q6_note}, "
       "0 SIMD fallbacks")
 EOF

@@ -38,36 +38,16 @@ Fixed16::Fixed16(const QCLdpcCode& code, const DecoderOptions& options,
       static_cast<std::int16_t>(std::min<std::int32_t>(offset_code, INT16_MAX));
 }
 
-void Fixed16::quantize(const KernelSet& /*kernels*/,
-                       std::span<const float> llr, T* out,
-                       long long* clips) const {
+void Fixed16::quantize(const KernelSet& kernels, std::span<const float> llr,
+                       T* out, long long* clips) const {
   if (clips != nullptr) {
     for (std::size_t v = 0; v < llr.size(); ++v)
       out[v] = static_cast<T>(format_.quantize(llr[v], *clips));
     return;
   }
-  // Uncounted path (the throughput configuration): a branchless
-  // restatement of FixedFormat::quantize the autovectorizer can chew on —
-  // same NaN -> 0, same rails-plus-one float pre-limit, same
-  // round-half-away in double (exact per the quantize() width argument),
-  // same integer rail clamp, so codes are bit-identical.
-  const float fscale = static_cast<float>(1 << format_.frac_bits);
-  const float fhi = static_cast<float>(format_.max_code()) + 1.0F;
-  const float flo = static_cast<float>(format_.min_code()) - 1.0F;
-  const std::int32_t rail_hi = format_.max_code();
-  const std::int32_t rail_lo = format_.min_code();
-  for (std::size_t v = 0; v < llr.size(); ++v) {
-    float s = llr[v] * fscale;
-    s = s != s ? 0.0F : s;
-    s = s > fhi ? fhi : s;
-    s = s < flo ? flo : s;
-    // trunc(d + copysign(0.5, d)) == round_half_away(d): the cast truncates
-    // toward zero, so the negative arm ceil(d - 0.5) equals
-    // -floor(0.5 - d) — one conversion, no branch.
-    const double d = static_cast<double>(s);
-    const std::int32_t t = static_cast<std::int32_t>(d + std::copysign(0.5, d));
-    out[v] = static_cast<T>(t > rail_hi ? rail_hi : (t < rail_lo ? rail_lo : t));
-  }
+  // The tier's vector quantize pass, bit-identical to FixedFormat::quantize
+  // (see QuantizePass), so counted and uncounted decodes see equal codes.
+  kernels.fixed16.quantize(quantize_pass(format_, lo(), hi(), llr, out));
 }
 
 Fa8::Fa8(const QCLdpcCode& code, const DecoderOptions& options, int msg_bits,
@@ -101,16 +81,8 @@ void Fa8::quantize(const KernelSet& kernels, std::span<const float> llr,
       out[v] = static_cast<T>(fa_quantize(fmt, llr[v], *clips));
     return;
   }
-  // The tier's vector quantize kernel, bit-identical to fa_quantize (see
-  // SimdFaQuantizePass), so counted and uncounted decodes see equal codes.
-  SimdFaQuantizePass qp;
-  qp.llr = llr.data();
-  qp.out = out;
-  qp.n = llr.size();
-  qp.fscale = static_cast<float>(1 << fmt.frac_bits);
-  qp.fhi = static_cast<float>(fmt.max_code()) + 1.0F;
-  qp.flo = static_cast<float>(fmt.min_code()) - 1.0F;
-  kernels.fa_quantize(qp);
+  // The same pass on the symmetric rail, bit-identical to fa_quantize.
+  kernels.fa8.quantize(quantize_pass(fmt, lo(), hi(), llr, out));
 }
 
 Fa8::LaneMap::LaneMap(const Fa8& family, std::uint32_t lanes)

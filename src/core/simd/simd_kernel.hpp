@@ -36,10 +36,12 @@
 #include <cstddef>
 #include <cstdint>
 #include <limits>
+#include <span>
 #include <string>
 #include <vector>
 
 #include "core/decoder.hpp"
+#include "core/quant.hpp"
 
 namespace ldpc::simd {
 
@@ -248,36 +250,64 @@ struct SyndromePass {
   std::int32_t* weight;        ///< F accumulators (+= per-lane unsat rows)
 };
 
-/// Vectorized channel quantizer for the Fa8 family: contiguous float LLRs
-/// -> contiguous int8 codes on the symmetric +-127 rail, bit-identical to
-/// scalar fa_quantize (uncounted). The pre-limit keeps |scaled| <= rail + 2
-/// < 2^8, where every float ulp is 2^-16 or finer, so adding
-/// copysign(0.5, s) is exact in float and truncating the sum is exactly
-/// round-half-away — the double round of the scalar path is not needed.
-/// Frame setup is a measurable slice of batched decode time, hence a
-/// dispatched kernel rather than a loop the autovectorizer may miss.
-struct SimdFaQuantizePass {
+/// The channel quantizer, a pass of both families: contiguous float LLRs
+/// -> contiguous T codes on the grid of a FixedFormat, clamped to [lo, hi]:
+/// the format's own rails for Fixed16 (bit-identical to the uncounted
+/// FixedFormat::quantize) and +-kFaRail for Fa8 (to fa_quantize). Every
+/// tier runs one float pipeline and narrows per width:
+///
+///   s = llr * fscale; s = |s| >= 0.5 ? s : 0; s = clamp(s, flo, fhi)
+///   code = clamp(trunc(s + copysign(0.5, s)), lo, hi)
+///
+/// Exactness for every 2..16-bit format: the pre-limit to the rails +-1
+/// keeps |s| <= 2^15 + 1 < 2^23, so 0.5 is a multiple of ulp(s) once
+/// |s| >= 0.5. The float sum is then exact, or, where it steps into the
+/// next binade 2^k, rounds to within [2^k, 2^k + 0.5] and truncates to 2^k
+/// as the exact sum does: truncation is round-half-away either way. Below
+/// 0.5 the sum can round up to 1.0 (s = nextafter(0.5, 0)); those lanes,
+/// and NaN, whose ordered compare is false, take code 0 instead. No double
+/// arithmetic is needed. Frame setup is a measurable slice of batched
+/// decode time, hence a dispatched kernel rather than a loop the
+/// autovectorizer may miss.
+template <class T>
+struct QuantizePass {
   const float* llr;   ///< n channel LLRs
-  std::int8_t* out;   ///< n codes, contiguous
+  T* out;             ///< n codes, contiguous
   std::size_t n;
-  float fscale;       ///< 1 << posterior.frac_bits
-  float fhi;          ///< posterior.max_code() + 1 (pre-limit, not the rail)
-  float flo;          ///< posterior.min_code() - 1
+  float fscale;       ///< 1 << frac_bits
+  float fhi;          ///< max_code() + 1 (pre-limit, not the rail)
+  float flo;          ///< min_code() - 1
+  T lo;               ///< lower rail
+  T hi;               ///< upper rail
 };
 
-/// The three passes one family runs on one tier.
+/// The quantize pass of `fmt`'s grid with rails [lo, hi].
+template <class T>
+QuantizePass<T> quantize_pass(const FixedFormat& fmt, T lo, T hi,
+                              std::span<const float> llr, T* out) {
+  return {llr.data(),
+          out,
+          llr.size(),
+          static_cast<float>(1 << fmt.frac_bits),
+          static_cast<float>(fmt.max_code()) + 1.0F,
+          static_cast<float>(fmt.min_code()) - 1.0F,
+          lo,
+          hi};
+}
+
+/// The four passes one family runs on one tier.
 template <class T, class Map>
 struct ShapeKernels {
   void (*zlane)(const ZLanePass<T, Map>&);
   void (*batch)(const BatchPass<T, Map>&);
   void (*syndrome)(const SyndromePass<T>&);
+  void (*quantize)(const QuantizePass<T>&);
 };
 
 /// Every kernel of one tier.
 struct KernelSet {
   ShapeKernels<std::int16_t, ScaleMap> fixed16;
   ShapeKernels<std::int8_t, StaircaseMap> fa8;
-  void (*fa_quantize)(const SimdFaQuantizePass&);
 };
 
 /// True when `tier` is both compiled in and supported by this CPU.

@@ -30,6 +30,7 @@ struct Avx2Base {
   static Vec xor_(Vec a, Vec b) { return _mm256_xor_si256(a, b); }
   static Vec or_(Vec a, Vec b) { return _mm256_or_si256(a, b); }
   static Vec and_(Vec a, Vec b) { return _mm256_and_si256(a, b); }
+  static void quantize(const QuantizePass<T>& a);  // below
 };
 
 struct Avx2Ops16 : Avx2Base<std::int16_t> {
@@ -70,42 +71,49 @@ struct Avx2Ops8 : Avx2Base<std::int8_t> {
   static Vec abs(Vec a) { return _mm256_abs_epi8(a); }
 };
 
-void fa_quantize_avx2(const SimdFaQuantizePass& pass) {
-  // 16 LLRs per step: two 8-wide float pipelines; packs_epi32 interleaves
-  // the 128-bit halves, fixed by one permute4x64 before the final int8
-  // pack. The +-127 clamp runs on int16, before the saturating pack.
-  const __m256 vscale = _mm256_set1_ps(pass.fscale);
-  const __m256 vhi = _mm256_set1_ps(pass.fhi);
-  const __m256 vlo = _mm256_set1_ps(pass.flo);
+template <class T_>
+void Avx2Base<T_>::quantize(const QuantizePass<T>& a) {
+  // 16 LLRs per step: two 8-wide float pipelines narrowed to int16 by the
+  // saturating packs_epi32 (|s| <= 2^15 + 1, the rails fit int16), which
+  // interleaves the 128-bit halves, fixed by one permute4x64. The rail
+  // clamp runs on int16; int8 codes take one more pack.
+  const __m256 vscale = _mm256_set1_ps(a.fscale);
+  const __m256 vhi = _mm256_set1_ps(a.fhi);
+  const __m256 vlo = _mm256_set1_ps(a.flo);
   const __m256 vhalf = _mm256_set1_ps(0.5F);
   const __m256 vsign = _mm256_set1_ps(-0.0F);
-  const __m256i vrail = _mm256_set1_epi16(127);
-  const __m256i vnrail = _mm256_set1_epi16(-127);
+  const __m256i vrail_hi = _mm256_set1_epi16(a.hi);
+  const __m256i vrail_lo = _mm256_set1_epi16(a.lo);
   const auto quant8 = [&](std::size_t v) {
-    __m256 s = _mm256_mul_ps(_mm256_loadu_ps(pass.llr + v), vscale);
-    s = _mm256_and_ps(s, _mm256_cmp_ps(s, s, _CMP_ORD_Q));  // NaN -> 0
+    __m256 s = _mm256_mul_ps(_mm256_loadu_ps(a.llr + v), vscale);
+    // NaN and |s| < 0.5 -> 0 (the ordered compare is false for NaN).
+    s = _mm256_and_ps(
+        s, _mm256_cmp_ps(_mm256_andnot_ps(vsign, s), vhalf, _CMP_GE_OQ));
     s = _mm256_min_ps(_mm256_max_ps(s, vlo), vhi);
     const __m256 half = _mm256_or_ps(vhalf, _mm256_and_ps(s, vsign));
     return _mm256_cvttps_epi32(_mm256_add_ps(s, half));
   };
   std::size_t v = 0;
-  for (; v + 16 <= pass.n; v += 16) {
+  for (; v + 16 <= a.n; v += 16) {
     __m256i w = _mm256_packs_epi32(quant8(v), quant8(v + 8));
     w = _mm256_permute4x64_epi64(w, 0xD8);  // undo the 128-lane interleave
-    w = _mm256_max_epi16(_mm256_min_epi16(w, vrail), vnrail);
-    const __m128i lo = _mm256_castsi256_si128(w);
-    const __m128i hi = _mm256_extracti128_si256(w, 1);
-    _mm_storeu_si128(reinterpret_cast<__m128i*>(pass.out + v),
-                     _mm_packs_epi16(lo, hi));
+    w = _mm256_max_epi16(_mm256_min_epi16(w, vrail_hi), vrail_lo);
+    if constexpr (sizeof(T) == 1) {
+      const __m128i lo = _mm256_castsi256_si128(w);
+      const __m128i hi = _mm256_extracti128_si256(w, 1);
+      _mm_storeu_si128(reinterpret_cast<__m128i*>(a.out + v),
+                       _mm_packs_epi16(lo, hi));
+    } else {
+      _mm256_storeu_si256(reinterpret_cast<__m256i*>(a.out + v), w);
+    }
   }
-  detail::fa_quantize_scalar(pass, v);
+  detail::quantize_scalar(a, v);
 }
 
 }  // namespace
 
 namespace detail {
-extern const KernelSet kAvx2Kernels =
-    make_kernel_set<Avx2Ops16, Avx2Ops8>(&fa_quantize_avx2);
+extern const KernelSet kAvx2Kernels = make_kernel_set<Avx2Ops16, Avx2Ops8>();
 }  // namespace detail
 
 }  // namespace ldpc::simd

@@ -38,6 +38,7 @@ struct Avx512Base {
   static Vec xor_(Vec a, Vec b) { return _mm512_xor_si512(a, b); }
   static Vec or_(Vec a, Vec b) { return _mm512_or_si512(a, b); }
   static Vec and_(Vec a, Vec b) { return _mm512_and_si512(a, b); }
+  static void quantize(const QuantizePass<T>& a);  // below
 };
 
 struct Avx512Ops16 : Avx512Base<std::int16_t> {
@@ -98,32 +99,41 @@ struct Avx512Ops8 : Avx512Base<std::int8_t> {
 // (GCC PR 105593). The operands are dead — full-mask forms ignore them.
 #pragma GCC diagnostic push
 #pragma GCC diagnostic ignored "-Wmaybe-uninitialized"
-void fa_quantize_avx512(const SimdFaQuantizePass& pass) {
-  // 16 LLRs per step: one 16-wide float pipeline, clamp on int32, narrow
-  // with vpmovdb. Float bit-ops go through integer casts — _mm512_and_ps
-  // is AVX-512DQ, which this build does not assume (only F + BW).
-  const __m512 vscale = _mm512_set1_ps(pass.fscale);
-  const __m512 vhi = _mm512_set1_ps(pass.fhi);
-  const __m512 vlo = _mm512_set1_ps(pass.flo);
-  const __m512i vhalf = _mm512_castps_si512(_mm512_set1_ps(0.5F));
+template <class T_>
+void Avx512Base<T_>::quantize(const QuantizePass<T>& a) {
+  // 16 LLRs per step: one 16-wide float pipeline, the rail clamp on int32,
+  // then one narrowing move, vpmovdw (int16) or vpmovdb (int8). Float
+  // bit-ops go through integer casts — _mm512_and_ps is AVX-512DQ, which
+  // this build does not assume (only F + BW).
+  const __m512 vscale = _mm512_set1_ps(a.fscale);
+  const __m512 vhi = _mm512_set1_ps(a.fhi);
+  const __m512 vlo = _mm512_set1_ps(a.flo);
+  const __m512 vhalf_ps = _mm512_set1_ps(0.5F);
+  const __m512i vhalf = _mm512_castps_si512(vhalf_ps);
   const __m512i vsign = _mm512_castps_si512(_mm512_set1_ps(-0.0F));
-  const __m512i vrail = _mm512_set1_epi32(127);
-  const __m512i vnrail = _mm512_set1_epi32(-127);
+  const __m512i vrail_hi = _mm512_set1_epi32(a.hi);
+  const __m512i vrail_lo = _mm512_set1_epi32(a.lo);
   std::size_t v = 0;
-  for (; v + 16 <= pass.n; v += 16) {
-    __m512 s = _mm512_mul_ps(_mm512_loadu_ps(pass.llr + v), vscale);
-    const __mmask16 ord = _mm512_cmp_ps_mask(s, s, _CMP_ORD_Q);
-    s = _mm512_maskz_mov_ps(ord, s);  // NaN -> 0
+  for (; v + 16 <= a.n; v += 16) {
+    __m512 s = _mm512_mul_ps(_mm512_loadu_ps(a.llr + v), vscale);
+    // NaN and |s| < 0.5 -> 0 (the ordered compare is false for NaN).
+    const __mmask16 keep =
+        _mm512_cmp_ps_mask(_mm512_abs_ps(s), vhalf_ps, _CMP_GE_OQ);
+    s = _mm512_maskz_mov_ps(keep, s);
     s = _mm512_min_ps(_mm512_max_ps(s, vlo), vhi);
     const __m512i si = _mm512_castps_si512(s);
     const __m512 half = _mm512_castsi512_ps(
         _mm512_or_si512(vhalf, _mm512_and_si512(si, vsign)));
     __m512i t = _mm512_cvttps_epi32(_mm512_add_ps(s, half));
-    t = _mm512_max_epi32(_mm512_min_epi32(t, vrail), vnrail);
-    _mm_storeu_si128(reinterpret_cast<__m128i*>(pass.out + v),
-                     _mm512_cvtepi32_epi8(t));
+    t = _mm512_max_epi32(_mm512_min_epi32(t, vrail_hi), vrail_lo);
+    if constexpr (sizeof(T) == 1)
+      _mm_storeu_si128(reinterpret_cast<__m128i*>(a.out + v),
+                       _mm512_cvtepi32_epi8(t));
+    else
+      _mm256_storeu_si256(reinterpret_cast<__m256i*>(a.out + v),
+                          _mm512_cvtepi32_epi16(t));
   }
-  detail::fa_quantize_scalar(pass, v);
+  detail::quantize_scalar(a, v);
 }
 #pragma GCC diagnostic pop
 
@@ -131,7 +141,7 @@ void fa_quantize_avx512(const SimdFaQuantizePass& pass) {
 
 namespace detail {
 extern const KernelSet kAvx512Kernels =
-    make_kernel_set<Avx512Ops16, Avx512Ops8>(&fa_quantize_avx512);
+    make_kernel_set<Avx512Ops16, Avx512Ops8>();
 }  // namespace detail
 
 }  // namespace ldpc::simd

@@ -105,18 +105,17 @@ struct PortableOps {
              (8 * sizeof(T));
     });
   }
+  static void quantize(const QuantizePass<T>& a) {
+    detail::quantize_scalar(a, 0);
+  }
 };
-
-void fa_quantize_portable(const SimdFaQuantizePass& pass) {
-  detail::fa_quantize_scalar(pass, 0);
-}
 
 }  // namespace
 
 namespace detail {
 extern const KernelSet kPortableKernels =
-    make_kernel_set<PortableOps<std::int16_t, 8>, PortableOps<std::int8_t, 16>>(
-        &fa_quantize_portable);
+    make_kernel_set<PortableOps<std::int16_t, 8>,
+                    PortableOps<std::int8_t, 16>>();
 }  // namespace detail
 
 }  // namespace ldpc::simd

@@ -31,6 +31,7 @@ struct Sse2Base {
   static Vec xor_(Vec a, Vec b) { return _mm_xor_si128(a, b); }
   static Vec or_(Vec a, Vec b) { return _mm_or_si128(a, b); }
   static Vec and_(Vec a, Vec b) { return _mm_and_si128(a, b); }
+  static void quantize(const QuantizePass<T>& a);  // below
 };
 
 struct Sse2Ops16 : Sse2Base<std::int16_t> {
@@ -71,41 +72,49 @@ struct Sse2Ops8 : Sse2Base<std::int8_t> {
   static Vec abs(Vec a) { return max(a, _mm_sub_epi8(zero(), a)); }
 };
 
-void fa_quantize_sse2(const SimdFaQuantizePass& pass) {
-  // 16 LLRs per step: four 4-wide float pipelines narrowed through the
-  // saturating packs (harmless — the +-127 clamp runs first, on int16
-  // because SSE2 has no epi32 min/max). copysign(0.5, s) = 0.5 | signbit.
-  const __m128 vscale = _mm_set1_ps(pass.fscale);
-  const __m128 vhi = _mm_set1_ps(pass.fhi);
-  const __m128 vlo = _mm_set1_ps(pass.flo);
+template <class T_>
+void Sse2Base<T_>::quantize(const QuantizePass<T>& a) {
+  // 16 LLRs per step: four 4-wide float pipelines narrowed to int16 by the
+  // saturating packs (harmless: |s| <= 2^15 + 1 and the rails fit int16),
+  // clamped to the rails on int16 (SSE2 has no epi32 min/max), then stored
+  // or packed once more to int8. copysign(0.5, s) = 0.5 | signbit.
+  const __m128 vscale = _mm_set1_ps(a.fscale);
+  const __m128 vhi = _mm_set1_ps(a.fhi);
+  const __m128 vlo = _mm_set1_ps(a.flo);
   const __m128 vhalf = _mm_set1_ps(0.5F);
   const __m128 vsign = _mm_set1_ps(-0.0F);
-  const __m128i vrail = _mm_set1_epi16(127);
-  const __m128i vnrail = _mm_set1_epi16(-127);
+  const __m128i vrail_hi = _mm_set1_epi16(a.hi);
+  const __m128i vrail_lo = _mm_set1_epi16(a.lo);
   const auto quant4 = [&](std::size_t v) {
-    __m128 s = _mm_mul_ps(_mm_loadu_ps(pass.llr + v), vscale);
-    s = _mm_and_ps(s, _mm_cmpord_ps(s, s));  // NaN -> 0
+    __m128 s = _mm_mul_ps(_mm_loadu_ps(a.llr + v), vscale);
+    // NaN and |s| < 0.5 -> 0 (the ordered compare is false for NaN).
+    s = _mm_and_ps(s, _mm_cmpge_ps(_mm_andnot_ps(vsign, s), vhalf));
     s = _mm_min_ps(_mm_max_ps(s, vlo), vhi);
     const __m128 half = _mm_or_ps(vhalf, _mm_and_ps(s, vsign));
     return _mm_cvttps_epi32(_mm_add_ps(s, half));
   };
+  const auto rail = [&](__m128i w) {
+    return _mm_max_epi16(_mm_min_epi16(w, vrail_hi), vrail_lo);
+  };
   std::size_t v = 0;
-  for (; v + 16 <= pass.n; v += 16) {
-    const __m128i w0 = _mm_packs_epi32(quant4(v), quant4(v + 4));
-    const __m128i w1 = _mm_packs_epi32(quant4(v + 8), quant4(v + 12));
-    const __m128i c0 = _mm_max_epi16(_mm_min_epi16(w0, vrail), vnrail);
-    const __m128i c1 = _mm_max_epi16(_mm_min_epi16(w1, vrail), vnrail);
-    _mm_storeu_si128(reinterpret_cast<__m128i*>(pass.out + v),
-                     _mm_packs_epi16(c0, c1));
+  for (; v + 16 <= a.n; v += 16) {
+    const __m128i c0 = rail(_mm_packs_epi32(quant4(v), quant4(v + 4)));
+    const __m128i c1 = rail(_mm_packs_epi32(quant4(v + 8), quant4(v + 12)));
+    auto* out = reinterpret_cast<__m128i*>(a.out + v);
+    if constexpr (sizeof(T) == 1) {
+      _mm_storeu_si128(out, _mm_packs_epi16(c0, c1));
+    } else {
+      _mm_storeu_si128(out, c0);
+      _mm_storeu_si128(out + 1, c1);
+    }
   }
-  detail::fa_quantize_scalar(pass, v);
+  detail::quantize_scalar(a, v);
 }
 
 }  // namespace
 
 namespace detail {
-extern const KernelSet kSse2Kernels =
-    make_kernel_set<Sse2Ops16, Sse2Ops8>(&fa_quantize_sse2);
+extern const KernelSet kSse2Kernels = make_kernel_set<Sse2Ops16, Sse2Ops8>();
 }  // namespace detail
 
 }  // namespace ldpc::simd

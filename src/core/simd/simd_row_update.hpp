@@ -22,6 +22,8 @@
 //   abs               |v| for every railed v
 //   xor_/or_/and_     bitwise
 //   staircase_add     optional fused s + (mag > thr ? delta : 0)
+//   quantize          the channel quantizer (QuantizePass): one float
+//                     pipeline per tier, narrowed to T
 //
 // What differs by width lives in Width<T> below; what differs by family is
 // the magnitude map (MagnitudeMap); what differs by shape is addressing
@@ -402,21 +404,19 @@ template <class Ops>
   }
 }
 
-/// Scalar body of the Fa8 channel quantizer, used by the portable tier and
-/// as the vector tiers' tail loop. Bit-identical to fa_quantize (see
-/// SimdFaQuantizePass; the 127 below is kFaRail). `static`: every tier TU
-/// gets its own copy, compiled for that TU's ISA.
-static inline void fa_quantize_scalar(const SimdFaQuantizePass& a,
-                                      std::size_t v0) {
+/// Scalar body of the channel quantizer (see QuantizePass), for both
+/// widths: the portable tier's whole pass and the vector tiers' tail loop.
+/// `static`: every tier TU gets its own copy, compiled for that TU's ISA.
+template <class T>
+static inline void quantize_scalar(const QuantizePass<T>& a, std::size_t v0) {
   for (std::size_t v = v0; v < a.n; ++v) {
     float s = a.llr[v] * a.fscale;
-    s = s != s ? 0.0F : s;
+    s = std::fabs(s) >= 0.5F ? s : 0.0F;  // NaN and |s| < 0.5 code 0
     s = s > a.fhi ? a.fhi : s;
     s = s < a.flo ? a.flo : s;
     const std::int32_t t =
         static_cast<std::int32_t>(s + std::copysign(0.5F, s));
-    const std::int32_t c = t > 127 ? 127 : (t < -127 ? -127 : t);
-    a.out[v] = static_cast<std::int8_t>(c);
+    a.out[v] = static_cast<T>(t > a.hi ? a.hi : (t < a.lo ? a.lo : t));
   }
 }
 
@@ -436,15 +436,18 @@ void batch_entry(const BatchPass<typename Ops::T, MapArgs>& a) {
     batch_pass<Ops, false>(a);
 }
 
+/// The four passes of one family from its lane policy.
+template <class Ops, class MapArgs>
+constexpr ShapeKernels<typename Ops::T, MapArgs> shape_kernels() {
+  return {&zlane_entry<Ops, MapArgs>, &batch_entry<Ops, MapArgs>,
+          &syndrome_pass<Ops>, &Ops::quantize};
+}
+
 /// A tier's KernelSet from its int16 and int8 lane policies.
 template <class Ops16, class Ops8>
-constexpr KernelSet make_kernel_set(
-    void (*fa_quantize)(const SimdFaQuantizePass&)) {
-  return {{&zlane_entry<Ops16, ScaleMap>, &batch_entry<Ops16, ScaleMap>,
-           &syndrome_pass<Ops16>},
-          {&zlane_entry<Ops8, StaircaseMap>, &batch_entry<Ops8, StaircaseMap>,
-           &syndrome_pass<Ops8>},
-          fa_quantize};
+constexpr KernelSet make_kernel_set() {
+  return {shape_kernels<Ops16, ScaleMap>(),
+          shape_kernels<Ops8, StaircaseMap>()};
 }
 
 /// One table per compiled tier, defined in its TU.

@@ -1,8 +1,11 @@
 #include "service/wire.hpp"
 
+#include <algorithm>
 #include <cmath>
 #include <cstring>
 #include <sstream>
+
+#include "util/check.hpp"
 
 // GCC 12's -Wstringop-overflow misfires on FrameBuilder's resize+memcpy
 // chain once callers are inlined (libstdc++'s internal memset appears to
@@ -295,17 +298,31 @@ std::vector<std::uint8_t> encode_stats_response(const std::string& text) {
 }
 
 std::vector<std::uint8_t> pack_bits(const BitVec& bits) {
-  std::vector<std::uint8_t> packed((bits.size() + 7) / 8, 0);
-  for (std::size_t i = 0; i < bits.size(); ++i)
-    if (bits.get(i)) packed[i / 8] |= static_cast<std::uint8_t>(1U << (i % 8));
+  // Byte b holds bits [8b, 8b + 8): byte b % 8 of word b / 8, counted from
+  // the word's low end. Shifts rather than a memcpy of the word array keep
+  // the layout independent of host byte order; BitVec's padding bits are
+  // zero, so so are the last byte's.
+  const std::span<const std::uint64_t> words = bits.words();
+  std::vector<std::uint8_t> packed((bits.size() + 7) / 8);
+  for (std::size_t b = 0; b < packed.size(); ++b)
+    packed[b] = static_cast<std::uint8_t>(words[b / 8] >> (8 * (b % 8)));
   return packed;
 }
 
 BitVec unpack_bits(std::span<const std::uint8_t> bytes,
                    std::size_t bit_count) {
+  const std::size_t byte_count = (bit_count + 7) / 8;
+  LDPC_CHECK_MSG(bytes.size() >= byte_count,
+                 "unpack_bits: " << bit_count << " bits need " << byte_count
+                                 << " bytes, got " << bytes.size());
   BitVec bits(bit_count);
-  for (std::size_t i = 0; i < bit_count; ++i)
-    bits.set(i, (bytes[i / 8] >> (i % 8)) & 1U);
+  for (std::size_t w = 0; w * 8 < byte_count; ++w) {
+    const std::size_t end = std::min(byte_count, w * 8 + 8);
+    std::uint64_t word = 0;
+    for (std::size_t b = w * 8; b < end; ++b)
+      word |= std::uint64_t{bytes[b]} << (8 * (b % 8));
+    bits.set_word(w, word);  // masks the last byte's padding bits
+  }
   return bits;
 }
 

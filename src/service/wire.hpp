@@ -211,9 +211,14 @@ std::vector<std::uint8_t> encode_pong(std::uint64_t nonce);
 std::vector<std::uint8_t> encode_stats_request();
 std::vector<std::uint8_t> encode_stats_response(const std::string& text);
 
-/// Pack hard decisions LSB-first into bytes (the kDecodeResponse layout).
+/// Pack hard decisions LSB-first into ceil(size / 8) bytes (the
+/// kDecodeResponse layout), a 64-bit word at a time; the last byte's
+/// padding bits are zero. The layout does not depend on host byte order.
 std::vector<std::uint8_t> pack_bits(const BitVec& bits);
-/// Inverse of pack_bits; `bit_count` bits are consumed from `bytes`.
+/// Inverse of pack_bits: the first ceil(bit_count / 8) bytes of `bytes`
+/// are read; padding bits set in the last of them are masked off, so the
+/// result equals the clean vector. Throws ldpc::Error when `bytes` is
+/// shorter than that.
 BitVec unpack_bits(std::span<const std::uint8_t> bytes,
                    std::size_t bit_count);
 

@@ -364,9 +364,39 @@ TEST(ServiceWire, PackUnpackRoundTrip) {
   for (const std::size_t i : {0U, 2U, 3U, 7U, 8U, 12U}) bits.set(i, true);
   const std::vector<std::uint8_t> packed = pack_bits(bits);
   ASSERT_EQ(packed.size(), 2U);
+  EXPECT_EQ(packed[0], 0x8D);  // LSB-first: bits 0, 2, 3, 7
+  EXPECT_EQ(packed[1], 0x11);  // bits 8, 12
   const BitVec back = unpack_bits(packed, 13);
   ASSERT_EQ(back.size(), 13U);
   for (std::size_t i = 0; i < 13; ++i) EXPECT_EQ(back.get(i), bits.get(i));
+
+  // Lengths around byte and word boundaries, up to a WiMAX frame.
+  Xoshiro256 rng(1234);
+  for (const std::size_t count : {0U, 1U, 7U, 8U, 9U, 63U, 64U, 65U, 2304U}) {
+    const std::string ctx = "bit_count=" + std::to_string(count);
+    BitVec word(count);
+    for (std::size_t i = 0; i < count; ++i) word.set(i, rng.coin());
+    std::vector<std::uint8_t> wire = pack_bits(word);
+    ASSERT_EQ(wire.size(), (count + 7) / 8) << ctx;
+    for (std::size_t i = 0; i < count; ++i)
+      EXPECT_EQ((wire[i / 8] >> (i % 8)) & 1U, word.get(i) ? 1U : 0U) << ctx;
+    EXPECT_TRUE(unpack_bits(wire, count) == word) << ctx;
+    if (count % 8 != 0) {
+      // The last byte's padding bits are zero on the way out...
+      EXPECT_EQ(wire.back() >> (count % 8), 0U) << ctx;
+      // ...and ignored on the way in: a hostile sender setting them still
+      // unpacks to the clean vector.
+      wire.back() |= static_cast<std::uint8_t>(0xFFU << (count % 8));
+      EXPECT_TRUE(unpack_bits(wire, count) == word) << ctx;
+    }
+    // A span one byte short of ceil(count / 8) is refused, never over-read.
+    if (!wire.empty()) {
+      EXPECT_THROW(
+          (void)unpack_bits(std::span(wire).first(wire.size() - 1), count),
+          Error)
+          << ctx;
+    }
+  }
 }
 
 TEST(ServiceWire, ErrorDetailTruncatesInsteadOfOverflowing) {

@@ -208,6 +208,13 @@ TEST(SimdBatch, UncountedPathMatchesHardOutputs) {
   sweep_code(code, opt, FixedFormat{8, 2}, 1.8F);
 }
 
+TEST(SimdBatch, UncountedPathWimaxZ96) {
+  // The decode service's configuration: WiMAX 1/2 z = 96, q8.2, no clip
+  // accounting, so every frame is staged in by the vector quantize pass.
+  sweep_code(make_wimax_2304_half_rate(), DecoderOptions{}, FixedFormat{8, 2},
+             2.0F);
+}
+
 // --------------------------------------------------------- cancellation ----
 
 TEST(SimdBatch, CancelledFrameInBlockLeavesLaneMatesIntact) {
