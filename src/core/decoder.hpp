@@ -11,10 +11,13 @@
 #include <chrono>
 #include <cstddef>
 #include <functional>
+#include <optional>
 #include <span>
 #include <string>
+#include <utility>
 
 #include "util/bitvec.hpp"
+#include "util/check.hpp"
 
 namespace ldpc {
 
@@ -168,6 +171,31 @@ struct BlockFrame {
   const CancelToken* cancel = nullptr;
 };
 
+/// A frame handed out by a FrameSource, with the source's tag for it;
+/// decode_stream hands the tag back to FrameSource::done with the result.
+struct StreamFrame {
+  BlockFrame frame;
+  std::size_t tag = 0;
+};
+
+/// Where Decoder::decode_stream pulls its frames from and delivers their
+/// results. A source may be a fixed span of frames (decode_block) or a live
+/// feed that keeps pulling queued work (the batch engine's worker stream).
+class FrameSource {
+ public:
+  virtual ~FrameSource() = default;
+  /// The next frame, or nullopt when none is ready now.
+  virtual std::optional<StreamFrame> next() = 0;
+  /// How many frames next() can hand out now; may pull queued work.
+  virtual std::size_t ready() = 0;
+  /// One handed-out frame's result and saturation. The decoder calls it
+  /// exactly once per frame next() handed out, as soon as that frame
+  /// finishes, so frames may complete out of hand-out order; it no longer
+  /// reads the frame's LLRs by then.
+  virtual void done(std::size_t tag, DecodeResult&& result,
+                    const SaturationStats& saturation) = 0;
+};
+
 class Decoder {
  public:
   virtual ~Decoder() = default;
@@ -192,27 +220,59 @@ class Decoder {
   /// factory tests and benchmark artifacts to key resolution studies.
   virtual std::string message_format() const { return "float"; }
 
-  /// Preferred number of frames per decode_block call — the SIMD lane
-  /// count for inter-frame-batched decoders, 1 for everyone else. Callers
-  /// may pass any frame count; this is the size at which lanes are full.
+  /// Frames decoded side by side — the SIMD lane count for
+  /// inter-frame-batched decoders, 1 for everyone else. Callers may pass
+  /// any frame count; this is the size at which lanes are full.
   virtual std::size_t block_width() const { return 1; }
 
-  /// Decode a block of frames with per-frame cancellation, filling
-  /// `results[i]` / `saturation[i]` for frames[i]. The spans must all have
-  /// the same length. Default: sequential single-frame decodes (so every
-  /// decoder is block-callable); inter-frame-batched decoders override
-  /// this with a lanes-are-frames kernel. Any cancel token previously
-  /// attached via set_cancel_token is detached on return — the per-frame
-  /// tokens replace it for the duration of the block.
-  virtual void decode_block(std::span<const BlockFrame> frames,
-                            std::span<DecodeResult> results,
-                            std::span<SaturationStats> saturation) {
-    for (std::size_t i = 0; i < frames.size(); ++i) {
-      set_cancel_token(frames[i].cancel);
-      results[i] = decode(frames[i].llr);
-      saturation[i] = this->saturation();
+  /// Decode frames pulled from `source`, each under its own cancel token,
+  /// until the source has none ready and no frame is in flight. Default:
+  /// one frame at a time, so every decoder streams; inter-frame-batched
+  /// decoders override this with a lanes-are-frames kernel that refills a
+  /// lane from the source the moment its frame finishes. Any cancel token
+  /// previously attached via set_cancel_token is detached on return.
+  virtual void decode_stream(FrameSource& source) {
+    while (const std::optional<StreamFrame> f = source.next()) {
+      set_cancel_token(f->frame.cancel);
+      DecodeResult result = decode(f->frame.llr);
+      source.done(f->tag, std::move(result), saturation());
     }
     set_cancel_token(nullptr);
+  }
+
+  /// Decode a block of frames with per-frame cancellation, filling
+  /// `results[i]` / `saturation[i]` for frames[i]: the spans fed through
+  /// decode_stream. The frame spans must all hold n() LLRs.
+  void decode_block(std::span<const BlockFrame> frames,
+                    std::span<DecodeResult> results,
+                    std::span<SaturationStats> saturation) {
+    LDPC_CHECK(results.size() == frames.size());
+    LDPC_CHECK(saturation.size() == frames.size());
+    class Spans final : public FrameSource {
+     public:
+      Spans(std::span<const BlockFrame> frames,
+            std::span<DecodeResult> results,
+            std::span<SaturationStats> saturation)
+          : frames_(frames), results_(results), saturation_(saturation) {}
+      std::optional<StreamFrame> next() override {
+        if (next_ == frames_.size()) return std::nullopt;
+        const std::size_t i = next_++;
+        return StreamFrame{frames_[i], i};
+      }
+      std::size_t ready() override { return frames_.size() - next_; }
+      void done(std::size_t tag, DecodeResult&& result,
+                const SaturationStats& saturation) override {
+        results_[tag] = std::move(result);
+        saturation_[tag] = saturation;
+      }
+
+     private:
+      std::span<const BlockFrame> frames_;
+      std::span<DecodeResult> results_;
+      std::span<SaturationStats> saturation_;
+      std::size_t next_ = 0;
+    } source(frames, results, saturation);
+    decode_stream(source);
   }
 
   /// Saturation accounting for the most recent decode. Default: all zeros

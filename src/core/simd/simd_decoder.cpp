@@ -396,13 +396,7 @@ DecodeResult BatchDecoder<Family>::decode(std::span<const float> llr) {
 }
 
 template <class Family>
-void BatchDecoder<Family>::decode_block(std::span<const BlockFrame> frames,
-                                        std::span<DecodeResult> results,
-                                        std::span<SaturationStats> saturation) {
-  LDPC_CHECK(results.size() == frames.size());
-  LDPC_CHECK(saturation.size() == frames.size());
-  for (const BlockFrame& f : frames) LDPC_CHECK(f.llr.size() == code_.n());
-
+void BatchDecoder<Family>::decode_stream(FrameSource& source) {
   SimdFallback reason = SimdFallback::kNone;
   if (force_fallback_) {
     reason = SimdFallback::kWideFormat;
@@ -414,35 +408,39 @@ void BatchDecoder<Family>::decode_block(std::span<const BlockFrame> frames,
     // interleaved lanes have no meaningful single-frame cadence.
     reason = SimdFallback::kObserver;
   }
-  if (reason == SimdFallback::kNone && frames.size() >= min_block_) {
-    run_block(frames, results, saturation);
+  if (reason == SimdFallback::kNone) {
+    run_stream(source);
   } else {
-    for (std::size_t i = 0; i < frames.size(); ++i) {
-      single_->set_cancel_token(frames[i].cancel);
-      results[i] = single_->decode(frames[i].llr);
-      saturation[i] = single_->saturation();
-      // The twin stamps its own, more specific reason when *it* also had
-      // to bypass its lane kernel; otherwise record why batching was off
-      // (nothing for a small block).
-      if (results[i].simd_fallback == SimdFallback::kNone)
-        results[i].simd_fallback = reason;
-    }
-    if (!frames.empty()) last_saturation_ = saturation.back();
+    while (const std::optional<StreamFrame> f = source.next())
+      decode_on_twin(source, *f, reason);
   }
   single_->set_cancel_token(nullptr);
 }
 
 template <class Family>
-void BatchDecoder<Family>::run_block(std::span<const BlockFrame> frames,
-                                     std::span<DecodeResult> results,
-                                     std::span<SaturationStats> saturation) {
-  const std::size_t count = frames.size();
+void BatchDecoder<Family>::decode_on_twin(FrameSource& source,
+                                          const StreamFrame& frame,
+                                          SimdFallback reason) {
+  single_->set_cancel_token(frame.frame.cancel);
+  DecodeResult result = single_->decode(frame.frame.llr);
+  last_saturation_ = single_->saturation();
+  // The twin stamps its own, more specific reason when *it* also had to
+  // bypass its lane kernel; otherwise record why batching was off (nothing
+  // for a small block).
+  if (result.simd_fallback == SimdFallback::kNone)
+    result.simd_fallback = reason;
+  source.done(frame.tag, std::move(result), last_saturation_);
+}
+
+template <class Family>
+void BatchDecoder<Family>::run_stream(FrameSource& source) {
   const std::size_t n = code_.n();
   const Family& family = single_->family();
   const auto& kernels = Family::kernels(kernels_);
-  std::size_t next = 0;  // next pending frame to claim a lane
-  std::size_t done = 0;
   std::uint32_t live = 0;  // lanes currently carrying a frame
+  // A stream that threw may have left frames in lanes: start from idle.
+  std::fill(lane_.begin(), lane_.end(), Lane{});
+  std::fill(active_.begin(), active_.end(), T{0});
 
   BatchPass<T, typename Family::Map> pass{};
   pass.p = p_.data();
@@ -467,22 +465,24 @@ void BatchDecoder<Family>::run_block(std::span<const BlockFrame> frames,
   const bool et = options_.early_termination;
   const bool wd = options_.watchdog.enabled();
 
-  const auto load_lane = [&](std::size_t f, std::size_t g) {
+  const auto load_lane = [&](std::uint32_t f, const StreamFrame& frame) {
+    LDPC_CHECK(frame.frame.llr.size() == n);
     Lane& lane = lane_[f];
-    lane.frame = g;
+    lane.live = true;
+    lane.tag = frame.tag;
     lane.iter = 0;
     lane.watchdog = WatchdogState(options_.watchdog);
-    lane.cancel = frames[g].cancel;
-    SaturationStats& sat = saturation[g];
-    sat = SaturationStats{};
+    lane.cancel = frame.frame.cancel;
+    lane.quantizer_clips = 0;
     // Quantize into a contiguous staging row, then spread it across lane
     // f's strided column. Every store owns a fresh cache line (stride = one
     // line at AVX-512 width), so the walk is RFO-latency-bound without the
     // look-ahead prefetch — the kBatchPrefetchPad rows keep the +16 in
     // bounds. The lane's R column is NOT zero-filled — r_keep_ masks its
     // reads for the frame's first iteration instead.
-    family.quantize(kernels_, frames[g].llr, stage_.data(),
-                    options_.count_saturation ? &sat.quantizer_clips : nullptr);
+    family.quantize(kernels_, frame.frame.llr, stage_.data(),
+                    options_.count_saturation ? &lane.quantizer_clips
+                                              : nullptr);
     for (std::size_t v = 0; v < n; ++v) {
       __builtin_prefetch(&p_[(v + 16) * lanes_ + f], 1);
       p_[v * lanes_ + f] = stage_[v];
@@ -495,17 +495,17 @@ void BatchDecoder<Family>::run_block(std::span<const BlockFrame> frames,
     ++live;
   };
 
-  // Retire lane f, writing its frame's DecodeResult exactly as the scalar
-  // decoder's iteration tail + output parity recheck would have. When the
-  // caller just ran the vectorized syndrome pass, lane f's parity is
-  // already known (`parity_known` + `parity` = weight_[f] == 0) and the
-  // scalar whole-code parity_ok walk is skipped; only cancellation mid-
-  // iteration (stale weight_) and the no-probe configuration pay it.
-  const auto finalize = [&](std::size_t f, bool watchdog_fired,
+  // Retire lane f, handing its frame's DecodeResult to the source exactly
+  // as the scalar decoder's iteration tail + output parity recheck would
+  // have produced it. When the caller just ran the vectorized syndrome
+  // pass, lane f's parity is already known (`parity_known` + `parity` =
+  // weight_[f] == 0) and the scalar whole-code parity_ok walk is skipped;
+  // only cancellation mid-iteration (stale weight_) and the no-probe
+  // configuration pay it.
+  const auto finalize = [&](std::uint32_t f, bool watchdog_fired,
                             bool cancelled, bool parity_known, bool parity) {
     Lane& lane = lane_[f];
-    const std::size_t g = lane.frame;
-    DecodeResult& res = results[g];
+    DecodeResult res;
     res.hard_bits.resize(n);
     // Drain the lane's posterior signs 64 at a time: assembling a word
     // locally keeps the strided loads independent (no per-bit RMW chain)
@@ -525,31 +525,50 @@ void BatchDecoder<Family>::run_block(std::span<const BlockFrame> frames,
     res.iterations = lane.iter;
     res.converged = parity_known ? parity : code_.parity_ok(res.hard_bits);
     res.status = classify_exit(res.converged, watchdog_fired, 0, cancelled);
-    res.faults_injected = 0;
-    res.simd_fallback = SimdFallback::kNone;
-    SaturationStats& sat = saturation[g];
+    SaturationStats& sat = last_saturation_;
+    sat.quantizer_clips = lane.quantizer_clips;
     sat.q_clips = q_clips_[f];
     sat.r_clips = r_clips_[f];
     sat.p_clips = p_clips_[f];
     sat.datapath_clips = sat.q_clips + sat.r_clips + sat.p_clips;
     sat.degenerate_checks = degenerate_[f];
-    last_saturation_ = sat;
-    lane.frame = kIdleLane;
+    lane.live = false;
     lane.cancel = nullptr;
     active_[f] = 0;
     --live;
-    ++done;
+    source.done(lane.tag, std::move(res), sat);
   };
 
-  while (done < count) {
-    // Refill: idle lanes pick up pending frames mid-block, so lanes stay
-    // full while their neighbours are still iterating.
-    for (std::uint32_t f = 0; f < lanes_ && next < count; ++f)
-      if (lane_[f].frame == kIdleLane) load_lane(f, next++);
+  for (;;) {
+    if (live == 0) {
+      // Nothing in flight: the stream ends when the source runs dry, and a
+      // few ready frames cost less on the twin than in a block of idle
+      // lanes.
+      const std::size_t ready = source.ready();
+      if (ready == 0) return;
+      if (ready < min_block_) {
+        for (std::size_t i = 0; i < ready; ++i) {
+          const std::optional<StreamFrame> frame = source.next();
+          if (!frame) break;
+          decode_on_twin(source, *frame, SimdFallback::kNone);
+        }
+        continue;
+      }
+    }
+
+    // Refill: idle lanes take the source's next frames, so lanes stay full
+    // while their neighbours are still iterating.
+    for (std::uint32_t f = 0; f < lanes_; ++f) {
+      if (lane_[f].live) continue;
+      const std::optional<StreamFrame> frame = source.next();
+      if (!frame) break;
+      load_lane(f, *frame);
+    }
+    if (live == 0) continue;  // every ready frame resolved without a lane
 
     for (std::uint32_t f = 0; f < lanes_; ++f) {
       Lane& lane = lane_[f];
-      if (lane.frame == kIdleLane) continue;
+      if (!lane.live) continue;
       ++lane.iter;
       // First iteration of a refilled lane: its R column is stale memory
       // and must read as 0 (the kernel masks it via r_keep).
@@ -564,7 +583,7 @@ void BatchDecoder<Family>::run_block(std::span<const BlockFrame> frames,
       // parity recheck decides converged vs deadline-expired.
       for (std::uint32_t f = 0; f < lanes_; ++f) {
         const Lane& lane = lane_[f];
-        if (lane.frame != kIdleLane && lane.cancel && lane.cancel->expired())
+        if (lane.live && lane.cancel && lane.cancel->expired())
           finalize(f, false, true, false, false);
       }
       if (live == 0) break;
@@ -598,7 +617,7 @@ void BatchDecoder<Family>::run_block(std::span<const BlockFrame> frames,
     }
     for (std::uint32_t f = 0; f < lanes_; ++f) {
       Lane& lane = lane_[f];
-      if (lane.frame == kIdleLane) continue;
+      if (!lane.live) continue;
       const bool parity = probed && weight_[f] == 0;
       if (et && parity) {
         finalize(f, false, false, true, true);

@@ -8,18 +8,19 @@
 //                          padded structure-of-arrays scratch — the
 //                          (row + shift) % z barrel shift collapses into
 //                          two memcpys — and scattered back after the pass.
-//   BatchDecoder<Family>   lane f carries frame f of a block; arrays are
-//                          lane-major with stride F (p[v * F + f]) and the
-//                          z rows of a layer run serially, so every lane is
-//                          full for any z and the rotation is a scalar
-//                          index. Frames iterate independently: a lane
-//                          whose frame converges, expires or exhausts its
-//                          budget is refilled with the next pending frame
-//                          mid-block, so block throughput tracks the mean
-//                          iteration count, not the max. A block too small
-//                          to pay for the idle lanes (below
-//                          batch_break_even, scaled by the z-lane fill)
-//                          decodes frame by frame on the z-lane twin.
+//   BatchDecoder<Family>   lane f carries one frame of a stream; arrays
+//                          are lane-major with stride F (p[v * F + f]) and
+//                          the z rows of a layer run serially, so every
+//                          lane is full for any z and the rotation is a
+//                          scalar index. Frames iterate independently: a
+//                          lane whose frame converges, expires or exhausts
+//                          its budget is refilled with the source's next
+//                          frame, so throughput tracks the mean iteration
+//                          count, not the max — across block and engine job
+//                          boundaries alike (decode_stream). With no lane
+//                          live, fewer ready frames than pay for the idle
+//                          lanes (batch_break_even, scaled by the z-lane
+//                          fill) decode frame by frame on the z-lane twin.
 //
 // A family fixes the lane element type, the magnitude map and the scalar
 // twin every result is bit-identical to:
@@ -254,14 +255,10 @@ class BatchDecoder : public Decoder {
   /// nothing to batch.
   DecodeResult decode(std::span<const float> llr) override;
 
-  /// Blocks of at least min_block() frames run the batched kernel; smaller
-  /// ones decode frame by frame on the z-lane twin (bit-identical either
-  /// way, simd_fallback kNone). Any cancel token attached with
-  /// set_cancel_token is detached on return, as the Decoder contract
-  /// requires.
-  void decode_block(std::span<const BlockFrame> frames,
-                    std::span<DecodeResult> results,
-                    std::span<SaturationStats> saturation) override;
+  /// Streams run the batched kernel; with no lane live and fewer than
+  /// min_block() frames ready, those frames decode one by one on the
+  /// z-lane twin (bit-identical either way, simd_fallback kNone).
+  void decode_stream(FrameSource& source) override;
 
   std::size_t n() const override { return code_.n(); }
   std::size_t k() const override { return code_.k(); }
@@ -278,7 +275,7 @@ class BatchDecoder : public Decoder {
 
   /// Frames per full block = the tier's lane count for T.
   std::size_t block_width() const override { return lanes_; }
-  /// Smallest block decoded on the batched kernel: the tier's
+  /// Fewest ready frames that start the batched kernel: the tier's
   /// batch_break_even times the twin's lane fill z / z_pad, rounded up —
   /// the twin's cost per frame grows with its idle lanes (a z = 1 code
   /// fills one of them), the batched kernel's does not.
@@ -292,20 +289,24 @@ class BatchDecoder : public Decoder {
   bool scalar_only() const { return force_fallback_; }
 
  private:
-  static constexpr std::size_t kIdleLane = static_cast<std::size_t>(-1);
-
-  /// Per-lane decode-in-flight state; `frame` indexes into the current
-  /// decode_block call's spans (kIdleLane when the lane holds no frame).
+  /// Per-lane decode-in-flight state; `tag` is the source's tag for the
+  /// lane's frame.
   struct Lane {
-    std::size_t frame = kIdleLane;
+    bool live = false;
+    std::size_t tag = 0;
     std::size_t iter = 0;
     WatchdogState watchdog{WatchdogOptions{}};
     const CancelToken* cancel = nullptr;
+    long long quantizer_clips = 0;
   };
 
-  void run_block(std::span<const BlockFrame> frames,
-                 std::span<DecodeResult> results,
-                 std::span<SaturationStats> saturation);
+  /// The lane state machine: refill free lanes from `source`, iterate, and
+  /// hand each frame to source.done() the iteration it finishes.
+  void run_stream(FrameSource& source);
+  /// One frame on the z-lane twin, stamped with `reason` unless the twin
+  /// bypassed its own lane kernel for a more specific one.
+  void decode_on_twin(FrameSource& source, const StreamFrame& frame,
+                      SimdFallback reason);
 
   std::unique_ptr<ZLaneDecoder<Family>> single_;
   const QCLdpcCode& code_;

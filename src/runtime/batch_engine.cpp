@@ -4,6 +4,16 @@
 #include <utility>
 
 namespace ldpc {
+namespace {
+
+using Clock = std::chrono::steady_clock;
+
+/// A stream frame's tag: the in-hand job's slot above, the frame's position
+/// in its job below.
+constexpr unsigned kPositionBits = 32;
+constexpr std::size_t kPositionMask = (std::size_t{1} << kPositionBits) - 1;
+
+}  // namespace
 
 std::size_t EngineMetrics::status_total(DecodeStatus s) const {
   std::size_t total = 0;
@@ -19,9 +29,11 @@ std::size_t EngineMetrics::sum_iterations() const {
 }
 
 double EngineMetrics::avg_iterations() const {
-  return jobs_completed == 0 ? 0.0
-                             : static_cast<double>(sum_iterations()) /
-                                   static_cast<double>(jobs_completed);
+  std::size_t ran = 0;
+  for (const auto& w : workers) ran += w.jobs;
+  return ran == 0 ? 0.0
+                  : static_cast<double>(sum_iterations()) /
+                        static_cast<double>(ran);
 }
 
 BatchEngine::BatchEngine(DecoderFactory factory, BatchEngineConfig config)
@@ -108,7 +120,9 @@ SubmitStatus BatchEngine::enqueue(Job& job, EnqueueMode mode) {
         for (const BlockFrameJob& frame : shed.frames)
           finish_job_locked(frame.frame_index, now);
       }
-      if (shed.block.on_booked) shed.block.on_booked();
+      if (shed.block.on_booked)
+        for (std::size_t i = 0; i < shed.frames.size(); ++i)
+          shed.block.on_booked(i);
       return SubmitStatus::kAcceptedShedOldest;
     }
     case Push::kRejected:
@@ -228,136 +242,338 @@ std::vector<DecodeResult> BatchEngine::decode_batch(
   return results;
 }
 
-void BatchEngine::worker_main(unsigned worker_id) {
-  // Rung decoder cache: [0] primary, [r] = escalation ladder entry r - 1.
-  // Created lazily so a worker that never sees an escalated job never pays
-  // for the wider decoders.
-  std::vector<std::unique_ptr<Decoder>> decoders(
-      1 + config_.escalation_factories.size());
-  auto decoder_for = [&](unsigned rung) -> Decoder& {
-    const std::size_t idx =
-        std::min<std::size_t>(rung, config_.escalation_factories.size());
-    auto& entry = decoders[idx];
+// One worker thread. Block jobs run as a lane stream: the worker is the
+// FrameSource its decoder's decode_stream pulls from. Jobs in hand (taken
+// from the queue, not every frame booked yet) live in slots_; `current_` is
+// the one whose frames are still being handed out. Once they all are, a
+// free lane takes the next queued job (try_pop: never one an idle worker
+// is waiting for) — if that job picks the stream's decoder it joins the
+// stream, otherwise (another rung or codec, or a task) it is held and runs
+// next, after the stream has drained its lanes. So a worker holds at most
+// one job whose frames are not all loaded, and a job in hand is running:
+// it can no longer be shed.
+class BatchEngine::Worker final : public FrameSource {
+ public:
+  Worker(BatchEngine& engine, unsigned id)
+      : engine_(engine),
+        id_(id),
+        decoders_(1 + engine.config_.escalation_factories.size()) {}
+
+  void run() {
+    for (;;) {
+      Job job;
+      Decoder* picked = nullptr;
+      if (held_) {
+        job = std::move(held_->job);
+        picked = held_->decoder;
+        held_.reset();
+      } else if (retiring_ || !engine_.queue_.pop(job)) {
+        return;
+      }
+      if (job.task) {
+        run_task(job);
+      } else {
+        run_stream(std::move(job), picked);
+      }
+    }
+  }
+
+  std::optional<StreamFrame> next() override {
+    while (ready() > 0) {
+      const std::size_t slot = *current_;
+      InHand& h = *slots_[slot];
+      const std::size_t pos = h.next++;
+      BlockFrameJob& frame = h.job.frames[pos];
+      if (frame.deadline && Clock::now() >= *frame.deadline) {
+        // Past its deadline when a lane would take it: resolved without
+        // touching the decoder.
+        DecodeResult expired;
+        expired.status = DecodeStatus::kDeadlineExpired;
+        book(slot, pos, std::move(expired), nullptr);
+        continue;
+      }
+      // Per-frame cancel tokens let one late frame bail at a layer
+      // boundary while its lane-mates decode on; an engine-armed token
+      // lives with its job until the job's last frame is booked.
+      const CancelToken* token = frame.cancel;
+      if (!token && frame.deadline) {
+        if (!h.tokens)
+          h.tokens = std::make_unique<CancelToken[]>(h.job.frames.size());
+        h.tokens[pos].arm_deadline(*frame.deadline);
+        token = &h.tokens[pos];
+      }
+      return StreamFrame{{frame.llr, token}, (slot << kPositionBits) | pos};
+    }
+    return std::nullopt;
+  }
+
+  /// Frames of the current job not yet handed out; when none, the count
+  /// of a queued job take() pulled into the stream.
+  std::size_t ready() override {
+    if (current_) {
+      const InHand& h = *slots_[*current_];
+      if (h.next < h.job.frames.size()) return h.job.frames.size() - h.next;
+      current_.reset();
+    }
+    return take() ? slots_[*current_]->job.frames.size() : 0;
+  }
+
+  void done(std::size_t tag, DecodeResult&& result,
+            const SaturationStats& saturation) override {
+    book(tag >> kPositionBits, tag & kPositionMask, std::move(result),
+         &saturation);
+  }
+
+ private:
+  struct InHand {
+    Job job;
+    std::size_t next = 0;      ///< first frame not yet handed out
+    std::size_t unbooked = 0;  ///< frames not yet booked
+    std::unique_ptr<CancelToken[]> tokens;  ///< engine-armed, on demand
+  };
+  /// A job taken while the stream ran, waiting for the stream to drain:
+  /// a task, or a block on `decoder` (already picked).
+  struct Held {
+    Job job;
+    Decoder* decoder = nullptr;
+  };
+
+  /// Rung decoder cache: [0] primary, [r] = escalation ladder entry r - 1.
+  /// Created lazily so a worker that never sees an escalated job never
+  /// pays for the wider decoders.
+  Decoder& rung_decoder(unsigned rung) {
+    const auto& ladder = engine_.config_.escalation_factories;
+    const std::size_t idx = std::min<std::size_t>(rung, ladder.size());
+    auto& entry = decoders_[idx];
     if (!entry) {
-      entry = idx == 0 ? factory_() : config_.escalation_factories[idx - 1]();
+      entry = idx == 0 ? engine_.factory_() : ladder[idx - 1]();
       LDPC_CHECK(entry != nullptr);
     }
     return *entry;
-  };
-  // A task decodes under this worker's token, attached and armed with the
-  // task's deadline just before it runs; block frames carry their own.
-  CancelToken task_token;
-
-  Job job;
-  while (queue_.pop(job)) {
-    // 1. A frame already past its deadline completes without touching a
-    // decoder — but only when the engine owns a slot to report through; a
-    // slotless task must still run (under a pre-expired token, so a
-    // cancellation-aware decode bails at its first poll).
-    const auto pop_time = std::chrono::steady_clock::now();
-    const auto expired = std::stable_partition(
-        job.frames.begin(), job.frames.end(), [&](const BlockFrameJob& f) {
-          return !f.slot || !f.deadline || pop_time < *f.deadline;
-        });
-    DecodeResult expired_result;
-    expired_result.status = DecodeStatus::kDeadlineExpired;
-    for (auto it = expired; it != job.frames.end(); ++it)
-      *it->slot = expired_result;
-
-    // 2. The rest run the task or share one decode_block.
-    const auto count = static_cast<std::size_t>(expired - job.frames.begin());
-    std::vector<DecodeResult> results(count);
-    std::vector<SaturationStats> sats(count);
-    std::size_t n = 0, k = 0;
-    bool failed = false;
-    if (count > 0) {
-      Decoder* decoder = &decoder_for(job.block.rung);
-      try {
-        if (job.task) {
-          task_token.clear();
-          if (job.frames[0].deadline)
-            task_token.arm_deadline(*job.frames[0].deadline);
-          decoder->set_cancel_token(&task_token);
-          results[0] = job.task(*decoder);
-          sats[0] = decoder->saturation();
-        } else {
-          if (job.block.decoder) decoder = &job.block.decoder(*decoder);
-          // Per-frame cancel tokens let one late frame bail at a layer
-          // boundary while its lane-mates decode to completion.
-          std::vector<CancelToken> tokens(count);
-          std::vector<BlockFrame> frames(count);
-          for (std::size_t i = 0; i < count; ++i) {
-            const CancelToken* token = job.frames[i].cancel;
-            if (!token) {
-              if (job.frames[i].deadline)
-                tokens[i].arm_deadline(*job.frames[i].deadline);
-              token = &tokens[i];
-            }
-            frames[i] = {job.frames[i].llr, token};
-          }
-          decoder->decode_block(frames, results, sats);
-        }
-      } catch (...) {
-        // A throwing job must not take the worker (and every queued job
-        // behind it) down. Each of its frames still resolves, the slot
-        // keeping its default (non-converged) result, and the failure
-        // counts once against this worker.
-        failed = true;
-      }
-      n = decoder->n();
-      k = decoder->k();
-    }
-
-    // 3. Book every frame in one critical section.
-    const auto now = std::chrono::steady_clock::now();
-    const double latency_us =
-        std::chrono::duration<double, std::micro>(now - job.enqueued).count();
-    bool retire = false;
-    {
-      const MutexLock lock(state_mutex_);
-      for (auto it = expired; it != job.frames.end(); ++it) {
-        ++jobs_expired_;
-        finish_job_locked(it->frame_index, now);
-      }
-      EngineWorkerStats& stats = worker_stats_[worker_id];
-      if (failed) {
-        ++stats.exceptions;
-        ++stats.strikes;
-      }
-      for (std::size_t i = 0; i < count; ++i) {
-        ++stats.jobs;
-        if (!failed) {
-          const DecodeResult& res = results[i];
-          stats.sum_iterations += res.iterations;
-          stats.status_counts[static_cast<std::size_t>(res.status)] += 1;
-          if (res.status == DecodeStatus::kConverged)
-            ++stats.early_terminations;
-          if (res.simd_fallback != SimdFallback::kNone) ++stats.simd_fallbacks;
-          if (res.status == DecodeStatus::kFaultDetected ||
-              res.status == DecodeStatus::kWatchdogAbort)
-            ++stats.strikes;
-          stats.saturation.quantizer_clips += sats[i].quantizer_clips;
-          stats.saturation.datapath_clips += sats[i].datapath_clips;
-          stats.saturation.q_clips += sats[i].q_clips;
-          stats.saturation.r_clips += sats[i].r_clips;
-          stats.saturation.p_clips += sats[i].p_clips;
-          stats.saturation.degenerate_checks += sats[i].degenerate_checks;
-          decoded_bits_ += n;
-          decoded_info_bits_ += k;
-          // Tasks own their result delivery: a retry layer may already
-          // have the next attempt in flight, so writing the slot would race
-          // with it.
-          if (!job.task) *job.frames[i].slot = std::move(results[i]);
-        }
-        latency_us_.add(latency_us);
-        finish_job_locked(job.frames[i].frame_index, now);
-      }
-      retire = maybe_quarantine_locked(worker_id);
-    }
-    if (job.block.on_booked) job.block.on_booked();
-    job = Job{};  // release the frame buffers before blocking on the queue
-    if (retire) return;
   }
+
+  /// The decoder a block job runs on: its picker's choice, given the rung
+  /// decoder. Runs on this thread, when the job is taken.
+  Decoder& pick(const Job& job) {
+    Decoder& rung = rung_decoder(job.block.rung);
+    return job.block.decoder ? job.block.decoder(rung) : rung;
+  }
+
+  std::size_t adopt(Job job) {
+    auto h = std::make_unique<InHand>();
+    h->unbooked = job.frames.size();
+    h->job = std::move(job);
+    const auto free_slot = std::find(slots_.begin(), slots_.end(), nullptr);
+    if (free_slot != slots_.end()) {
+      *free_slot = std::move(h);
+      return static_cast<std::size_t>(free_slot - slots_.begin());
+    }
+    slots_.push_back(std::move(h));
+    return slots_.size() - 1;
+  }
+
+  /// Pull one queued job into the stream; false when there is none to take
+  /// (or this worker retires), or when the job taken is held instead.
+  bool take() {
+    if (retiring_ || held_) return false;
+    Job job;
+    if (!engine_.queue_.try_pop(job)) return false;
+    if (job.task) {
+      held_ = Held{std::move(job), nullptr};
+      return false;
+    }
+    // In hand before its picker runs: a throw fails it with the stream.
+    const std::size_t slot = adopt(std::move(job));
+    Decoder& decoder = pick(slots_[slot]->job);
+    if (&decoder != decoder_) {
+      held_ = Held{std::move(slots_[slot]->job), &decoder};
+      slots_[slot].reset();
+      return false;
+    }
+    current_ = slot;
+    return true;
+  }
+
+  void run_stream(Job job, Decoder* picked) {
+    current_ = adopt(std::move(job));
+    decoder_ = picked;
+    bool threw = false;
+    try {
+      if (!decoder_) decoder_ = &pick(slots_[*current_]->job);
+      n_ = decoder_->n();
+      k_ = decoder_->k();
+      decoder_->decode_stream(*this);
+    } catch (...) {
+      // A throwing decode must not take the worker (and every queued job
+      // behind it) down.
+      threw = true;
+      if (decoder_) decoder_->set_cancel_token(nullptr);
+    }
+    fail_in_hand(threw);
+    decoder_ = nullptr;
+    current_.reset();
+  }
+
+  /// Book frame `pos` of in-hand job `slot` in one critical section: its
+  /// slot takes `result`, decoded (`saturation` set) or expired (null).
+  /// Then its hook runs, and the job leaves the hand with its last frame.
+  void book(std::size_t slot, std::size_t pos, DecodeResult&& result,
+            const SaturationStats* saturation) {
+    InHand& h = *slots_[slot];
+    BlockFrameJob& frame = h.job.frames[pos];
+    const auto now = Clock::now();
+    {
+      const MutexLock lock(engine_.state_mutex_);
+      if (saturation) {
+        engine_.book_ran_locked(id_, frame.frame_index, &result, *saturation,
+                                n_, k_, h.job.enqueued, now);
+      } else {
+        ++engine_.jobs_expired_;
+        engine_.finish_job_locked(frame.frame_index, now);
+      }
+      *frame.slot = std::move(result);
+      frame.slot = nullptr;  // booked
+      if (--h.unbooked == 0)
+        retiring_ = engine_.maybe_quarantine_locked(id_) || retiring_;
+    }
+    // The decoder is done with the LLRs: a job in hand holds only those of
+    // its frames still in flight.
+    std::vector<float>().swap(frame.llr);
+    if (h.job.block.on_booked) h.job.block.on_booked(pos);
+    if (h.unbooked == 0) release(slot);
+  }
+
+  /// After a stream: every frame still unbooked in hand resolves once, its
+  /// slot keeping its default (non-converged) result, and the failure
+  /// counts one exception and one strike against this worker.
+  void fail_in_hand(bool threw) {
+    std::vector<std::pair<std::size_t, std::size_t>> failed;
+    for (std::size_t slot = 0; slot < slots_.size(); ++slot) {
+      if (!slots_[slot]) continue;
+      const auto& frames = slots_[slot]->job.frames;
+      for (std::size_t pos = 0; pos < frames.size(); ++pos)
+        if (frames[pos].slot) failed.emplace_back(slot, pos);
+    }
+    if (!threw && failed.empty()) return;
+    const auto now = Clock::now();
+    {
+      const MutexLock lock(engine_.state_mutex_);
+      EngineWorkerStats& stats = engine_.worker_stats_[id_];
+      ++stats.exceptions;
+      ++stats.strikes;
+      for (const auto& [slot, pos] : failed) {
+        InHand& h = *slots_[slot];
+        BlockFrameJob& frame = h.job.frames[pos];
+        engine_.book_ran_locked(id_, frame.frame_index, nullptr, {}, 0, 0,
+                                h.job.enqueued, now);
+        frame.slot = nullptr;
+      }
+      retiring_ = engine_.maybe_quarantine_locked(id_) || retiring_;
+    }
+    for (const auto& [slot, pos] : failed) {
+      const auto& hook = slots_[slot]->job.block.on_booked;
+      if (hook) hook(pos);
+    }
+    for (std::size_t slot = 0; slot < slots_.size(); ++slot)
+      if (slots_[slot]) release(slot);
+  }
+
+  void release(std::size_t slot) {
+    slots_[slot].reset();
+    if (current_ == slot) current_.reset();
+  }
+
+  void run_task(Job& job) {
+    const BlockFrameJob& frame = job.frames[0];
+    // A task past its deadline completes without running — but only when
+    // the engine owns a slot to report through; a slotless task must still
+    // run (under a pre-expired token, so a cancellation-aware decode bails
+    // at its first poll).
+    if (frame.slot && frame.deadline && Clock::now() >= *frame.deadline) {
+      DecodeResult expired;
+      expired.status = DecodeStatus::kDeadlineExpired;
+      *frame.slot = expired;
+      const MutexLock lock(engine_.state_mutex_);
+      ++engine_.jobs_expired_;
+      engine_.finish_job_locked(frame.frame_index, Clock::now());
+      return;
+    }
+    Decoder& decoder = rung_decoder(job.block.rung);
+    DecodeResult result;
+    SaturationStats saturation;
+    bool failed = false;
+    try {
+      // The task decodes under this worker's token, armed with its deadline.
+      task_token_.clear();
+      if (frame.deadline) task_token_.arm_deadline(*frame.deadline);
+      decoder.set_cancel_token(&task_token_);
+      result = job.task(decoder);
+      saturation = decoder.saturation();
+    } catch (...) {
+      failed = true;
+    }
+    const auto now = Clock::now();
+    const MutexLock lock(engine_.state_mutex_);
+    if (failed) {
+      EngineWorkerStats& stats = engine_.worker_stats_[id_];
+      ++stats.exceptions;
+      ++stats.strikes;
+    }
+    // Tasks own their result delivery: a retry layer may already have the
+    // next attempt in flight, so the engine never writes their slot here.
+    engine_.book_ran_locked(id_, frame.frame_index, failed ? nullptr : &result,
+                            saturation, decoder.n(), decoder.k(),
+                            job.enqueued, now);
+    retiring_ = engine_.maybe_quarantine_locked(id_) || retiring_;
+  }
+
+  BatchEngine& engine_;
+  const unsigned id_;
+  std::vector<std::unique_ptr<Decoder>> decoders_;
+  CancelToken task_token_;
+  /// The stream's decoder and the sizes booked per decoded frame.
+  Decoder* decoder_ = nullptr;
+  std::size_t n_ = 0;
+  std::size_t k_ = 0;
+  std::vector<std::unique_ptr<InHand>> slots_;
+  std::optional<std::size_t> current_;
+  std::optional<Held> held_;
+  /// Quarantined: stop pulling, drain the lanes, run any held job, exit.
+  bool retiring_ = false;
+};
+
+void BatchEngine::worker_main(unsigned worker_id) {
+  Worker(*this, worker_id).run();
+}
+
+void BatchEngine::book_ran_locked(unsigned worker_id, std::size_t frame_index,
+                                  const DecodeResult* result,
+                                  const SaturationStats& saturation,
+                                  std::size_t n, std::size_t k,
+                                  Clock::time_point enqueued,
+                                  Clock::time_point now) {
+  EngineWorkerStats& stats = worker_stats_[worker_id];
+  ++stats.jobs;
+  if (result) {
+    stats.sum_iterations += result->iterations;
+    stats.status_counts[static_cast<std::size_t>(result->status)] += 1;
+    if (result->status == DecodeStatus::kConverged) ++stats.early_terminations;
+    if (result->simd_fallback != SimdFallback::kNone) ++stats.simd_fallbacks;
+    if (result->status == DecodeStatus::kFaultDetected ||
+        result->status == DecodeStatus::kWatchdogAbort)
+      ++stats.strikes;
+    stats.saturation.quantizer_clips += saturation.quantizer_clips;
+    stats.saturation.datapath_clips += saturation.datapath_clips;
+    stats.saturation.q_clips += saturation.q_clips;
+    stats.saturation.r_clips += saturation.r_clips;
+    stats.saturation.p_clips += saturation.p_clips;
+    stats.saturation.degenerate_checks += saturation.degenerate_checks;
+    decoded_bits_ += n;
+    decoded_info_bits_ += k;
+  }
+  latency_us_.add(
+      std::chrono::duration<double, std::micro>(now - enqueued).count());
+  finish_job_locked(frame_index, now);
 }
 
 bool BatchEngine::maybe_quarantine_locked(unsigned worker_id) {

@@ -7,11 +7,18 @@
 // policy (block / reject-newest / shed-oldest) is the backpressure or
 // admission-control mechanism.
 //
+// Block jobs stream: each worker feeds its decoder's decode_stream from the
+// frames of the job it holds, and when that job's frames are all handed out
+// and a lane frees, from the next queued job for the same decoder — so an
+// inter-frame-batched decoder's lanes stay full across job boundaries. A
+// frame is booked (slot written, counters, latency sample) the moment its
+// decode finishes, not when its job or block does.
+//
 // Service-grade extras on top of the plain pool:
-//   * per-job deadlines — a job that expires while queued is completed with
-//     DecodeStatus::kDeadlineExpired without touching a decoder, and a
-//     cooperative CancelToken makes a running decode bail between layers
-//     once its deadline passes;
+//   * per-frame deadlines — a frame whose deadline has passed when a lane
+//     would take it is completed with DecodeStatus::kDeadlineExpired
+//     without touching a decoder, and a cooperative CancelToken makes a
+//     running decode bail between layers once its deadline passes;
 //   * worker supervision — a worker whose strike count (exceptions +
 //     fault-detected / watchdog-abort outcomes) trips a threshold is
 //     quarantined and a replacement thread is spawned from the factory;
@@ -85,11 +92,11 @@ struct BatchEngineConfig {
 };
 
 /// Per-worker aggregation of the DecodeResult / saturation statistics the
-/// decoders already produce, plus failure accounting. Only jobs that
-/// actually ran a decode count here; queue-expired and shed jobs are
-/// engine-level events (EngineMetrics::jobs_expired / jobs_shed).
+/// decoders already produce, plus failure accounting. Only frames that
+/// reached a decoder count here; expired and shed frames are engine-level
+/// events (EngineMetrics::jobs_expired / jobs_shed).
 struct EngineWorkerStats {
-  std::size_t jobs = 0;
+  std::size_t jobs = 0;  ///< frames (and tasks) this worker ran
   std::size_t sum_iterations = 0;
   /// Decodes that satisfied parity and stopped (DecodeStatus::kConverged) —
   /// the early-termination events that make average latency < worst case.
@@ -161,6 +168,9 @@ struct EngineMetrics {
   /// Sum of one status bucket over all workers.
   std::size_t status_total(DecodeStatus s) const;
   std::size_t sum_iterations() const;
+  /// Mean iterations per frame that ran: sum_iterations() over the
+  /// workers' jobs. Expired and shed frames ran no iteration and are not in
+  /// the denominator.
   double avg_iterations() const;
 };
 
@@ -189,10 +199,11 @@ inline const char* to_string(SubmitStatus s) {
 
 /// Per-job submission options.
 struct JobOptions {
-  /// Absolute completion deadline. A job still queued past its deadline is
-  /// completed kDeadlineExpired without decoding; a job mid-decode bails
-  /// cooperatively at the next layer boundary (decoders that support
-  /// CancelToken). No deadline = the job may wait and run forever.
+  /// Absolute completion deadline. A job not yet decoding past its
+  /// deadline is completed kDeadlineExpired without decoding; a job
+  /// mid-decode bails cooperatively at the next layer boundary (decoders
+  /// that support CancelToken). No deadline = the job may wait and run
+  /// forever.
   std::optional<std::chrono::steady_clock::time_point> deadline;
   /// Escalation rung selecting the decoder (0 = primary factory).
   unsigned rung = 0;
@@ -201,10 +212,10 @@ struct JobOptions {
 /// One frame of a block submission (submit_block; the other submits wrap
 /// their frame in a one-frame job of the same shape): the engine-owned
 /// LLRs, the caller's result slot, and an optional per-frame deadline.
-/// Frames in one block share a worker and a decoder call but resolve
-/// individually — every frame's slot is written exactly once, expired
-/// frames are reported kDeadlineExpired without decoding, and the rest of
-/// the block decodes normally.
+/// Frames in one block share a worker and a decoder but resolve
+/// individually — every frame's slot is written exactly once, when that
+/// frame finishes; expired frames are reported kDeadlineExpired without
+/// decoding, and the rest of the block decodes normally.
 struct BlockFrameJob {
   std::size_t frame_index = 0;
   std::vector<float> llr;
@@ -213,7 +224,7 @@ struct BlockFrameJob {
   /// Caller-owned token the frame decodes under instead of one the engine
   /// arms from `deadline` — for a caller that may also cancel the frame
   /// (a drain). The caller arms it and keeps it alive until the frame is
-  /// booked; `deadline` still decides expiry at pop.
+  /// booked; `deadline` still decides expiry when a lane would take it.
   const CancelToken* cancel = nullptr;
 };
 
@@ -227,13 +238,15 @@ struct BlockJobOptions {
   /// Runs on the worker thread; a throw fails the block like a throwing
   /// decode. Empty = the rung decoder itself.
   std::function<Decoder&(Decoder&)> decoder;
-  /// Runs once the engine has resolved and booked every frame of the block
-  /// (slots written, counters, latency and drain accounting updated): on
-  /// the worker thread, or on the submitting thread for a block shed from a
-  /// full queue. Not run for a refused submit. Must not throw. drain() may
-  /// return while the last hooks still run — a caller that needs their
-  /// effect waits on it through its own channel.
-  std::function<void()> on_booked;
+  /// Runs once per frame, with the frame's position in the block, right
+  /// after the engine resolved and booked that frame (slot written,
+  /// counters, latency and drain accounting updated) — decoded, expired,
+  /// failed or shed alike. Runs on the worker thread, or on the submitting
+  /// thread for a block shed from a full queue. Not run for a refused
+  /// submit. Must not throw. drain() may return while the last hooks still
+  /// run — a caller that needs their effect waits on it through its own
+  /// channel.
+  std::function<void(std::size_t position)> on_booked;
 };
 
 /// Result of a bounded drain (drain_until / drain_for).
@@ -266,8 +279,8 @@ class BatchEngine {
   BatchEngine(const BatchEngine&) = delete;
   BatchEngine& operator=(const BatchEngine&) = delete;
 
-  /// Submit one decode job: a one-frame block, decoded through
-  /// Decoder::decode_block like any other block. `*slot` receives the
+  /// Submit one decode job: a one-frame block, decoded through the
+  /// worker's stream like any other block. `*slot` receives the
   /// result when the job completes; it must stay valid until drain()
   /// returns and must be unique per job (slot-per-frame-index is the
   /// determinism contract). Blocks while the queue is full under kBlock;
@@ -295,16 +308,17 @@ class BatchEngine {
                                          JobOptions options = {},
                                          DecodeResult* slot = nullptr);
 
-  /// Submit a block of frames as one queue entry, decoded by one worker in
-  /// a single Decoder::decode_block call — the path that keeps an
-  /// inter-frame-batched SIMD decoder's lanes full. Each frame counts as
-  /// one job in the engine's counters and resolves exactly once: expired
-  /// frames complete kDeadlineExpired (at pop, or cooperatively mid-decode
-  /// via their per-frame CancelToken), shed blocks complete every frame
-  /// kShedOverload, and decoded frames land in their own slots. `options`
-  /// selects the decoder for the whole block and the hook run once it is
-  /// booked. Blocks may be any size >= 1 (a ragged final block simply
-  /// leaves lanes idle).
+  /// Submit a block of frames as one queue entry, decoded by one worker's
+  /// stream — the path that keeps an inter-frame-batched SIMD decoder's
+  /// lanes full. Each frame counts as one job in the engine's counters and
+  /// resolves exactly once: expired frames complete kDeadlineExpired (when
+  /// a lane would take them, or cooperatively mid-decode via their
+  /// per-frame CancelToken), shed blocks complete every frame
+  /// kShedOverload, and decoded frames land in their own slots as each
+  /// finishes. `options` selects the decoder for the whole block and the
+  /// hook run as each frame is booked. Blocks may be any size >= 1; a
+  /// worker whose block runs short of frames fills its free lanes from the
+  /// next queued block for the same decoder.
   [[nodiscard]] SubmitStatus submit_block(std::vector<BlockFrameJob> frames,
                                           BlockJobOptions options = {});
 
@@ -355,12 +369,12 @@ class BatchEngine {
 
  private:
   /// The engine's one job shape: frames that share a worker, a decoder rung
-  /// and either one decode_block call or one task. submit / try_submit
-  /// enqueue a one-frame block; submit_task / submit_retry a one-frame task
-  /// job whose frame has no LLRs and whose slot may be null.
+  /// and either a worker stream or one task. submit / try_submit enqueue a
+  /// one-frame block; submit_task / submit_retry a one-frame task job whose
+  /// frame has no LLRs and whose slot may be null.
   struct Job {
     std::vector<BlockFrameJob> frames;
-    Task task;  ///< when set, runs instead of decode_block
+    Task task;  ///< when set, runs instead of the stream
     /// Block options (submit_block); the other submits set only the rung.
     BlockJobOptions block;
     std::chrono::steady_clock::time_point enqueued;
@@ -375,14 +389,25 @@ class BatchEngine {
   /// un-recorded and left intact in `job`; an evicted (shed) one resolves
   /// every frame kShedOverload.
   SubmitStatus enqueue(Job& job, EnqueueMode mode) LDPC_EXCLUDES(state_mutex_);
-  /// Pop jobs until the queue closes or this worker is quarantined. Per
-  /// job: frames with a slot past their deadline resolve kDeadlineExpired,
-  /// the rest run the task or one decode_block, and every frame is booked
-  /// in one critical section.
+  /// One worker thread: its rung decoders, its lane stream of block jobs
+  /// and its task branch (batch_engine.cpp).
+  class Worker;
+
+  /// Run a Worker until the queue closes or it is quarantined.
   void worker_main(unsigned worker_id);
   /// Bookkeeping for one finished frame.
   void finish_job_locked(std::size_t frame_index,
                          std::chrono::steady_clock::time_point now)
+      LDPC_REQUIRES(state_mutex_);
+  /// Book one frame that reached a decoder on worker_id: its statistics
+  /// (none when `result` is null, i.e. the decode threw), n and k decoded
+  /// bits, a latency sample and its completion.
+  void book_ran_locked(unsigned worker_id, std::size_t frame_index,
+                       const DecodeResult* result,
+                       const SaturationStats& saturation, std::size_t n,
+                       std::size_t k,
+                       std::chrono::steady_clock::time_point enqueued,
+                       std::chrono::steady_clock::time_point now)
       LDPC_REQUIRES(state_mutex_);
   /// Quarantine worker_id if its strikes crossed the threshold, spawning a
   /// replacement. Returns true when the calling worker must retire.

@@ -17,6 +17,9 @@
 //                   on arrival anyway). The displaced job is handed back so
 //                   the caller can complete it as shed.
 //
+// Idle consumers block in pop(); a busy consumer takes more work with
+// try_pop(), which never takes an item an idle consumer is waiting for.
+//
 // Post-push queue depths are recorded into a RunningStats so the engine can
 // report how full the queue actually ran; shed/reject events are counted.
 #pragma once
@@ -126,8 +129,27 @@ class BoundedJobQueue {
   bool pop(T& out) LDPC_EXCLUDES(mutex_) {
     {
       MutexLock lock(mutex_);
-      while (!closed_ && items_.empty()) lock.wait(not_empty_);
+      while (!closed_ && items_.empty()) {
+        ++idle_;
+        lock.wait(not_empty_);
+        --idle_;
+      }
       if (items_.empty()) return false;  // closed and drained
+      out = std::move(items_.front());
+      items_.pop_front();
+    }
+    not_full_.notify_one();
+    return true;
+  }
+
+  /// Non-blocking pop for a consumer that is already busy: false when the
+  /// queue is empty or another consumer waits idle in pop(). The idle
+  /// consumer gets the item instead, so a lightly loaded pool still spreads
+  /// work across its consumers.
+  bool try_pop(T& out) LDPC_EXCLUDES(mutex_) {
+    {
+      const MutexLock lock(mutex_);
+      if (items_.empty() || idle_ > 0) return false;
       out = std::move(items_.front());
       items_.pop_front();
     }
@@ -193,6 +215,7 @@ class BoundedJobQueue {
   bool closed_ LDPC_GUARDED_BY(mutex_) = false;
   std::size_t shed_ LDPC_GUARDED_BY(mutex_) = 0;
   std::size_t rejected_ LDPC_GUARDED_BY(mutex_) = 0;
+  std::size_t idle_ LDPC_GUARDED_BY(mutex_) = 0;  ///< consumers blocked in pop
   RunningStats occupancy_ LDPC_GUARDED_BY(mutex_);
 };
 

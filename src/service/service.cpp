@@ -145,13 +145,16 @@ struct DecodeService::PendingJob {
 };
 
 /// Admitted requests of one codec that decode as one engine block job:
-/// forming on the event loop until submitted, then owned by the engine job
-/// (its completion hook holds the last reference) until answered.
+/// forming on the event loop until submitted, then shared by the engine job
+/// (its completion hook) and the completion list until every request is
+/// answered.
 struct DecodeService::Block {
   std::shared_ptr<CodecEntry> codec;
   std::vector<std::shared_ptr<PendingJob>> jobs;
   /// The engine's result slots, one per job, sized at submit.
   std::vector<DecodeResult> results;
+  /// Requests answered so far (event loop only).
+  std::size_t answered = 0;
 };
 
 DecodeService::DecodeService(ServiceConfig config)
@@ -243,12 +246,15 @@ void DecodeService::wake_loop() {
   [[maybe_unused]] const auto n = ::write(event_fd_, &one, sizeof(one));
 }
 
-void DecodeService::post_completion(std::shared_ptr<Block> block) {
+void DecodeService::post_completion(std::shared_ptr<Block> block,
+                                    std::size_t position) {
+  bool was_empty = false;
   {
     const MutexLock lock(completions_mutex_);
-    completions_.push_back(std::move(block));
+    was_empty = completions_.empty();
+    completions_.push_back({std::move(block), position});
   }
-  wake_loop();
+  if (was_empty) wake_loop();
 }
 
 void DecodeService::loop_main() {
@@ -701,7 +707,9 @@ void DecodeService::submit_block(const std::shared_ptr<Block>& block) {
       // The engine factory (start()) builds only WorkerDecoderCache workers.
       return static_cast<WorkerDecoderCache&>(worker).decoder_for(codec);
     };
-    options.on_booked = [this, block] { post_completion(block); };
+    options.on_booked = [this, block](std::size_t position) {
+      post_completion(block, position);
+    };
     if (submit_accepted(
             engine_->submit_block(std::move(frames), std::move(options)))) {
       ++blocks_in_flight_;
@@ -729,47 +737,45 @@ void DecodeService::submit_block(const std::shared_ptr<Block>& block) {
 }
 
 void DecodeService::process_completions() {
-  std::vector<std::shared_ptr<Block>> batch;
+  std::vector<Completion> batch;
   {
     const MutexLock lock(completions_mutex_);
     batch.swap(completions_);
   }
-  // Responses are appended as they are built and each connection they went
-  // to is written once at the end: a block's responses to one client cost
-  // one write(), not one each.
+  // Each request is answered as soon as its frame is booked. Responses are
+  // appended as they are built and each connection they went to is written
+  // once at the end: a batch of responses to one client costs one write(),
+  // not one each.
   std::vector<int> answered_fds;
-  for (const std::shared_ptr<Block>& block : batch) {
-    --blocks_in_flight_;
-    frames_in_flight_ -= block->jobs.size();
-    for (std::size_t i = 0; i < block->jobs.size(); ++i) {
-      const std::shared_ptr<PendingJob>& job = block->jobs[i];
-      const DecodeResult& result = block->results[i];
-      if (pending_.erase(job->serial) == 0) continue;
-      ++counters_.jobs_completed;
-      if (result.status == DecodeStatus::kDeadlineExpired)
-        ++counters_.jobs_deadline_expired;
-      const auto conn_it = conns_.find(job->conn_fd);
-      if (conn_it != conns_.end()) {
-        Connection* c = conn_it->second.get();
-        DecodeResponse response;
-        response.request_id = job->request_id;
-        response.status = static_cast<std::uint8_t>(result.status);
-        response.flags = result.converged ? 1 : 0;
-        response.iterations = static_cast<std::uint16_t>(result.iterations);
-        response.bit_count =
-            static_cast<std::uint32_t>(result.hard_bits.size());
-        response.packed_bits = pack_bits(result.hard_bits);
-        if (append_bytes(*c, encode_decode_response(response)) &&
-            std::find(answered_fds.begin(), answered_fds.end(), c->fd) ==
-                answered_fds.end())
-          answered_fds.push_back(c->fd);
-        c->pending_serials.erase(job->serial);
-        ++counters_.responses_sent;
-      }
-      if (admission_.on_complete(job->tenant_id))
-        unpark_tenant(job->tenant_id);
-      maybe_unthrottle(job->tenant_id);
+  for (const auto& [block, i] : batch) {
+    --frames_in_flight_;
+    if (++block->answered == block->jobs.size()) --blocks_in_flight_;
+    const std::shared_ptr<PendingJob>& job = block->jobs[i];
+    const DecodeResult& result = block->results[i];
+    if (pending_.erase(job->serial) == 0) continue;
+    ++counters_.jobs_completed;
+    if (result.status == DecodeStatus::kDeadlineExpired)
+      ++counters_.jobs_deadline_expired;
+    const auto conn_it = conns_.find(job->conn_fd);
+    if (conn_it != conns_.end()) {
+      Connection* c = conn_it->second.get();
+      DecodeResponse response;
+      response.request_id = job->request_id;
+      response.status = static_cast<std::uint8_t>(result.status);
+      response.flags = result.converged ? 1 : 0;
+      response.iterations = static_cast<std::uint16_t>(result.iterations);
+      response.bit_count = static_cast<std::uint32_t>(result.hard_bits.size());
+      response.packed_bits = pack_bits(result.hard_bits);
+      if (append_bytes(*c, encode_decode_response(response)) &&
+          std::find(answered_fds.begin(), answered_fds.end(), c->fd) ==
+              answered_fds.end())
+        answered_fds.push_back(c->fd);
+      c->pending_serials.erase(job->serial);
+      ++counters_.responses_sent;
     }
+    if (admission_.on_complete(job->tenant_id))
+      unpark_tenant(job->tenant_id);
+    maybe_unthrottle(job->tenant_id);
   }
   for (const int fd : answered_fds) {
     const auto it = conns_.find(fd);

@@ -12,14 +12,16 @@
 //                   any tenant or connection, gather on the event loop
 //                -> BatchEngine::submit_block, one engine block job per
 //                   block (global overload backstop: at most
-//                   engine.queue_capacity frames out to the engine, the
-//                   newest refused kOverloaded); expiry at pop, per-frame
-//                   slots and per-frame booking stay with the engine
+//                   engine.queue_capacity frames out to the engine and not
+//                   yet answered, the newest refused kOverloaded); expiry
+//                   at lane fill, per-frame slots and per-frame booking
+//                   stay with the engine
 //                -> the worker's decoder for the block's codec (a
 //                   per-worker cache the block's decoder picker reads):
-//                   one decode_block, lanes full of independent requests
-//                -> completion hook, after the engine booked the block ->
-//                   completion queue -> event loop -> decode responses,
+//                   its lane stream, lanes full of independent requests
+//                   from this block and the next ones of the same codec
+//                -> completion hook, once per frame as the engine books it
+//                   -> completion list -> event loop -> decode responses,
 //                   one write per connection per batch of completions
 //
 // Flush rule: a forming block is submitted the moment it reaches the
@@ -33,8 +35,8 @@
 //
 // Threading: one event-loop thread owns every socket and all service state
 // (connections, forming blocks, parked requests, tenant accounting) under
-// state_mutex_; engine workers only decode blocks and push completed
-// blocks through a mutex-guarded queue + eventfd. stats() and shutdown()
+// state_mutex_; engine workers only decode blocks and push each booked
+// frame through a mutex-guarded list + eventfd. stats() and shutdown()
 // may be called from any thread.
 //
 // Robustness invariants (tests/service_test.cpp enforces these):
@@ -201,6 +203,11 @@ class DecodeService {
   struct Connection;
   struct PendingJob;
   struct Block;
+  /// A booked frame: position `position` of `block`.
+  struct Completion {
+    std::shared_ptr<Block> block;
+    std::size_t position = 0;
+  };
 
   // Every handler below runs on the event-loop thread with state_mutex_
   // held for the whole tick; the REQUIRES annotations make that discipline
@@ -256,8 +263,10 @@ class DecodeService {
       LDPC_REQUIRES(state_mutex_);
   void update_epoll(Connection& conn) LDPC_REQUIRES(state_mutex_);
   std::string build_stats_json() LDPC_REQUIRES(state_mutex_);
-  /// Completion hook of a block job (worker thread).
-  void post_completion(std::shared_ptr<Block> block)
+  /// Completion hook of a block job, once per booked frame (worker
+  /// thread). Wakes the loop only when the list was empty: a non-empty
+  /// list already has a wake-up pending, and the loop takes all of it.
+  void post_completion(std::shared_ptr<Block> block, std::size_t position)
       LDPC_EXCLUDES(completions_mutex_);
   void wake_loop();
 
@@ -295,8 +304,8 @@ class DecodeService {
       LDPC_GUARDED_BY(state_mutex_);
   /// Forming blocks, one per codec with admitted requests, oldest first.
   std::vector<std::shared_ptr<Block>> forming_ LDPC_GUARDED_BY(state_mutex_);
-  /// Blocks submitted whose completion the loop has not processed yet, and
-  /// their frames (the global backstop's count).
+  /// Blocks submitted with a request not answered yet, and the submitted
+  /// requests not answered yet (the global backstop's count).
   std::size_t blocks_in_flight_ LDPC_GUARDED_BY(state_mutex_) = 0;
   std::size_t frames_in_flight_ LDPC_GUARDED_BY(state_mutex_) = 0;
   /// Tenant id -> parked serials, oldest first.
@@ -315,8 +324,7 @@ class DecodeService {
   std::size_t drain_cancelled_ LDPC_GUARDED_BY(state_mutex_) = 0;
 
   Mutex completions_mutex_;
-  std::vector<std::shared_ptr<Block>> completions_
-      LDPC_GUARDED_BY(completions_mutex_);
+  std::vector<Completion> completions_ LDPC_GUARDED_BY(completions_mutex_);
 
   Mutex shutdown_mutex_;  ///< serializes shutdown(); taken first
   bool shutdown_done_ LDPC_GUARDED_BY(shutdown_mutex_) = false;

@@ -1,12 +1,18 @@
 // Runtime batch-engine tests: the bounded MPMC job queue and its overload
 // policies, the determinism contract (bit-identical output for any worker
 // count), backpressure under a tiny queue, deadlines and cancellation,
-// worker quarantine, the retry/escalation supervisor, and the engine
-// metrics block.
+// worker quarantine, the retry/escalation supervisor, the workers' lane
+// streams across block jobs, and the engine metrics block.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <array>
 #include <atomic>
 #include <chrono>
+#include <functional>
+#include <map>
+#include <mutex>
+#include <string>
 #include <thread>
 #include <utility>
 #include <vector>
@@ -1003,11 +1009,12 @@ TEST(BatchEngineBlocks, DestructorCompletesBlockInFlight) {
   for (const auto& r : slots) EXPECT_GE(r.iterations, 1u);
 }
 
-TEST(BatchEngineBlocks, PickedDecoderAndHookRunOncePerBookedBlock) {
+TEST(BatchEngineBlocks, PickedDecoderAndHookRunOncePerBookedFrame) {
   // A block may pick its decoder (here a z = 24 decoder, while the
-  // engine's own factory builds for z = 28) and runs its hook once the
-  // engine booked every frame — on the submitting thread when the block
-  // is shed, on the worker when it decodes.
+  // engine's own factory builds for z = 28) and runs its hook once per
+  // frame, with the frame's position, right after the engine booked that
+  // frame — on the submitting thread when the block is shed, on the worker
+  // when it decodes.
   const auto code = make_wimax_code(WimaxRate::kRate1_2, 24);
   const auto other = make_wimax_code(WimaxRate::kRate1_2, 28);
   const auto frames = make_frames(code, 4, 4.0F);
@@ -1021,8 +1028,22 @@ TEST(BatchEngineBlocks, PickedDecoderAndHookRunOncePerBookedBlock) {
 
   const auto picked = make_decoder("layered-minsum-fixed", code, {});
   std::vector<DecodeResult> slots(frames.size());
-  std::atomic<int> hooks_shed{0}, hooks_decoded{0};
-  std::atomic<std::size_t> completed_at_hook{0};
+  // Per position of a two-frame block: hook calls, the engine's
+  // jobs_completed as the hook saw it, and whether it ran on this thread.
+  struct HookLog {
+    std::array<std::atomic<int>, 2> calls{};
+    std::array<std::atomic<std::size_t>, 2> completed{};
+    std::array<std::atomic<bool>, 2> on_submitter{};
+  };
+  HookLog shed_log, decoded_log;
+  const auto submitter = std::this_thread::get_id();
+  const auto hook = [&](HookLog& log) {
+    return [&engine, submitter, log = &log](std::size_t position) {
+      log->completed[position] = engine.snapshot().jobs_completed;
+      log->on_submitter[position] = std::this_thread::get_id() == submitter;
+      ++log->calls[position];
+    };
+  };
   const auto block = [&](std::size_t first) {
     std::vector<BlockFrameJob> frames_of_block;
     for (std::size_t f = first; f < first + 2; ++f)
@@ -1032,24 +1053,32 @@ TEST(BatchEngineBlocks, PickedDecoderAndHookRunOncePerBookedBlock) {
   };
   BlockJobOptions shed;
   shed.decoder = [&](Decoder&) -> Decoder& { return *picked; };
-  shed.on_booked = [&] { ++hooks_shed; };
+  shed.on_booked = hook(shed_log);
   ASSERT_TRUE(submit_accepted(engine.submit_block(block(0), shed)));
   BlockJobOptions decoded = shed;
-  decoded.on_booked = [&] {
-    completed_at_hook = engine.snapshot().jobs_completed;
-    ++hooks_decoded;
-  };
+  decoded.on_booked = hook(decoded_log);
   EXPECT_EQ(engine.submit_block(block(2), decoded),
             SubmitStatus::kAcceptedShedOldest);
-  EXPECT_EQ(hooks_shed.load(), 1);  // ran on this thread, at the shed
+  // Ran on this thread, at the shed, once per frame — after both shed
+  // frames were booked (the gate task still runs).
+  for (std::size_t p = 0; p < 2; ++p) {
+    EXPECT_EQ(shed_log.calls[p].load(), 1) << p;
+    EXPECT_TRUE(shed_log.on_submitter[p].load()) << p;
+    EXPECT_EQ(shed_log.completed[p].load(), 2u) << p;
+  }
   release = true;
   engine.drain();
   // drain() may return while the last hook still runs.
-  for (int i = 0; i < 2000 && hooks_decoded.load() == 0; ++i)
+  for (int i = 0; i < 2000 && decoded_log.calls[1].load() == 0; ++i)
     std::this_thread::sleep_for(std::chrono::milliseconds(1));
-  EXPECT_EQ(hooks_decoded.load(), 1);
-  EXPECT_EQ(hooks_shed.load(), 1);
-  EXPECT_EQ(completed_at_hook.load(), 5u);  // task + shed pair + this pair
+  // Each decoded frame's hook ran once, on the worker, after that frame —
+  // and only it — was booked: task + shed pair + 1, then + 2.
+  for (std::size_t p = 0; p < 2; ++p) {
+    EXPECT_EQ(decoded_log.calls[p].load(), 1) << p;
+    EXPECT_FALSE(decoded_log.on_submitter[p].load()) << p;
+    EXPECT_EQ(decoded_log.completed[p].load(), 4u + p) << p;
+    EXPECT_EQ(shed_log.calls[p].load(), 1) << p;
+  }
   EXPECT_EQ(slots[0].status, DecodeStatus::kShedOverload);
   EXPECT_EQ(slots[1].status, DecodeStatus::kShedOverload);
   for (std::size_t f = 2; f < 4; ++f) {
@@ -1059,6 +1088,376 @@ TEST(BatchEngineBlocks, PickedDecoderAndHookRunOncePerBookedBlock) {
   // The gate task ran on the factory decoder, the block on the picked one:
   // each is booked with the n of the decoder that ran it.
   EXPECT_EQ(engine.metrics().decoded_bits, other.n() + 2 * code.n());
+}
+
+// ---------------------------------------------------------- lane streams ----
+//
+// A worker's lanes outlive its blocks: a lane freed by a finished frame
+// takes the next frame of the next queued block for the same decoder, and
+// every frame is booked (and its hook run) the moment its lane frees.
+
+/// Zero-mean channel noise, no codeword: its decode runs the full budget.
+std::vector<float> noise_frame(const QCLdpcCode& code, std::uint64_t seed) {
+  AwgnChannel noise(1.0F, seed);
+  return noise.transmit(std::vector<float>(code.n(), 0.0F));
+}
+
+/// Every on_booked call, in call order: block, position, booking thread.
+class BookingLog {
+ public:
+  struct Entry {
+    int block;
+    std::size_t position;
+    std::thread::id thread;
+  };
+
+  std::function<void(std::size_t)> hook(int block) {
+    return [this, block](std::size_t position) {
+      const std::lock_guard<std::mutex> lock(mutex_);
+      entries_.push_back({block, position, std::this_thread::get_id()});
+    };
+  }
+
+  /// The calls so far, once `count` have arrived (drain() may return while
+  /// the last hooks still run) or a generous timeout passed.
+  std::vector<Entry> wait_for(std::size_t count) const {
+    for (int i = 0; i < 10000; ++i) {
+      {
+        const std::lock_guard<std::mutex> lock(mutex_);
+        if (entries_.size() >= count) return entries_;
+      }
+      std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    }
+    const std::lock_guard<std::mutex> lock(mutex_);
+    return entries_;
+  }
+
+  std::size_t size() const {
+    const std::lock_guard<std::mutex> lock(mutex_);
+    return entries_.size();
+  }
+
+ private:
+  mutable std::mutex mutex_;
+  std::vector<Entry> entries_;
+};
+
+/// One call per (block, position) of blocks sized `sizes`.
+void expect_each_frame_booked_once(const std::vector<BookingLog::Entry>& log,
+                                   const std::vector<std::size_t>& sizes) {
+  std::map<std::pair<int, std::size_t>, int> calls;
+  for (const auto& e : log) ++calls[{e.block, e.position}];
+  std::size_t total = 0;
+  for (std::size_t b = 0; b < sizes.size(); ++b) {
+    total += sizes[b];
+    for (std::size_t p = 0; p < sizes[b]; ++p)
+      EXPECT_EQ((calls[{static_cast<int>(b), p}]), 1)
+          << "block " << b << " position " << p;
+  }
+  EXPECT_EQ(log.size(), total);
+}
+
+void expect_same_decode(const DecodeResult& got, const DecodeResult& want,
+                        const std::string& ctx) {
+  EXPECT_EQ(got.hard_bits, want.hard_bits) << ctx;
+  EXPECT_EQ(got.iterations, want.iterations) << ctx;
+  EXPECT_EQ(got.converged, want.converged) << ctx;
+  EXPECT_EQ(got.status, want.status) << ctx;
+}
+
+/// A block of `llrs` into `slots`, frame indices from `first`.
+std::vector<BlockFrameJob> block_of(const std::vector<std::vector<float>>& llrs,
+                                    std::vector<DecodeResult>& slots,
+                                    std::size_t first) {
+  std::vector<BlockFrameJob> block;
+  for (std::size_t i = 0; i < llrs.size(); ++i)
+    block.push_back(BlockFrameJob{first + i, llrs[i], &slots[i], std::nullopt});
+  return block;
+}
+
+/// A batched decoder family and the scalar twin it is bit-identical to.
+struct Family {
+  const char* batched;
+  const char* scalar;
+};
+constexpr Family kFamilies[] = {
+    {"layered-minsum-simd-batched", "layered-minsum-fixed"},
+    {"layered-minsum-simd-batched-fa4", "layered-minsum-fa4"},
+};
+
+DecoderFactory named_factory(const QCLdpcCode& code, const std::string& name,
+                             std::size_t max_iterations) {
+  return [&code, name, max_iterations] {
+    DecoderOptions opt;
+    opt.max_iterations = max_iterations;
+    return make_decoder(name, code, opt);
+  };
+}
+
+/// `count` frames that `scalar` decodes in a few iterations.
+std::vector<std::vector<float>> quick_frames(const QCLdpcCode& code,
+                                             Decoder& scalar,
+                                             std::size_t count) {
+  std::vector<std::vector<float>> quick;
+  for (auto& llr : make_frames(code, 4 * count, 4.0F)) {
+    if (quick.size() == count) break;
+    if (scalar.decode(llr).iterations < 10) quick.push_back(std::move(llr));
+  }
+  EXPECT_EQ(quick.size(), count);
+  return quick;
+}
+
+TEST(BatchEngineStream, LanesCarryConsecutiveJobs) {
+  // Block A holds a pure-noise frame, which runs the full budget, and
+  // frames that converge; block B queues behind it on a one-worker engine.
+  // A's finished lanes take B's frames while the noise frame still
+  // iterates, so every frame of B is booked before A's noise frame.
+  const auto code = make_wimax_code(WimaxRate::kRate1_2, 24);
+  constexpr std::size_t kBudget = 50;
+  for (const Family& family : kFamilies) {
+    SCOPED_TRACE(family.batched);
+    const std::size_t width =
+        named_factory(code, family.batched, kBudget)()->block_width();
+    const auto scalar = named_factory(code, family.scalar, kBudget)();
+    const auto good = quick_frames(code, *scalar, 2 * width - 1);
+    std::vector<std::vector<float>> a{noise_frame(code, 7)};
+    a.insert(a.end(), good.begin(), good.begin() + (width - 1));
+    const std::vector<std::vector<float>> b(good.begin() + (width - 1),
+                                            good.end());
+    std::vector<DecodeResult> ref_a, ref_b;
+    for (const auto& llr : a) ref_a.push_back(scalar->decode(llr));
+    for (const auto& llr : b) ref_b.push_back(scalar->decode(llr));
+    ASSERT_EQ(ref_a[0].iterations, kBudget);
+    ASSERT_FALSE(ref_a[0].converged);
+
+    BatchEngine engine(named_factory(code, family.batched, kBudget),
+                       engine_config(1, 8));
+    std::atomic<bool> running{false}, release{false};
+    ASSERT_TRUE(submit_accepted(
+        engine.submit_task(0, gate_task(running, release))));
+    wait_for(running);
+    BookingLog log;
+    std::vector<DecodeResult> slots_a(a.size()), slots_b(b.size());
+    BlockJobOptions options_a, options_b;
+    options_a.on_booked = log.hook(0);
+    options_b.on_booked = log.hook(1);
+    ASSERT_TRUE(submit_accepted(
+        engine.submit_block(block_of(a, slots_a, 1), options_a)));
+    ASSERT_TRUE(submit_accepted(
+        engine.submit_block(block_of(b, slots_b, 1 + a.size()), options_b)));
+    release = true;
+    engine.drain();
+    const auto booked = log.wait_for(a.size() + b.size());
+
+    expect_each_frame_booked_once(booked, {a.size(), b.size()});
+    const auto noise = std::find_if(booked.begin(), booked.end(),
+                                    [](const BookingLog::Entry& e) {
+                                      return e.block == 0 && e.position == 0;
+                                    });
+    ASSERT_NE(noise, booked.end());
+    EXPECT_EQ(std::count_if(booked.begin(), noise,
+                            [](const BookingLog::Entry& e) {
+                              return e.block == 1;
+                            }),
+              static_cast<std::ptrdiff_t>(b.size()))
+        << "B's frames waited for A's slowest lane";
+    for (std::size_t i = 0; i < a.size(); ++i)
+      expect_same_decode(slots_a[i], ref_a[i], "A " + std::to_string(i));
+    for (std::size_t i = 0; i < b.size(); ++i)
+      expect_same_decode(slots_b[i], ref_b[i], "B " + std::to_string(i));
+    const auto m = engine.metrics();
+    EXPECT_EQ(m.jobs_completed, 1 + a.size() + b.size());
+    EXPECT_EQ(m.workers[0].simd_fallbacks, 0u);
+  }
+}
+
+TEST(BatchEngineStream, HeldJobsRunOnTheirOwnDecoder) {
+  // Behind block A on the rung decoder queue block B, whose picker returns
+  // a decoder for another code, and then a task. A's stream takes B, holds
+  // it and drains its lanes; B then streams on its own decoder, takes the
+  // task, holds it and drains; the task runs last, on the rung decoder.
+  const auto code = make_wimax_code(WimaxRate::kRate1_2, 24);
+  const auto other = make_wimax_code(WimaxRate::kRate1_2, 28);
+  constexpr std::size_t kBudget = 20;
+  for (const Family& family : kFamilies) {
+    SCOPED_TRACE(family.batched);
+    const auto other_decoder = named_factory(other, family.batched, kBudget)();
+    const std::size_t width = other_decoder->block_width();
+    const auto a = make_frames(code, width, 2.5F);
+    const auto b = make_frames(other, width, 2.5F);
+    const auto scalar = named_factory(code, family.scalar, kBudget)();
+    const auto other_scalar = named_factory(other, family.scalar, kBudget)();
+
+    BatchEngine engine(named_factory(code, family.batched, kBudget),
+                       engine_config(1, 8));
+    std::atomic<bool> running{false}, release{false};
+    ASSERT_TRUE(submit_accepted(
+        engine.submit_task(0, gate_task(running, release))));
+    wait_for(running);
+    BookingLog log;
+    std::vector<DecodeResult> slots_a(a.size()), slots_b(b.size());
+    BlockJobOptions options_a, options_b;
+    options_a.on_booked = log.hook(0);
+    options_b.on_booked = log.hook(1);
+    options_b.decoder = [&](Decoder&) -> Decoder& { return *other_decoder; };
+    ASSERT_TRUE(submit_accepted(
+        engine.submit_block(block_of(a, slots_a, 1), options_a)));
+    ASSERT_TRUE(submit_accepted(
+        engine.submit_block(block_of(b, slots_b, 1 + width), options_b)));
+    std::size_t task_n = 0, booked_before_task = 0;
+    ASSERT_TRUE(submit_accepted(
+        engine.submit_task(1 + 2 * width, [&](Decoder& decoder) {
+          task_n = decoder.n();
+          booked_before_task = log.size();
+          return DecodeResult{};
+        })));
+    release = true;
+    engine.drain();
+    const auto booked = log.wait_for(2 * width);
+
+    expect_each_frame_booked_once(booked, {width, width});
+    for (std::size_t i = 0; i < booked.size(); ++i)
+      EXPECT_EQ(booked[i].block, i < width ? 0 : 1) << "booking " << i;
+    EXPECT_EQ(task_n, code.n());  // the rung decoder, not B's
+    EXPECT_EQ(booked_before_task, 2 * width);
+    for (std::size_t i = 0; i < width; ++i) {
+      expect_same_decode(slots_a[i], scalar->decode(a[i]),
+                         "A " + std::to_string(i));
+      expect_same_decode(slots_b[i], other_scalar->decode(b[i]),
+                         "B " + std::to_string(i));
+    }
+    // Both tasks (the gate and the held one) ran on the rung decoder.
+    EXPECT_EQ(engine.metrics().decoded_bits,
+              width * code.n() + width * other.n() + 2 * code.n());
+  }
+}
+
+TEST(BatchEngineStream, IdleWorkerWinsANewBlock) {
+  // Two workers: one streams block A (a long noise frame keeps its lanes
+  // live), the other waits idle in pop(). A block submitted now runs on
+  // the idle worker; the busy stream must not pull it.
+  const auto code = make_wimax_code(WimaxRate::kRate1_2, 24);
+  constexpr std::size_t kBudget = 3000;
+  BatchEngine engine(named_factory(code, kFamilies[0].batched, kBudget),
+                     engine_config(2, 8));
+  const std::size_t width =
+      named_factory(code, kFamilies[0].batched, kBudget)()->block_width();
+  const auto good = make_frames(code, 2 * width - 1, 6.0F);
+  std::vector<std::vector<float>> a{noise_frame(code, 7)};
+  a.insert(a.end(), good.begin(), good.begin() + (width - 1));
+  const std::vector<std::vector<float>> b(good.begin() + (width - 1),
+                                          good.end());
+  BookingLog log;
+  std::vector<DecodeResult> slots_a(a.size()), slots_b(b.size());
+  BlockJobOptions options_a, options_b;
+  options_a.on_booked = log.hook(0);
+  options_b.on_booked = log.hook(1);
+  // Both worker threads have started and wait in pop().
+  std::this_thread::sleep_for(std::chrono::milliseconds(50));
+  ASSERT_TRUE(submit_accepted(
+      engine.submit_block(block_of(a, slots_a, 0), options_a)));
+  log.wait_for(1);  // A's stream is live: its converging frames book first
+  ASSERT_TRUE(submit_accepted(
+      engine.submit_block(block_of(b, slots_b, a.size()), options_b)));
+  engine.drain();
+  const auto booked = log.wait_for(a.size() + b.size());
+
+  expect_each_frame_booked_once(booked, {a.size(), b.size()});
+  const std::thread::id busy = booked.front().thread;
+  for (const auto& e : booked) {
+    if (e.block == 0) {
+      EXPECT_EQ(e.thread, busy) << "A position " << e.position;
+    } else {
+      EXPECT_NE(e.thread, busy) << "B position " << e.position;
+    }
+  }
+  EXPECT_EQ(slots_a[0].iterations, kBudget);
+  for (const DecodeResult& r : slots_b) EXPECT_TRUE(r.converged);
+}
+
+TEST(BatchEngineStream, ThrowMidStreamResolvesEveryFrameOnce) {
+  // A's lanes take B's frames while A's noise frame still iterates, and
+  // B's first frame has the wrong LLR count: loading it throws mid-stream.
+  // Every unbooked frame of both blocks resolves exactly once, A's frames
+  // booked before the throw keep their results, and the failure counts
+  // once.
+  const auto code = make_wimax_code(WimaxRate::kRate1_2, 24);
+  constexpr std::size_t kBudget = 50;
+  for (const Family& family : kFamilies) {
+    SCOPED_TRACE(family.batched);
+    const std::size_t width =
+        named_factory(code, family.batched, kBudget)()->block_width();
+    const auto scalar = named_factory(code, family.scalar, kBudget)();
+    const auto good = quick_frames(code, *scalar, 2 * width);
+    std::vector<std::vector<float>> a{noise_frame(code, 7)};
+    a.insert(a.end(), good.begin(), good.begin() + (width - 1));
+    std::vector<std::vector<float>> b{std::vector<float>(5, 1.0F)};
+    b.insert(b.end(), good.begin() + (width - 1), good.end());
+
+    BatchEngine engine(named_factory(code, family.batched, kBudget),
+                       engine_config(1, 8));
+    std::atomic<bool> running{false}, release{false};
+    ASSERT_TRUE(submit_accepted(
+        engine.submit_task(0, gate_task(running, release))));
+    wait_for(running);
+    BookingLog log;
+    std::vector<DecodeResult> slots_a(a.size()), slots_b(b.size());
+    BlockJobOptions options_a, options_b;
+    options_a.on_booked = log.hook(0);
+    options_b.on_booked = log.hook(1);
+    ASSERT_TRUE(submit_accepted(
+        engine.submit_block(block_of(a, slots_a, 1), options_a)));
+    ASSERT_TRUE(submit_accepted(
+        engine.submit_block(block_of(b, slots_b, 1 + a.size()), options_b)));
+    release = true;
+    engine.drain();
+    const auto booked = log.wait_for(a.size() + b.size());
+
+    expect_each_frame_booked_once(booked, {a.size(), b.size()});
+    const auto m = engine.metrics();
+    EXPECT_EQ(m.jobs_completed, 1 + a.size() + b.size());
+    EXPECT_EQ(m.workers[0].exceptions, 1u);
+    // A frame still in a lane at the throw fails with the default result
+    // (no iteration); a frame booked before it decoded normally.
+    EXPECT_FALSE(slots_a[0].converged);
+    EXPECT_EQ(slots_a[0].iterations, 0u);
+    std::size_t decoded = 0;
+    for (std::size_t i = 1; i < a.size(); ++i) {
+      if (slots_a[i].iterations == 0) continue;
+      ++decoded;
+      expect_same_decode(slots_a[i], scalar->decode(a[i]),
+                         "A " + std::to_string(i));
+    }
+    EXPECT_GE(decoded, 1u) << "B was taken before any lane of A freed";
+    EXPECT_EQ(m.decoded_bits, (1 + decoded) * code.n());  // + the gate task
+    for (const DecodeResult& r : slots_b) EXPECT_EQ(r.iterations, 0u);
+  }
+}
+
+TEST(BatchEngine, AvgIterationsCountsOnlyFramesThatRan) {
+  // Frames already past their deadline resolve without running an
+  // iteration: the average is over the frames that decoded.
+  const auto code = make_wimax_code(WimaxRate::kRate1_2, 24);
+  const auto frames = make_frames(code, 8, 2.0F);
+  BatchEngine engine(fixed_factory(code, 30), engine_config(1, 8));
+  std::vector<DecodeResult> slots(frames.size());
+  std::vector<BlockFrameJob> block = block_of(frames, slots, 0);
+  const auto past = std::chrono::steady_clock::now() -
+                    std::chrono::milliseconds(1);
+  for (const std::size_t f : {1u, 4u, 6u}) block[f].deadline = past;
+  ASSERT_TRUE(submit_accepted(engine.submit_block(std::move(block))));
+  engine.drain();
+  std::size_t ran = 0, iterations = 0;
+  for (const DecodeResult& r : slots) {
+    if (r.status == DecodeStatus::kDeadlineExpired) continue;
+    ++ran;
+    iterations += r.iterations;
+  }
+  const auto m = engine.metrics();
+  ASSERT_EQ(m.jobs_expired, 3u);
+  ASSERT_EQ(ran, 5u);
+  EXPECT_DOUBLE_EQ(m.avg_iterations(), static_cast<double>(iterations) /
+                                           static_cast<double>(ran));
 }
 
 TEST(Supervisor, RetryWithoutLadderRejectedAtConstruction) {

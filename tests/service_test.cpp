@@ -598,6 +598,81 @@ TEST(ServiceTest, BackstopCountsFramesNotBlocks) {
   service.shutdown_after(2s);
 }
 
+TEST(ServiceTest, AnswersEachRequestWhenItsFrameIsBooked) {
+  // One worker, a 200-iteration budget and one block: its first request is
+  // pure noise, which runs the whole budget, the rest converge in a few
+  // iterations. A request is answered when its frame is booked, so every
+  // converging response is read before the noise one, and every response
+  // matches the scalar decoder.
+  ServiceConfig config = base_config(/*workers=*/1);
+  config.decoder_options.max_iterations = 200;
+  config.default_tenant.max_in_flight = 1024;
+  DecodeService service(config);
+  service.start();
+  const std::size_t width = decoder_block_width(config.decoder_name);
+  CodecCache cache;
+  WireErrorCode error = WireErrorCode::kNone;
+  const auto entry = cache.resolve(kTinyCodec, &error);
+  ASSERT_NE(entry, nullptr);
+  const QCLdpcCode& code = entry->code();
+  const auto scalar =
+      make_decoder("layered-minsum-fixed", code, config.decoder_options);
+
+  // Random signs that never settle on a codeword, then frames that do.
+  std::vector<std::vector<float>> llrs;
+  for (std::uint64_t seed = 1; llrs.empty() && seed < 1000; ++seed) {
+    Xoshiro256 rng(seed);
+    std::vector<float> noise(code.n());
+    for (float& v : noise) v = rng.coin() ? 1.0F : -1.0F;
+    if (!scalar->decode(noise).converged) llrs.push_back(std::move(noise));
+  }
+  ASSERT_EQ(llrs.size(), 1U) << "no non-converging noise frame";
+  for (std::uint64_t seed = 1; llrs.size() < width && seed < 10000; ++seed) {
+    std::vector<float> llr = noisy_llrs(code.n(), 0.5F, seed);
+    const DecodeResult r = scalar->decode(llr);
+    if (r.converged && r.iterations < 10) llrs.push_back(std::move(llr));
+  }
+  ASSERT_EQ(llrs.size(), width);
+  std::vector<DecodeResult> refs;
+  std::vector<std::uint8_t> burst;
+  for (std::size_t i = 0; i < width; ++i) {
+    refs.push_back(scalar->decode(llrs[i]));
+    const auto bytes =
+        encode_decode_request(make_request(i + 1, 0, kTinyCodec, llrs[i]));
+    burst.insert(burst.end(), bytes.begin(), bytes.end());
+  }
+  ASSERT_EQ(refs[0].iterations, 200U);
+
+  BlockingClient client;
+  client.connect("127.0.0.1", service.port());
+  ASSERT_TRUE(client.send_raw(burst));
+  std::vector<std::uint64_t> order;
+  std::map<std::uint64_t, int> answers;
+  for (std::size_t seen = 0; seen < width; ++seen) {
+    const auto frame = client.read_frame(10000ms);
+    ASSERT_TRUE(frame.has_value()) << "only " << seen << " answers";
+    ASSERT_EQ(frame->type, FrameType::kDecodeResponse);
+    DecodeResponse r;
+    ASSERT_EQ(parse_decode_response(frame->body, &r), WireErrorCode::kNone);
+    ASSERT_GE(r.request_id, 1U);
+    ASSERT_LE(r.request_id, width);
+    const DecodeResult& ref = refs[r.request_id - 1];
+    EXPECT_EQ(r.status, static_cast<std::uint8_t>(ref.status));
+    EXPECT_EQ(r.iterations, ref.iterations);
+    EXPECT_TRUE(unpack_bits(r.packed_bits, r.bit_count) == ref.hard_bits);
+    order.push_back(r.request_id);
+    ++answers[r.request_id];
+  }
+  EXPECT_EQ(answers.size(), width);
+  for (const auto& [id, count] : answers) EXPECT_EQ(count, 1) << id;
+  EXPECT_EQ(order.back(), 1U) << "converging requests waited for the noise";
+  const ServiceStats stats = service.stats();
+  EXPECT_EQ(stats.responses_sent, width);
+  EXPECT_EQ(stats.jobs_completed, width);
+  EXPECT_GE(stats.blocks_submitted, 1U);
+  service.shutdown_after(2s);
+}
+
 TEST(ServiceTest, TypedErrorsKeepTheConnectionUsable) {
   DecodeService service(base_config());
   service.start();
