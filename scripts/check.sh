@@ -16,7 +16,7 @@
 #   4. TSan pass       — ThreadSanitizer build (LDPC_SANITIZE=thread) running
 #                        every test labelled `concurrency` (built by the
 #                        `concurrency_tests` target): the runtime batch
-#                        engine (per-frame, task and block jobs), the
+#                        engine (one-frame and many-frame block jobs), the
 #                        retry/escalation supervisor, the fault-injection
 #                        chaos test, the BER runner, the Rayleigh fading
 #                        paths and the HARQ link loop (multi-worker chase /

@@ -17,17 +17,6 @@ namespace {
 /// counter — is identical for any num_workers.
 constexpr std::size_t kWaveFrames = 32;
 
-/// Everything one frame contributes to a BerPoint, written into a slot
-/// indexed by frame number and folded in deterministic frame order after
-/// the wave drains.
-struct FrameOutcome {
-  std::size_t bit_errors = 0;
-  std::size_t iterations = 0;
-  bool converged = false;
-  DecodeStatus status = DecodeStatus::kMaxIterations;
-  std::size_t faults_injected = 0;
-};
-
 /// One frame through the configured modulation and channel model.
 std::vector<float> transmit_frame(const BerConfig& config, std::size_t n,
                                   float variance, const BitVec& codeword,
@@ -72,20 +61,27 @@ std::vector<float> transmit_frame(const BerConfig& config, std::size_t n,
   }
 }
 
-void accumulate(BerPoint& point, const FrameOutcome& outcome) {
+/// Fold one frame's final decode, scored against the information bits it
+/// carried, into the point.
+void accumulate(BerPoint& point, const DecodeResult& result,
+                const BitVec& info) {
+  // A word at a time: scoring runs on the submitting thread while the
+  // workers wait for the next wave.
+  const std::size_t bit_errors =
+      result.hard_bits.hamming_distance_prefix(info, info.size());
   ++point.frames;
-  point.sum_iterations += static_cast<double>(outcome.iterations);
-  point.faults_injected += outcome.faults_injected;
-  if (outcome.status == DecodeStatus::kWatchdogAbort) ++point.watchdog_aborts;
-  if (outcome.iterations > 0) {
-    if (outcome.iterations > point.iteration_histogram.size())
-      point.iteration_histogram.resize(outcome.iterations, 0);
-    ++point.iteration_histogram[outcome.iterations - 1];
+  point.sum_iterations += static_cast<double>(result.iterations);
+  point.faults_injected += result.faults_injected;
+  if (result.status == DecodeStatus::kWatchdogAbort) ++point.watchdog_aborts;
+  if (result.iterations > 0) {
+    if (result.iterations > point.iteration_histogram.size())
+      point.iteration_histogram.resize(result.iterations, 0);
+    ++point.iteration_histogram[result.iterations - 1];
   }
-  if (outcome.bit_errors > 0) {
-    point.bit_errors += outcome.bit_errors;
+  if (bit_errors > 0) {
+    point.bit_errors += bit_errors;
     ++point.frame_errors;
-    if (outcome.converged) ++point.undetected_errors;
+    if (result.converged) ++point.undetected_errors;
     else ++point.detected_errors;
   }
 }
@@ -136,47 +132,10 @@ BerPoint BerRunner::run_point(float ebn0_db, std::size_t point_index) {
   supervisor_config.retry.max_attempts = config_.max_decode_attempts;
   DecodeSupervisor supervisor(factory_, supervisor_config);
 
-  // The whole simulation of one frame, run on whichever worker picks the
-  // job up. Deterministic: all three RNGs are re-seeded per frame from the
-  // frame index, and the outcome lands in the frame's own slot. Retry
-  // attempts re-decode the *same* received LLRs (the frame's channel seeds
-  // do not depend on the attempt) on the escalated decoder — attempts for a
-  // frame are strictly sequential, so the final attempt's outcome wins.
-  auto run_frame = [&](std::size_t frame, FrameOutcome* outcome)
-      -> DecodeSupervisor::TaskFactory {
-    return [&, frame, outcome](std::size_t /*attempt*/) -> BatchEngine::Task {
-      return [&, frame, outcome](Decoder& decoder) {
-        LDPC_CHECK(decoder.n() == code_.n());
-        const FrameSeeds seeds =
-            ber_frame_seeds(config_.seed, point_index, frame);
-        Xoshiro256 info_rng(seeds.info);
-        AwgnChannel awgn(variance, seeds.awgn);
-        RayleighChannel rayleigh(variance, seeds.rayleigh,
-                                 config_.coherence_symbols);
-
-        BitVec info(code_.k());
-        if (config_.random_info) {
-          for (std::size_t i = 0; i < info.size(); ++i)
-            info.set(i, info_rng.coin());
-        }
-        const BitVec codeword = encoder.encode(info);
-        const auto llr = transmit_frame(config_, code_.n(), variance,
-                                        codeword, awgn, rayleigh);
-        DecodeResult result = decoder.decode(llr);
-
-        outcome->bit_errors = 0;
-        for (std::size_t i = 0; i < code_.k(); ++i)
-          if (result.hard_bits.get(i) != info.get(i)) ++outcome->bit_errors;
-        outcome->iterations = result.iterations;
-        outcome->converged = result.converged;
-        outcome->status = result.status;
-        outcome->faults_injected = result.faults_injected;
-        return result;
-      };
-    };
-  };
-
-  std::vector<FrameOutcome> outcomes(kWaveFrames);
+  // Each wave slot's information bits, scored against its final decode
+  // once the wave drains. Retry attempts re-decode the frame's received
+  // LLRs on the escalated decoder.
+  std::vector<BitVec> info(kWaveFrames);
   std::vector<DecodeResult> slots(kWaveFrames);
   std::size_t next_frame = 0;
   while (next_frame < config_.max_frames) {
@@ -186,14 +145,38 @@ BerPoint BerRunner::run_point(float ebn0_db, std::size_t point_index) {
     const std::size_t wave =
         std::min(kWaveFrames, config_.max_frames - next_frame);
     for (std::size_t i = 0; i < wave; ++i) {
-      outcomes[i] = FrameOutcome{};
-      const SubmitStatus submitted = supervisor.submit_task(
-          next_frame + i, run_frame(next_frame + i, &outcomes[i]), &slots[i]);
+      // Built on the worker that takes the frame: building costs about as
+      // much as a SIMD decode, so one submitting thread would cap the
+      // sweep. Deterministic: all three RNGs are re-seeded per frame from
+      // the frame index, never from the worker.
+      const std::size_t frame = next_frame + i;
+      auto build = [&, frame, frame_info = &info[i]] {
+        const FrameSeeds seeds =
+            ber_frame_seeds(config_.seed, point_index, frame);
+        Xoshiro256 info_rng(seeds.info);
+        AwgnChannel awgn(variance, seeds.awgn);
+        RayleighChannel rayleigh(variance, seeds.rayleigh,
+                                 config_.coherence_symbols);
+        *frame_info = BitVec(code_.k());
+        if (config_.random_info) {
+          for (std::size_t b = 0; b < frame_info->size(); ++b)
+            frame_info->set(b, info_rng.coin());
+        }
+        return transmit_frame(config_, code_.n(), variance,
+                              encoder.encode(*frame_info), awgn, rayleigh);
+      };
+      const SubmitStatus submitted =
+          supervisor.submit_staged(frame, std::move(build), &slots[i]);
       LDPC_CHECK_MSG(submit_accepted(submitted),
                      "BER frame rejected: " << to_string(submitted));
     }
     supervisor.drain();
-    for (std::size_t i = 0; i < wave; ++i) accumulate(point, outcomes[i]);
+    for (std::size_t i = 0; i < wave; ++i) {
+      LDPC_CHECK_MSG(slots[i].hard_bits.size() == code_.n(),
+                     "BER frame " << next_frame + i
+                                  << " has no decode: its decoder threw");
+      accumulate(point, slots[i], info[i]);
+    }
     next_frame += wave;
   }
 

@@ -200,7 +200,9 @@ class Decoder {
  public:
   virtual ~Decoder() = default;
 
-  /// Decode one frame of n channel LLRs.
+  /// Decode one frame of n channel LLRs. Every outcome — converged, out
+  /// of iterations or cancelled — carries n() hard decisions; a decoder
+  /// that cannot decode the frame throws instead.
   virtual DecodeResult decode(std::span<const float> llr) = 0;
 
   /// Codeword length the decoder is configured for.

@@ -20,8 +20,9 @@ namespace {
 constexpr std::size_t kWaveFrames = 32;
 
 /// Receiver-side state of one HARQ process. Mutated only by the frame's own
-/// strictly-sequential attempts (initial task + redundancy hook), so no
-/// locking is needed; read by the accumulator only after the wave drains.
+/// strictly-sequential attempts (the first attempt's stage-in, then the
+/// redundancy hook), so no locking is needed; read by the accumulator only
+/// after the wave drains.
 struct FrameState {
   FrameState(std::size_t n, std::size_t k, float rail)
       : info(k), codeword(n), buffer(n, rail) {}
@@ -132,10 +133,11 @@ HarqPoint HarqLinkRunner::run_point(float ebn0_db, std::size_t point_index) {
   std::size_t wave_base = 0;
 
   // The NACK path: fold transmission `tx` = next_attempt into the frame's
-  // buffer, or report the budget spent. Runs on a worker thread, but only
-  // ever for its own frame's strictly-sequential attempt chain.
-  auto redundancy_hook = [&](std::size_t frame_index,
-                             std::size_t next_attempt) -> bool {
+  // buffer and hand the next attempt its LLRs, or report the budget spent.
+  // Runs on a worker thread, but only ever for its own frame's
+  // strictly-sequential attempt chain.
+  auto redundancy_hook = [&](std::size_t frame_index, std::size_t next_attempt,
+                             std::vector<float>& llr) -> bool {
     const std::size_t tx = next_attempt;  // attempt a consumes transmission a
     if (tx > config_.max_transmissions) return false;
     FrameState& st = states[frame_index - wave_base];
@@ -153,14 +155,15 @@ HarqPoint HarqLinkRunner::run_point(float ebn0_db, std::size_t point_index) {
         positions = matcher_.ir_positions(tx);
         break;
     }
-    const auto llr = transmit_positions(
+    const auto received = transmit_positions(
         config_, st.codeword, positions, variance,
         harq_tx_seed(config_.seed, point_index, frame_index, tx),
         &st.symbols_sent);
     if (type1_replace)
-      st.buffer.replace(positions, llr);
+      st.buffer.replace(positions, received);
     else
-      st.buffer.combine(positions, llr);
+      st.buffer.combine(positions, received);
+    llr = st.buffer.emit();
     return true;
   };
 
@@ -182,42 +185,34 @@ HarqPoint HarqLinkRunner::run_point(float ebn0_db, std::size_t point_index) {
   supervisor_config.on_redundancy_request = redundancy_hook;
   DecodeSupervisor supervisor(factory_, supervisor_config);
 
-  // Attempt 1 builds the frame (info, encode, initial transmission);
-  // attempts >= 2 re-decode the buffer the hook just updated.
-  auto run_frame = [&](std::size_t frame,
-                       FrameState* st) -> DecodeSupervisor::TaskFactory {
-    return [&, frame, st](std::size_t attempt) -> BatchEngine::Task {
-      return [&, frame, st, attempt](Decoder& decoder) {
-        LDPC_CHECK(decoder.n() == code_.n());
-        if (attempt == 1) {
-          st->buffer.reset();
-          st->symbols_sent = 0;
-          Xoshiro256 info_rng(
-              harq_tx_seed(config_.seed, point_index, frame, 0));
-          st->info = BitVec(code_.k());
-          for (std::size_t i = 0; i < matcher_.info_bits(); ++i)
-            st->info.set(i, info_rng.coin());  // shortened bits stay 0
-          st->codeword = encoder.encode(st->info);
-          st->buffer.pin(matcher_.shortened_positions(), rail_);
-          const auto& positions = matcher_.initial_positions();
-          const auto llr = transmit_positions(
-              config_, st->codeword, positions, variance,
-              harq_tx_seed(config_.seed, point_index, frame, 1),
-              &st->symbols_sent);
-          st->buffer.combine(positions, llr);
-        }
-        return decoder.decode(st->buffer.emit());
-      };
-    };
-  };
-
   std::vector<DecodeResult> slots(kWaveFrames);
   while (wave_base < config_.frames_per_point) {
     const std::size_t wave =
         std::min(kWaveFrames, config_.frames_per_point - wave_base);
     for (std::size_t i = 0; i < wave; ++i) {
-      const SubmitStatus submitted = supervisor.submit_task(
-          wave_base + i, run_frame(wave_base + i, &states[i]), &slots[i]);
+      // Attempt 1 decodes the initial transmission, built on the worker
+      // that takes it. combiner_clips counts emits, so each attempt gets
+      // exactly one emit().
+      const std::size_t frame = wave_base + i;
+      auto build = [&, frame, st = &states[i]] {
+        st->buffer.reset();
+        st->symbols_sent = 0;
+        Xoshiro256 info_rng(harq_tx_seed(config_.seed, point_index, frame, 0));
+        st->info = BitVec(code_.k());
+        for (std::size_t b = 0; b < matcher_.info_bits(); ++b)
+          st->info.set(b, info_rng.coin());  // shortened bits stay 0
+        st->codeword = encoder.encode(st->info);
+        st->buffer.pin(matcher_.shortened_positions(), rail_);
+        const auto& positions = matcher_.initial_positions();
+        st->buffer.combine(
+            positions,
+            transmit_positions(config_, st->codeword, positions, variance,
+                               harq_tx_seed(config_.seed, point_index, frame, 1),
+                               &st->symbols_sent));
+        return st->buffer.emit();
+      };
+      const SubmitStatus submitted =
+          supervisor.submit_staged(frame, std::move(build), &slots[i]);
       LDPC_CHECK_MSG(submit_accepted(submitted),
                      "HARQ frame rejected: " << to_string(submitted));
     }

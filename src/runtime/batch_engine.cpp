@@ -81,6 +81,9 @@ void BatchEngine::finish_job_locked(
 }
 
 SubmitStatus BatchEngine::enqueue(Job& job, EnqueueMode mode) {
+  LDPC_CHECK_MSG(!job.frames.empty(), "a job needs >= 1 frame");
+  for (const BlockFrameJob& frame : job.frames)
+    LDPC_CHECK(frame.slot != nullptr);
   job.enqueued = std::chrono::steady_clock::now();
   {
     const MutexLock lock(state_mutex_);
@@ -111,8 +114,7 @@ SubmitStatus BatchEngine::enqueue(Job& job, EnqueueMode mode) {
       // silently vanished would wedge drain() forever.
       DecodeResult result;
       result.status = DecodeStatus::kShedOverload;
-      for (const BlockFrameJob& frame : shed.frames)
-        if (frame.slot) *frame.slot = result;
+      for (const BlockFrameJob& frame : shed.frames) *frame.slot = result;
       const auto now = std::chrono::steady_clock::now();
       {
         const MutexLock lock(state_mutex_);
@@ -148,7 +150,6 @@ SubmitStatus BatchEngine::enqueue(Job& job, EnqueueMode mode) {
 SubmitStatus BatchEngine::submit(std::size_t frame_index,
                                  std::vector<float> llr, DecodeResult* slot,
                                  JobOptions options) {
-  LDPC_CHECK(slot != nullptr);
   Job job;
   job.frames.push_back({frame_index, std::move(llr), slot, options.deadline});
   job.block.rung = options.rung;
@@ -157,7 +158,6 @@ SubmitStatus BatchEngine::submit(std::size_t frame_index,
 
 bool BatchEngine::try_submit(std::size_t frame_index, std::vector<float>& llr,
                              DecodeResult* slot, JobOptions options) {
-  LDPC_CHECK(slot != nullptr);
   Job job;
   job.frames.push_back({frame_index, std::move(llr), slot, options.deadline});
   job.block.rung = options.rung;
@@ -166,33 +166,15 @@ bool BatchEngine::try_submit(std::size_t frame_index, std::vector<float>& llr,
   return false;
 }
 
-SubmitStatus BatchEngine::submit_task(std::size_t frame_index, Task task,
-                                      JobOptions options, DecodeResult* slot) {
-  LDPC_CHECK(task != nullptr);
-  Job job;
-  job.frames.push_back({frame_index, {}, slot, options.deadline});
-  job.task = std::move(task);
-  job.block.rung = options.rung;
-  return enqueue(job, EnqueueMode::kPolicy);
-}
-
 SubmitStatus BatchEngine::submit_block(std::vector<BlockFrameJob> frames,
                                        BlockJobOptions options) {
-  LDPC_CHECK_MSG(!frames.empty(), "submit_block needs >= 1 frame");
-  for (const BlockFrameJob& f : frames) LDPC_CHECK(f.slot != nullptr);
-  Job job;
-  job.frames = std::move(frames);
-  job.block = std::move(options);
+  Job job{std::move(frames), std::move(options), {}};
   return enqueue(job, EnqueueMode::kPolicy);
 }
 
-bool BatchEngine::submit_retry(std::size_t frame_index, Task task,
-                               JobOptions options, DecodeResult* slot) {
-  LDPC_CHECK(task != nullptr);
-  Job job;
-  job.frames.push_back({frame_index, {}, slot, options.deadline});
-  job.task = std::move(task);
-  job.block.rung = options.rung;
+bool BatchEngine::submit_retry(std::vector<BlockFrameJob> frames,
+                               BlockJobOptions options) {
+  Job job{std::move(frames), std::move(options), {}};
   return submit_accepted(enqueue(job, EnqueueMode::kForced));
 }
 
@@ -248,10 +230,10 @@ std::vector<DecodeResult> BatchEngine::decode_batch(
 // the one whose frames are still being handed out. Once they all are, a
 // free lane takes the next queued job (try_pop: never one an idle worker
 // is waiting for) — if that job picks the stream's decoder it joins the
-// stream, otherwise (another rung or codec, or a task) it is held and runs
-// next, after the stream has drained its lanes. So a worker holds at most
-// one job whose frames are not all loaded, and a job in hand is running:
-// it can no longer be shed.
+// stream, otherwise (another rung or codec) it is held and runs next, on
+// its picked decoder, after the stream has drained its lanes. So a worker
+// holds at most one job whose frames are not all loaded, and a job in hand
+// is running: it can no longer be shed.
 class BatchEngine::Worker final : public FrameSource {
  public:
   Worker(BatchEngine& engine, unsigned id)
@@ -270,11 +252,7 @@ class BatchEngine::Worker final : public FrameSource {
       } else if (retiring_ || !engine_.queue_.pop(job)) {
         return;
       }
-      if (job.task) {
-        run_task(job);
-      } else {
-        run_stream(std::move(job), picked);
-      }
+      run_stream(std::move(job), picked);
     }
   }
 
@@ -292,6 +270,7 @@ class BatchEngine::Worker final : public FrameSource {
         book(slot, pos, std::move(expired), nullptr);
         continue;
       }
+      if (h.job.block.stage_in) h.job.block.stage_in(pos, frame.llr);
       // Per-frame cancel tokens let one late frame bail at a layer
       // boundary while its lane-mates decode on; an engine-armed token
       // lives with its job until the job's last frame is booked.
@@ -331,8 +310,8 @@ class BatchEngine::Worker final : public FrameSource {
     std::size_t unbooked = 0;  ///< frames not yet booked
     std::unique_ptr<CancelToken[]> tokens;  ///< engine-armed, on demand
   };
-  /// A job taken while the stream ran, waiting for the stream to drain:
-  /// a task, or a block on `decoder` (already picked).
+  /// A job taken while the stream ran, waiting for the stream to drain to
+  /// run on `decoder` (already picked).
   struct Held {
     Job job;
     Decoder* decoder = nullptr;
@@ -378,10 +357,6 @@ class BatchEngine::Worker final : public FrameSource {
     if (retiring_ || held_) return false;
     Job job;
     if (!engine_.queue_.try_pop(job)) return false;
-    if (job.task) {
-      held_ = Held{std::move(job), nullptr};
-      return false;
-    }
     // In hand before its picker runs: a throw fails it with the stream.
     const std::size_t slot = adopt(std::move(job));
     Decoder& decoder = pick(slots_[slot]->job);
@@ -483,54 +458,9 @@ class BatchEngine::Worker final : public FrameSource {
     if (current_ == slot) current_.reset();
   }
 
-  void run_task(Job& job) {
-    const BlockFrameJob& frame = job.frames[0];
-    // A task past its deadline completes without running — but only when
-    // the engine owns a slot to report through; a slotless task must still
-    // run (under a pre-expired token, so a cancellation-aware decode bails
-    // at its first poll).
-    if (frame.slot && frame.deadline && Clock::now() >= *frame.deadline) {
-      DecodeResult expired;
-      expired.status = DecodeStatus::kDeadlineExpired;
-      *frame.slot = expired;
-      const MutexLock lock(engine_.state_mutex_);
-      ++engine_.jobs_expired_;
-      engine_.finish_job_locked(frame.frame_index, Clock::now());
-      return;
-    }
-    Decoder& decoder = rung_decoder(job.block.rung);
-    DecodeResult result;
-    SaturationStats saturation;
-    bool failed = false;
-    try {
-      // The task decodes under this worker's token, armed with its deadline.
-      task_token_.clear();
-      if (frame.deadline) task_token_.arm_deadline(*frame.deadline);
-      decoder.set_cancel_token(&task_token_);
-      result = job.task(decoder);
-      saturation = decoder.saturation();
-    } catch (...) {
-      failed = true;
-    }
-    const auto now = Clock::now();
-    const MutexLock lock(engine_.state_mutex_);
-    if (failed) {
-      EngineWorkerStats& stats = engine_.worker_stats_[id_];
-      ++stats.exceptions;
-      ++stats.strikes;
-    }
-    // Tasks own their result delivery: a retry layer may already have the
-    // next attempt in flight, so the engine never writes their slot here.
-    engine_.book_ran_locked(id_, frame.frame_index, failed ? nullptr : &result,
-                            saturation, decoder.n(), decoder.k(),
-                            job.enqueued, now);
-    retiring_ = engine_.maybe_quarantine_locked(id_) || retiring_;
-  }
-
   BatchEngine& engine_;
   const unsigned id_;
   std::vector<std::unique_ptr<Decoder>> decoders_;
-  CancelToken task_token_;
   /// The stream's decoder and the sizes booked per decoded frame.
   Decoder* decoder_ = nullptr;
   std::size_t n_ = 0;

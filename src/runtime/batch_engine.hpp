@@ -31,9 +31,9 @@
 //
 // Determinism contract: the engine never makes an output depend on which
 // worker ran a job or in what order jobs completed. Results land in
-// caller-provided slots addressed by frame index, and any randomness a
-// submitted task consumes must be derived from data baked into the task
-// (e.g. frame index and attempt number) — the same discipline the BER
+// caller-provided slots addressed by frame index, and any randomness behind
+// a frame's LLRs must be derived from the frame itself (e.g. frame index
+// and attempt number), never from the worker — the same discipline the BER
 // harness follows. Under that contract the output of a batch is
 // bit-identical for every worker count. Deadlines and load shedding are
 // inherently timing-dependent and sit outside the contract: which frames
@@ -96,7 +96,7 @@ struct BatchEngineConfig {
 /// reached a decoder count here; expired and shed frames are engine-level
 /// events (EngineMetrics::jobs_expired / jobs_shed).
 struct EngineWorkerStats {
-  std::size_t jobs = 0;  ///< frames (and tasks) this worker ran
+  std::size_t jobs = 0;  ///< frames this worker ran
   std::size_t sum_iterations = 0;
   /// Decodes that satisfied parity and stopped (DecodeStatus::kConverged) —
   /// the early-termination events that make average latency < worst case.
@@ -104,7 +104,7 @@ struct EngineWorkerStats {
   /// Outcome histogram indexed by static_cast<std::size_t>(DecodeStatus).
   std::array<std::size_t, kNumDecodeStatuses> status_counts{};
   SaturationStats saturation;  ///< accumulated over this worker's decodes
-  std::size_t exceptions = 0;  ///< jobs whose decode/task threw
+  std::size_t exceptions = 0;  ///< streams whose decode or picker threw
   /// Decodes a SIMD decoder delegated to its scalar twin instead of the
   /// lane kernel (DecodeResult::simd_fallback != kNone). A benchmark or
   /// serving config silently riding the slow-but-correct scalar path shows
@@ -238,6 +238,14 @@ struct BlockJobOptions {
   /// Runs on the worker thread; a throw fails the block like a throwing
   /// decode. Empty = the rung decoder itself.
   std::function<Decoder&(Decoder&)> decoder;
+  /// Fills a frame's LLRs, given its position in the block, on the worker
+  /// thread when a lane takes the frame: after its deadline check (an
+  /// expired frame is never built), right before it decodes. For callers
+  /// whose frames cost about a decode to build (information bits, encode,
+  /// channel): building then spreads over the pool instead of serializing
+  /// on the submitting thread. A throw fails the frame's stream like a
+  /// throwing decode. Empty = the frames carry their LLRs.
+  std::function<void(std::size_t position, std::vector<float>& llr)> stage_in;
   /// Runs once per frame, with the frame's position in the block, right
   /// after the engine resolved and booked that frame (slot written,
   /// counters, latency and drain accounting updated) — decoded, expired,
@@ -260,13 +268,6 @@ struct DrainReport {
 
 class BatchEngine {
  public:
-  /// A unit of work executed on a worker thread with that worker's decoder
-  /// (the rung decoder the job asked for). Must derive any randomness it
-  /// consumes from data baked into the task (e.g. a frame index), never
-  /// from the worker. The returned DecodeResult feeds the engine's
-  /// statistics.
-  using Task = std::function<DecodeResult(Decoder&)>;
-
   /// Spawns the worker pool; `factory` is invoked once on each worker
   /// thread (it must be safe to call concurrently).
   BatchEngine(DecoderFactory factory, BatchEngineConfig config = {});
@@ -296,18 +297,6 @@ class BatchEngine {
   bool try_submit(std::size_t frame_index, std::vector<float>& llr,
                   DecodeResult* slot, JobOptions options = {});
 
-  /// Submit an arbitrary task (the BER harness submits whole
-  /// generate-transmit-decode-score frames). The task owns delivering its
-  /// result (a retry layer may have the next attempt in flight by the time
-  /// the task returns, so the engine must not write the slot after running
-  /// it). `slot`, when non-null, is written only when the engine completes
-  /// the job *without running the task* — deadline expiry in the queue
-  /// (kDeadlineExpired) or eviction under kShedOldest (kShedOverload) —
-  /// which is how those outcomes reach the caller.
-  [[nodiscard]] SubmitStatus submit_task(std::size_t frame_index, Task task,
-                                         JobOptions options = {},
-                                         DecodeResult* slot = nullptr);
-
   /// Submit a block of frames as one queue entry, decoded by one worker's
   /// stream — the path that keeps an inter-frame-batched SIMD decoder's
   /// lanes full. Each frame counts as one job in the engine's counters and
@@ -322,13 +311,12 @@ class BatchEngine {
   [[nodiscard]] SubmitStatus submit_block(std::vector<BlockFrameJob> frames,
                                           BlockJobOptions options = {});
 
-  /// Capacity-exempt resubmission for retry layers: enqueues even on a full
-  /// queue so a worker-thread callback can never deadlock the pool against
-  /// its own backlog (bounded in practice by the number of in-flight jobs).
-  /// Returns false only when the engine is stopped.
-  [[nodiscard]] bool submit_retry(std::size_t frame_index, Task task,
-                                  JobOptions options = {},
-                                  DecodeResult* slot = nullptr);
+  /// Capacity-exempt submit_block for retry layers: enqueues even on a
+  /// full queue, so an on_booked hook on a worker thread never blocks on
+  /// its own backlog (bounded in practice by the number of frames in
+  /// flight). Returns false only when the engine is stopped.
+  [[nodiscard]] bool submit_retry(std::vector<BlockFrameJob> frames,
+                                  BlockJobOptions options = {});
 
   /// Block until every job submitted so far has completed.
   void drain() LDPC_EXCLUDES(state_mutex_);
@@ -368,29 +356,27 @@ class BatchEngine {
   unsigned num_workers() const { return config_.num_workers; }
 
  private:
-  /// The engine's one job shape: frames that share a worker, a decoder rung
-  /// and either a worker stream or one task. submit / try_submit enqueue a
-  /// one-frame block; submit_task / submit_retry a one-frame task job whose
-  /// frame has no LLRs and whose slot may be null.
+  /// The engine's one job kind: frames that share a worker and a decoder,
+  /// decoded through the worker's lane stream. submit / try_submit enqueue
+  /// a one-frame block; submit_block, submit_retry and decode_batch blocks
+  /// of any size.
   struct Job {
     std::vector<BlockFrameJob> frames;
-    Task task;  ///< when set, runs instead of the stream
-    /// Block options (submit_block); the other submits set only the rung.
+    /// Block options; submit and try_submit set only the rung.
     BlockJobOptions block;
     std::chrono::steady_clock::time_point enqueued;
   };
 
-  /// How enqueue pushes: under the overload policy (submit, submit_task,
-  /// submit_block), non-blocking (try_submit) or capacity-exempt
-  /// (submit_retry).
+  /// How enqueue pushes: under the overload policy (submit, submit_block),
+  /// non-blocking (try_submit) or capacity-exempt (submit_retry).
   enum class EnqueueMode { kPolicy, kTry, kForced };
 
-  /// Record the job's frames as submitted and push it. A refused job is
-  /// un-recorded and left intact in `job`; an evicted (shed) one resolves
-  /// every frame kShedOverload.
+  /// Check the job (>= 1 frame, every frame with a slot), record its frames
+  /// as submitted and push it. A refused job is un-recorded and left intact
+  /// in `job`; an evicted (shed) one resolves every frame kShedOverload.
   SubmitStatus enqueue(Job& job, EnqueueMode mode) LDPC_EXCLUDES(state_mutex_);
-  /// One worker thread: its rung decoders, its lane stream of block jobs
-  /// and its task branch (batch_engine.cpp).
+  /// One worker thread: its rung decoders and its lane stream of block
+  /// jobs (batch_engine.cpp).
   class Worker;
 
   /// Run a Worker until the queue closes or it is quarantined.

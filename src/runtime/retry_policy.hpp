@@ -64,9 +64,9 @@ struct RetryPolicy {
 void validate(const RetryPolicy& policy);
 
 /// Deterministic per-attempt seed derivation: a splitmix64 stream keyed by
-/// (base_seed, frame_index, attempt). Tasks that consume randomness must
-/// derive it from this (or equivalent) so retried batches stay bit-identical
-/// across worker counts and overload policies.
+/// (base_seed, frame_index, attempt). Randomness an attempt consumes (its
+/// LLRs, a fault stream) must derive from this (or equivalent) so retried
+/// batches stay bit-identical across worker counts and overload policies.
 inline std::uint64_t retry_seed(std::uint64_t base_seed,
                                 std::size_t frame_index, std::size_t attempt) {
   std::uint64_t sm = base_seed ^ 0x9e3779b97f4a7c15ULL * (frame_index + 1);

@@ -29,39 +29,59 @@ RungKind DecodeSupervisor::rung_kind_for(std::size_t rung) const {
   return config_.rung_kinds[std::min(rung, config_.rung_kinds.size()) - 1];
 }
 
-BatchEngine::Task DecodeSupervisor::make_attempt(
-    std::shared_ptr<JobControl> control) {
-  return [this, control = std::move(control)](Decoder& decoder) {
-    const DecodeResult result =
-        control->task_factory ? control->task_factory(control->attempt)(decoder)
-                              : decoder.decode(control->llr);
-    on_attempt_done(control, result);
-    return result;
-  };
+std::vector<BlockFrameJob> DecodeSupervisor::attempt_block(
+    const std::shared_ptr<Frame>& frame, BlockJobOptions& options) {
+  *frame->slot = DecodeResult{};
+  std::vector<BlockFrameJob> block(1);
+  block[0].frame_index = frame->frame_index;
+  block[0].slot = frame->slot;
+  block[0].deadline = frame->deadline;
+  if (frame->build) {
+    options.stage_in = [this, frame](std::size_t, std::vector<float>& llr) {
+      frame->llr = frame->build();
+      frame->build = nullptr;
+      llr = attempt_llr(*frame);
+    };
+  } else {
+    block[0].llr = attempt_llr(*frame);
+  }
+  // Attempt a runs on escalation rung a - 1 (the engine clamps rungs beyond
+  // the ladder to its last entry).
+  options.rung = static_cast<unsigned>(frame->attempt - 1);
+  options.on_booked = [this, frame](std::size_t) { on_booked(frame); };
+  return block;
 }
 
-void DecodeSupervisor::on_attempt_done(
-    const std::shared_ptr<JobControl>& control, const DecodeResult& result) {
+std::vector<float> DecodeSupervisor::attempt_llr(Frame& frame) const {
+  return frame.attempt < config_.retry.max_attempts ? frame.llr
+                                                    : std::move(frame.llr);
+}
+
+void DecodeSupervisor::on_booked(const std::shared_ptr<Frame>& frame) {
+  DecodeResult& result = *frame->slot;
+  // An attempt that ran no decoder is final: expired and shed statuses are
+  // not retryable, and a throw left the reset slot without hard decisions
+  // (every decode returns n of them).
+  const bool decoded = result.hard_bits.size() != 0;
   bool retry =
-      config_.retry.should_retry(result.status, control->attempt);
+      decoded && config_.retry.should_retry(result.status, frame->attempt);
   bool abandoned = false;
   bool harq_exhausted = false;
   bool redundancy_granted = false;
-  if (retry && control->deadline &&
-      std::chrono::steady_clock::now() >= *control->deadline) {
+  if (retry && frame->deadline &&
+      std::chrono::steady_clock::now() >= *frame->deadline) {
     // The re-decode would expire in the queue anyway; give up now and let
     // this attempt's result stand.
     retry = false;
     abandoned = true;
   }
-  if (retry &&
-      rung_kind_for(control->attempt) == RungKind::kRequestRedundancy) {
+  if (retry && rung_kind_for(frame->attempt) == RungKind::kRequestRedundancy) {
     // The next rung needs new channel information before it may decode. The
     // hook combines one retransmission into the frame's buffer — or reports
     // the link out of redundancy, which is a *typed* terminal outcome, not
     // a silent re-decode of LLRs the ladder already failed on.
-    if (config_.on_redundancy_request(control->frame_index,
-                                      control->attempt + 1)) {
+    if (config_.on_redundancy_request(frame->frame_index, frame->attempt + 1,
+                                      frame->llr)) {
       redundancy_granted = true;
     } else {
       retry = false;
@@ -69,74 +89,82 @@ void DecodeSupervisor::on_attempt_done(
     }
   }
   if (retry) {
-    const std::size_t attempt = ++control->attempt;
-    JobOptions options;
-    options.deadline = control->deadline;
-    // Attempt a runs on escalation rung a - 1 (the engine clamps rungs
-    // beyond the ladder to its last entry).
-    options.rung = static_cast<unsigned>(attempt - 1);
-    // Capacity-exempt: this runs on a worker thread, which must never
-    // block on queue space it is itself responsible for freeing.
-    if (engine_.submit_retry(control->frame_index, make_attempt(control),
-                             options, control->slot)) {
+    {
+      // Counted before the submit: the next attempt may finalize the frame,
+      // and drain() return, before submit_retry does. A granted
+      // retransmission consumed link redundancy even if the resubmit fails.
       const MutexLock lock(stats_mutex_);
       ++stats_.retries_submitted;
       if (redundancy_granted) ++stats_.redundancy_requests;
-      return;  // the next attempt owns the slot now
     }
-    // Engine stopped under us: record this attempt as final.
+    DecodeResult last = std::move(result);
+    ++frame->attempt;
+    BlockJobOptions options;
+    std::vector<BlockFrameJob> block = attempt_block(frame, options);
+    // Capacity-exempt: this runs on a worker thread, which must never
+    // block on queue space it is itself responsible for freeing. Not under
+    // stats_mutex_, like every engine submit.
+    if (engine_.submit_retry(std::move(block), std::move(options)))
+      return;  // the next attempt owns the slot now
+    // Engine stopped under us: this attempt is final after all.
+    --frame->attempt;
+    result = std::move(last);
   }
-  // Final attempt: publish the result. Safe without a lock — attempts for a
-  // frame are strictly sequential, and drain() observes this write because
-  // it happens before the worker's completion bookkeeping.
-  DecodeResult final_result = result;
-  if (harq_exhausted) final_result.status = DecodeStatus::kHarqExhausted;
-  if (control->slot) *control->slot = final_result;
+  if (harq_exhausted) result.status = DecodeStatus::kHarqExhausted;
   const MutexLock lock(stats_mutex_);
-  // A granted retransmission whose resubmit lost to engine shutdown still
-  // consumed link redundancy; account for it.
-  if (redundancy_granted) ++stats_.redundancy_requests;
-  const std::size_t index =
-      std::min(control->attempt, config_.retry.max_attempts) - 1;
+  if (retry) --stats_.retries_submitted;  // the resubmit was refused
+  const std::size_t index = frame->attempt - 1;
   ++stats_.finished_by_attempt[index];
-  if (final_result.status == DecodeStatus::kConverged)
+  if (result.status == DecodeStatus::kConverged)
     ++stats_.recovered_by_attempt[index];
   else if (harq_exhausted)
     ++stats_.harq_exhausted_frames;
-  else if (control->attempt >= config_.retry.max_attempts)
+  else if (frame->attempt >= config_.retry.max_attempts && decoded)
     ++stats_.exhausted_frames;
   if (abandoned) ++stats_.retries_abandoned_deadline;
+  // Last: once the count reaches zero, drain() returns and the caller may
+  // reuse the slot.
+  if (--pending_ == 0) all_final_.notify_all();
 }
 
 SubmitStatus DecodeSupervisor::submit(
     std::size_t frame_index, std::vector<float> llr, DecodeResult* slot,
     std::optional<std::chrono::steady_clock::time_point> deadline) {
-  LDPC_CHECK(slot != nullptr);
-  auto control = std::make_shared<JobControl>();
-  control->frame_index = frame_index;
-  control->llr = std::move(llr);
-  control->slot = slot;
-  control->deadline = deadline;
-  JobOptions options;
-  options.deadline = deadline;
-  return engine_.submit_task(frame_index, make_attempt(std::move(control)),
-                             options, slot);
+  return submit_frame(std::make_shared<Frame>(
+      Frame{frame_index, std::move(llr), nullptr, slot, deadline}));
 }
 
-SubmitStatus DecodeSupervisor::submit_task(
-    std::size_t frame_index, TaskFactory factory, DecodeResult* slot,
+SubmitStatus DecodeSupervisor::submit_staged(
+    std::size_t frame_index, LlrBuilder build, DecodeResult* slot,
     std::optional<std::chrono::steady_clock::time_point> deadline) {
-  LDPC_CHECK(factory != nullptr);
-  LDPC_CHECK(slot != nullptr);
-  auto control = std::make_shared<JobControl>();
-  control->frame_index = frame_index;
-  control->task_factory = std::move(factory);
-  control->slot = slot;
-  control->deadline = deadline;
-  JobOptions options;
-  options.deadline = deadline;
-  return engine_.submit_task(frame_index, make_attempt(std::move(control)),
-                             options, slot);
+  LDPC_CHECK(build != nullptr);
+  return submit_frame(std::make_shared<Frame>(
+      Frame{frame_index, {}, std::move(build), slot, deadline}));
+}
+
+SubmitStatus DecodeSupervisor::submit_frame(
+    const std::shared_ptr<Frame>& frame) {
+  LDPC_CHECK(frame->slot != nullptr);
+  BlockJobOptions options;
+  std::vector<BlockFrameJob> block = attempt_block(frame, options);
+  {
+    const MutexLock lock(stats_mutex_);
+    ++pending_;
+  }
+  // Not under stats_mutex_: a shed runs the evicted frames' hooks, which
+  // finalize under it, on this thread.
+  const SubmitStatus status =
+      engine_.submit_block(std::move(block), std::move(options));
+  if (!submit_accepted(status)) {
+    const MutexLock lock(stats_mutex_);
+    if (--pending_ == 0) all_final_.notify_all();
+  }
+  return status;
+}
+
+void DecodeSupervisor::drain() {
+  MutexLock lock(stats_mutex_);
+  while (pending_ != 0) lock.wait(all_final_);
 }
 
 SupervisorMetrics DecodeSupervisor::metrics() const {

@@ -78,6 +78,21 @@ class BitVec {
     return total;
   }
 
+  /// Hamming distance to `other` over positions [0, bits) only — e.g. the
+  /// information bits of a systematic codeword. Both must hold >= bits.
+  std::size_t hamming_distance_prefix(const BitVec& other,
+                                      std::size_t bits) const {
+    LDPC_CHECK(bits <= n_bits_ && bits <= other.n_bits_);
+    std::size_t total = 0;
+    for (std::size_t w = 0; (w << 6) < bits; ++w) {
+      std::uint64_t diff = words_[w] ^ other.words_[w];
+      const std::size_t tail = bits - (w << 6);
+      if (tail < 64) diff &= (1ULL << tail) - 1ULL;
+      total += static_cast<std::size_t>(__builtin_popcountll(diff));
+    }
+    return total;
+  }
+
   bool operator==(const BitVec& other) const {
     return n_bits_ == other.n_bits_ && words_ == other.words_;
   }

@@ -440,6 +440,24 @@ TEST(BerRunner, EarlyStopOnTargetErrors) {
   EXPECT_GE(points[0].frame_errors, 4u);
 }
 
+TEST(BerRunner, ThrowingDecodeFailsTheRun) {
+  // Decoders built for z = 48 throw on every z = 24 frame. A frame whose
+  // decode threw has no result to score, so the run must fail, not count
+  // the frame as error-free.
+  const auto code = make_wimax_code(WimaxRate::kRate1_2, 24);
+  const auto wrong = make_wimax_code(WimaxRate::kRate1_2, 48);
+  BerConfig cfg;
+  cfg.ebn0_db = {-2.0F};
+  cfg.max_frames = 64;
+  cfg.min_frames = 64;
+  cfg.num_workers = 2;
+  DecoderOptions opt;
+  BerRunner runner(
+      code, [&] { return make_decoder("layered-minsum-fixed", wrong, opt); },
+      cfg);
+  EXPECT_THROW(runner.run(), Error);
+}
+
 TEST(BerRunner, InvalidConfigRejected) {
   const auto code = make_wimax_code(WimaxRate::kRate1_2, 24);
   DecoderOptions opt;

@@ -5,9 +5,9 @@
 // a deterministic, frame-keyed subset of frames (>= 10% of the batch) at an
 // aggressive upset rate. The properties under test:
 //
-//   * exactly-once completion — every submitted frame's task runs once and
-//     its slot is finalized once, even while workers are being quarantined
-//     and replaced mid-batch;
+//   * exactly-once completion — every submitted frame is booked once (its
+//     on_booked hook runs once) and its slot is finalized once, even while
+//     workers are being quarantined and replaced mid-batch;
 //   * supervision — fault-detected outcomes count as strikes, so at least
 //     one worker is quarantined and the pool keeps decoding on replacement
 //     threads;
@@ -42,7 +42,7 @@ bool frame_is_faulted(std::size_t frame) { return frame % 5 == 0; }
 
 /// One injector per worker thread, owned by the thread so the decoder the
 /// factory builds on that thread can keep a plain pointer to it. Starts
-/// disabled; each task arms/reseeds it for its own frame only.
+/// disabled; each frame's decoder picker arms/reseeds it for that frame.
 FaultInjector& tls_injector() {
   thread_local FaultInjector injector{[] {
     FaultConfig config;
@@ -83,7 +83,7 @@ std::vector<std::vector<float>> make_frames(const QCLdpcCode& code,
 
 struct ChaosRun {
   std::vector<DecodeResult> slots;
-  std::vector<int> completions;  ///< task executions per frame
+  std::vector<int> completions;  ///< on_booked calls per frame
   EngineMetrics metrics;
 };
 
@@ -97,33 +97,37 @@ ChaosRun run_chaos(const QCLdpcCode& code,
   // the replacement cascade finite while guaranteeing >= 1 quarantine.
   config.quarantine_strike_threshold = 1;
   config.max_replacement_workers = 4;
-  BatchEngine engine(chaotic_factory(code), config);
-
   ChaosRun run;
   run.slots.resize(frames.size());
   std::vector<std::atomic<int>> completions(frames.size());
-  for (std::size_t f = 0; f < frames.size(); ++f) {
-    const SubmitStatus s = engine.submit_task(
-        f,
-        [&, f](Decoder& decoder) {
-          FaultInjector& injector = tls_injector();
-          // Frame-keyed fault stream: which bits upset depends only on the
-          // frame index, never on the worker or completion order.
-          injector.reseed(retry_seed(kChaosSeed, f, 1));
-          injector.set_enabled(frame_is_faulted(f));
-          DecodeResult result = decoder.decode(frames[f]);
-          injector.set_enabled(false);
-          completions[f].fetch_add(1, std::memory_order_relaxed);
-          // Task jobs own result delivery (the engine writes the slot only
-          // for jobs it completed without running, e.g. expired ones).
-          run.slots[f] = result;
-          return result;
-        },
-        {}, &run.slots[f]);
-    EXPECT_TRUE(submit_accepted(s)) << "frame " << f;
-  }
-  engine.drain();
-  run.metrics = engine.metrics();
+  {
+    BatchEngine engine(chaotic_factory(code), config);
+    for (std::size_t f = 0; f < frames.size(); ++f) {
+      // One-frame blocks on the scalar decoder, whose stream decodes one
+      // frame at a time: a block's picker runs after the previous frame's
+      // hook and right before its own frame decodes.
+      BlockJobOptions options;
+      options.decoder = [f](Decoder& decoder) -> Decoder& {
+        FaultInjector& injector = tls_injector();
+        // Frame-keyed fault stream: which bits upset depends only on the
+        // frame index, never on the worker or completion order.
+        injector.reseed(retry_seed(kChaosSeed, f, 1));
+        injector.set_enabled(frame_is_faulted(f));
+        return decoder;
+      };
+      options.on_booked = [&completions, f](std::size_t) {
+        completions[f].fetch_add(1, std::memory_order_relaxed);
+      };
+      std::vector<BlockFrameJob> block;
+      block.push_back(
+          BlockFrameJob{f, frames[f], &run.slots[f], std::nullopt});
+      EXPECT_TRUE(submit_accepted(
+          engine.submit_block(std::move(block), std::move(options))))
+          << "frame " << f;
+    }
+    engine.drain();
+    run.metrics = engine.metrics();
+  }  // joined: every hook has returned
   run.completions.reserve(completions.size());
   for (const auto& c : completions) run.completions.push_back(c.load());
   return run;
@@ -134,8 +138,8 @@ TEST(ChaosEngine, FaultsQuarantineAndExactlyOnceCompletion) {
   const auto frames = make_frames(code, 4.0F);
   const ChaosRun run = run_chaos(code, frames, 2);
 
-  // Exactly-once: every task ran once, every job completed, nothing was
-  // expired, shed or double-counted while workers were being replaced.
+  // Exactly-once: every frame was booked once, every job completed, nothing
+  // was expired, shed or double-counted while workers were being replaced.
   for (std::size_t f = 0; f < frames.size(); ++f)
     EXPECT_EQ(run.completions[f], 1) << "frame " << f;
   EXPECT_EQ(run.metrics.jobs_submitted, frames.size());
@@ -222,11 +226,11 @@ TEST(ChaosEngine, BlockWithExpiredJobResolvesLaneMatesUnderChaos) {
   const auto code = make_wimax_code(WimaxRate::kRate1_2, 24);
   const auto frames = make_frames(code, 4.0F);
 
-  // submit_block has no per-frame task hook to arm an injector, so each
-  // worker's injector is enabled from construction (FaultInjector defaults
-  // to enabled when rate > 0): every decoded frame runs under upsets. The
-  // fault stream depends on per-worker decode order, so no bit-identity is
-  // asserted here — only the exactly-once and supervision properties.
+  // No picker arms the injector per frame here: each worker's injector is
+  // enabled from construction (FaultInjector defaults to enabled when
+  // rate > 0), so every decoded frame runs under upsets. The fault stream
+  // depends on per-worker decode order, so no bit-identity is asserted
+  // here — only the exactly-once and supervision properties.
   const DecoderFactory factory = [&code] {
     thread_local FaultInjector injector{[] {
       FaultConfig fault_config;

@@ -35,6 +35,27 @@ TEST(DecoderFactory, EveryRegisteredNameConstructs) {
   }
 }
 
+TEST(DecoderFactory, EveryOutcomeCarriesNHardDecisions) {
+  // The retry supervisor tells an attempt that decoded from one that threw
+  // by its hard decisions: every decode returns n() of them, converged,
+  // out of iterations or cancelled alike.
+  const QCLdpcCode code = make_wimax_code(WimaxRate::kRate1_2, 24);
+  DecoderOptions opt;
+  std::vector<float> clean(code.n(), 8.0F), garbled(code.n());
+  for (std::size_t i = 0; i < garbled.size(); ++i)
+    garbled[i] = i % 3 == 0 ? -1.0F : 1.0F;
+  CancelToken cancelled;
+  cancelled.cancel();
+  for (const std::string& name : decoder_names()) {
+    const auto dec = make_decoder(name, code, opt);
+    EXPECT_EQ(dec->decode(clean).hard_bits.size(), code.n()) << name;
+    EXPECT_EQ(dec->decode(garbled).hard_bits.size(), code.n()) << name;
+    dec->set_cancel_token(&cancelled);
+    EXPECT_EQ(dec->decode(garbled).hard_bits.size(), code.n()) << name;
+    dec->set_cancel_token(nullptr);
+  }
+}
+
 TEST(DecoderFactory, BlockWidthKnownWithoutBuildingADecoder) {
   // The decode service sizes its forming blocks with decoder_block_width
   // instead of building a decoder on its event loop: it must agree with

@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <array>
 #include <atomic>
 #include <cmath>
 #include <memory>
@@ -216,7 +217,7 @@ TEST(RedundancyRung, HookRefusalYieldsTypedExhaustion) {
   const auto code = make_wimax_code(WimaxRate::kRate1_2, 24);
   std::atomic<int> calls{0};
   auto config = harq_supervisor_config(
-      code, 3, [&](std::size_t, std::size_t) {
+      code, 3, [&](std::size_t, std::size_t, std::vector<float>&) {
         ++calls;
         return false;  // link out of redundancy immediately
       });
@@ -238,7 +239,8 @@ TEST(RedundancyRung, GrantedRequestsFeedRetries) {
   const auto code = make_wimax_code(WimaxRate::kRate1_2, 24);
   std::atomic<int> calls{0};
   auto config = harq_supervisor_config(
-      code, 3, [&](std::size_t frame, std::size_t next_attempt) {
+      code, 3,
+      [&](std::size_t frame, std::size_t next_attempt, std::vector<float>&) {
         ++calls;
         EXPECT_EQ(frame, 7u);
         EXPECT_GE(next_attempt, 2u);
@@ -261,6 +263,29 @@ TEST(RedundancyRung, GrantedRequestsFeedRetries) {
   EXPECT_EQ(stats.exhausted_frames, 1u);
 }
 
+TEST(RedundancyRung, HookLlrsFeedTheNextAttempt) {
+  // The hook sees the LLRs the failed attempt decoded and hands back the
+  // next attempt's: clean ones here, so the retry converges.
+  const auto code = make_wimax_code(WimaxRate::kRate1_2, 24);
+  const std::vector<float> noisy = undecodable_llrs(code, 5);
+  auto config = harq_supervisor_config(
+      code, 3,
+      [&](std::size_t, std::size_t next_attempt, std::vector<float>& llr) {
+        EXPECT_EQ(next_attempt, 2u);
+        EXPECT_EQ(llr, noisy);
+        llr.assign(code.n(), 4.0F);
+        return true;
+      });
+  DecodeSupervisor supervisor(base_factory(code), config);
+  DecodeResult slot;
+  ASSERT_TRUE(submit_accepted(supervisor.submit(0, noisy, &slot)));
+  supervisor.drain();
+  EXPECT_EQ(slot.status, DecodeStatus::kConverged);
+  const RetryStats stats = supervisor.metrics().retry;
+  EXPECT_EQ(stats.recovered_by_attempt[1], 1u);
+  EXPECT_EQ(stats.redundancy_requests, 1u);
+}
+
 TEST(RedundancyRung, HookRequiredWhenRungDeclared) {
   const auto code = make_wimax_code(WimaxRate::kRate1_2, 24);
   auto config = harq_supervisor_config(code, 2, nullptr);
@@ -278,10 +303,11 @@ TEST(RedundancyRung, ExhaustedStatusNotRetryable) {
 TEST(RedundancyRung, ConvergedFrameNeverRequestsRedundancy) {
   const auto code = make_wimax_code(WimaxRate::kRate1_2, 24);
   std::atomic<int> calls{0};
-  auto config = harq_supervisor_config(code, 3, [&](std::size_t, std::size_t) {
-    ++calls;
-    return true;
-  });
+  auto config = harq_supervisor_config(
+      code, 3, [&](std::size_t, std::size_t, std::vector<float>&) {
+        ++calls;
+        return true;
+      });
   DecodeSupervisor supervisor(base_factory(code), config);
   // A noiseless all-zero codeword decodes on attempt 1.
   DecodeResult slot;
@@ -381,6 +407,28 @@ TEST(HarqLink, BitIdenticalAcrossWorkerCounts) {
     return runner.run();
   };
   const auto base = run_with(1);
+  // Pinned counters, so a change that shifts every worker count alike
+  // still fails: delivered, delivered_correct, harq_exhausted,
+  // frame_errors, bit_errors, total_transmissions, total_symbols,
+  // redundancy_requests, combiner_clips per Eb/N0 point.
+  const std::vector<std::array<long long, 9>> pinned{
+      {12, 12, 36, 36, 474, 192, 12096, 144, 0},
+      {48, 48, 0, 0, 0, 125, 11292, 77, 0}};
+  ASSERT_EQ(base.size(), pinned.size());
+  for (std::size_t i = 0; i < base.size(); ++i) {
+    const HarqPoint& p = base[i];
+    const std::array<long long, 9> got{
+        static_cast<long long>(p.delivered),
+        static_cast<long long>(p.delivered_correct),
+        static_cast<long long>(p.harq_exhausted),
+        static_cast<long long>(p.frame_errors),
+        static_cast<long long>(p.bit_errors),
+        static_cast<long long>(p.total_transmissions),
+        static_cast<long long>(p.total_symbols),
+        static_cast<long long>(p.redundancy_requests),
+        p.combiner_clips};
+    EXPECT_EQ(got, pinned[i]) << p.ebn0_db << " dB";
+  }
   for (unsigned workers : {2u, 8u}) {
     const auto points = run_with(workers);
     ASSERT_EQ(points.size(), base.size());

@@ -11,7 +11,10 @@
 #include <chrono>
 #include <functional>
 #include <map>
+#include <memory>
 #include <mutex>
+#include <span>
+#include <stdexcept>
 #include <string>
 #include <thread>
 #include <utility>
@@ -191,23 +194,36 @@ BatchEngineConfig engine_config(unsigned workers, std::size_t capacity) {
   return config;
 }
 
-/// A task that parks its worker until `release` turns true, then returns an
-/// empty result. `running` flips as soon as the worker picked the job up —
-/// tests that need the queue empty/full in a known state wait on it.
-BatchEngine::Task gate_task(std::atomic<bool>& running,
-                            std::atomic<bool>& release) {
-  return [&running, &release](Decoder&) {
-    running = true;
-    while (!release.load()) std::this_thread::sleep_for(
-        std::chrono::microseconds(100));
-    return DecodeResult{};
-  };
-}
-
 void wait_for(const std::atomic<bool>& flag) {
   while (!flag.load())
     std::this_thread::sleep_for(std::chrono::microseconds(100));
 }
+
+/// A one-frame block that parks its worker: the block's decoder picker sets
+/// `running` as soon as a worker took the job, then waits until `release`
+/// turns true. Its frame, the all-zero codeword of the rung decoder's
+/// length n, then decodes on the rung decoder and is booked like any
+/// decoded frame. Tests that need the queue empty/full in a known state
+/// wait on `running`.
+struct Gate {
+  std::atomic<bool> running{false};
+  std::atomic<bool> release{false};
+  DecodeResult slot;
+
+  SubmitStatus submit(BatchEngine& engine, std::size_t frame_index,
+                      std::size_t n) {
+    BlockJobOptions options;
+    options.decoder = [this](Decoder& rung) -> Decoder& {
+      running = true;
+      wait_for(release);
+      return rung;
+    };
+    std::vector<BlockFrameJob> frame;
+    frame.push_back(BlockFrameJob{frame_index, std::vector<float>(n, 4.0F),
+                                  &slot, std::nullopt});
+    return engine.submit_block(std::move(frame), std::move(options));
+  }
+};
 
 TEST(BatchEngine, DecodeBatchKeepsInputOrder) {
   const auto code = make_wimax_code(WimaxRate::kRate1_2, 24);
@@ -317,17 +333,16 @@ TEST(BatchEngine, DrainWithZeroJobsReturnsImmediately) {
 TEST(BatchEngine, DrainUntilReportsStragglers) {
   const auto code = make_wimax_code(WimaxRate::kRate1_2, 24);
   BatchEngine engine(fixed_factory(code), engine_config(1, 8));
-  std::atomic<bool> running{false}, release{false};
-  ASSERT_TRUE(submit_accepted(
-      engine.submit_task(7, gate_task(running, release))));
-  wait_for(running);
+  Gate gate;
+  ASSERT_TRUE(submit_accepted(gate.submit(engine, 7, code.n())));
+  wait_for(gate.running);
   const DrainReport stuck =
       engine.drain_for(std::chrono::milliseconds(5));
   EXPECT_FALSE(stuck.completed);
   EXPECT_EQ(stuck.outstanding, 1u);
   ASSERT_EQ(stuck.straggler_frames.size(), 1u);
   EXPECT_EQ(stuck.straggler_frames[0], 7u);
-  release = true;
+  gate.release = true;
   engine.drain();
   const DrainReport done =
       engine.drain_for(std::chrono::milliseconds(1));
@@ -339,16 +354,15 @@ TEST(BatchEngine, QueuedExpiredJobNeverReachesDecoder) {
   const auto code = make_wimax_code(WimaxRate::kRate1_2, 24);
   const auto frames = make_frames(code, 1, 4.0F);
   BatchEngine engine(fixed_factory(code), engine_config(1, 8));
-  std::atomic<bool> running{false}, release{false};
-  ASSERT_TRUE(submit_accepted(
-      engine.submit_task(0, gate_task(running, release))));
-  wait_for(running);  // the worker is parked; anything queued now waits
+  Gate gate;
+  ASSERT_TRUE(submit_accepted(gate.submit(engine, 0, code.n())));
+  wait_for(gate.running);  // the worker is parked; anything queued now waits
   DecodeResult expired;
   JobOptions options;
   options.deadline = std::chrono::steady_clock::now();  // already passed
   ASSERT_TRUE(
       submit_accepted(engine.submit(1, frames[0], &expired, options)));
-  release = true;
+  gate.release = true;
   engine.drain();
   EXPECT_EQ(expired.status, DecodeStatus::kDeadlineExpired);
   EXPECT_EQ(expired.iterations, 0u);  // no decoder ever saw the frame
@@ -358,71 +372,8 @@ TEST(BatchEngine, QueuedExpiredJobNeverReachesDecoder) {
   EXPECT_EQ(m.jobs_completed, 2u);  // expiry still completes the job
   std::size_t worker_jobs = 0;
   for (const auto& w : m.workers) worker_jobs += w.jobs;
-  EXPECT_EQ(worker_jobs, 1u);  // only the gate task ran on a worker
+  EXPECT_EQ(worker_jobs, 1u);  // only the gate frame ran on a worker
   EXPECT_EQ(m.latency.samples, 1u);  // expired jobs don't skew latency
-}
-
-TEST(BatchEngine, CancelTokenBailsMidDecode) {
-  const auto code = make_wimax_code(WimaxRate::kRate1_2, 24);
-  const auto frames = make_frames(code, 1, 0.0F);  // too noisy to converge
-  BatchEngine engine(fixed_factory(code, 50), engine_config(1, 8));
-  // A slotless task job cannot be completed at the queue door, so an
-  // expired deadline instead runs the task under a pre-expired token: the
-  // decoder must bail at the first layer boundary.
-  DecodeResult result;
-  std::atomic<bool> ran{false};
-  JobOptions options;
-  options.deadline = std::chrono::steady_clock::now();
-  const SubmitStatus s = engine.submit_task(
-      0,
-      [&](Decoder& decoder) {
-        ran = true;
-        result = decoder.decode(frames[0]);
-        return result;
-      },
-      options);
-  ASSERT_TRUE(submit_accepted(s));
-  engine.drain();
-  EXPECT_TRUE(ran.load());
-  EXPECT_EQ(result.status, DecodeStatus::kDeadlineExpired);
-  EXPECT_LE(result.iterations, 1u);  // bailed without burning the budget
-}
-
-TEST(BatchEngine, TaskAfterBlockHonoursDeadline) {
-  const auto code = make_wimax_code(WimaxRate::kRate1_2, 24);
-  BatchEngine engine(fixed_factory(code, 50), engine_config(1, 8));
-  // A block first: decode_block detaches the per-frame tokens it attached,
-  // leaving the worker's decoder with no token at all.
-  const auto frames = make_frames(code, 1, 6.0F);
-  DecodeResult block_slot;
-  std::vector<BlockFrameJob> block;
-  block.push_back(BlockFrameJob{0, frames[0], &block_slot, std::nullopt});
-  ASSERT_TRUE(submit_accepted(engine.submit_block(std::move(block))));
-  engine.drain();
-  ASSERT_TRUE(block_slot.converged);
-
-  // Then, on the same worker and decoder, a slotless task already past its
-  // deadline decodes pure noise: it must run under the worker's token,
-  // armed with that deadline, and bail at the first poll.
-  AwgnChannel noise(1.0F, 7);
-  const std::vector<float> llr =
-      noise.transmit(std::vector<float>(code.n(), 0.0F));
-  DecodeResult result;
-  std::atomic<bool> ran{false};
-  JobOptions options;
-  options.deadline = std::chrono::steady_clock::now();
-  ASSERT_TRUE(submit_accepted(engine.submit_task(
-      1,
-      [&](Decoder& decoder) {
-        ran = true;
-        result = decoder.decode(llr);
-        return result;
-      },
-      options)));
-  engine.drain();
-  EXPECT_TRUE(ran.load());
-  EXPECT_EQ(result.status, DecodeStatus::kDeadlineExpired);
-  EXPECT_LE(result.iterations, 1u);  // not the 50-iteration budget
 }
 
 TEST(BatchEngine, RejectNewestReportsAndCounts) {
@@ -433,17 +384,16 @@ TEST(BatchEngine, RejectNewestReportsAndCounts) {
   config.queue_capacity = 1;
   config.overload_policy = OverloadPolicy::kRejectNewest;
   BatchEngine engine(fixed_factory(code), config);
-  std::atomic<bool> running{false}, release{false};
-  ASSERT_TRUE(submit_accepted(
-      engine.submit_task(0, gate_task(running, release))));
-  wait_for(running);
+  Gate gate;
+  ASSERT_TRUE(submit_accepted(gate.submit(engine, 0, code.n())));
+  wait_for(gate.running);
   std::vector<DecodeResult> slots(3);
   ASSERT_TRUE(submit_accepted(engine.submit(1, frames[1], &slots[1])));
   // Queue full (job 1 waiting): admission control refuses the next one
   // without blocking; the slot is untouched and the caller keeps the frame.
   EXPECT_EQ(engine.submit(2, frames[2], &slots[2]),
             SubmitStatus::kRejectedQueueFull);
-  release = true;
+  gate.release = true;
   engine.drain();
   const auto m = engine.metrics();
   EXPECT_EQ(m.jobs_rejected, 1u);
@@ -461,17 +411,16 @@ TEST(BatchEngine, ShedOldestCompletesEvictedJob) {
   config.queue_capacity = 1;
   config.overload_policy = OverloadPolicy::kShedOldest;
   BatchEngine engine(fixed_factory(code), config);
-  std::atomic<bool> running{false}, release{false};
-  ASSERT_TRUE(submit_accepted(
-      engine.submit_task(0, gate_task(running, release))));
-  wait_for(running);
+  Gate gate;
+  ASSERT_TRUE(submit_accepted(gate.submit(engine, 0, code.n())));
+  wait_for(gate.running);
   std::vector<DecodeResult> slots(3);
   ASSERT_TRUE(submit_accepted(engine.submit(1, frames[1], &slots[1])));
   // Queue full: the new job displaces the stale one, which completes as
   // shed — every accepted job completes exactly once, shed or decoded.
   EXPECT_EQ(engine.submit(2, frames[2], &slots[2]),
             SubmitStatus::kAcceptedShedOldest);
-  release = true;
+  gate.release = true;
   engine.drain();
   EXPECT_EQ(slots[1].status, DecodeStatus::kShedOverload);
   EXPECT_EQ(slots[1].iterations, 0u);
@@ -557,26 +506,6 @@ TEST(BatchEngine, MetricsAggregateDecodeStatistics) {
   EXPECT_EQ(m.jobs_shed, 0u);
   EXPECT_EQ(m.jobs_rejected, 0u);
   EXPECT_EQ(m.workers_quarantined, 0u);
-}
-
-TEST(BatchEngine, SubmitTaskRunsOnWorkerDecoder) {
-  const auto code = make_wimax_code(WimaxRate::kRate1_2, 24);
-  const auto frames = make_frames(code, 8, 6.0F);
-  BatchEngine engine(fixed_factory(code), engine_config(2, 8));
-  std::vector<std::size_t> iterations(frames.size(), 0);
-  for (std::size_t f = 0; f < frames.size(); ++f) {
-    const SubmitStatus s = engine.submit_task(f, [&, f](Decoder& decoder) {
-      DecodeResult r = decoder.decode(frames[f]);
-      iterations[f] = r.iterations;
-      return r;
-    });
-    ASSERT_TRUE(submit_accepted(s));
-  }
-  engine.drain();
-  const auto m = engine.metrics();
-  EXPECT_EQ(m.jobs_completed, frames.size());
-  for (const auto it : iterations) EXPECT_GE(it, 1u);
-  EXPECT_EQ(m.decoded_bits, frames.size() * code.n());
 }
 
 TEST(BatchEngine, EscalationRungSelectsLadderDecoder) {
@@ -851,36 +780,161 @@ TEST(Supervisor, ExhaustedRetriesKeepLastAttemptResult) {
   }
 }
 
+/// Ignores cancel tokens, sleeps 120 ms and gives up on the frame: an
+/// attempt that outlives any short deadline.
+class SleepyDecoder final : public Decoder {
+ public:
+  SleepyDecoder(std::size_t n, std::atomic<int>& decodes)
+      : n_(n), decodes_(decodes) {}
+
+  DecodeResult decode(std::span<const float>) override {
+    ++decodes_;
+    std::this_thread::sleep_for(std::chrono::milliseconds(120));
+    DecodeResult r;
+    r.hard_bits = BitVec(n_);
+    r.status = DecodeStatus::kMaxIterations;
+    r.iterations = 1;
+    return r;
+  }
+  std::size_t n() const override { return n_; }
+  std::string name() const override { return "sleepy"; }
+
+ private:
+  std::size_t n_;
+  std::atomic<int>& decodes_;
+};
+
 TEST(Supervisor, DeadlinePassedAbandonsRetry) {
   const auto code = make_wimax_code(WimaxRate::kRate1_2, 24);
-  SupervisorConfig config = make_supervisor_config(code, 1, 2);
-  DecodeSupervisor supervisor(fixed_factory(code), config);
-  DecodeResult slot;
   std::atomic<int> attempts_run{0};
+  const DecoderFactory sleepy = [&] {
+    return std::make_unique<SleepyDecoder>(code.n(), attempts_run);
+  };
+  SupervisorConfig config = make_supervisor_config(code, 1, 2);
+  config.engine.escalation_factories = {sleepy};
+  DecodeSupervisor supervisor(sleepy, config);
+  DecodeResult slot;
   // The first attempt outlives the frame's deadline; the supervisor must
   // not queue a second attempt that would be dead on arrival.
   const auto deadline =
       std::chrono::steady_clock::now() + std::chrono::milliseconds(40);
-  const SubmitStatus s = supervisor.submit_task(
-      0,
-      [&](std::size_t) {
-        return [&](Decoder&) {
-          ++attempts_run;
-          std::this_thread::sleep_for(std::chrono::milliseconds(120));
-          DecodeResult r;
-          r.status = DecodeStatus::kMaxIterations;
-          r.iterations = 1;
-          return r;
-        };
-      },
-      &slot, deadline);
-  ASSERT_TRUE(submit_accepted(s));
+  ASSERT_TRUE(submit_accepted(supervisor.submit(
+      0, std::vector<float>(code.n(), 0.0F), &slot, deadline)));
   supervisor.drain();
   EXPECT_EQ(attempts_run.load(), 1);
   EXPECT_EQ(slot.status, DecodeStatus::kMaxIterations);
   const SupervisorMetrics m = supervisor.metrics();
   EXPECT_EQ(m.retry.retries_abandoned_deadline, 1u);
   EXPECT_EQ(m.retry.retries_submitted, 0u);
+}
+
+TEST(Supervisor, ThrowingAttemptIsFinalized) {
+  // An attempt whose decode throws produced no result to retry: it is the
+  // frame's final attempt, counted once in RetryStats like any other.
+  const auto code = make_wimax_code(WimaxRate::kRate1_2, 24);
+  SupervisorConfig config = make_supervisor_config(code, 2, 3);
+  config.retry = RetryPolicy::up_to(3);
+  DecodeSupervisor supervisor(fixed_factory(code, 2), config);
+  std::vector<DecodeResult> slots(4);
+  // Frame 0 has the wrong LLR count: its decode throws on a worker.
+  ASSERT_TRUE(submit_accepted(
+      supervisor.submit(0, std::vector<float>(5, 0.0F), &slots[0])));
+  for (std::size_t f = 1; f < slots.size(); ++f)
+    ASSERT_TRUE(submit_accepted(supervisor.submit(
+        f, std::vector<float>(code.n(), 4.0F), &slots[f])));
+  supervisor.drain();
+  const SupervisorMetrics m = supervisor.metrics();
+  std::size_t finished = 0;
+  for (const auto c : m.retry.finished_by_attempt) finished += c;
+  EXPECT_EQ(finished, slots.size());
+  EXPECT_EQ(m.retry.retries_submitted, 0u);
+  std::size_t exceptions = 0;
+  for (const auto& w : m.engine.workers) exceptions += w.exceptions;
+  EXPECT_EQ(exceptions, 1u);
+  EXPECT_EQ(slots[0].hard_bits.size(), 0u);  // no decode, no hard decisions
+  for (std::size_t f = 1; f < slots.size(); ++f)
+    EXPECT_TRUE(slots[f].converged) << f;
+}
+
+TEST(Supervisor, StagedFrameBuildsOnceOnAWorkerAndRetriesWhatItBuilt) {
+  // submit_staged hands the frame's builder to the worker that takes its
+  // first attempt; retries re-decode what it built, so every result
+  // matches the LLR submit's, with one build per frame.
+  const auto code = make_wimax_code(WimaxRate::kRate1_2, 24);
+  const auto frames = make_frames(code, 16, 1.5F);
+  std::vector<DecodeResult> want(frames.size()), got(frames.size());
+  std::size_t want_retries = 0;
+  {
+    DecodeSupervisor supervisor(fixed_factory(code, 2),
+                                make_supervisor_config(code, 2, 3));
+    for (std::size_t f = 0; f < frames.size(); ++f)
+      ASSERT_TRUE(submit_accepted(supervisor.submit(f, frames[f], &want[f])));
+    supervisor.drain();
+    want_retries = supervisor.metrics().retry.retries_submitted;
+  }
+  ASSERT_GT(want_retries, 0u) << "test needs retried frames";
+
+  std::vector<std::atomic<int>> builds(frames.size());
+  std::atomic<bool> built_on_caller{false};
+  const auto caller = std::this_thread::get_id();
+  DecodeSupervisor supervisor(fixed_factory(code, 2),
+                              make_supervisor_config(code, 2, 3));
+  for (std::size_t f = 0; f < frames.size(); ++f) {
+    auto build = [&, f] {
+      ++builds[f];
+      if (std::this_thread::get_id() == caller) built_on_caller = true;
+      return frames[f];
+    };
+    ASSERT_TRUE(
+        submit_accepted(supervisor.submit_staged(f, build, &got[f])));
+  }
+  supervisor.drain();
+  EXPECT_EQ(supervisor.metrics().retry.retries_submitted, want_retries);
+  EXPECT_FALSE(built_on_caller.load());
+  for (std::size_t f = 0; f < frames.size(); ++f) {
+    EXPECT_EQ(builds[f].load(), 1) << f;
+    EXPECT_EQ(got[f].hard_bits, want[f].hard_bits) << f;
+    EXPECT_EQ(got[f].iterations, want[f].iterations) << f;
+    EXPECT_EQ(got[f].status, want[f].status) << f;
+  }
+}
+
+TEST(Supervisor, FrameThatRanNoDecoderIsFinalNotExhausted) {
+  // A frame whose last attempt ran no decoder — expired before a worker
+  // took it, or its builder threw — is final, but it did not burn its
+  // attempts decoding: exhausted_frames leaves it out. The expired frame
+  // is never built.
+  const auto code = make_wimax_code(WimaxRate::kRate1_2, 24);
+  DecodeSupervisor supervisor(fixed_factory(code),
+                              make_supervisor_config(code, 1, 1));
+  std::atomic<int> builds{0};
+  auto clean = [&] {
+    ++builds;
+    return std::vector<float>(code.n(), 4.0F);
+  };
+  auto throwing = [&]() -> std::vector<float> {
+    ++builds;
+    throw std::runtime_error("frame cannot be built");
+  };
+  std::vector<DecodeResult> slots(3);
+  const auto past =
+      std::chrono::steady_clock::now() - std::chrono::milliseconds(1);
+  ASSERT_TRUE(
+      submit_accepted(supervisor.submit_staged(0, clean, &slots[0], past)));
+  ASSERT_TRUE(submit_accepted(supervisor.submit_staged(1, throwing, &slots[1])));
+  ASSERT_TRUE(submit_accepted(supervisor.submit_staged(2, clean, &slots[2])));
+  supervisor.drain();
+  EXPECT_EQ(builds.load(), 2);
+  EXPECT_EQ(slots[0].status, DecodeStatus::kDeadlineExpired);
+  EXPECT_EQ(slots[1].hard_bits.size(), 0u);
+  EXPECT_TRUE(slots[2].converged);
+  const SupervisorMetrics m = supervisor.metrics();
+  EXPECT_EQ(m.retry.finished_by_attempt[0], slots.size());
+  EXPECT_EQ(m.retry.exhausted_frames, 0u);
+  EXPECT_EQ(m.engine.jobs_expired, 1u);
+  std::size_t exceptions = 0;
+  for (const auto& w : m.engine.workers) exceptions += w.exceptions;
+  EXPECT_EQ(exceptions, 1u);
 }
 
 // ------------------------------------------------------------ block jobs ----
@@ -1021,10 +1075,9 @@ TEST(BatchEngineBlocks, PickedDecoderAndHookRunOncePerBookedFrame) {
   BatchEngineConfig config = engine_config(1, 1);
   config.overload_policy = OverloadPolicy::kShedOldest;
   BatchEngine engine(fixed_factory(other), config);
-  std::atomic<bool> running{false}, release{false};
-  ASSERT_TRUE(submit_accepted(
-      engine.submit_task(0, gate_task(running, release))));
-  wait_for(running);
+  Gate gate;
+  ASSERT_TRUE(submit_accepted(gate.submit(engine, 0, other.n())));
+  wait_for(gate.running);
 
   const auto picked = make_decoder("layered-minsum-fixed", code, {});
   std::vector<DecodeResult> slots(frames.size());
@@ -1060,19 +1113,19 @@ TEST(BatchEngineBlocks, PickedDecoderAndHookRunOncePerBookedFrame) {
   EXPECT_EQ(engine.submit_block(block(2), decoded),
             SubmitStatus::kAcceptedShedOldest);
   // Ran on this thread, at the shed, once per frame — after both shed
-  // frames were booked (the gate task still runs).
+  // frames were booked (the gate still parks the worker).
   for (std::size_t p = 0; p < 2; ++p) {
     EXPECT_EQ(shed_log.calls[p].load(), 1) << p;
     EXPECT_TRUE(shed_log.on_submitter[p].load()) << p;
     EXPECT_EQ(shed_log.completed[p].load(), 2u) << p;
   }
-  release = true;
+  gate.release = true;
   engine.drain();
   // drain() may return while the last hook still runs.
   for (int i = 0; i < 2000 && decoded_log.calls[1].load() == 0; ++i)
     std::this_thread::sleep_for(std::chrono::milliseconds(1));
   // Each decoded frame's hook ran once, on the worker, after that frame —
-  // and only it — was booked: task + shed pair + 1, then + 2.
+  // and only it — was booked: gate + shed pair + 1, then + 2.
   for (std::size_t p = 0; p < 2; ++p) {
     EXPECT_EQ(decoded_log.calls[p].load(), 1) << p;
     EXPECT_FALSE(decoded_log.on_submitter[p].load()) << p;
@@ -1085,8 +1138,8 @@ TEST(BatchEngineBlocks, PickedDecoderAndHookRunOncePerBookedFrame) {
     EXPECT_EQ(slots[f].status, DecodeStatus::kConverged) << f;
     EXPECT_EQ(slots[f].hard_bits.size(), code.n()) << f;
   }
-  // The gate task ran on the factory decoder, the block on the picked one:
-  // each is booked with the n of the decoder that ran it.
+  // The gate frame ran on the factory decoder, the block on the picked
+  // one: each is booked with the n of the decoder that ran it.
   EXPECT_EQ(engine.metrics().decoded_bits, other.n() + 2 * code.n());
 }
 
@@ -1232,10 +1285,9 @@ TEST(BatchEngineStream, LanesCarryConsecutiveJobs) {
 
     BatchEngine engine(named_factory(code, family.batched, kBudget),
                        engine_config(1, 8));
-    std::atomic<bool> running{false}, release{false};
-    ASSERT_TRUE(submit_accepted(
-        engine.submit_task(0, gate_task(running, release))));
-    wait_for(running);
+    Gate gate;
+    ASSERT_TRUE(submit_accepted(gate.submit(engine, 0, code.n())));
+    wait_for(gate.running);
     BookingLog log;
     std::vector<DecodeResult> slots_a(a.size()), slots_b(b.size());
     BlockJobOptions options_a, options_b;
@@ -1245,7 +1297,7 @@ TEST(BatchEngineStream, LanesCarryConsecutiveJobs) {
         engine.submit_block(block_of(a, slots_a, 1), options_a)));
     ASSERT_TRUE(submit_accepted(
         engine.submit_block(block_of(b, slots_b, 1 + a.size()), options_b)));
-    release = true;
+    gate.release = true;
     engine.drain();
     const auto booked = log.wait_for(a.size() + b.size());
 
@@ -1273,9 +1325,10 @@ TEST(BatchEngineStream, LanesCarryConsecutiveJobs) {
 
 TEST(BatchEngineStream, HeldJobsRunOnTheirOwnDecoder) {
   // Behind block A on the rung decoder queue block B, whose picker returns
-  // a decoder for another code, and then a task. A's stream takes B, holds
-  // it and drains its lanes; B then streams on its own decoder, takes the
-  // task, holds it and drains; the task runs last, on the rung decoder.
+  // a decoder for another code, and then block C on the rung decoder. A's
+  // stream takes B, holds it and drains its lanes; B then streams on its
+  // own decoder, takes C, holds it and drains; C runs last, on the rung
+  // decoder.
   const auto code = make_wimax_code(WimaxRate::kRate1_2, 24);
   const auto other = make_wimax_code(WimaxRate::kRate1_2, 28);
   constexpr std::size_t kBudget = 20;
@@ -1285,50 +1338,47 @@ TEST(BatchEngineStream, HeldJobsRunOnTheirOwnDecoder) {
     const std::size_t width = other_decoder->block_width();
     const auto a = make_frames(code, width, 2.5F);
     const auto b = make_frames(other, width, 2.5F);
+    const auto c = make_frames(code, width, 3.0F);
     const auto scalar = named_factory(code, family.scalar, kBudget)();
     const auto other_scalar = named_factory(other, family.scalar, kBudget)();
 
     BatchEngine engine(named_factory(code, family.batched, kBudget),
                        engine_config(1, 8));
-    std::atomic<bool> running{false}, release{false};
-    ASSERT_TRUE(submit_accepted(
-        engine.submit_task(0, gate_task(running, release))));
-    wait_for(running);
+    Gate gate;
+    ASSERT_TRUE(submit_accepted(gate.submit(engine, 0, code.n())));
+    wait_for(gate.running);
     BookingLog log;
-    std::vector<DecodeResult> slots_a(a.size()), slots_b(b.size());
-    BlockJobOptions options_a, options_b;
+    std::vector<DecodeResult> slots_a(width), slots_b(width), slots_c(width);
+    BlockJobOptions options_a, options_b, options_c;
     options_a.on_booked = log.hook(0);
     options_b.on_booked = log.hook(1);
     options_b.decoder = [&](Decoder&) -> Decoder& { return *other_decoder; };
+    options_c.on_booked = log.hook(2);
     ASSERT_TRUE(submit_accepted(
         engine.submit_block(block_of(a, slots_a, 1), options_a)));
     ASSERT_TRUE(submit_accepted(
         engine.submit_block(block_of(b, slots_b, 1 + width), options_b)));
-    std::size_t task_n = 0, booked_before_task = 0;
     ASSERT_TRUE(submit_accepted(
-        engine.submit_task(1 + 2 * width, [&](Decoder& decoder) {
-          task_n = decoder.n();
-          booked_before_task = log.size();
-          return DecodeResult{};
-        })));
-    release = true;
+        engine.submit_block(block_of(c, slots_c, 1 + 2 * width), options_c)));
+    gate.release = true;
     engine.drain();
-    const auto booked = log.wait_for(2 * width);
+    const auto booked = log.wait_for(3 * width);
 
-    expect_each_frame_booked_once(booked, {width, width});
+    expect_each_frame_booked_once(booked, {width, width, width});
     for (std::size_t i = 0; i < booked.size(); ++i)
-      EXPECT_EQ(booked[i].block, i < width ? 0 : 1) << "booking " << i;
-    EXPECT_EQ(task_n, code.n());  // the rung decoder, not B's
-    EXPECT_EQ(booked_before_task, 2 * width);
+      EXPECT_EQ(booked[i].block, static_cast<int>(i / width))
+          << "booking " << i;
     for (std::size_t i = 0; i < width; ++i) {
       expect_same_decode(slots_a[i], scalar->decode(a[i]),
                          "A " + std::to_string(i));
       expect_same_decode(slots_b[i], other_scalar->decode(b[i]),
                          "B " + std::to_string(i));
+      expect_same_decode(slots_c[i], scalar->decode(c[i]),
+                         "C " + std::to_string(i));
     }
-    // Both tasks (the gate and the held one) ran on the rung decoder.
+    // The gate, A and C ran on the rung decoder, B on its picked one.
     EXPECT_EQ(engine.metrics().decoded_bits,
-              width * code.n() + width * other.n() + 2 * code.n());
+              (2 * width + 1) * code.n() + width * other.n());
   }
 }
 
@@ -1396,10 +1446,9 @@ TEST(BatchEngineStream, ThrowMidStreamResolvesEveryFrameOnce) {
 
     BatchEngine engine(named_factory(code, family.batched, kBudget),
                        engine_config(1, 8));
-    std::atomic<bool> running{false}, release{false};
-    ASSERT_TRUE(submit_accepted(
-        engine.submit_task(0, gate_task(running, release))));
-    wait_for(running);
+    Gate gate;
+    ASSERT_TRUE(submit_accepted(gate.submit(engine, 0, code.n())));
+    wait_for(gate.running);
     BookingLog log;
     std::vector<DecodeResult> slots_a(a.size()), slots_b(b.size());
     BlockJobOptions options_a, options_b;
@@ -1409,7 +1458,7 @@ TEST(BatchEngineStream, ThrowMidStreamResolvesEveryFrameOnce) {
         engine.submit_block(block_of(a, slots_a, 1), options_a)));
     ASSERT_TRUE(submit_accepted(
         engine.submit_block(block_of(b, slots_b, 1 + a.size()), options_b)));
-    release = true;
+    gate.release = true;
     engine.drain();
     const auto booked = log.wait_for(a.size() + b.size());
 
@@ -1429,8 +1478,107 @@ TEST(BatchEngineStream, ThrowMidStreamResolvesEveryFrameOnce) {
                          "A " + std::to_string(i));
     }
     EXPECT_GE(decoded, 1u) << "B was taken before any lane of A freed";
-    EXPECT_EQ(m.decoded_bits, (1 + decoded) * code.n());  // + the gate task
+    EXPECT_EQ(m.decoded_bits, (1 + decoded) * code.n());  // + the gate frame
     for (const DecodeResult& r : slots_b) EXPECT_EQ(r.iterations, 0u);
+  }
+}
+
+TEST(BatchEngineBlocks, DeadlineBailsRunningFrame) {
+  // A frame whose deadline passes mid-decode bails at a layer boundary on
+  // the token the engine armed for it, while its lane-mates decode on. A
+  // block before it warms the worker's decoder; the same block after it
+  // must decode unchanged, so no expired token carries over. The scalar
+  // decoder (one lane, no lane-mates) rides the default stream, which
+  // attaches each frame's token before its decode and detaches it after.
+  const auto code = make_wimax_code(WimaxRate::kRate1_2, 24);
+  constexpr std::size_t kBudget = 3000;
+  for (const Family& family :
+       {kFamilies[0], kFamilies[1],
+        Family{"layered-minsum-fixed", "layered-minsum-fixed"}}) {
+    SCOPED_TRACE(family.batched);
+    const std::size_t width =
+        named_factory(code, family.batched, kBudget)()->block_width();
+    const auto scalar = named_factory(code, family.scalar, kBudget)();
+    const auto good = quick_frames(code, *scalar, 2 * width - 1);
+    std::vector<std::vector<float>> a{noise_frame(code, 7)};
+    a.insert(a.end(), good.begin(), good.begin() + (width - 1));
+    const std::vector<std::vector<float>> b(good.begin() + (width - 1),
+                                            good.end());
+
+    BatchEngine engine(named_factory(code, family.batched, kBudget),
+                       engine_config(1, 8));
+    std::vector<DecodeResult> before(b.size()), slots_a(a.size()),
+        after(b.size());
+    ASSERT_TRUE(submit_accepted(engine.submit_block(block_of(b, before, 0))));
+    engine.drain();
+    std::vector<BlockFrameJob> block_a = block_of(a, slots_a, b.size());
+    block_a[0].deadline =
+        std::chrono::steady_clock::now() + std::chrono::milliseconds(20);
+    ASSERT_TRUE(submit_accepted(engine.submit_block(std::move(block_a))));
+    engine.drain();
+    ASSERT_TRUE(submit_accepted(
+        engine.submit_block(block_of(b, after, b.size() + a.size()))));
+    engine.drain();
+
+    EXPECT_EQ(slots_a[0].status, DecodeStatus::kDeadlineExpired);
+    EXPECT_LT(slots_a[0].iterations, kBudget);
+    EXPECT_EQ(engine.metrics().jobs_expired, 0u);  // bailed, not skipped
+    for (std::size_t i = 1; i < a.size(); ++i)
+      expect_same_decode(slots_a[i], scalar->decode(a[i]),
+                         "A " + std::to_string(i));
+    for (std::size_t i = 0; i < b.size(); ++i) {
+      const DecodeResult want = scalar->decode(b[i]);
+      expect_same_decode(before[i], want, "before " + std::to_string(i));
+      expect_same_decode(after[i], want, "after " + std::to_string(i));
+    }
+  }
+}
+
+TEST(BatchEngineBlocks, StageInBuildsEachFrameOnItsWorker) {
+  // A block may carry no LLRs: its stage-in builds each frame on the
+  // worker when a lane takes it — never a frame already expired — and the
+  // frame decodes as if it had been submitted built.
+  const auto code = make_wimax_code(WimaxRate::kRate1_2, 24);
+  const auto frames = make_frames(code, 20, 2.0F);
+  const auto scalar = fixed_factory(code)();
+  for (const char* name :
+       {"layered-minsum-fixed", "layered-minsum-simd-batched"}) {
+    SCOPED_TRACE(name);
+    BatchEngine engine(named_factory(code, name, 10), engine_config(2, 8));
+    std::vector<DecodeResult> slots(frames.size());
+    std::vector<BlockFrameJob> block(frames.size());
+    for (std::size_t i = 0; i < frames.size(); ++i) {
+      block[i].frame_index = i;
+      block[i].slot = &slots[i];
+    }
+    block[3].deadline =
+        std::chrono::steady_clock::now() - std::chrono::milliseconds(1);
+    std::mutex mutex;
+    std::map<std::size_t, int> builds;
+    bool built_on_caller = false;
+    const auto caller = std::this_thread::get_id();
+    BlockJobOptions options;
+    options.stage_in = [&](std::size_t position, std::vector<float>& llr) {
+      const std::lock_guard<std::mutex> lock(mutex);
+      ++builds[position];
+      built_on_caller |= std::this_thread::get_id() == caller;
+      llr = frames[position];
+    };
+    ASSERT_TRUE(submit_accepted(
+        engine.submit_block(std::move(block), std::move(options))));
+    engine.drain();
+
+    const std::lock_guard<std::mutex> lock(mutex);
+    EXPECT_FALSE(built_on_caller);
+    EXPECT_EQ(slots[3].status, DecodeStatus::kDeadlineExpired);
+    EXPECT_EQ(builds.count(3), 0u);
+    EXPECT_EQ(builds.size(), frames.size() - 1);
+    for (std::size_t i = 0; i < frames.size(); ++i) {
+      if (i == 3) continue;
+      EXPECT_EQ(builds[i], 1) << i;
+      expect_same_decode(slots[i], scalar->decode(frames[i]),
+                         "frame " + std::to_string(i));
+    }
   }
 }
 

@@ -232,7 +232,7 @@ TEST(ServiceTest, PingStatsAndDecodeRoundTrip) {
 
 TEST(ServiceTest, EngineBooksOnlyDecodedFrames) {
   // One worker: the 1 us request below queues behind the noisy decode and
-  // expires there, so its task resolves without decoding.
+  // expires there, so its frame resolves without decoding.
   DecodeService service(base_config(/*workers=*/1));
   service.start();
   BlockingClient client;
@@ -284,8 +284,8 @@ TEST(ServiceTest, EngineBooksOnlyDecodedFrames) {
   decoded_n += large.n();
   decoded_k += large.k();
 
-  // A task's completion is posted before the engine books it: wait for
-  // the engine to book all seven.
+  // Each reply is posted by its frame's on_booked hook, after the engine
+  // booked the frame: read the stats until they count all seven.
   EngineMetrics engine;
   for (int i = 0; i < 500; ++i) {
     engine = service.stats().engine;

@@ -180,6 +180,19 @@ TEST(BitVec, HammingDistance) {
   EXPECT_EQ(a.hamming_distance(b), 1u);
 }
 
+TEST(BitVec, HammingDistancePrefixCountsOnlyThePrefix) {
+  BitVec a(200), b(130);
+  for (std::size_t i = 0; i < 130; i += 3) b.set(i, true);
+  a.set(199, true);  // beyond every prefix below
+  for (const std::size_t bits : {0u, 1u, 63u, 64u, 65u, 127u, 128u, 130u}) {
+    std::size_t want = 0;
+    for (std::size_t i = 0; i < bits; ++i) want += a.get(i) != b.get(i);
+    EXPECT_EQ(a.hamming_distance_prefix(b, bits), want) << bits;
+    EXPECT_EQ(b.hamming_distance_prefix(a, bits), want) << bits;
+  }
+  EXPECT_THROW(a.hamming_distance_prefix(b, 131), Error);
+}
+
 TEST(BitVec, EqualityComparesLengthAndContent) {
   BitVec a(10), b(10), c(11);
   EXPECT_TRUE(a == b);
