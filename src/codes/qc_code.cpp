@@ -51,21 +51,23 @@ QCLdpcCode::QCLdpcCode(BaseMatrix base) : base_(std::move(base)) {
 
 bool QCLdpcCode::parity_ok(const BitVec& word) const {
   LDPC_CHECK(word.size() == n());
+  const std::span<const std::uint64_t> bits = word.words();
   for (const auto& vars : check_adj_) {
-    bool parity = false;
-    for (std::uint32_t v : vars) parity ^= word.get(v);
-    if (parity) return false;
+    std::uint64_t parity = 0;
+    for (const std::uint32_t v : vars) parity ^= bits[v >> 6] >> (v & 63);
+    if ((parity & 1U) != 0) return false;
   }
   return true;
 }
 
 std::size_t QCLdpcCode::syndrome_weight(const BitVec& word) const {
   LDPC_CHECK(word.size() == n());
+  const std::span<const std::uint64_t> bits = word.words();
   std::size_t weight = 0;
   for (const auto& vars : check_adj_) {
-    bool parity = false;
-    for (std::uint32_t v : vars) parity ^= word.get(v);
-    if (parity) ++weight;
+    std::uint64_t parity = 0;
+    for (const std::uint32_t v : vars) parity ^= bits[v >> 6] >> (v & 63);
+    weight += parity & 1U;
   }
   return weight;
 }

@@ -157,6 +157,17 @@ class CancelToken {
     return has_deadline_ && std::chrono::steady_clock::now() >= deadline_;
   }
 
+  /// expired() against a clock reading the caller took: a decoder polling
+  /// many tokens at one boundary reads the clock once, and only when one of
+  /// them has_deadline().
+  bool expired(std::chrono::steady_clock::time_point now) const {
+    if (cancelled_.load(std::memory_order_relaxed)) return true;
+    return has_deadline_ && now >= deadline_;
+  }
+
+  /// True from arm_deadline() until clear().
+  bool has_deadline() const { return has_deadline_; }
+
  private:
   std::atomic<bool> cancelled_{false};
   std::chrono::steady_clock::time_point deadline_{};

@@ -1,6 +1,8 @@
 #include "core/simd/simd_decoder.hpp"
 
 #include <algorithm>
+#include <bit>
+#include <chrono>
 #include <cmath>
 #include <cstring>
 
@@ -8,6 +10,14 @@
 #include "util/check.hpp"
 
 namespace ldpc::simd {
+namespace {
+
+/// Refill staging slots per batched decoder: one write pass over P covers
+/// a typical iteration tail's refills (about F / mean iterations); a first
+/// fill of all F lanes takes F / kTileSlots passes.
+constexpr std::uint32_t kTileSlots = 16;
+
+}  // namespace
 
 // ------------------------------------------------------------ families ----
 
@@ -144,7 +154,8 @@ ZLaneDecoder<Family>::ZLaneDecoder(const QCLdpcCode& code,
     gather_.push_back(std::move(gs));
     r_base_.push_back(std::move(rb));
   }
-  posterior_.resize(code_.n());
+  hard_.resize((code_.n() + 63) / 64);
+  posterior_.resize(hard_.size() * 64);
   r_.resize(code_.base().nonzero_blocks() * static_cast<std::size_t>(z_pad_));
   p_scratch_.resize(max_deg * z_pad_);
   q_scratch_.resize(max_deg * z_pad_);
@@ -238,7 +249,7 @@ DecodeResult ZLaneDecoder<Family>::run() {
   if (options_.observer) previous_hard.resize(code_.n());
 
   const std::uint32_t lanes = lanes_for<T>(tier_);
-  const auto pass_fn = Family::kernels(kernels_).zlane;
+  const auto& kernels = Family::kernels(kernels_);
   ZLanePass<T, typename Family::Map> pass{};
   pass.p = p_scratch_.data();
   pass.q = q_scratch_.data();
@@ -280,7 +291,7 @@ DecodeResult ZLaneDecoder<Family>::run() {
       pass.r_base = r_base_[l].data();
       pass.deg = deg;
       pass.degenerate = deg < 2;
-      pass_fn(pass);
+      kernels.zlane(pass);
       // A degree-1 layer forces R' = 0 on every one of its z rows, once
       // per layer pass — same accounting as the scalar row kernels.
       if (deg < 2) saturation_.degenerate_checks += z_;
@@ -302,8 +313,9 @@ DecodeResult ZLaneDecoder<Family>::run() {
       }
     }
 
-    for (std::size_t v = 0; v < code_.n(); ++v)
-      result.hard_bits.set(v, posterior_[v] < 0);
+    kernels.signs({posterior_.data(), hard_.size(), 64, hard_.data()});
+    for (std::size_t w = 0; w < hard_.size(); ++w)
+      result.hard_bits.set_word(w, hard_[w]);
     const bool want_weight =
         static_cast<bool>(options_.observer) || options_.watchdog.enabled();
     std::size_t weight = 0;
@@ -314,8 +326,8 @@ DecodeResult ZLaneDecoder<Family>::run() {
       snap.syndrome_weight = weight;
       const FixedFormat fmt = family_.posterior();
       double sum = 0.0;
-      for (const T p : posterior_)
-        sum += std::abs(static_cast<double>(fmt.dequantize(p)));
+      for (std::size_t v = 0; v < code_.n(); ++v)
+        sum += std::abs(static_cast<double>(fmt.dequantize(posterior_[v])));
       snap.mean_abs_llr = sum / static_cast<double>(code_.n());
       snap.flipped_bits = result.hard_bits.hamming_distance(previous_hard);
       snap.saturation_clips =
@@ -372,7 +384,11 @@ BatchDecoder<Family>::BatchDecoder(std::unique_ptr<ZLaneDecoder<Family>> single)
   q_.resize(std::max<std::size_t>(max_deg, 1) * lanes_);
   active_.assign(lanes_, T{0});
   r_keep_.assign(lanes_, T{-1});
-  stage_.resize(code_.n());
+  fresh_.resize(std::min(lanes_, kTileSlots));
+  tile_.resize(fresh_.size() * code_.n());
+  hard_.resize((code_.n() + 63) / 64);
+  plane_.resize(hard_.size() * 64);
+  unsat_.resize(z_);
   lane_.assign(lanes_, Lane{});
   q_clips_.assign(lanes_, 0);
   r_clips_.assign(lanes_, 0);
@@ -433,6 +449,64 @@ void BatchDecoder<Family>::decode_on_twin(FrameSource& source,
 }
 
 template <class Family>
+void BatchDecoder<Family>::write_fresh(std::uint32_t count) {
+  // One pass over P in blocks of kRows rows: while a block's lines sit in
+  // L1, every fresh lane stores its codes down them. A walk down each
+  // lane's column instead touched all n lines of P once per lane.
+  constexpr std::size_t kRows = 64;
+  const std::size_t n = code_.n();
+  const std::size_t stride = lanes_;
+  T* const p = p_.data();
+  const T* const tile = tile_.data();
+  for (std::size_t v0 = 0; v0 < n; v0 += kRows) {
+    const std::size_t rows = std::min(kRows, n - v0);
+    // Fetch the next block's lines while this one is written: a store
+    // that misses L1 holds up the stores queued behind it.
+    for (std::size_t v = v0 + kRows; v < std::min(v0 + 2 * kRows, n); ++v)
+      __builtin_prefetch(p + v * stride, 1);
+    for (std::uint32_t k = 0; k < count; ++k) {
+      T* const dst = p + v0 * stride + fresh_[k];
+      const T* const src = tile + k * n + v0;
+#pragma GCC unroll 8
+      for (std::size_t i = 0; i < rows; ++i) dst[i * stride] = src[i];
+    }
+  }
+}
+
+template <class Family>
+void BatchDecoder<Family>::read_plane() {
+  Family::kernels(kernels_).signs(
+      {p_.data(), code_.n(), lanes_, plane_.data()});
+}
+
+template <class Family>
+std::uint64_t BatchDecoder<Family>::probe(bool weigh) {
+  if (weigh) std::fill(weight_.begin(), weight_.end(), 0);
+  std::uint64_t unsat = 0;
+  std::uint64_t* const rows = unsat_.data();
+  for (const auto& blocks : layers_) {
+    if (blocks.empty()) continue;
+    // Row r XORs plane word p_base + (r + shift) mod z of every block: per
+    // block two contiguous runs, like the z-lane gather's two memcpys.
+    std::fill(rows, rows + z_, 0);
+    for (const BatchBlock& b : blocks) {
+      const std::uint64_t* const col = plane_.data() + b.p_base;
+      const std::uint32_t head = z_ - b.shift;
+#pragma GCC unroll 4
+      for (std::uint32_t r = 0; r < head; ++r) rows[r] ^= col[b.shift + r];
+#pragma GCC unroll 4
+      for (std::uint32_t r = 0; r < b.shift; ++r) rows[head + r] ^= col[r];
+    }
+    for (std::uint32_t r = 0; r < z_; ++r) unsat |= rows[r];
+    if (weigh)
+      for (std::uint32_t r = 0; r < z_; ++r)
+        for (std::uint64_t m = rows[r]; m != 0; m &= m - 1)
+          ++weight_[std::countr_zero(m)];
+  }
+  return unsat;
+}
+
+template <class Family>
 void BatchDecoder<Family>::run_stream(FrameSource& source) {
   const std::size_t n = code_.n();
   const Family& family = single_->family();
@@ -457,14 +531,14 @@ void BatchDecoder<Family>::run_stream(FrameSource& source) {
   pass.r_clips = r_clips_.data();
   pass.p_clips = p_clips_.data();
 
-  SyndromePass<T> syn{};
-  syn.p = p_.data();
-  syn.z = z_;
-  syn.weight = weight_.data();
-
   const bool et = options_.early_termination;
   const bool wd = options_.watchdog.enabled();
 
+  // Take the source's next frame into free lane f: quantized into the next
+  // tile_ slot now, written into P by write_fresh when the tile is full or
+  // the refill loop ends. The lane's R column is NOT zero-filled — r_keep_
+  // masks its reads for the frame's first iteration instead.
+  std::uint32_t fresh = 0;
   const auto load_lane = [&](std::uint32_t f, const StreamFrame& frame) {
     LDPC_CHECK(frame.frame.llr.size() == n);
     Lane& lane = lane_[f];
@@ -474,18 +548,13 @@ void BatchDecoder<Family>::run_stream(FrameSource& source) {
     lane.watchdog = WatchdogState(options_.watchdog);
     lane.cancel = frame.frame.cancel;
     lane.quantizer_clips = 0;
-    // Quantize into a contiguous staging row, then spread it across lane
-    // f's strided column. Every store owns a fresh cache line (stride = one
-    // line at AVX-512 width), so the walk is RFO-latency-bound without the
-    // look-ahead prefetch — the kBatchPrefetchPad rows keep the +16 in
-    // bounds. The lane's R column is NOT zero-filled — r_keep_ masks its
-    // reads for the frame's first iteration instead.
-    family.quantize(kernels_, frame.frame.llr, stage_.data(),
+    family.quantize(kernels_, frame.frame.llr, tile_.data() + fresh * n,
                     options_.count_saturation ? &lane.quantizer_clips
                                               : nullptr);
-    for (std::size_t v = 0; v < n; ++v) {
-      __builtin_prefetch(&p_[(v + 16) * lanes_ + f], 1);
-      p_[v * lanes_ + f] = stage_[v];
+    fresh_[fresh++] = f;
+    if (fresh == fresh_.size()) {
+      write_fresh(fresh);
+      fresh = 0;
     }
     q_clips_[f] = 0;
     r_clips_[f] = 0;
@@ -497,33 +566,18 @@ void BatchDecoder<Family>::run_stream(FrameSource& source) {
 
   // Retire lane f, handing its frame's DecodeResult to the source exactly
   // as the scalar decoder's iteration tail + output parity recheck would
-  // have produced it. When the caller just ran the vectorized syndrome
-  // pass, lane f's parity is already known (`parity_known` + `parity` =
-  // weight_[f] == 0) and the scalar whole-code parity_ok walk is skipped;
-  // only cancellation mid-iteration (stale weight_) and the no-probe
-  // configuration pay it.
+  // have produced it: hard bits from the sign plane, `parity` from the
+  // probe over it, both read at the boundary where the lane finishes.
   const auto finalize = [&](std::uint32_t f, bool watchdog_fired,
-                            bool cancelled, bool parity_known, bool parity) {
+                            bool cancelled, bool parity) {
     Lane& lane = lane_[f];
+    kernels_.lane_bits({plane_.data(), hard_.size(), f, hard_.data()});
     DecodeResult res;
     res.hard_bits.resize(n);
-    // Drain the lane's posterior signs 64 at a time: assembling a word
-    // locally keeps the strided loads independent (no per-bit RMW chain)
-    // and set_word skips BitVec's per-bit bounds checks; the prefetch hides
-    // the per-line L2 latency of the stride-one-line column walk.
-    for (std::size_t w = 0; w < (n + 63) / 64; ++w) {
-      const std::size_t base = w * 64;
-      const std::size_t limit = std::min<std::size_t>(64, n - base);
-      std::uint64_t bits = 0;
-      for (std::size_t b = 0; b < limit; ++b) {
-        __builtin_prefetch(&p_[(base + b + 16) * lanes_ + f], 0);
-        bits |= static_cast<std::uint64_t>(p_[(base + b) * lanes_ + f] < 0)
-                << b;
-      }
-      res.hard_bits.set_word(w, bits);
-    }
+    for (std::size_t w = 0; w < hard_.size(); ++w)
+      res.hard_bits.set_word(w, hard_[w]);
     res.iterations = lane.iter;
-    res.converged = parity_known ? parity : code_.parity_ok(res.hard_bits);
+    res.converged = parity;
     res.status = classify_exit(res.converged, watchdog_fired, 0, cancelled);
     SaturationStats& sat = last_saturation_;
     sat.quantizer_clips = lane.quantizer_clips;
@@ -558,18 +612,22 @@ void BatchDecoder<Family>::run_stream(FrameSource& source) {
 
     // Refill: idle lanes take the source's next frames, so lanes stay full
     // while their neighbours are still iterating.
+    fresh = 0;
     for (std::uint32_t f = 0; f < lanes_; ++f) {
       if (lane_[f].live) continue;
       const std::optional<StreamFrame> frame = source.next();
       if (!frame) break;
       load_lane(f, *frame);
     }
+    if (fresh != 0) write_fresh(fresh);
     if (live == 0) continue;  // every ready frame resolved without a lane
 
+    bool at_budget = false;  // a lane runs its last permitted iteration
     for (std::uint32_t f = 0; f < lanes_; ++f) {
       Lane& lane = lane_[f];
       if (!lane.live) continue;
       ++lane.iter;
+      at_budget = at_budget || lane.iter >= options_.max_iterations;
       // First iteration of a refilled lane: its R column is stale memory
       // and must read as 0 (the kernel masks it via r_keep).
       r_keep_[f] = lane.iter == 1 ? T{0} : T{-1};
@@ -579,14 +637,31 @@ void BatchDecoder<Family>::run_stream(FrameSource& source) {
     for (std::size_t l = 0; l < layers_.size() && live > 0; ++l) {
       // Same cooperative-cancellation cadence as the scalar decoder:
       // polled at every layer boundary, where lane posteriors are
-      // consistent. An expired lane finalizes from its current state —
-      // parity recheck decides converged vs deadline-expired.
+      // consistent. The clock is read once per boundary, by the first
+      // live token with a deadline. An expired lane finalizes from its
+      // current state, read into the plane at this boundary — the parity
+      // recheck decides converged vs deadline-expired.
+      std::uint64_t expired = 0;
+      std::chrono::steady_clock::time_point now{};
+      bool clock_read = false;
       for (std::uint32_t f = 0; f < lanes_; ++f) {
         const Lane& lane = lane_[f];
-        if (lane.live && lane.cancel && lane.cancel->expired())
-          finalize(f, false, true, false, false);
+        if (!lane.live || lane.cancel == nullptr) continue;
+        if (!clock_read && lane.cancel->has_deadline()) {
+          now = std::chrono::steady_clock::now();
+          clock_read = true;
+        }
+        if (lane.cancel->expired(now)) expired |= std::uint64_t{1} << f;
       }
-      if (live == 0) break;
+      if (expired != 0) {
+        read_plane();
+        const std::uint64_t unsat = probe(false);
+        for (std::uint64_t m = expired; m != 0; m &= m - 1) {
+          const auto f = static_cast<std::uint32_t>(std::countr_zero(m));
+          finalize(f, false, true, ((unsat >> f) & 1U) == 0);
+        }
+        if (live == 0) break;
+      }
       const auto& blocks = layers_[l];
       if (blocks.empty()) continue;
       pass.blocks = blocks.data();
@@ -600,36 +675,27 @@ void BatchDecoder<Family>::run_stream(FrameSource& source) {
           if (active_[f] != 0) degenerate_[f] += z_;
     }
 
-    if (live == 0) continue;  // everything cancelled mid-iteration
-
     // Iteration tail, per lane in the scalar order: early termination,
     // then the watchdog (which may abort even on the final iteration),
-    // then the iteration budget.
-    const bool probed = et || wd;  // weight_ holds this iteration's syndrome
-    if (probed) {
-      std::fill(weight_.begin(), weight_.end(), 0);
-      for (const auto& blocks : layers_) {
-        if (blocks.empty()) continue;
-        syn.blocks = blocks.data();
-        syn.deg = static_cast<std::uint32_t>(blocks.size());
-        kernels.syndrome(syn);
-      }
-    }
+    // then the iteration budget. The plane and the probe are read only
+    // when a lane may finish.
+    if (live == 0 || !(et || wd || at_budget)) continue;
+    read_plane();
+    const std::uint64_t unsat = probe(wd);
     for (std::uint32_t f = 0; f < lanes_; ++f) {
       Lane& lane = lane_[f];
       if (!lane.live) continue;
-      const bool parity = probed && weight_[f] == 0;
+      const bool parity = ((unsat >> f) & 1U) == 0;
       if (et && parity) {
-        finalize(f, false, false, true, true);
+        finalize(f, false, false, true);
         continue;
       }
-      if (wd && lane.watchdog.should_abort(
-                    static_cast<std::size_t>(weight_[f]))) {
-        finalize(f, true, false, probed, parity);
+      if (wd && lane.watchdog.should_abort(weight_[f])) {
+        finalize(f, true, false, parity);
         continue;
       }
       if (lane.iter >= options_.max_iterations)
-        finalize(f, false, false, probed, parity);
+        finalize(f, false, false, parity);
     }
   }
 }

@@ -231,10 +231,12 @@ class ZLaneDecoder : public Decoder {
   std::vector<std::vector<GatherBlock>> gather_;    ///< per layer
   std::vector<std::vector<std::uint32_t>> r_base_;  ///< per layer
   typename Family::LaneMap lane_map_;
-  AlignedVec<T> posterior_;  ///< P memory, natural order
+  AlignedVec<T> posterior_;  ///< P memory, natural order, n rounded up to 64
+                             ///< (the zero tail is whole sign-pass words)
   AlignedVec<T> r_;          ///< R memory, r_slot * z_pad + row
   AlignedVec<T> p_scratch_;  ///< gathered P lanes, deg * z_pad
   AlignedVec<T> q_scratch_;  ///< Q_array lanes, deg * z_pad
+  std::vector<std::uint64_t> hard_;  ///< hard-decision words of posterior_
 
   bool force_scalar_ = false;
   bool last_used_scalar_ = false;
@@ -303,6 +305,15 @@ class BatchDecoder : public Decoder {
   /// The lane state machine: refill free lanes from `source`, iterate, and
   /// hand each frame to source.done() the iteration it finishes.
   void run_stream(FrameSource& source);
+  /// Load lanes fresh_[0 .. count) from their tile_ slots: one row-major
+  /// pass over P.
+  void write_fresh(std::uint32_t count);
+  /// Read the sign plane from P: one pass over the n posterior rows.
+  void read_plane();
+  /// The parity probe over the sign plane: the mask of lanes with an
+  /// unsatisfied check row; with `weigh`, weight_[f] = lane f's syndrome
+  /// weight.
+  std::uint64_t probe(bool weigh);
   /// One frame on the z-lane twin, stamped with `reason` unless the twin
   /// bypassed its own lane kernel for a more specific one.
   void decode_on_twin(FrameSource& source, const StreamFrame& frame,
@@ -324,14 +335,20 @@ class BatchDecoder : public Decoder {
   AlignedVec<T> active_;  ///< F lane mask (-1 live, 0 idle)
   AlignedVec<T> r_keep_;  ///< F lane mask (0 = first iteration, R reads
                           ///< as 0 — see BatchPass::r_keep)
-  std::vector<T> stage_;  ///< n quantized codes, scattered into a lane
-                          ///< column at refill
+  AlignedVec<T> tile_;    ///< staging slots of n quantized codes: frames
+                          ///< taken and not yet in P (write_fresh)
+  std::vector<std::uint32_t> fresh_;  ///< lane of each tile_ slot
+  /// The sign plane: bit f of plane_[v] = (P[v][f] < 0), n rows rounded up
+  /// to 64 (the tail rows stay zero).
+  std::vector<std::uint64_t> plane_;
+  std::vector<std::uint64_t> unsat_;  ///< z rows' unsatisfied-lane masks
+  std::vector<std::uint64_t> hard_;   ///< one lane's hard-decision words
   std::vector<Lane> lane_;
   std::vector<long long> q_clips_;     ///< per-lane clip accumulators
   std::vector<long long> r_clips_;
   std::vector<long long> p_clips_;
   std::vector<long long> degenerate_;  ///< per-lane degenerate checks
-  std::vector<std::int32_t> weight_;   ///< per-lane syndrome weights
+  std::vector<std::size_t> weight_;    ///< per-lane syndrome weights
 
   bool force_fallback_ = false;
   SaturationStats last_saturation_;

@@ -92,15 +92,18 @@ constexpr std::uint32_t lanes_for(SimdTier t) {
 /// does frame by frame, for a code whose z fills the z-lane vectors exactly
 /// (measured per tier with LDPC_SIMD_TIER on WiMAX 1/2 z = 96 at 2.0 dB,
 /// where the int8 AVX-512 z-lane stride pads 96 to 128, so its entry is the
-/// measured 10 / 0.75; see docs/simd_kernel.md). A batched decoder scales
-/// it by its z-lane twin's lane fill and decodes smaller blocks on the twin.
+/// measured 20 / 0.75; see docs/simd_kernel.md). Where no block up to the
+/// lane count measured faster, the entry is the lane count: a full block
+/// still starts the batched kernel, whose lanes then refill from the
+/// stream. A batched decoder scales it by its z-lane twin's lane fill and
+/// decodes smaller blocks on the twin.
 template <class T>
 constexpr std::uint32_t batch_break_even(SimdTier t) {
   switch (t) {
-    case SimdTier::kPortable: return sizeof(T) == 1 ? 11 : 7;
-    case SimdTier::kSse2:     return sizeof(T) == 1 ? 8 : 7;
-    case SimdTier::kAvx2:     return sizeof(T) == 1 ? 10 : 8;
-    case SimdTier::kAvx512:   return sizeof(T) == 1 ? 13 : 10;
+    case SimdTier::kPortable: return sizeof(T) == 1 ? 16 : 8;
+    case SimdTier::kSse2:     return sizeof(T) == 1 ? 16 : 8;
+    case SimdTier::kAvx2:     return sizeof(T) == 1 ? 20 : 16;
+    case SimdTier::kAvx512:   return sizeof(T) == 1 ? 27 : 21;
   }
   return 8;
 }
@@ -235,19 +238,28 @@ struct BatchPass {
   long long* p_clips;
 };
 
-/// Per-lane syndrome accumulation for one layer of the batched shape: adds
-/// the number of this layer's z check rows that are unsatisfied in lane f
-/// to weight[f]. Summed over all layers this equals
-/// QCLdpcCode::syndrome_weight of the lane's hard decisions (weight == 0
-/// <=> parity_ok), vectorized so the per-iteration early-termination /
-/// watchdog probe does not serialize the batch.
+/// The sign pass of both shapes: packs the hard decisions (value < 0) of
+/// words * per_word contiguous values into `words` 64-bit words, bit b of
+/// out[w] = (p[w * per_word + b] < 0). The batched decoder reads its sign
+/// plane with per_word = F (one posterior row per word, bit f = lane f);
+/// the z-lane decoder packs its natural-order posteriors with per_word =
+/// 64, straight into hard-decision words.
 template <class T>
-struct SyndromePass {
-  const T* p;                  ///< n rows * F lanes posteriors
-  const BatchBlock* blocks;    ///< deg block descriptors
-  std::uint32_t deg;
-  std::uint32_t z;
-  std::int32_t* weight;        ///< F accumulators (+= per-lane unsat rows)
+struct SignPass {
+  const T* p;              ///< words * per_word values
+  std::size_t words;
+  std::uint32_t per_word;  ///< a multiple of the tier's lane count, <= 64
+  std::uint64_t* out;      ///< `words` words
+};
+
+/// One lane's hard decisions from a sign plane: bit b of out[w] = bit
+/// `lane` of plane[64 w + b]. The plane holds words * 64 rows; rows past
+/// the code length are zero.
+struct LaneBitsPass {
+  const std::uint64_t* plane;
+  std::size_t words;
+  std::uint32_t lane;  ///< < 64
+  std::uint64_t* out;  ///< `words` words
 };
 
 /// The channel quantizer, a pass of both families: contiguous float LLRs
@@ -300,14 +312,16 @@ template <class T, class Map>
 struct ShapeKernels {
   void (*zlane)(const ZLanePass<T, Map>&);
   void (*batch)(const BatchPass<T, Map>&);
-  void (*syndrome)(const SyndromePass<T>&);
+  void (*signs)(const SignPass<T>&);
   void (*quantize)(const QuantizePass<T>&);
 };
 
-/// Every kernel of one tier.
+/// Every kernel of one tier: each family's passes, and the sign-plane lane
+/// extraction both families share.
 struct KernelSet {
   ShapeKernels<std::int16_t, ScaleMap> fixed16;
   ShapeKernels<std::int8_t, StaircaseMap> fa8;
+  void (*lane_bits)(const LaneBitsPass&);
 };
 
 /// True when `tier` is both compiled in and supported by this CPU.

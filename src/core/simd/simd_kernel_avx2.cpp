@@ -31,6 +31,23 @@ struct Avx2Base {
   static Vec or_(Vec a, Vec b) { return _mm256_or_si256(a, b); }
   static Vec and_(Vec a, Vec b) { return _mm256_and_si256(a, b); }
   static void quantize(const QuantizePass<T>& a);  // below
+  static void lane_bits(const LaneBitsPass& a) {
+    // Shift bit `lane` of 4 plane rows into their sign bits; movmskpd.
+    const __m128i count = _mm_cvtsi32_si128(static_cast<int>(63 - a.lane));
+    for (std::size_t w = 0; w < a.words; ++w) {
+      const std::uint64_t* rows = a.plane + w * 64;
+      std::uint64_t bits = 0;
+      for (std::uint32_t g = 0; g < 16; ++g) {
+        const __m256i v = _mm256_sll_epi64(
+            _mm256_loadu_si256(reinterpret_cast<const __m256i*>(rows + 4 * g)),
+            count);
+        bits |= static_cast<std::uint64_t>(
+                    _mm256_movemask_pd(_mm256_castsi256_pd(v)))
+                << (4 * g);
+      }
+      a.out[w] = bits;
+    }
+  }
 };
 
 struct Avx2Ops16 : Avx2Base<std::int16_t> {
@@ -43,6 +60,12 @@ struct Avx2Ops16 : Avx2Base<std::int16_t> {
   static Vec cmpgt(Vec a, Vec b) { return _mm256_cmpgt_epi16(a, b); }
   static Vec cmpeq(Vec a, Vec b) { return _mm256_cmpeq_epi16(a, b); }
   static Vec abs(Vec a) { return _mm256_abs_epi16(a); }
+  static std::uint64_t sign_bits(Vec a) {
+    // Narrow to bytes in lane order (packs keeps the sign), then movemask.
+    const __m128i b = _mm_packs_epi16(_mm256_castsi256_si128(a),
+                                      _mm256_extracti128_si256(a, 1));
+    return static_cast<std::uint32_t>(_mm_movemask_epi8(b));
+  }
   template <int kShift>
   static Vec srl(Vec a) {
     return _mm256_srli_epi16(a, kShift);
@@ -69,6 +92,9 @@ struct Avx2Ops8 : Avx2Base<std::int8_t> {
   static Vec cmpgt(Vec a, Vec b) { return _mm256_cmpgt_epi8(a, b); }
   static Vec cmpeq(Vec a, Vec b) { return _mm256_cmpeq_epi8(a, b); }
   static Vec abs(Vec a) { return _mm256_abs_epi8(a); }
+  static std::uint64_t sign_bits(Vec a) {
+    return static_cast<std::uint32_t>(_mm256_movemask_epi8(a));
+  }
 };
 
 template <class T_>

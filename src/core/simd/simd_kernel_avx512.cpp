@@ -39,6 +39,20 @@ struct Avx512Base {
   static Vec or_(Vec a, Vec b) { return _mm512_or_si512(a, b); }
   static Vec and_(Vec a, Vec b) { return _mm512_and_si512(a, b); }
   static void quantize(const QuantizePass<T>& a);  // below
+  static void lane_bits(const LaneBitsPass& a) {
+    // vptestmq: bit `lane` of 8 plane rows per instruction.
+    const __m512i sel =
+        _mm512_set1_epi64(static_cast<long long>(1ULL << a.lane));
+    for (std::size_t w = 0; w < a.words; ++w) {
+      const std::uint64_t* rows = a.plane + w * 64;
+      std::uint64_t bits = 0;
+      for (std::uint32_t g = 0; g < 8; ++g)
+        bits |= static_cast<std::uint64_t>(_mm512_test_epi64_mask(
+                    _mm512_loadu_si512(rows + 8 * g), sel))
+                << (8 * g);
+      a.out[w] = bits;
+    }
+  }
 };
 
 struct Avx512Ops16 : Avx512Base<std::int16_t> {
@@ -55,6 +69,7 @@ struct Avx512Ops16 : Avx512Base<std::int16_t> {
     return _mm512_movm_epi16(_mm512_cmpeq_epi16_mask(a, b));
   }
   static Vec abs(Vec a) { return _mm512_abs_epi16(a); }
+  static std::uint64_t sign_bits(Vec a) { return _mm512_movepi16_mask(a); }
   template <int kShift>
   static Vec srl(Vec a) {
     return _mm512_srli_epi16(a, kShift);
@@ -85,6 +100,7 @@ struct Avx512Ops8 : Avx512Base<std::int8_t> {
     return _mm512_movm_epi8(_mm512_cmpeq_epi8_mask(a, b));
   }
   static Vec abs(Vec a) { return _mm512_abs_epi8(a); }
+  static std::uint64_t sign_bits(Vec a) { return _mm512_movepi8_mask(a); }
   static Vec staircase_add(Vec s, Vec mag, Vec thr, Vec delta) {
     // One masked add replaces the generic cmpgt (vpcmpb + vpmovm2b),
     // vpand, vpaddb chain: s + ((mag > thr) ? delta : 0) in two

@@ -105,8 +105,23 @@ struct PortableOps {
              (8 * sizeof(T));
     });
   }
+  static std::uint64_t sign_bits(Vec a) {
+    std::uint64_t bits = 0;
+    for (int i = 0; i < kLanes; ++i)
+      bits |= static_cast<std::uint64_t>(a.v[i] < 0) << i;
+    return bits;
+  }
   static void quantize(const QuantizePass<T>& a) {
     detail::quantize_scalar(a, 0);
+  }
+  static void lane_bits(const LaneBitsPass& a) {
+    for (std::size_t w = 0; w < a.words; ++w) {
+      const std::uint64_t* rows = a.plane + w * 64;
+      std::uint64_t bits = 0;
+      for (std::uint32_t b = 0; b < 64; ++b)
+        bits |= ((rows[b] >> a.lane) & 1U) << b;
+      a.out[w] = bits;
+    }
   }
 };
 

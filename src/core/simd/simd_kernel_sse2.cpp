@@ -32,6 +32,22 @@ struct Sse2Base {
   static Vec or_(Vec a, Vec b) { return _mm_or_si128(a, b); }
   static Vec and_(Vec a, Vec b) { return _mm_and_si128(a, b); }
   static void quantize(const QuantizePass<T>& a);  // below
+  static void lane_bits(const LaneBitsPass& a) {
+    // Shift bit `lane` of 2 plane rows into their sign bits; movmskpd.
+    const __m128i count = _mm_cvtsi32_si128(static_cast<int>(63 - a.lane));
+    for (std::size_t w = 0; w < a.words; ++w) {
+      const std::uint64_t* rows = a.plane + w * 64;
+      std::uint64_t bits = 0;
+      for (std::uint32_t g = 0; g < 32; ++g) {
+        const __m128i v = _mm_sll_epi64(
+            _mm_loadu_si128(reinterpret_cast<const __m128i*>(rows + 2 * g)),
+            count);
+        bits |= static_cast<std::uint64_t>(_mm_movemask_pd(_mm_castsi128_pd(v)))
+                << (2 * g);
+      }
+      a.out[w] = bits;
+    }
+  }
 };
 
 struct Sse2Ops16 : Sse2Base<std::int16_t> {
@@ -44,6 +60,11 @@ struct Sse2Ops16 : Sse2Base<std::int16_t> {
   static Vec cmpgt(Vec a, Vec b) { return _mm_cmpgt_epi16(a, b); }
   static Vec cmpeq(Vec a, Vec b) { return _mm_cmpeq_epi16(a, b); }
   static Vec abs(Vec a) { return _mm_max_epi16(a, _mm_sub_epi16(zero(), a)); }
+  static std::uint64_t sign_bits(Vec a) {
+    // packs keeps the sign; the low 8 bytes are the 8 lanes.
+    const int bytes = _mm_movemask_epi8(_mm_packs_epi16(a, a));
+    return static_cast<std::uint32_t>(bytes) & 0xFFU;
+  }
   template <int kShift>
   static Vec srl(Vec a) {
     return _mm_srli_epi16(a, kShift);
@@ -70,6 +91,9 @@ struct Sse2Ops8 : Sse2Base<std::int8_t> {
   static Vec min(Vec a, Vec b) { return blend(cmpgt(a, b), b, a); }
   static Vec max(Vec a, Vec b) { return blend(cmpgt(a, b), a, b); }
   static Vec abs(Vec a) { return max(a, _mm_sub_epi8(zero(), a)); }
+  static std::uint64_t sign_bits(Vec a) {
+    return static_cast<std::uint32_t>(_mm_movemask_epi8(a));
+  }
 };
 
 template <class T_>

@@ -22,8 +22,11 @@
 //   abs               |v| for every railed v
 //   xor_/or_/and_     bitwise
 //   staircase_add     optional fused s + (mag > thr ? delta : 0)
+//   sign_bits         bit i = (lane i < 0), kLanes (<= 64) bits
 //   quantize          the channel quantizer (QuantizePass): one float
 //                     pipeline per tier, narrowed to T
+//   lane_bits         one lane's hard bits from a sign plane
+//                     (LaneBitsPass), width-independent
 //
 // What differs by width lives in Width<T> below; what differs by family is
 // the magnitude map (MagnitudeMap); what differs by shape is addressing
@@ -64,7 +67,6 @@ template <>
 struct Width<std::int16_t> {
   static constexpr std::uint32_t kPrefetchRows = 8;
   static constexpr bool kDrainEveryStep = simd::kDrainEveryStep<std::int16_t>;
-  static constexpr std::uint32_t kSyndromeRows = 1U << 14;
   template <class Ops, class V>
   static V rail_sub(V a, V b, V lo, V hi) {
     return Ops::max(lo, Ops::min(hi, Ops::sub(a, b)));
@@ -79,7 +81,6 @@ template <>
 struct Width<std::int8_t> {
   static constexpr std::uint32_t kPrefetchRows = 12;
   static constexpr bool kDrainEveryStep = simd::kDrainEveryStep<std::int8_t>;
-  static constexpr std::uint32_t kSyndromeRows = 64;
   template <class Ops, class V>
   static V rail_sub(V a, V b, V lo, V /*hi*/) {
     return Ops::max(Ops::subs(a, b), lo);
@@ -373,34 +374,17 @@ template <class Ops, bool kCount, class MapArgs>
   if constexpr (kCount && !W::kDrainEveryStep) drain();
 }
 
-/// Per-lane syndrome contribution of one layer: for each check row, XOR
-/// the hard-decision masks (posterior < 0) of its variables; an all-ones
-/// lane means that lane's row is unsatisfied. Row counts accumulate in
-/// lanes and widen into the int32 weights every kSyndromeRows rows.
+/// The sign pass (SignPass): per_word / kLanes vector loads per word, each
+/// contributing its lanes' sign bits.
 template <class Ops>
-[[gnu::flatten]] void syndrome_pass(const SyndromePass<typename Ops::T>& a) {
-  using V = typename Ops::Vec;
-  using W = Width<typename Ops::T>;
-  constexpr std::size_t kF = Ops::kLanes;
-  const V zero = Ops::zero();
-  std::uint32_t row = 0;
-  while (row < a.z) {
-    const std::uint32_t end =
-        a.z - row > W::kSyndromeRows ? row + W::kSyndromeRows : a.z;
-    V w = zero;
-    for (; row < end; ++row) {
-      V acc = zero;
-      for (std::uint32_t j = 0; j < a.deg; ++j) {
-        const BatchBlock& b = a.blocks[j];
-        std::uint32_t rot = row + b.shift;
-        if (rot >= a.z) rot -= a.z;
-        const auto* pj = a.p + static_cast<std::size_t>(b.p_base + rot) * kF;
-        __builtin_prefetch(pj + W::kPrefetchRows * kF, 0);
-        acc = Ops::xor_(acc, Ops::cmpgt(zero, Ops::load(pj)));
-      }
-      w = Ops::sub(w, acc);  // acc is all-ones exactly in unsatisfied lanes
-    }
-    Lanes<Ops>::add_lanes(w, a.weight, true);
+[[gnu::flatten]] void sign_pass(const SignPass<typename Ops::T>& a) {
+  constexpr std::uint32_t kF = Ops::kLanes;
+  const auto* p = a.p;
+  for (std::size_t w = 0; w < a.words; ++w) {
+    std::uint64_t bits = 0;
+    for (std::uint32_t c = 0; c < a.per_word; c += kF, p += kF)
+      bits |= Ops::sign_bits(Ops::load(p)) << c;
+    a.out[w] = bits;
   }
 }
 
@@ -440,14 +424,14 @@ void batch_entry(const BatchPass<typename Ops::T, MapArgs>& a) {
 template <class Ops, class MapArgs>
 constexpr ShapeKernels<typename Ops::T, MapArgs> shape_kernels() {
   return {&zlane_entry<Ops, MapArgs>, &batch_entry<Ops, MapArgs>,
-          &syndrome_pass<Ops>, &Ops::quantize};
+          &sign_pass<Ops>, &Ops::quantize};
 }
 
 /// A tier's KernelSet from its int16 and int8 lane policies.
 template <class Ops16, class Ops8>
 constexpr KernelSet make_kernel_set() {
   return {shape_kernels<Ops16, ScaleMap>(),
-          shape_kernels<Ops8, StaircaseMap>()};
+          shape_kernels<Ops8, StaircaseMap>(), &Ops8::lane_bits};
 }
 
 /// One table per compiled tier, defined in its TU.

@@ -11,7 +11,9 @@
 // TSan, so lane indexing or refill races fail loudly.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdlib>
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -183,7 +185,7 @@ TEST(SimdBatch, ScaleSweep) {
 
 TEST(SimdBatch, EarlyTerminationOff) {
   // Fixed iteration budget: lanes retire together only at max_iterations,
-  // and the syndrome probe runs solely for the watchdog (here: not at all).
+  // the only iteration the parity probe runs (no watchdog here).
   DecoderOptions opt = counting_options();
   opt.early_termination = false;
   opt.max_iterations = 8;
@@ -326,6 +328,117 @@ TEST(SimdBatch, BlocksAroundBreakEvenMatchScalar) {
       expect_break_even_identical(scalar_fa, batched_fa, code, "fa4 " + ctx);
     }
   }
+}
+
+// -------------------------------------------------------------- streams ----
+
+/// One stream of 4 x (the widest tier's lanes) frames per tier, so that many
+/// lanes refill in one iteration tail (all of them with early termination
+/// off), against the scalar `reference` frame for frame, every saturation
+/// counter included. Frames alternate `db_a` and `db_b`. Frame W, the first
+/// to load into a lane another frame used, carries a pre-cancelled token:
+/// its hard bits come from a sign plane read at its first layer boundary,
+/// so a stale plane would show.
+template <class MakeBatched>
+void expect_stream_identical(Decoder& reference, MakeBatched make_batched,
+                             std::uint32_t (*lanes)(simd::SimdTier),
+                             const QCLdpcCode& code, float db_a, float db_b,
+                             const std::string& ctx) {
+  std::size_t max_width = 0;
+  for (const simd::SimdTier tier : simd::available_tiers())
+    max_width = std::max<std::size_t>(max_width, lanes(tier));
+  std::vector<std::vector<float>> pool;
+  std::vector<Reference> refs;
+  for (std::size_t f = 0; f < 4 * max_width; ++f) {
+    pool.push_back(noisy_llr(code, f % 2 == 0 ? db_a : db_b, f * 7919 + 5));
+    refs.push_back({reference.decode(pool.back()), reference.saturation()});
+  }
+  CancelToken cancelled;
+  cancelled.cancel();
+  for (const simd::SimdTier tier : simd::available_tiers()) {
+    auto batched = make_batched(tier);
+    const std::size_t w = batched->block_width();
+    ASSERT_EQ(w, lanes(tier));
+    reference.set_cancel_token(&cancelled);
+    const Reference cancelled_ref{reference.decode(pool[w]),
+                                  reference.saturation()};
+    reference.set_cancel_token(nullptr);
+    std::vector<BlockFrame> frames;
+    for (std::size_t f = 0; f < pool.size(); ++f)
+      frames.push_back({pool[f], f == w ? &cancelled : nullptr});
+    std::vector<DecodeResult> results(frames.size());
+    std::vector<SaturationStats> saturation(frames.size());
+    batched->decode_block(frames, results, saturation);
+    for (std::size_t f = 0; f < frames.size(); ++f)
+      expect_frame_identical(f == w ? cancelled_ref : refs[f], results[f],
+                             saturation[f],
+                             ctx + " tier=" + simd::to_string(tier) +
+                                 " frame=" + std::to_string(f));
+  }
+}
+
+/// The stream configurations: early termination on (lanes refill a few at a
+/// time), off (every lane refills at once), the stall watchdog at 0 dB, and
+/// per-site saturation counting — on WiMAX z = 96 (n = 36 plane words) and
+/// WiFi z = 27 (n = 648, a partial last plane word).
+template <class MakeReference, class MakeBatched>
+void sweep_streams(MakeReference make_reference, MakeBatched make_batched,
+                   std::uint32_t (*lanes)(simd::SimdTier),
+                   const std::string& family) {
+  struct Case {
+    const char* name;
+    DecoderOptions opt;
+    float db_a;
+    float db_b;
+  };
+  std::vector<Case> cases(4, Case{"et-on", DecoderOptions{}, 1.0F, 3.0F});
+  cases[1].name = "et-off";
+  cases[1].opt.early_termination = false;
+  cases[1].opt.max_iterations = 8;
+  cases[2].name = "watchdog";
+  cases[2].opt.max_iterations = 30;
+  cases[2].opt.watchdog.stall_window = 4;
+  cases[2].db_a = cases[2].db_b = 0.0F;
+  cases[3].name = "counted";
+  cases[3].opt.count_saturation = true;
+  const QCLdpcCode wimax = make_wimax_2304_half_rate();
+  const QCLdpcCode wifi = make_wifi_648_half_rate();
+  for (const QCLdpcCode* code : {&wimax, &wifi}) {
+    for (const Case& c : cases) {
+      auto reference = make_reference(*code, c.opt);
+      expect_stream_identical(
+          *reference,
+          [&](simd::SimdTier tier) { return make_batched(*code, c.opt, tier); },
+          lanes, *code, c.db_a, c.db_b,
+          family + " " + c.name + " n=" + std::to_string(code->n()));
+    }
+  }
+}
+
+TEST(SimdBatch, StreamRefillingManyLanesMatchesScalarQ8) {
+  sweep_streams(
+      [](const QCLdpcCode& code, const DecoderOptions& opt) {
+        return std::make_unique<LayeredMinSumFixedDecoder>(code, opt,
+                                                           FixedFormat{8, 2});
+      },
+      [](const QCLdpcCode& code, const DecoderOptions& opt,
+         simd::SimdTier tier) {
+        return std::make_unique<SimdBatchDecoder>(code, opt, FixedFormat{8, 2},
+                                                  tier);
+      },
+      &simd::tier_lanes, "q8.2");
+}
+
+TEST(SimdBatch, StreamRefillingManyLanesMatchesScalarFa4) {
+  sweep_streams(
+      [](const QCLdpcCode& code, const DecoderOptions& opt) {
+        return std::make_unique<LayeredMinSumFaDecoder>(code, opt, 4);
+      },
+      [](const QCLdpcCode& code, const DecoderOptions& opt,
+         simd::SimdTier tier) {
+        return std::make_unique<SimdFaBatchDecoder>(code, opt, 4, 2.0F, tier);
+      },
+      &simd::tier_lanes8, "fa4");
 }
 
 /// decode_block must detach a token attached with set_cancel_token (the
