@@ -290,7 +290,6 @@ DecodeResult ZLaneDecoder<Family>::run() {
 
       pass.r_base = r_base_[l].data();
       pass.deg = deg;
-      pass.degenerate = deg < 2;
       kernels.zlane(pass);
       // A degree-1 layer forces R' = 0 on every one of its z rows, once
       // per layer pass — same accounting as the scalar row kernels.
@@ -666,7 +665,6 @@ void BatchDecoder<Family>::run_stream(FrameSource& source) {
       if (blocks.empty()) continue;
       pass.blocks = blocks.data();
       pass.deg = static_cast<std::uint32_t>(blocks.size());
-      pass.degenerate = blocks.size() < 2;
       kernels.batch(pass);
       // A degree-1 layer forces R' = 0 on every one of its z rows, once
       // per layer pass — same accounting as the scalar row kernels.

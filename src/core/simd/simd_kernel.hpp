@@ -33,6 +33,7 @@
 // constructor argument).
 #pragma once
 
+#include <array>
 #include <cstddef>
 #include <cstdint>
 #include <limits>
@@ -92,7 +93,7 @@ constexpr std::uint32_t lanes_for(SimdTier t) {
 /// does frame by frame, for a code whose z fills the z-lane vectors exactly
 /// (measured per tier with LDPC_SIMD_TIER on WiMAX 1/2 z = 96 at 2.0 dB,
 /// where the int8 AVX-512 z-lane stride pads 96 to 128, so its entry is the
-/// measured 20 / 0.75; see docs/simd_kernel.md). Where no block up to the
+/// measured 15 / 0.75; see docs/simd_kernel.md). Where no block up to the
 /// lane count measured faster, the entry is the lane count: a full block
 /// still starts the batched kernel, whose lanes then refill from the
 /// stream. A batched decoder scales it by its z-lane twin's lane fill and
@@ -102,8 +103,8 @@ constexpr std::uint32_t batch_break_even(SimdTier t) {
   switch (t) {
     case SimdTier::kPortable: return sizeof(T) == 1 ? 16 : 8;
     case SimdTier::kSse2:     return sizeof(T) == 1 ? 16 : 8;
-    case SimdTier::kAvx2:     return sizeof(T) == 1 ? 20 : 16;
-    case SimdTier::kAvx512:   return sizeof(T) == 1 ? 27 : 21;
+    case SimdTier::kAvx2:     return sizeof(T) == 1 ? 15 : 11;
+    case SimdTier::kAvx512:   return sizeof(T) == 1 ? 20 : 15;
   }
   return 8;
 }
@@ -112,6 +113,16 @@ constexpr std::uint32_t batch_break_even(SimdTier t) {
 /// int8 lanes drain them every row step, int16 lanes once per pass.
 template <class T>
 inline constexpr bool kDrainEveryStep = sizeof(T) == 1;
+
+/// Layer degrees with their own uncounted row-update instantiation: every
+/// layer degree of the registered codes (WiMAX 1/2: 6, 7; 2/3A: 10; 2/3B:
+/// 10, 11; 3/4A/B: 14, 15; 5/6: 20; WiFi 648 / 1944: 7, 8; the alist
+/// registry codes: 5, 6). At these degrees the x86 tiers' row update holds
+/// Q and each edge's P/R pointers in registers; every other degree, every
+/// counted pass and the portable tier run the same body with the degree
+/// read at run time.
+inline constexpr std::array<std::uint32_t, 9> kSpecializedDegrees = {
+    5, 6, 7, 8, 10, 11, 14, 15, 20};
 
 /// True when a pass of `steps` row steps over layers of degree <= `deg`
 /// keeps the in-register lane counters (clip events, and pos1's block
@@ -175,15 +186,16 @@ struct StaircaseMap {
 template <class T, class Map>
 struct ZLanePass {
   T* p;                        ///< deg * z_pad gathered posteriors (in/out)
-  T* q;                        ///< deg * z_pad Q scratch (Fig. 5's Q_array)
+  T* q;                        ///< deg * z_pad Q scratch (Fig. 5's Q_array),
+                               ///< used by the run-time-degree body only
   T* r;                        ///< R memory base, stride z_pad per slot
   const std::uint32_t* r_base; ///< deg offsets into `r` (multiples of z_pad)
-  std::uint32_t deg;           ///< non-zero blocks in this layer
+  std::uint32_t deg;           ///< non-zero blocks in this layer; a degree
+                               ///< below 2 forces R' = 0 (no extrinsic input)
   std::uint32_t z_pad;
   T lo;                        ///< lower rail
   T hi;                        ///< upper rail
   Map map;
-  bool degenerate;             ///< deg < 2: force R' = 0 (no extrinsic input)
   bool count_clips;            ///< accumulate saturation events into *stats
   /// Per-site clip counters (used iff count_clips): the Q clamp fills
   /// q_clips, the R' clamp r_clips, the P' clamp p_clips — same attribution
@@ -213,7 +225,8 @@ struct BatchBlock {
 template <class T, class Map>
 struct BatchPass {
   T* p;                        ///< n rows * F lanes posteriors (in/out)
-  T* q;                        ///< deg * F Q scratch (one row at a time)
+  T* q;                        ///< deg * F Q scratch (one row at a time),
+                               ///< used by the run-time-degree body only
   T* r;                        ///< R memory, nonzero_blocks * z rows * F
   const BatchBlock* blocks;    ///< deg block descriptors
   std::uint32_t deg;           ///< non-zero blocks in this layer
@@ -229,7 +242,6 @@ struct BatchPass {
   T lo;
   T hi;
   Map map;
-  bool degenerate;
   bool count_clips;
   /// Per-lane (= per-frame) clip accumulators, F entries each (used iff
   /// count_clips). Same per-site attribution as the scalar row kernels.

@@ -17,6 +17,7 @@ template <class T_>
 struct Avx2Base {
   using T = T_;
   using Vec = __m256i;
+  using Mask = Vec;  // all-ones lanes where true
   static Vec load(const T* p) {
     return _mm256_loadu_si256(reinterpret_cast<const __m256i*>(p));
   }
@@ -28,6 +29,7 @@ struct Avx2Base {
   // granularity is exact for both widths.
   static Vec blend(Vec m, Vec a, Vec b) { return _mm256_blendv_epi8(b, a, m); }
   static Vec xor_(Vec a, Vec b) { return _mm256_xor_si256(a, b); }
+  static Mask mask_xor(Mask a, Mask b) { return xor_(a, b); }
   static Vec or_(Vec a, Vec b) { return _mm256_or_si256(a, b); }
   static Vec and_(Vec a, Vec b) { return _mm256_and_si256(a, b); }
   static void quantize(const QuantizePass<T>& a);  // below

@@ -5,12 +5,11 @@
 // __builtin_cpu_supports check for both features, so the library binary
 // stays safe on pre-AVX-512 hosts.
 //
-// AVX-512 comparisons natively produce mask registers, not vectors; the
-// LaneOps contract wants all-ones-per-lane vector masks (shared with the
-// other tiers), so cmpgt/cmpeq expand their mask through vpmovm2w/b.
-// blend() exploits the contract in the other direction: because masks are
-// all-ones per lane, a bitwise ternary-logic select (0xCA = m ? a : b)
-// replaces the mask-register blend with no conversion at all.
+// The LaneOps Mask of this tier is a mask register (__mmask32 for int16,
+// __mmask64 for int8), the form AVX-512 comparisons produce natively:
+// cmpgt/cmpeq are vpcmpw/vpcmpb into a k-register, blend is
+// vpblendmw/vpblendmb under it, and the row update's sign parity XORs two
+// masks (kxord/kxorq). No lane predicate is ever widened into a vector.
 #include "core/simd/simd_row_update.hpp"
 
 #ifdef LDPC_SIMD_X86
@@ -32,9 +31,6 @@ struct Avx512Base {
     _mm512_storeu_si512(reinterpret_cast<void*>(p), a);
   }
   static Vec zero() { return _mm512_setzero_si512(); }
-  static Vec blend(Vec m, Vec a, Vec b) {
-    return _mm512_ternarylogic_epi32(m, a, b, 0xCA);
-  }
   static Vec xor_(Vec a, Vec b) { return _mm512_xor_si512(a, b); }
   static Vec or_(Vec a, Vec b) { return _mm512_or_si512(a, b); }
   static Vec and_(Vec a, Vec b) { return _mm512_and_si512(a, b); }
@@ -62,12 +58,13 @@ struct Avx512Ops16 : Avx512Base<std::int16_t> {
   static Vec sub(Vec a, Vec b) { return _mm512_sub_epi16(a, b); }
   static Vec min(Vec a, Vec b) { return _mm512_min_epi16(a, b); }
   static Vec max(Vec a, Vec b) { return _mm512_max_epi16(a, b); }
-  static Vec cmpgt(Vec a, Vec b) {
-    return _mm512_movm_epi16(_mm512_cmpgt_epi16_mask(a, b));
+  using Mask = __mmask32;
+  static Mask cmpgt(Vec a, Vec b) { return _mm512_cmpgt_epi16_mask(a, b); }
+  static Mask cmpeq(Vec a, Vec b) { return _mm512_cmpeq_epi16_mask(a, b); }
+  static Vec blend(Mask m, Vec a, Vec b) {
+    return _mm512_mask_blend_epi16(m, b, a);
   }
-  static Vec cmpeq(Vec a, Vec b) {
-    return _mm512_movm_epi16(_mm512_cmpeq_epi16_mask(a, b));
-  }
+  static Mask mask_xor(Mask a, Mask b) { return _kxor_mask32(a, b); }
   static Vec abs(Vec a) { return _mm512_abs_epi16(a); }
   static std::uint64_t sign_bits(Vec a) { return _mm512_movepi16_mask(a); }
   template <int kShift>
@@ -93,20 +90,20 @@ struct Avx512Ops8 : Avx512Base<std::int8_t> {
   static Vec subs(Vec a, Vec b) { return _mm512_subs_epi8(a, b); }
   static Vec min(Vec a, Vec b) { return _mm512_min_epi8(a, b); }
   static Vec max(Vec a, Vec b) { return _mm512_max_epi8(a, b); }
-  static Vec cmpgt(Vec a, Vec b) {
-    return _mm512_movm_epi8(_mm512_cmpgt_epi8_mask(a, b));
+  using Mask = __mmask64;
+  static Mask cmpgt(Vec a, Vec b) { return _mm512_cmpgt_epi8_mask(a, b); }
+  static Mask cmpeq(Vec a, Vec b) { return _mm512_cmpeq_epi8_mask(a, b); }
+  static Vec blend(Mask m, Vec a, Vec b) {
+    return _mm512_mask_blend_epi8(m, b, a);
   }
-  static Vec cmpeq(Vec a, Vec b) {
-    return _mm512_movm_epi8(_mm512_cmpeq_epi8_mask(a, b));
-  }
+  static Mask mask_xor(Mask a, Mask b) { return _kxor_mask64(a, b); }
   static Vec abs(Vec a) { return _mm512_abs_epi8(a); }
   static std::uint64_t sign_bits(Vec a) { return _mm512_movepi8_mask(a); }
   static Vec staircase_add(Vec s, Vec mag, Vec thr, Vec delta) {
-    // One masked add replaces the generic cmpgt (vpcmpb + vpmovm2b),
-    // vpand, vpaddb chain: s + ((mag > thr) ? delta : 0) in two
-    // instructions, same value byte for byte.
-    return _mm512_mask_add_epi8(s, _mm512_cmpgt_epi8_mask(mag, thr), s,
-                                delta);
+    // One masked add replaces the generic cmpgt, vpand, vpaddb chain:
+    // s + ((mag > thr) ? delta : 0) in two instructions, same value byte
+    // for byte.
+    return _mm512_mask_add_epi8(s, cmpgt(mag, thr), s, delta);
   }
 };
 

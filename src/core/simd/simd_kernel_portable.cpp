@@ -22,6 +22,9 @@ struct PortableOps {
   struct Vec {
     T v[kLanes];
   };
+  using Mask = Vec;  // -1 lanes where true
+  // Every degree runs the run-time-degree row update (see with_degree).
+  static constexpr bool kDegreeBodies = false;
 
   template <class F>
   static Vec map(F f) {
@@ -84,6 +87,7 @@ struct PortableOps {
   static Vec and_(Vec a, Vec b) {
     return map([&](int i) { return a.v[i] & b.v[i]; });
   }
+  static Mask mask_xor(Mask a, Mask b) { return xor_(a, b); }
   template <int kShift>
   static Vec srl(Vec a) {
     return map([&](int i) { return static_cast<U>(a.v[i]) >> kShift; });

@@ -18,6 +18,7 @@ template <class T_>
 struct Sse2Base {
   using T = T_;
   using Vec = __m128i;
+  using Mask = Vec;  // all-ones lanes where true
   static Vec load(const T* p) {
     return _mm_loadu_si128(reinterpret_cast<const __m128i*>(p));
   }
@@ -29,6 +30,7 @@ struct Sse2Base {
     return _mm_or_si128(_mm_and_si128(m, a), _mm_andnot_si128(m, b));
   }
   static Vec xor_(Vec a, Vec b) { return _mm_xor_si128(a, b); }
+  static Mask mask_xor(Mask a, Mask b) { return xor_(a, b); }
   static Vec or_(Vec a, Vec b) { return _mm_or_si128(a, b); }
   static Vec and_(Vec a, Vec b) { return _mm_and_si128(a, b); }
   static void quantize(const QuantizePass<T>& a);  // below

@@ -17,11 +17,16 @@
 //   adds/subs         saturating (int8 policies only)
 //   srl<k>/sll<k>     logical shifts, mullo/mulhi (int16 policies only)
 //   min/max           signed
-//   cmpgt/cmpeq       lane masks, all-ones where true
-//   blend(m, a, b)    m ? a : b, m a lane mask
+//   Mask              a lane predicate: a k-register on AVX-512, elsewhere
+//                     a Vec with all-ones lanes where true (Mask = Vec)
+//   cmpgt/cmpeq       Mask of the lanes where a > b / a == b
+//   blend(m, a, b)    m ? a : b per lane, m a Mask
+//   mask_xor          lane-wise XOR of two Masks (the sign parity)
 //   abs               |v| for every railed v
 //   xor_/or_/and_     bitwise
 //   staircase_add     optional fused s + (mag > thr ? delta : 0)
+//   kDegreeBodies     optional; false runs the run-time-degree body at
+//                     every degree (see with_degree)
 //   sign_bits         bit i = (lane i < 0), kLanes (<= 64) bits
 //   quantize          the channel quantizer (QuantizePass): one float
 //                     pipeline per tier, narrowed to T
@@ -31,11 +36,19 @@
 // What differs by width lives in Width<T> below; what differs by family is
 // the magnitude map (MagnitudeMap); what differs by shape is addressing
 // (ZLaneRow / BatchRow). Everything else is shared.
+//
+// The layer degree is a template parameter of the row update: the
+// uncounted entries pick an instantiation for each degree in
+// kSpecializedDegrees (simd_kernel.hpp), where the edge loop unrolls and Q
+// plus each edge's P/R pointers stay in registers; kDeg = 0 reads the
+// degree at run time, keeps Q in the row's scratch and serves every other
+// degree, every counted pass and every pass of the portable tier.
 #pragma once
 
 #include <cmath>
 #include <cstdint>
 #include <limits>
+#include <utility>
 
 #include "core/simd/simd_kernel.hpp"
 
@@ -188,9 +201,8 @@ struct Lanes {
         p_clips(zero) {}
 
   /// Count one event in every lane where railed != exact (and `live`).
-  V count(V acc, V railed, V exact, V live) const {
-    return Ops::sub(acc, Ops::and_(live, Ops::xor_(Ops::cmpeq(railed, exact),
-                                                   ones)));
+  static V count(V acc, V railed, V exact, V live) {
+    return Ops::blend(Ops::cmpeq(railed, exact), acc, Ops::sub(acc, live));
   }
 
   /// Move the counters into long long sinks, per lane or summed.
@@ -278,17 +290,42 @@ struct BatchRow {
   V live() const { return active; }
 };
 
-template <class Ops, bool kCount, class Row, class Map>
-inline void row_update(const Row& row, std::uint32_t deg, bool degenerate,
-                       const Map& map, Lanes<Ops>& k) {
+/// Runs body(j) for every edge j of a row: a loop over the run-time degree
+/// when kDeg is 0, else kDeg calls with constant j, so per-edge locals
+/// indexed by j can live in registers.
+template <std::uint32_t kDeg, class Body>
+inline void for_each_edge(std::uint32_t deg, Body&& body) {
+  if constexpr (kDeg == 0) {
+    for (std::uint32_t j = 0; j < deg; ++j) body(j);
+  } else {
+    [&]<std::uint32_t... J>(std::integer_sequence<std::uint32_t, J...>) {
+      (body(J), ...);
+    }(std::make_integer_sequence<std::uint32_t, kDeg>{});
+  }
+}
+
+/// One check-row step. kDeg > 0 is the layer degree as a constant: Q and
+/// each edge's P/R pointers are kept from stage 1 for stage 2. kDeg = 0
+/// takes `deg` at run time: Q goes through the row's scratch and stage 2
+/// recomputes the pointers. Each edge runs the same operations in the same
+/// order either way.
+template <class Ops, bool kCount, std::uint32_t kDeg, class Row, class Map>
+inline void row_update(const Row& row, std::uint32_t deg, const Map& map,
+                       Lanes<Ops>& k) {
   using V = typename Ops::Vec;
+  using M = typename Ops::Mask;
   using T = typename Ops::T;
   using W = Width<T>;
+  static_assert(kDeg == 0 || kDeg >= 2, "a specialized degree has extrinsics");
+  constexpr std::uint32_t kKept = kDeg == 0 ? 1 : kDeg;
+  V q_kept[kKept];
+  T* p_kept[kKept];
+  T* r_kept[kKept];
   V min1 = k.sentinel;
   V min2 = k.sentinel;
   V pos1 = k.zero;
-  V signs = k.zero;
-  for (std::uint32_t j = 0; j < deg; ++j) {
+  M signs{};
+  for_each_edge<kDeg>(deg, [&](std::uint32_t j) {
     T* const pj = row.p(j);
     T* const rj = row.r(j);
     row.prefetch(pj, rj);
@@ -297,28 +334,45 @@ inline void row_update(const Row& row, std::uint32_t deg, bool degenerate,
     const V q = W::template rail_sub<Ops>(p, r, k.lo, k.hi);
     if constexpr (kCount)
       k.q_clips = k.count(k.q_clips, q, Ops::sub(p, r), row.live());
-    Ops::store(row.q(j), q);
+    if constexpr (kDeg == 0) {
+      Ops::store(row.q(j), q);
+    } else {
+      q_kept[j] = q;
+      p_kept[j] = pj;
+      r_kept[j] = rj;
+    }
     const V mag = Ops::abs(q);
-    const V lt1 = Ops::cmpgt(min1, mag);  // mag < min1, strict
+    const M lt1 = Ops::cmpgt(min1, mag);  // mag < min1, strict
     min2 = Ops::blend(lt1, min1, Ops::min(min2, mag));
     min1 = Ops::blend(lt1, mag, min1);
     pos1 = Ops::blend(lt1, Ops::broadcast(static_cast<T>(j)), pos1);
-    signs = Ops::xor_(signs, Ops::cmpgt(k.zero, q));
-  }
+    signs = Ops::mask_xor(signs, Ops::cmpgt(k.zero, q));
+  });
 
-  // Degree < 2: no extrinsic input, R' = 0 before any clamp — the scalar
-  // kernels return early, so no clip event either.
+  // Degree < 2 (run-time body only): no extrinsic input, R' = 0 before any
+  // clamp — the scalar kernels return early, so no clip event either.
+  const bool degenerate = kDeg == 0 && deg < 2;
   const V s1 = degenerate ? k.zero : map(min1);
   const V s2 = degenerate ? k.zero : map(min2);
 
-  for (std::uint32_t j = 0; j < deg; ++j) {
-    T* const pj = row.p(j);
-    const V q = Ops::load(row.q(j));
+  for_each_edge<kDeg>(deg, [&](std::uint32_t j) {
+    T* pj;
+    T* rj;
+    V q;
+    if constexpr (kDeg == 0) {
+      pj = row.p(j);
+      rj = row.r(j);
+      q = Ops::load(row.q(j));
+    } else {
+      pj = p_kept[j];
+      rj = r_kept[j];
+      q = q_kept[j];
+    }
     V r_new = k.zero;
     if (!degenerate) {
-      const V eq = Ops::cmpeq(pos1, Ops::broadcast(static_cast<T>(j)));
+      const M eq = Ops::cmpeq(pos1, Ops::broadcast(static_cast<T>(j)));
       const V mag = Ops::blend(eq, s2, s1);
-      const V neg = Ops::xor_(signs, Ops::cmpgt(k.zero, q));
+      const M neg = Ops::mask_xor(signs, Ops::cmpgt(k.zero, q));
       const V val = Ops::blend(neg, Ops::sub(k.zero, mag), mag);
       if constexpr (Map::kInAlphabet) {
         r_new = val;
@@ -328,19 +382,19 @@ inline void row_update(const Row& row, std::uint32_t deg, bool degenerate,
           k.r_clips = k.count(k.r_clips, r_new, val, row.live());
       }
     }
-    Ops::store(row.r(j), r_new);
+    Ops::store(rj, r_new);
     const V p_new = W::template rail_add<Ops>(q, r_new, k.lo, k.hi);
     if constexpr (kCount)
       k.p_clips = k.count(k.p_clips, p_new, Ops::add(q, r_new), row.live());
     Ops::store(pj, p_new);
-  }
+  });
 }
 
 // The passes are flattened: the row update, the maps and the lane ops must
 // inline into one loop nest with the pass constants in registers. At -O2
 // GCC otherwise leaves the portable tier's array-of-lanes helpers out of
 // line, passing every vector through memory.
-template <class Ops, bool kCount, class MapArgs>
+template <class Ops, bool kCount, std::uint32_t kDeg, class MapArgs>
 [[gnu::flatten]] void zlane_pass(const ZLanePass<typename Ops::T, MapArgs>& a) {
   using W = Width<typename Ops::T>;
   Lanes<Ops> k(a.lo, a.hi);
@@ -349,15 +403,15 @@ template <class Ops, bool kCount, class MapArgs>
     k.drain(&a.stats->q_clips, &a.stats->r_clips, &a.stats->p_clips, false);
   };
   for (std::uint32_t c = 0; c < a.z_pad; c += Ops::kLanes) {
-    row_update<Ops, kCount>(
-        ZLaneRow<Ops>{a.p, a.q, a.r, a.r_base, a.z_pad, c, k.ones}, a.deg,
-        a.degenerate, map, k);
+    row_update<Ops, kCount, kDeg>(
+        ZLaneRow<Ops>{a.p, a.q, a.r, a.r_base, a.z_pad, c, k.ones}, a.deg, map,
+        k);
     if constexpr (kCount && W::kDrainEveryStep) drain();
   }
   if constexpr (kCount && !W::kDrainEveryStep) drain();
 }
 
-template <class Ops, bool kCount, class MapArgs>
+template <class Ops, bool kCount, std::uint32_t kDeg, class MapArgs>
 [[gnu::flatten]] void batch_pass(const BatchPass<typename Ops::T, MapArgs>& a) {
   using W = Width<typename Ops::T>;
   Lanes<Ops> k(a.lo, a.hi);
@@ -366,9 +420,9 @@ template <class Ops, bool kCount, class MapArgs>
   const typename Ops::Vec r_keep = Ops::load(a.r_keep);
   const auto drain = [&] { k.drain(a.q_clips, a.r_clips, a.p_clips, true); };
   for (std::uint32_t row = 0; row < a.z; ++row) {
-    row_update<Ops, kCount>(
+    row_update<Ops, kCount, kDeg>(
         BatchRow<Ops>{a.p, a.q, a.r, a.blocks, a.z, row, active, r_keep},
-        a.deg, a.degenerate, map, k);
+        a.deg, map, k);
     if constexpr (kCount && W::kDrainEveryStep) drain();
   }
   if constexpr (kCount && !W::kDrainEveryStep) drain();
@@ -404,20 +458,49 @@ static inline void quantize_scalar(const QuantizePass<T>& a, std::size_t v0) {
   }
 }
 
+/// Calls run.template operator()<kDeg>() once: kDeg = deg when deg is in
+/// kSpecializedDegrees, else kDeg = 0, the run-time-degree body. A policy
+/// with kDegreeBodies = false always gets kDeg = 0: the portable tier's
+/// lanes are arrays in memory, and GCC's alias analysis over an unrolled
+/// body of them took minutes per degree to compile (the whole list: 4 s ->
+/// 120 s at -O2, over 20 minutes with ASan) for a few percent.
+template <class Ops, class Run>
+inline void with_degree(std::uint32_t deg, Run&& run) {
+  if constexpr (requires { Ops::kDegreeBodies; }) {
+    if constexpr (!Ops::kDegreeBodies) {
+      run.template operator()<0>();
+      return;
+    }
+  }
+  [&]<std::size_t... I>(std::index_sequence<I...>) {
+    const bool specialized =
+        ((deg == kSpecializedDegrees[I] &&
+          (run.template operator()<kSpecializedDegrees[I]>(), true)) ||
+         ...);
+    if (!specialized) run.template operator()<0>();
+  }(std::make_index_sequence<kSpecializedDegrees.size()>{});
+}
+
+// Counted passes serve tests and diagnostics, so they stay on the run-time
+// body: instantiating them per degree would double the kernels' code size.
 template <class Ops, class MapArgs>
 void zlane_entry(const ZLanePass<typename Ops::T, MapArgs>& a) {
   if (a.count_clips)
-    zlane_pass<Ops, true>(a);
+    zlane_pass<Ops, true, 0>(a);
   else
-    zlane_pass<Ops, false>(a);
+    with_degree<Ops>(a.deg, [&]<std::uint32_t kDeg>() {
+      zlane_pass<Ops, false, kDeg>(a);
+    });
 }
 
 template <class Ops, class MapArgs>
 void batch_entry(const BatchPass<typename Ops::T, MapArgs>& a) {
   if (a.count_clips)
-    batch_pass<Ops, true>(a);
+    batch_pass<Ops, true, 0>(a);
   else
-    batch_pass<Ops, false>(a);
+    with_degree<Ops>(a.deg, [&]<std::uint32_t kDeg>() {
+      batch_pass<Ops, false, kDeg>(a);
+    });
 }
 
 /// The four passes of one family from its lane policy.
