@@ -1,6 +1,7 @@
 #include "core/simd/simd_decoder.hpp"
 
 #include <algorithm>
+#include <array>
 #include <bit>
 #include <chrono>
 #include <cmath>
@@ -10,14 +11,6 @@
 #include "util/check.hpp"
 
 namespace ldpc::simd {
-namespace {
-
-/// Refill staging slots per batched decoder: one write pass over P covers
-/// a typical iteration tail's refills (about F / mean iterations); a first
-/// fill of all F lanes takes F / kTileSlots passes.
-constexpr std::uint32_t kTileSlots = 16;
-
-}  // namespace
 
 // ------------------------------------------------------------ families ----
 
@@ -383,8 +376,6 @@ BatchDecoder<Family>::BatchDecoder(std::unique_ptr<ZLaneDecoder<Family>> single)
   q_.resize(std::max<std::size_t>(max_deg, 1) * lanes_);
   active_.assign(lanes_, T{0});
   r_keep_.assign(lanes_, T{-1});
-  fresh_.resize(std::min(lanes_, kTileSlots));
-  tile_.resize(fresh_.size() * code_.n());
   hard_.resize((code_.n() + 63) / 64);
   plane_.resize(hard_.size() * 64);
   unsat_.resize(z_);
@@ -448,31 +439,6 @@ void BatchDecoder<Family>::decode_on_twin(FrameSource& source,
 }
 
 template <class Family>
-void BatchDecoder<Family>::write_fresh(std::uint32_t count) {
-  // One pass over P in blocks of kRows rows: while a block's lines sit in
-  // L1, every fresh lane stores its codes down them. A walk down each
-  // lane's column instead touched all n lines of P once per lane.
-  constexpr std::size_t kRows = 64;
-  const std::size_t n = code_.n();
-  const std::size_t stride = lanes_;
-  T* const p = p_.data();
-  const T* const tile = tile_.data();
-  for (std::size_t v0 = 0; v0 < n; v0 += kRows) {
-    const std::size_t rows = std::min(kRows, n - v0);
-    // Fetch the next block's lines while this one is written: a store
-    // that misses L1 holds up the stores queued behind it.
-    for (std::size_t v = v0 + kRows; v < std::min(v0 + 2 * kRows, n); ++v)
-      __builtin_prefetch(p + v * stride, 1);
-    for (std::uint32_t k = 0; k < count; ++k) {
-      T* const dst = p + v0 * stride + fresh_[k];
-      const T* const src = tile + k * n + v0;
-#pragma GCC unroll 8
-      for (std::size_t i = 0; i < rows; ++i) dst[i * stride] = src[i];
-    }
-  }
-}
-
-template <class Family>
 void BatchDecoder<Family>::read_plane() {
   Family::kernels(kernels_).signs(
       {p_.data(), code_.n(), lanes_, plane_.data()});
@@ -533,11 +499,30 @@ void BatchDecoder<Family>::run_stream(FrameSource& source) {
   const bool et = options_.early_termination;
   const bool wd = options_.watchdog.enabled();
 
-  // Take the source's next frame into free lane f: quantized into the next
-  // tile_ slot now, written into P by write_fresh when the tile is full or
-  // the refill loop ends. The lane's R column is NOT zero-filled — r_keep_
-  // masks its reads for the frame's first iteration instead.
-  std::uint32_t fresh = 0;
+  // Frames taken and not yet in P. The refill pass quantizes each taken
+  // frame straight into its lane of P, in one pass over the rows: when
+  // min(F, kRefillSlots) frames are taken, and after each refill loop. A
+  // frame's LLRs stay readable until its lane finishes (the FrameSource
+  // contract), so a slot keeps only the pointer.
+  RefillPass<T> refill{};
+  refill.n = n;
+  refill.p = p_.data();
+  refill.grid = family.grid();
+  std::array<long long, kRefillSlots> clips{};
+  if (options_.count_saturation) refill.clips = clips.data();
+  const std::uint32_t slots = std::min(lanes_, kRefillSlots);
+  const auto run_refill = [&] {
+    if (refill.count == 0) return;
+    clips.fill(0);
+    kernels.refill(refill);
+    for (std::uint32_t k = 0; k < refill.count; ++k)
+      lane_[refill.lane[k]].quantizer_clips = clips[k];
+    refill.count = 0;
+  };
+
+  // Take the source's next frame into free lane f. The lane's R column is
+  // NOT zero-filled — r_keep_ masks its reads for the frame's first
+  // iteration instead.
   const auto load_lane = [&](std::uint32_t f, const StreamFrame& frame) {
     LDPC_CHECK(frame.frame.llr.size() == n);
     Lane& lane = lane_[f];
@@ -546,15 +531,9 @@ void BatchDecoder<Family>::run_stream(FrameSource& source) {
     lane.iter = 0;
     lane.watchdog = WatchdogState(options_.watchdog);
     lane.cancel = frame.frame.cancel;
-    lane.quantizer_clips = 0;
-    family.quantize(kernels_, frame.frame.llr, tile_.data() + fresh * n,
-                    options_.count_saturation ? &lane.quantizer_clips
-                                              : nullptr);
-    fresh_[fresh++] = f;
-    if (fresh == fresh_.size()) {
-      write_fresh(fresh);
-      fresh = 0;
-    }
+    refill.llr[refill.count] = frame.frame.llr.data();
+    refill.lane[refill.count++] = f;
+    if (refill.count == slots) run_refill();
     q_clips_[f] = 0;
     r_clips_[f] = 0;
     p_clips_[f] = 0;
@@ -611,14 +590,13 @@ void BatchDecoder<Family>::run_stream(FrameSource& source) {
 
     // Refill: idle lanes take the source's next frames, so lanes stay full
     // while their neighbours are still iterating.
-    fresh = 0;
     for (std::uint32_t f = 0; f < lanes_; ++f) {
       if (lane_[f].live) continue;
       const std::optional<StreamFrame> frame = source.next();
       if (!frame) break;
       load_lane(f, *frame);
     }
-    if (fresh != 0) write_fresh(fresh);
+    run_refill();
     if (live == 0) continue;  // every ready frame resolved without a lane
 
     bool at_budget = false;  // a lane runs its last permitted iteration

@@ -86,6 +86,8 @@ class Fixed16 {
   /// rail clips.
   void quantize(const KernelSet& kernels, std::span<const float> llr, T* out,
                 long long* clips) const;
+  /// The channel quantizer's grid: the format's, on its own rails.
+  QuantizeGrid<T> grid() const { return quantize_grid(format_, lo(), hi()); }
   static const ShapeKernels<T, Map>& kernels(const KernelSet& k) {
     return k.fixed16;
   }
@@ -138,6 +140,10 @@ class Fa8 {
   bool wide() const { return false; }
   void quantize(const KernelSet& kernels, std::span<const float> llr, T* out,
                 long long* clips) const;
+  /// The posterior format's grid on the symmetric rail.
+  QuantizeGrid<T> grid() const {
+    return quantize_grid(posterior(), lo(), hi());
+  }
   static const ShapeKernels<T, Map>& kernels(const KernelSet& k) {
     return k.fa8;
   }
@@ -305,9 +311,6 @@ class BatchDecoder : public Decoder {
   /// The lane state machine: refill free lanes from `source`, iterate, and
   /// hand each frame to source.done() the iteration it finishes.
   void run_stream(FrameSource& source);
-  /// Load lanes fresh_[0 .. count) from their tile_ slots: one row-major
-  /// pass over P.
-  void write_fresh(std::uint32_t count);
   /// Read the sign plane from P: one pass over the n posterior rows.
   void read_plane();
   /// The parity probe over the sign plane: the mask of lanes with an
@@ -335,9 +338,6 @@ class BatchDecoder : public Decoder {
   AlignedVec<T> active_;  ///< F lane mask (-1 live, 0 idle)
   AlignedVec<T> r_keep_;  ///< F lane mask (0 = first iteration, R reads
                           ///< as 0 — see BatchPass::r_keep)
-  AlignedVec<T> tile_;    ///< staging slots of n quantized codes: frames
-                          ///< taken and not yet in P (write_fresh)
-  std::vector<std::uint32_t> fresh_;  ///< lane of each tile_ slot
   /// The sign plane: bit f of plane_[v] = (P[v][f] < 0), n rows rounded up
   /// to 64 (the tail rows stay zero).
   std::vector<std::uint64_t> plane_;

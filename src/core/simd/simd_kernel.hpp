@@ -19,6 +19,12 @@
 //            finite-alphabet staircase map — bit-identical to
 //            LayeredMinSumFaDecoder
 //
+// Besides the two row-update passes, each family has three data-movement
+// passes: the sign pass (hard decisions and the batched sign plane), the
+// channel quantizer (the z-lane decoder's frame setup) and the batched
+// refill, which quantizes the frames taken into freed lanes straight into
+// their lanes of P, one pass over the rows per refill round.
+//
 // Every tier compiles the same body over its own LaneOps policies and
 // publishes the result as one KernelSet (see kernels_for below):
 //   kAvx512    32 int16 / 64 int8 lanes, compiled only on x86-64 with
@@ -274,8 +280,8 @@ struct LaneBitsPass {
   std::uint64_t* out;  ///< `words` words
 };
 
-/// The channel quantizer, a pass of both families: contiguous float LLRs
-/// -> contiguous T codes on the grid of a FixedFormat, clamped to [lo, hi]:
+/// The channel quantizer's grid, shared by the quantize and refill passes:
+/// float LLRs -> T codes on the grid of a FixedFormat, clamped to [lo, hi]:
 /// the format's own rails for Fixed16 (bit-identical to the uncounted
 /// FixedFormat::quantize) and +-kFaRail for Fa8 (to fa_quantize). Every
 /// tier runs one float pipeline and narrows per width:
@@ -290,42 +296,74 @@ struct LaneBitsPass {
 /// as the exact sum does: truncation is round-half-away either way. Below
 /// 0.5 the sum can round up to 1.0 (s = nextafter(0.5, 0)); those lanes,
 /// and NaN, whose ordered compare is false, take code 0 instead. No double
-/// arithmetic is needed. Frame setup is a measurable slice of batched
-/// decode time, hence a dispatched kernel rather than a loop the
-/// autovectorizer may miss.
+/// arithmetic is needed. The truncated sum is also the scalar quantizers'
+/// code before their rail clamp (they pre-limit to the same rails +-1), so
+/// a counted pass counts a clip exactly where it lies outside [lo, hi].
+template <class T>
+struct QuantizeGrid {
+  float fscale;  ///< 1 << frac_bits
+  float fhi;     ///< max_code() + 1 (pre-limit, not the rail)
+  float flo;     ///< min_code() - 1
+  T lo;          ///< lower rail
+  T hi;          ///< upper rail
+};
+
+/// The grid of `fmt` with rails [lo, hi].
+template <class T>
+QuantizeGrid<T> quantize_grid(const FixedFormat& fmt, T lo, T hi) {
+  return {static_cast<float>(1 << fmt.frac_bits),
+          static_cast<float>(fmt.max_code()) + 1.0F,
+          static_cast<float>(fmt.min_code()) - 1.0F, lo, hi};
+}
+
+/// The channel quantize pass: contiguous float LLRs -> contiguous codes
+/// (the z-lane decoder's frame setup).
 template <class T>
 struct QuantizePass {
-  const float* llr;   ///< n channel LLRs
-  T* out;             ///< n codes, contiguous
+  const float* llr;  ///< n channel LLRs
+  T* out;            ///< n codes, contiguous
   std::size_t n;
-  float fscale;       ///< 1 << frac_bits
-  float fhi;          ///< max_code() + 1 (pre-limit, not the rail)
-  float flo;          ///< min_code() - 1
-  T lo;               ///< lower rail
-  T hi;               ///< upper rail
+  QuantizeGrid<T> grid;
 };
 
 /// The quantize pass of `fmt`'s grid with rails [lo, hi].
 template <class T>
 QuantizePass<T> quantize_pass(const FixedFormat& fmt, T lo, T hi,
                               std::span<const float> llr, T* out) {
-  return {llr.data(),
-          out,
-          llr.size(),
-          static_cast<float>(1 << fmt.frac_bits),
-          static_cast<float>(fmt.max_code()) + 1.0F,
-          static_cast<float>(fmt.min_code()) - 1.0F,
-          lo,
-          hi};
+  return {llr.data(), out, llr.size(), quantize_grid(fmt, lo, hi)};
 }
 
-/// The four passes one family runs on one tier.
+/// Frames one refill pass loads: the batched decoder takes freed lanes'
+/// frames in rounds of at most this many.
+inline constexpr std::uint32_t kRefillSlots = 16;
+
+/// The batched decoder's refill: quantize `count` taken frames straight
+/// into their lanes of P, in one pass over its rows. For each block of
+/// rows every slot's LLRs are quantized on `grid`, and the codes land in
+/// P[v * F + lane[k]]; no other lane and no row past n is written. An
+/// uncounted pass uses the tier's vector quantizer and, where the tier has
+/// one, a transposing placement step that writes each P row with one
+/// masked vector store; a counted pass runs the scalar quantizer and adds
+/// slot k's rail clips to clips[k].
+template <class T>
+struct RefillPass {
+  const float* llr[kRefillSlots];    ///< slot k's n channel LLRs
+  std::uint32_t lane[kRefillSlots];  ///< slot k's lane (< F), distinct
+  std::uint32_t count;               ///< slots taken, <= kRefillSlots
+  std::size_t n;                     ///< code length (P rows)
+  T* p;                              ///< n rows * F lanes posteriors
+  QuantizeGrid<T> grid;
+  long long* clips;  ///< count per-slot clip counters (counted pass), or null
+};
+
+/// The five passes one family runs on one tier.
 template <class T, class Map>
 struct ShapeKernels {
   void (*zlane)(const ZLanePass<T, Map>&);
   void (*batch)(const BatchPass<T, Map>&);
   void (*signs)(const SignPass<T>&);
   void (*quantize)(const QuantizePass<T>&);
+  void (*refill)(const RefillPass<T>&);
 };
 
 /// Every kernel of one tier: each family's passes, and the sign-plane lane

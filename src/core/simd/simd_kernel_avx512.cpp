@@ -19,6 +19,49 @@
 namespace ldpc::simd {
 namespace {
 
+using detail::bit_reverse;
+using detail::unpack_round;
+using detail::unrolled;
+
+// GCC 12's unmasked AVX-512 float intrinsics expand through
+// _mm512_undefined_ps() merge operands, tripping -Wmaybe-uninitialized
+// (GCC PR 105593). The operands are dead — full-mask forms ignore them.
+#pragma GCC diagnostic push
+#pragma GCC diagnostic ignored "-Wmaybe-uninitialized"
+
+/// The channel quantizer's step (QuantizeGrid): 16 LLRs per step, one
+/// 16-wide float pipeline and the rail clamp on int32. Float bit-ops go
+/// through integer casts — _mm512_and_ps is AVX-512DQ, which this build
+/// does not assume (only F + BW).
+template <class T>
+struct Avx512Quantizer {
+  explicit Avx512Quantizer(const QuantizeGrid<T>& g)
+      : scale(_mm512_set1_ps(g.fscale)),
+        fhi(_mm512_set1_ps(g.fhi)),
+        flo(_mm512_set1_ps(g.flo)),
+        half(_mm512_set1_ps(0.5F)),
+        sign(_mm512_castps_si512(_mm512_set1_ps(-0.0F))),
+        hi(_mm512_set1_epi32(g.hi)),
+        lo(_mm512_set1_epi32(g.lo)) {}
+
+  /// 16 LLRs -> 16 railed int32 codes.
+  __m512i step(__m512 llr) const {
+    __m512 s = _mm512_mul_ps(llr, scale);
+    // NaN and |s| < 0.5 -> 0 (the ordered compare is false for NaN).
+    s = _mm512_maskz_mov_ps(
+        _mm512_cmp_ps_mask(_mm512_abs_ps(s), half, _CMP_GE_OQ), s);
+    s = _mm512_min_ps(_mm512_max_ps(s, flo), fhi);
+    const __m512 away = _mm512_castsi512_ps(_mm512_or_si512(
+        _mm512_castps_si512(half),
+        _mm512_and_si512(_mm512_castps_si512(s), sign)));
+    const __m512i t = _mm512_cvttps_epi32(_mm512_add_ps(s, away));
+    return _mm512_max_epi32(_mm512_min_epi32(t, hi), lo);
+  }
+
+  __m512 scale, fhi, flo, half;
+  __m512i sign, hi, lo;
+};
+
 /// Width-independent half of the AVX-512 policies.
 template <class T_>
 struct Avx512Base {
@@ -34,7 +77,32 @@ struct Avx512Base {
   static Vec xor_(Vec a, Vec b) { return _mm512_xor_si512(a, b); }
   static Vec or_(Vec a, Vec b) { return _mm512_or_si512(a, b); }
   static Vec and_(Vec a, Vec b) { return _mm512_and_si512(a, b); }
-  static void quantize(const QuantizePass<T>& a);  // below
+  static void quantize(const QuantizePass<T>& a) {
+    // One quantizer step per 16 LLRs, then one narrowing move: vpmovdw
+    // (int16) or vpmovdb (int8).
+    const Avx512Quantizer<T> q(a.grid);
+    std::size_t v = 0;
+    for (; v + 16 <= a.n; v += 16) {
+      const __m512i t = q.step(_mm512_loadu_ps(a.llr + v));
+      if constexpr (sizeof(T) == 1)
+        _mm_storeu_si128(reinterpret_cast<__m128i*>(a.out + v),
+                         _mm512_cvtepi32_epi8(t));
+      else
+        _mm256_storeu_si256(reinterpret_cast<__m256i*>(a.out + v),
+                            _mm512_cvtepi32_epi16(t));
+    }
+    detail::quantize_scalar(a, v);
+  }
+  /// Quantizer step over rows [first, first + 16) of a block of `rows`
+  /// LLRs: rows past the block are not loaded (a masked load) and code 0.
+  static __m512i quantize_rows(const Avx512Quantizer<T>& q, const float* llr,
+                               std::uint32_t first, std::uint32_t rows) {
+    if (first >= rows) return zero();
+    const std::uint32_t left = rows - first;
+    const auto live = static_cast<__mmask16>(left >= 16 ? 0xFFFFU
+                                                        : (1U << left) - 1);
+    return q.step(_mm512_maskz_loadu_ps(live, llr + first));
+  }
   static void lane_bits(const LaneBitsPass& a) {
     // vptestmq: bit `lane` of 8 plane rows per instruction.
     const __m512i sel =
@@ -50,6 +118,22 @@ struct Avx512Base {
     }
   }
 };
+
+/// Transposes kN vectors of kN-element 128-bit lanes (16 of bytes or 8 of
+/// words) in every lane: unpack_round at each element width up to 64 bits.
+template <std::uint32_t kN>
+void transpose_lanes(__m512i (&x)[kN]) {
+  using V = __m512i;
+  if constexpr (kN == 16)
+    unpack_round(x, [](V a, V b) { return _mm512_unpacklo_epi8(a, b); },
+                 [](V a, V b) { return _mm512_unpackhi_epi8(a, b); });
+  unpack_round(x, [](V a, V b) { return _mm512_unpacklo_epi16(a, b); },
+               [](V a, V b) { return _mm512_unpackhi_epi16(a, b); });
+  unpack_round(x, [](V a, V b) { return _mm512_unpacklo_epi32(a, b); },
+               [](V a, V b) { return _mm512_unpackhi_epi32(a, b); });
+  unpack_round(x, [](V a, V b) { return _mm512_unpacklo_epi64(a, b); },
+               [](V a, V b) { return _mm512_unpackhi_epi64(a, b); });
+}
 
 struct Avx512Ops16 : Avx512Base<std::int16_t> {
   static constexpr int kLanes = 32;
@@ -77,6 +161,64 @@ struct Avx512Ops16 : Avx512Base<std::int16_t> {
   }
   static Vec mullo(Vec a, Vec b) { return _mm512_mullo_epi16(a, b); }
   static Vec mulhi(Vec a, Vec b) { return _mm512_mulhi_epi16(a, b); }
+
+  /// Refill placement (refill_pass), 32-row blocks: slots 0-7 and 8-15
+  /// each run an 8 x 8 word transpose in every 128-bit lane, which leaves
+  /// row 8L + c of both groups in lane L of their registers
+  /// bit_reverse<8>(c); one vpermt2w per row gathers each fresh lane's
+  /// word from the two, and vmovdqu16 stores it under the fresh mask.
+  struct Refill {
+    explicit Refill(const RefillPass<T>& a) : quant(a.grid) {
+      // vpermt2w index of lane f in lane group L: slot s < 8 is word
+      // 8L + s of the first table, slot s >= 8 word 8L + s - 8 of the
+      // second (index 32 + ...).
+      alignas(64) std::int16_t index[kLanes] = {};
+      std::uint32_t lanes = 0;
+      for (std::uint32_t k = 0; k < a.count; ++k) {
+        index[a.lane[k]] = static_cast<std::int16_t>(k < 8 ? k : k + 24);
+        lanes |= 1U << a.lane[k];
+      }
+      const Vec base = _mm512_load_si512(index);
+      unrolled<4>([&](auto l) {
+        control[l] = _mm512_add_epi16(base, _mm512_set1_epi16(8 * l));
+      });
+      fresh = lanes;
+      second_group = a.count > 8;
+    }
+
+    Vec codes(const float* llr, std::uint32_t rows) const {
+      const __m256i lo =
+          _mm512_cvtepi32_epi16(quantize_rows(quant, llr, 0, rows));
+      const __m256i hi =
+          _mm512_cvtepi32_epi16(quantize_rows(quant, llr, 16, rows));
+      return _mm512_inserti64x4(_mm512_castsi256_si512(lo), hi, 1);
+    }
+
+    void place(const Vec (&codes)[kRefillSlots], T* p,
+               std::uint32_t rows) const {
+      Vec g0[8];
+      Vec g1[8];
+      unrolled<8>([&](auto i) {
+        g0[i] = codes[i];
+        g1[i] = codes[i + 8];
+      });
+      transpose_lanes(g0);
+      // Slots past the count are zero: with 8 or fewer, g1 stays zero.
+      if (second_group) transpose_lanes(g1);
+      unrolled<kLanes>([&](auto row) {
+        constexpr std::uint32_t c = bit_reverse<8>(row % 8);
+        if (row < rows)
+          _mm512_mask_storeu_epi16(
+              p + row * kLanes, fresh,
+              _mm512_permutex2var_epi16(g0[c], control[row / 8], g1[c]));
+      });
+    }
+
+    Avx512Quantizer<T> quant;
+    Vec control[4];
+    __mmask32 fresh;
+    bool second_group;
+  };
 };
 
 struct Avx512Ops8 : Avx512Base<std::int8_t> {
@@ -105,49 +247,57 @@ struct Avx512Ops8 : Avx512Base<std::int8_t> {
     // for byte.
     return _mm512_mask_add_epi8(s, cmpgt(mag, thr), s, delta);
   }
+
+  /// Refill placement (refill_pass), 64-row blocks: a 16 x 16 byte
+  /// transpose in every 128-bit lane leaves row 16L + c of the block in
+  /// lane L of register bit_reverse<16>(c). Each P row is then three
+  /// instructions: vshufi32x4 broadcasts the lane, vpshufb puts each
+  /// fresh lane's slot byte in place, and vmovdqu8 stores under the fresh
+  /// mask.
+  struct Refill {
+    explicit Refill(const RefillPass<T>& a) : quant(a.grid) {
+      alignas(64) std::int8_t slot_of[kLanes] = {};  // byte f: lane f's slot
+      std::uint64_t lanes = 0;
+      for (std::uint32_t k = 0; k < a.count; ++k) {
+        slot_of[a.lane[k]] = static_cast<std::int8_t>(k);
+        lanes |= std::uint64_t{1} << a.lane[k];
+      }
+      control = _mm512_load_si512(slot_of);
+      fresh = lanes;
+    }
+
+    Vec codes(const float* llr, std::uint32_t rows) const {
+      Vec v = zero();
+      unrolled<4>([&](auto i) {
+        v = _mm512_inserti32x4(
+            v, _mm512_cvtepi32_epi8(quantize_rows(quant, llr, 16 * i, rows)),
+            i);
+      });
+      return v;
+    }
+
+    void place(const Vec (&codes)[kRefillSlots], T* p,
+               std::uint32_t rows) const {
+      Vec t[kRefillSlots];
+      unrolled<kRefillSlots>([&](auto i) { t[i] = codes[i]; });
+      transpose_lanes(t);
+      unrolled<kLanes>([&](auto row) {
+        constexpr std::uint32_t c = bit_reverse<16>(row % 16);
+        constexpr int lane = (row / 16) * 0x55;
+        if (row < rows)
+          _mm512_mask_storeu_epi8(
+              p + row * kLanes, fresh,
+              _mm512_shuffle_epi8(_mm512_shuffle_i32x4(t[c], t[c], lane),
+                                  control));
+      });
+    }
+
+    Avx512Quantizer<T> quant;
+    Vec control;
+    __mmask64 fresh;
+  };
 };
 
-// GCC 12's unmasked AVX-512 float intrinsics expand through
-// _mm512_undefined_ps() merge operands, tripping -Wmaybe-uninitialized
-// (GCC PR 105593). The operands are dead — full-mask forms ignore them.
-#pragma GCC diagnostic push
-#pragma GCC diagnostic ignored "-Wmaybe-uninitialized"
-template <class T_>
-void Avx512Base<T_>::quantize(const QuantizePass<T>& a) {
-  // 16 LLRs per step: one 16-wide float pipeline, the rail clamp on int32,
-  // then one narrowing move, vpmovdw (int16) or vpmovdb (int8). Float
-  // bit-ops go through integer casts — _mm512_and_ps is AVX-512DQ, which
-  // this build does not assume (only F + BW).
-  const __m512 vscale = _mm512_set1_ps(a.fscale);
-  const __m512 vhi = _mm512_set1_ps(a.fhi);
-  const __m512 vlo = _mm512_set1_ps(a.flo);
-  const __m512 vhalf_ps = _mm512_set1_ps(0.5F);
-  const __m512i vhalf = _mm512_castps_si512(vhalf_ps);
-  const __m512i vsign = _mm512_castps_si512(_mm512_set1_ps(-0.0F));
-  const __m512i vrail_hi = _mm512_set1_epi32(a.hi);
-  const __m512i vrail_lo = _mm512_set1_epi32(a.lo);
-  std::size_t v = 0;
-  for (; v + 16 <= a.n; v += 16) {
-    __m512 s = _mm512_mul_ps(_mm512_loadu_ps(a.llr + v), vscale);
-    // NaN and |s| < 0.5 -> 0 (the ordered compare is false for NaN).
-    const __mmask16 keep =
-        _mm512_cmp_ps_mask(_mm512_abs_ps(s), vhalf_ps, _CMP_GE_OQ);
-    s = _mm512_maskz_mov_ps(keep, s);
-    s = _mm512_min_ps(_mm512_max_ps(s, vlo), vhi);
-    const __m512i si = _mm512_castps_si512(s);
-    const __m512 half = _mm512_castsi512_ps(
-        _mm512_or_si512(vhalf, _mm512_and_si512(si, vsign)));
-    __m512i t = _mm512_cvttps_epi32(_mm512_add_ps(s, half));
-    t = _mm512_max_epi32(_mm512_min_epi32(t, vrail_hi), vrail_lo);
-    if constexpr (sizeof(T) == 1)
-      _mm_storeu_si128(reinterpret_cast<__m128i*>(a.out + v),
-                       _mm512_cvtepi32_epi8(t));
-    else
-      _mm256_storeu_si256(reinterpret_cast<__m256i*>(a.out + v),
-                          _mm512_cvtepi32_epi16(t));
-  }
-  detail::quantize_scalar(a, v);
-}
 #pragma GCC diagnostic pop
 
 }  // namespace

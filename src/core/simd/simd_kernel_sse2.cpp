@@ -104,13 +104,14 @@ void Sse2Base<T_>::quantize(const QuantizePass<T>& a) {
   // saturating packs (harmless: |s| <= 2^15 + 1 and the rails fit int16),
   // clamped to the rails on int16 (SSE2 has no epi32 min/max), then stored
   // or packed once more to int8. copysign(0.5, s) = 0.5 | signbit.
-  const __m128 vscale = _mm_set1_ps(a.fscale);
-  const __m128 vhi = _mm_set1_ps(a.fhi);
-  const __m128 vlo = _mm_set1_ps(a.flo);
+  const QuantizeGrid<T> g = a.grid;
+  const __m128 vscale = _mm_set1_ps(g.fscale);
+  const __m128 vhi = _mm_set1_ps(g.fhi);
+  const __m128 vlo = _mm_set1_ps(g.flo);
   const __m128 vhalf = _mm_set1_ps(0.5F);
   const __m128 vsign = _mm_set1_ps(-0.0F);
-  const __m128i vrail_hi = _mm_set1_epi16(a.hi);
-  const __m128i vrail_lo = _mm_set1_epi16(a.lo);
+  const __m128i vrail_hi = _mm_set1_epi16(g.hi);
+  const __m128i vrail_lo = _mm_set1_epi16(g.lo);
   const auto quant4 = [&](std::size_t v) {
     __m128 s = _mm_mul_ps(_mm_loadu_ps(a.llr + v), vscale);
     // NaN and |s| < 0.5 -> 0 (the ordered compare is false for NaN).

@@ -30,6 +30,14 @@
 //   sign_bits         bit i = (lane i < 0), kLanes (<= 64) bits
 //   quantize          the channel quantizer (QuantizePass): one float
 //                     pipeline per tier, narrowed to T
+//   Refill            optional placement step of the refill pass
+//                     (refill_pass): Refill(pass) builds the round's lane
+//                     control; codes(llr, rows) quantizes rows
+//                     [0, rows <= kLanes) of one frame into a Vec with
+//                     the tier's quantizer step; place(codes, p, rows)
+//                     writes each of the block's P rows once, under the
+//                     mask of the taken lanes. Without it, the pass
+//                     stores down each taken lane's column
 //   lane_bits         one lane's hard bits from a sign plane
 //                     (LaneBitsPass), width-independent
 //
@@ -45,9 +53,11 @@
 // degree, every counted pass and every pass of the portable tier.
 #pragma once
 
+#include <algorithm>
 #include <cmath>
 #include <cstdint>
 #include <limits>
+#include <type_traits>
 #include <utility>
 
 #include "core/simd/simd_kernel.hpp"
@@ -290,6 +300,15 @@ struct BatchRow {
   V live() const { return active; }
 };
 
+/// Calls body(i) for i = 0 .. kN - 1, each i a std::integral_constant: an
+/// unrolled loop whose locals indexed by i can live in registers.
+template <std::uint32_t kN, class Body>
+inline void unrolled(Body&& body) {
+  [&]<std::uint32_t... I>(std::integer_sequence<std::uint32_t, I...>) {
+    (body(std::integral_constant<std::uint32_t, I>{}), ...);
+  }(std::make_integer_sequence<std::uint32_t, kN>{});
+}
+
 /// Runs body(j) for every edge j of a row: a loop over the run-time degree
 /// when kDeg is 0, else kDeg calls with constant j, so per-edge locals
 /// indexed by j can live in registers.
@@ -298,9 +317,7 @@ inline void for_each_edge(std::uint32_t deg, Body&& body) {
   if constexpr (kDeg == 0) {
     for (std::uint32_t j = 0; j < deg; ++j) body(j);
   } else {
-    [&]<std::uint32_t... J>(std::integer_sequence<std::uint32_t, J...>) {
-      (body(J), ...);
-    }(std::make_integer_sequence<std::uint32_t, kDeg>{});
+    unrolled<kDeg>(body);
   }
 }
 
@@ -442,19 +459,135 @@ template <class Ops>
   }
 }
 
-/// Scalar body of the channel quantizer (see QuantizePass), for both
-/// widths: the portable tier's whole pass and the vector tiers' tail loop.
-/// `static`: every tier TU gets its own copy, compiled for that TU's ISA.
-template <class T>
-static inline void quantize_scalar(const QuantizePass<T>& a, std::size_t v0) {
+/// Scalar body of the channel quantizer (see QuantizeGrid), for both
+/// widths: the portable tier's whole pass, the vector tiers' tail loop and
+/// every counted refill. Returns the codes that lay outside [lo, hi] before
+/// the rail clamp when kCount (the counted scalar quantizers' clips), else
+/// 0. `static`: every tier TU gets its own copy, compiled for that TU's
+/// ISA.
+template <bool kCount = false, class T>
+static inline long long quantize_scalar(const QuantizePass<T>& a,
+                                        std::size_t v0) {
+  const QuantizeGrid<T> g = a.grid;
+  long long clips = 0;
   for (std::size_t v = v0; v < a.n; ++v) {
-    float s = a.llr[v] * a.fscale;
+    float s = a.llr[v] * g.fscale;
     s = std::fabs(s) >= 0.5F ? s : 0.0F;  // NaN and |s| < 0.5 code 0
-    s = s > a.fhi ? a.fhi : s;
-    s = s < a.flo ? a.flo : s;
+    s = s > g.fhi ? g.fhi : s;
+    s = s < g.flo ? g.flo : s;
     const std::int32_t t =
         static_cast<std::int32_t>(s + std::copysign(0.5F, s));
-    a.out[v] = static_cast<T>(t > a.hi ? a.hi : (t < a.lo ? a.lo : t));
+    if constexpr (kCount) clips += t > g.hi || t < g.lo ? 1 : 0;
+    a.out[v] = static_cast<T>(t > g.hi ? g.hi : (t < g.lo ? g.lo : t));
+  }
+  return clips;
+}
+
+/// Prefetches `count` elements from `first` on, one request per cache
+/// line; kWrite = 1 fetches them for writing.
+template <int kWrite, class T>
+inline void prefetch_span(const T* first, std::size_t count) {
+  const char* c = reinterpret_cast<const char*>(first);
+  for (const char* const end = c + count * sizeof(T); c < end; c += 64)
+    __builtin_prefetch(c, kWrite);
+}
+
+/// Refill by column (RefillPass): in blocks of 64 rows, quantize each
+/// slot's block into a stack buffer, then store the codes down the slot's
+/// lane. The block's P lines stay in L1 while every slot writes them; the
+/// next block's P lines and LLRs are fetched meanwhile. A counted pass
+/// quantizes with the scalar body and counts each slot's clips.
+template <class Ops, bool kCount>
+inline void refill_columns(const RefillPass<typename Ops::T>& a) {
+  using T = typename Ops::T;
+  constexpr std::size_t kF = Ops::kLanes;
+  constexpr std::size_t kRows = 64;
+  T* const p = a.p;
+  const std::size_t n = a.n;
+  const QuantizeGrid<T> grid = a.grid;
+  T codes[kRows];
+  for (std::size_t v0 = 0; v0 < n; v0 += kRows) {
+    const std::size_t rows = std::min(kRows, n - v0);
+    const std::size_t next = std::min(kRows, n - v0 - rows);
+    prefetch_span<1>(p + (v0 + rows) * kF, next * kF);
+    for (std::uint32_t k = 0; k < a.count; ++k) {
+      prefetch_span<0>(a.llr[k] + v0 + rows, next);
+      const QuantizePass<T> q{a.llr[k] + v0, codes, rows, grid};
+      if constexpr (kCount)
+        a.clips[k] += quantize_scalar<true>(q, 0);
+      else
+        Ops::quantize(q);
+      T* const dst = p + v0 * kF + a.lane[k];
+#pragma GCC unroll 8
+      for (std::size_t i = 0; i < rows; ++i) dst[i * kF] = codes[i];
+    }
+  }
+}
+
+/// One round of an in-register transpose within each 128-bit lane: x[i]
+/// becomes lo(x[2i], x[2i + 1]) and x[i + kN / 2] hi(x[2i], x[2i + 1]),
+/// where lo / hi interleave the low / high halves of two vectors at one
+/// element width. log2(kN) rounds at widths 1, 2, 4, ... elements
+/// transpose kN vectors of kN-element lanes: element r of a lane of x[k]
+/// ends up as element k of the same lane of x[bit_reverse<kN>(r)].
+template <std::uint32_t kN, class V, class Lo, class Hi>
+inline void unpack_round(V (&x)[kN], Lo lo, Hi hi) {
+  V y[kN];
+  unrolled<kN / 2>([&](auto i) {
+    y[i] = lo(x[2 * i], x[2 * i + 1]);
+    y[i + kN / 2] = hi(x[2 * i], x[2 * i + 1]);
+  });
+  unrolled<kN>([&](auto i) { x[i] = y[i]; });
+}
+
+/// i with its log2(kN) low bits reversed.
+template <std::uint32_t kN>
+constexpr std::uint32_t bit_reverse(std::uint32_t i) {
+  std::uint32_t r = 0;
+  for (std::uint32_t b = 1; b < kN; b <<= 1, i >>= 1) r = (r << 1) | (i & 1U);
+  return r;
+}
+
+/// The refill pass (RefillPass). A policy with a placement step,
+/// Ops::Refill, refills by row: per block of kLanes rows it quantizes each
+/// taken slot's rows into one Vec (Refill::codes, the tier's quantizer
+/// step), and Refill::place transposes the slots into rows in registers
+/// and writes each P row once, under the mask of the taken lanes. Slots
+/// past `count` are zero and land nowhere. Each slot's next block of
+/// LLRs is fetched meanwhile; the P rows are not (the masked row stores
+/// stream through them, and fetching a block ahead measured slower).
+/// Other policies, and every counted pass, refill by column.
+template <class Ops>
+[[gnu::flatten]] void refill_pass(const RefillPass<typename Ops::T>& a) {
+  if (a.clips != nullptr) {
+    refill_columns<Ops, true>(a);
+    return;
+  }
+  if constexpr (requires { typename Ops::Refill; }) {
+    using T = typename Ops::T;
+    using V = typename Ops::Vec;
+    constexpr std::size_t kF = Ops::kLanes;
+    const typename Ops::Refill step(a);
+    T* const p = a.p;
+    const std::size_t n = a.n;
+    const std::uint32_t count = a.count;
+    for (std::size_t v0 = 0; v0 < n; v0 += kF) {
+      const auto rows = static_cast<std::uint32_t>(std::min(kF, n - v0));
+      const std::size_t next = std::min(kF, n - v0 - rows);
+      V codes[kRefillSlots];
+      unrolled<kRefillSlots>([&](auto k) {
+        if (k >= count) {
+          codes[k] = Ops::zero();
+          return;
+        }
+        const float* const llr = a.llr[k] + v0;
+        prefetch_span<0>(llr + rows, next);
+        codes[k] = step.codes(llr, rows);
+      });
+      step.place(codes, p + v0 * kF, rows);
+    }
+  } else {
+    refill_columns<Ops, false>(a);
   }
 }
 
@@ -503,11 +636,11 @@ void batch_entry(const BatchPass<typename Ops::T, MapArgs>& a) {
     });
 }
 
-/// The four passes of one family from its lane policy.
+/// The five passes of one family from its lane policy.
 template <class Ops, class MapArgs>
 constexpr ShapeKernels<typename Ops::T, MapArgs> shape_kernels() {
   return {&zlane_entry<Ops, MapArgs>, &batch_entry<Ops, MapArgs>,
-          &sign_pass<Ops>, &Ops::quantize};
+          &sign_pass<Ops>, &Ops::quantize, &refill_pass<Ops>};
 }
 
 /// A tier's KernelSet from its int16 and int8 lane policies.

@@ -441,6 +441,64 @@ TEST(SimdBatch, StreamRefillingManyLanesMatchesScalarFa4) {
       &simd::tier_lanes8, "fa4");
 }
 
+/// Rail-hot channel LLRs (every third one x100, as in
+/// SimdEquivalence.SaturationStress) through a counted stream of 2 F + 3
+/// frames per tier, so lanes refill: every frame must match the scalar
+/// `reference`, quantizer clips included, and most frames must clip at the
+/// quantizer (noise alone at the suites' operating points almost never
+/// reaches the rails).
+template <class MakeBatched>
+void expect_rail_hot_stream(Decoder& reference, MakeBatched make_batched,
+                            std::uint32_t (*lanes)(simd::SimdTier),
+                            const QCLdpcCode& code, const std::string& ctx) {
+  for (const simd::SimdTier tier : simd::available_tiers()) {
+    auto batched = make_batched(tier);
+    const std::size_t count = 2 * lanes(tier) + 3;
+    std::vector<std::vector<float>> pool;
+    std::vector<Reference> refs;
+    std::vector<BlockFrame> frames;
+    for (std::size_t f = 0; f < count; ++f) {
+      pool.push_back(noisy_llr(code, 2.0F, f * 104729 + 11));
+      for (std::size_t v = f % 3; v < code.n(); v += 3)
+        pool.back()[v] *= 100.0F;
+      refs.push_back({reference.decode(pool.back()), reference.saturation()});
+    }
+    for (const std::vector<float>& llr : pool) frames.push_back({llr, nullptr});
+    std::vector<DecodeResult> results(count);
+    std::vector<SaturationStats> saturation(count);
+    batched->decode_block(frames, results, saturation);
+    std::size_t clipped = 0;
+    for (std::size_t f = 0; f < count; ++f) {
+      const std::string where = ctx + " tier=" + simd::to_string(tier) +
+                                " frame=" + std::to_string(f);
+      expect_frame_identical(refs[f], results[f], saturation[f], where);
+      if (saturation[f].quantizer_clips > 0) ++clipped;
+    }
+    EXPECT_GE(clipped * 10, count * 9)
+        << ctx << " tier=" << simd::to_string(tier);
+  }
+}
+
+TEST(SimdBatch, RailHotCountedStreamClipsAtQuantizer) {
+  const DecoderOptions opt = counting_options();
+  const QCLdpcCode code = make_wifi_648_half_rate();
+  LayeredMinSumFixedDecoder scalar(code, opt, FixedFormat{8, 2});
+  expect_rail_hot_stream(
+      scalar,
+      [&](simd::SimdTier tier) {
+        return std::make_unique<SimdBatchDecoder>(code, opt, FixedFormat{8, 2},
+                                                  tier);
+      },
+      &simd::tier_lanes, code, "q8.2");
+  LayeredMinSumFaDecoder scalar_fa(code, opt, 4);
+  expect_rail_hot_stream(
+      scalar_fa,
+      [&](simd::SimdTier tier) {
+        return std::make_unique<SimdFaBatchDecoder>(code, opt, 4, 2.0F, tier);
+      },
+      &simd::tier_lanes8, code, "fa4");
+}
+
 /// decode_block must detach a token attached with set_cancel_token (the
 /// Decoder contract): a pre-cancelled token attached before the block must
 /// not cut a later single-frame decode short.
