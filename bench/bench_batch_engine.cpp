@@ -11,10 +11,14 @@
 // gate) per-worker scaling efficiency in BENCH_batch_engine.json, and
 // cross-checks that every worker count produces bit-identical hard
 // decisions (the engine's determinism contract). Speedup saturates at the
-// machine's core count.
+// machine's core count. Two engine-only rows, on 1 and 2 workers, time the
+// engine apart from any kernel: a stub decoder returns each frame at once,
+// so their ns per frame (recorded, not gated) is the submit, queue, lane
+// fill, booking and release path alone.
 #include <algorithm>
 #include <chrono>
 #include <cstdio>
+#include <memory>
 #include <string>
 #include <thread>
 #include <vector>
@@ -43,6 +47,65 @@ std::vector<std::vector<float>> make_frames(const QCLdpcCode& code,
         awgn.transmit(BpskModem::modulate(encoder.encode(info))), variance));
   }
   return frames;
+}
+
+/// A decoder with no decode: each frame comes back at once as n all-zero
+/// hard decisions, converged in one iteration.
+class StubDecoder final : public Decoder {
+ public:
+  explicit StubDecoder(std::size_t n) : n_(n) {}
+  DecodeResult decode(std::span<const float>) override {
+    DecodeResult r;
+    r.hard_bits = BitVec(n_);
+    r.iterations = 1;
+    r.converged = true;
+    r.status = DecodeStatus::kConverged;
+    return r;
+  }
+  std::size_t n() const override { return n_; }
+  std::string name() const override { return "stub"; }
+
+ private:
+  std::size_t n_;
+};
+
+/// Median ns per frame of the engine alone on `workers` workers: 11 timed
+/// runs (after one warm-up) of 128 submit_block jobs of 64 frames on an
+/// 8-block queue, each frame's LLRs copied from `pool` by the submitter,
+/// as perfbench and the decode service do; then a drain.
+double engine_only_ns_per_frame(const std::vector<std::vector<float>>& pool,
+                                unsigned workers) {
+  constexpr std::size_t kBlockFrames = 64, kBlocks = 128;
+  BatchEngineConfig cfg;
+  cfg.num_workers = workers;
+  cfg.queue_capacity = 8;
+  const std::size_t n = pool.front().size();
+  BatchEngine engine([n] { return std::make_unique<StubDecoder>(n); }, cfg);
+  std::vector<double> ns;
+  std::vector<DecodeResult> slots(kBlockFrames * kBlocks);
+  for (int run = 0; run < 12; ++run) {
+    const auto t0 = std::chrono::steady_clock::now();
+    for (std::size_t b = 0; b < kBlocks; ++b) {
+      std::vector<BlockFrameJob> block(kBlockFrames);
+      for (std::size_t j = 0; j < kBlockFrames; ++j) {
+        const std::size_t f = b * kBlockFrames + j;
+        block[j].frame_index = f;
+        block[j].llr = pool[f % pool.size()];
+        block[j].slot = &slots[f];
+      }
+      LDPC_CHECK(submit_accepted(engine.submit_block(std::move(block))));
+    }
+    engine.drain();
+    const double seconds = std::chrono::duration<double>(
+                               std::chrono::steady_clock::now() - t0)
+                               .count();
+    if (run > 0)
+      ns.push_back(seconds * 1e9 / static_cast<double>(slots.size()));
+  }
+  LDPC_CHECK(std::all_of(slots.begin(), slots.end(),
+                         [](const DecodeResult& r) { return r.converged; }));
+  std::sort(ns.begin(), ns.end());
+  return ns[ns.size() / 2];
 }
 
 }  // namespace
@@ -202,6 +265,26 @@ int main() {
                    TextTable::integer(fallbacks)});
   }
   std::fputs(table.str().c_str(), stdout);
+
+  TextTable engine_only(
+      "Engine only — stub decoder (no decode), n = 2304, 64-frame blocks "
+      "with LLRs copied at submit, median of 11 runs of 8,192 frames");
+  engine_only.set_header({"workers", "ns/frame", "frames/s"});
+  for (const unsigned workers : {1U, 2U}) {
+    const double ns = engine_only_ns_per_frame(frames, workers);
+    json.add_row()
+        .set("decoder", "stub")
+        .set("label", "engine-only w=" + std::to_string(workers))
+        .set("code", code_name)
+        .set("workers", static_cast<long long>(workers))
+        .set("host_cores", static_cast<long long>(host_cores))
+        .set("block_frames", std::size_t{64})
+        .set("ns_per_frame", ns)
+        .set("git_rev", rev);
+    engine_only.add_row({std::to_string(workers), TextTable::num(ns, 0),
+                         TextTable::num(1e9 / ns, 0)});
+  }
+  std::fputs(engine_only.str().c_str(), stdout);
   json.write("BENCH_batch_engine.json");
   std::printf(
       "\nOutput bit-identical across configs and worker counts: %s\n"

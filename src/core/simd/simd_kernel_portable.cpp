@@ -4,7 +4,9 @@
 // autovectorizer a fair shot at emitting vector code anyway. Arithmetic is
 // bit-identical to the x86 tiers by construction: all of them instantiate
 // the same row update.
+#include <bit>
 #include <cstdint>
+#include <cstring>
 #include <limits>
 #include <type_traits>
 
@@ -109,10 +111,30 @@ struct PortableOps {
              (8 * sizeof(T));
     });
   }
+  // A 64-bit word at a time: each lane's sign bit shifts down to the
+  // lane's lowest bit, and one multiply gathers those bits, lane i to bit
+  // i, into the word's top kPerWord bits. The partial products land on
+  // distinct bits, so nothing carries. Where lane i sits in the loaded
+  // word depends on the byte order, and so does the multiplier.
+  static constexpr int kPerWord = 8 / sizeof(T);
+  static constexpr std::uint64_t kLowBits = ~std::uint64_t{0} / U(-1);
+  static constexpr std::uint64_t kGather = [] {
+    constexpr int kBits = 8 * sizeof(T);
+    std::uint64_t m = 0;
+    for (int j = 0; j < kPerWord; ++j)
+      m |= std::uint64_t{1} << (std::endian::native == std::endian::little
+                                    ? (kBits - 1) * (j + 1)
+                                    : (kBits + 1) * j + kBits - kPerWord);
+    return m;
+  }();
   static std::uint64_t sign_bits(Vec a) {
     std::uint64_t bits = 0;
-    for (int i = 0; i < kLanes; ++i)
-      bits |= static_cast<std::uint64_t>(a.v[i] < 0) << i;
+    for (int w = 0; w < kLanes / kPerWord; ++w) {
+      std::uint64_t x;
+      std::memcpy(&x, a.v + w * kPerWord, sizeof(x));
+      x = (x >> (8 * sizeof(T) - 1)) & kLowBits;
+      bits |= (x * kGather) >> (64 - kPerWord) << (w * kPerWord);
+    }
     return bits;
   }
   // Out of line: inlined into the refill pass's column loop, GCC 12 -O2

@@ -71,13 +71,15 @@ BatchEngine::~BatchEngine() {
   }
 }
 
-void BatchEngine::finish_job_locked(
-    std::size_t frame_index, std::chrono::steady_clock::time_point now) {
+void BatchEngine::finish_job_locked(Clock::time_point now) {
   last_complete_ = now;
   ++completed_;
-  const auto it = outstanding_.find(frame_index);
-  if (it != outstanding_.end() && --it->second == 0) outstanding_.erase(it);
   if (completed_ == submitted_) all_done_.notify_all();
+}
+
+void BatchEngine::leave_locked(const Job& job) {
+  in_flight_[job.record] = {};
+  free_records_.push_back(job.record);
 }
 
 SubmitStatus BatchEngine::enqueue(Job& job, EnqueueMode mode) {
@@ -92,8 +94,13 @@ SubmitStatus BatchEngine::enqueue(Job& job, EnqueueMode mode) {
       first_enqueue_ = job.enqueued;
     }
     submitted_ += job.frames.size();
-    for (const BlockFrameJob& frame : job.frames)
-      ++outstanding_[frame.frame_index];
+    if (free_records_.empty()) {
+      free_records_.push_back(in_flight_.size());
+      in_flight_.emplace_back();
+    }
+    job.record = free_records_.back();
+    free_records_.pop_back();
+    in_flight_[job.record] = job.frames;
   }
   using Push = BoundedJobQueue<Job>::PushResult;
   Job shed;
@@ -119,8 +126,9 @@ SubmitStatus BatchEngine::enqueue(Job& job, EnqueueMode mode) {
       {
         const MutexLock lock(state_mutex_);
         jobs_shed_ += shed.frames.size();
-        for (const BlockFrameJob& frame : shed.frames)
-          finish_job_locked(frame.frame_index, now);
+        for (std::size_t i = 0; i < shed.frames.size(); ++i)
+          finish_job_locked(now);
+        leave_locked(shed);
       }
       if (shed.block.on_booked)
         for (std::size_t i = 0; i < shed.frames.size(); ++i)
@@ -136,10 +144,7 @@ SubmitStatus BatchEngine::enqueue(Job& job, EnqueueMode mode) {
   const MutexLock lock(state_mutex_);
   submitted_ -= job.frames.size();
   if (mode != EnqueueMode::kTry) jobs_rejected_ += job.frames.size();
-  for (const BlockFrameJob& frame : job.frames) {
-    const auto it = outstanding_.find(frame.frame_index);
-    if (it != outstanding_.end() && --it->second == 0) outstanding_.erase(it);
-  }
+  leave_locked(job);
   // A concurrent drain() may have been waiting on the job that was just
   // backed out; re-evaluate its predicate.
   if (completed_ == submitted_) all_done_.notify_all();
@@ -196,9 +201,12 @@ DrainReport BatchEngine::drain_until(
   }
   if (!report.completed) {
     report.outstanding = submitted_ - completed_;
-    report.straggler_frames.reserve(outstanding_.size());
-    for (const auto& entry : outstanding_)
-      report.straggler_frames.push_back(entry.first);
+    auto& frames = report.straggler_frames;
+    for (const auto job : in_flight_)
+      for (const BlockFrameJob& frame : job)
+        if (frame.slot) frames.push_back(frame.frame_index);
+    std::sort(frames.begin(), frames.end());
+    frames.erase(std::unique(frames.begin(), frames.end()), frames.end());
   }
   return report;
 }
@@ -339,16 +347,12 @@ class BatchEngine::Worker final : public FrameSource {
   }
 
   std::size_t adopt(Job job) {
-    auto h = std::make_unique<InHand>();
-    h->unbooked = job.frames.size();
-    h->job = std::move(job);
-    const auto free_slot = std::find(slots_.begin(), slots_.end(), nullptr);
-    if (free_slot != slots_.end()) {
-      *free_slot = std::move(h);
-      return static_cast<std::size_t>(free_slot - slots_.begin());
-    }
-    slots_.push_back(std::move(h));
-    return slots_.size() - 1;
+    auto free_slot = std::find(slots_.begin(), slots_.end(), nullptr);
+    if (free_slot == slots_.end()) free_slot = slots_.emplace(free_slot);
+    *free_slot = std::make_unique<InHand>();
+    (*free_slot)->unbooked = job.frames.size();
+    (*free_slot)->job = std::move(job);
+    return static_cast<std::size_t>(free_slot - slots_.begin());
   }
 
   /// Pull one queued job into the stream; false when there is none to take
@@ -391,7 +395,7 @@ class BatchEngine::Worker final : public FrameSource {
 
   /// Book frame `pos` of in-hand job `slot` in one critical section: its
   /// slot takes `result`, decoded (`saturation` set) or expired (null).
-  /// Then its hook runs, and the job leaves the hand with its last frame.
+  /// Then its hook runs, and after its last frame the job goes, LLRs and all.
   void book(std::size_t slot, std::size_t pos, DecodeResult&& result,
             const SaturationStats* saturation) {
     InHand& h = *slots_[slot];
@@ -400,20 +404,19 @@ class BatchEngine::Worker final : public FrameSource {
     {
       const MutexLock lock(engine_.state_mutex_);
       if (saturation) {
-        engine_.book_ran_locked(id_, frame.frame_index, &result, *saturation,
-                                n_, k_, h.job.enqueued, now);
+        engine_.book_ran_locked(id_, &result, *saturation, n_, k_,
+                                h.job.enqueued, now);
       } else {
         ++engine_.jobs_expired_;
-        engine_.finish_job_locked(frame.frame_index, now);
+        engine_.finish_job_locked(now);
       }
       *frame.slot = std::move(result);
       frame.slot = nullptr;  // booked
-      if (--h.unbooked == 0)
+      if (--h.unbooked == 0) {
+        engine_.leave_locked(h.job);
         retiring_ = engine_.maybe_quarantine_locked(id_) || retiring_;
+      }
     }
-    // The decoder is done with the LLRs: a job in hand holds only those of
-    // its frames still in flight.
-    std::vector<float>().swap(frame.llr);
     if (h.job.block.on_booked) h.job.block.on_booked(pos);
     if (h.unbooked == 0) release(slot);
   }
@@ -422,13 +425,10 @@ class BatchEngine::Worker final : public FrameSource {
   /// slot keeping its default (non-converged) result, and the failure
   /// counts one exception and one strike against this worker.
   void fail_in_hand(bool threw) {
-    std::vector<std::pair<std::size_t, std::size_t>> failed;
-    for (std::size_t slot = 0; slot < slots_.size(); ++slot) {
-      if (!slots_[slot]) continue;
-      const auto& frames = slots_[slot]->job.frames;
-      for (std::size_t pos = 0; pos < frames.size(); ++pos)
-        if (frames[pos].slot) failed.emplace_back(slot, pos);
-    }
+    std::vector<std::pair<InHand*, std::size_t>> failed;
+    for (const auto& h : slots_)
+      for (std::size_t pos = 0; h && pos < h->job.frames.size(); ++pos)
+        if (h->job.frames[pos].slot) failed.emplace_back(h.get(), pos);
     if (!threw && failed.empty()) return;
     const auto now = Clock::now();
     {
@@ -436,21 +436,17 @@ class BatchEngine::Worker final : public FrameSource {
       EngineWorkerStats& stats = engine_.worker_stats_[id_];
       ++stats.exceptions;
       ++stats.strikes;
-      for (const auto& [slot, pos] : failed) {
-        InHand& h = *slots_[slot];
-        BlockFrameJob& frame = h.job.frames[pos];
-        engine_.book_ran_locked(id_, frame.frame_index, nullptr, {}, 0, 0,
-                                h.job.enqueued, now);
-        frame.slot = nullptr;
+      for (const auto& [h, pos] : failed) {
+        engine_.book_ran_locked(id_, nullptr, {}, 0, 0, h->job.enqueued, now);
+        h->job.frames[pos].slot = nullptr;
       }
+      for (const auto& h : slots_)
+        if (h) engine_.leave_locked(h->job);
       retiring_ = engine_.maybe_quarantine_locked(id_) || retiring_;
     }
-    for (const auto& [slot, pos] : failed) {
-      const auto& hook = slots_[slot]->job.block.on_booked;
-      if (hook) hook(pos);
-    }
-    for (std::size_t slot = 0; slot < slots_.size(); ++slot)
-      if (slots_[slot]) release(slot);
+    for (const auto& [h, pos] : failed)
+      if (const auto& hook = h->job.block.on_booked) hook(pos);
+    slots_.clear();  // every job in hand, LLRs and all
   }
 
   void release(std::size_t slot) {
@@ -476,7 +472,7 @@ void BatchEngine::worker_main(unsigned worker_id) {
   Worker(*this, worker_id).run();
 }
 
-void BatchEngine::book_ran_locked(unsigned worker_id, std::size_t frame_index,
+void BatchEngine::book_ran_locked(unsigned worker_id,
                                   const DecodeResult* result,
                                   const SaturationStats& saturation,
                                   std::size_t n, std::size_t k,
@@ -503,7 +499,7 @@ void BatchEngine::book_ran_locked(unsigned worker_id, std::size_t frame_index,
   }
   latency_us_.add(
       std::chrono::duration<double, std::micro>(now - enqueued).count());
-  finish_job_locked(frame_index, now);
+  finish_job_locked(now);
 }
 
 bool BatchEngine::maybe_quarantine_locked(unsigned worker_id) {

@@ -45,9 +45,9 @@
 #include <chrono>
 #include <cstddef>
 #include <functional>
-#include <map>
 #include <memory>
 #include <optional>
+#include <span>
 #include <thread>
 #include <vector>
 
@@ -209,13 +209,13 @@ struct JobOptions {
   unsigned rung = 0;
 };
 
-/// One frame of a block submission (submit_block; the other submits wrap
-/// their frame in a one-frame job of the same shape): the engine-owned
-/// LLRs, the caller's result slot, and an optional per-frame deadline.
-/// Frames in one block share a worker and a decoder but resolve
-/// individually — every frame's slot is written exactly once, when that
-/// frame finishes; expired frames are reported kDeadlineExpired without
-/// decoding, and the rest of the block decodes normally.
+/// One frame of a block submission (submit_block; the other submits wrap their
+/// frame in a one-frame job of the same shape): the engine-owned LLRs (freed
+/// with the job), the caller's result slot, and an optional per-frame deadline.
+/// Frames in one block share a worker and a decoder but resolve individually —
+/// every frame's slot is written exactly once, when that frame finishes;
+/// expired frames are reported kDeadlineExpired without decoding, and the rest
+/// of the block decodes normally.
 struct BlockFrameJob {
   std::size_t frame_index = 0;
   std::vector<float> llr;
@@ -260,7 +260,7 @@ struct BlockJobOptions {
 /// Result of a bounded drain (drain_until / drain_for).
 struct DrainReport {
   bool completed = false;        ///< all jobs finished before the deadline
-  std::size_t outstanding = 0;   ///< jobs still queued or running at return
+  std::size_t outstanding = 0;   ///< frames still queued or running at return
   /// Frame indices of the stragglers, ascending (one entry per frame even
   /// if it has several attempts in flight).
   std::vector<std::size_t> straggler_frames;
@@ -365,6 +365,7 @@ class BatchEngine {
     /// Block options; submit and try_submit set only the rung.
     BlockJobOptions block;
     std::chrono::steady_clock::time_point enqueued;
+    std::size_t record = 0;  ///< its entry in in_flight_ while it has one
   };
 
   /// How enqueue pushes: under the overload policy (submit, submit_block),
@@ -382,14 +383,14 @@ class BatchEngine {
   /// Run a Worker until the queue closes or it is quarantined.
   void worker_main(unsigned worker_id);
   /// Bookkeeping for one finished frame.
-  void finish_job_locked(std::size_t frame_index,
-                         std::chrono::steady_clock::time_point now)
+  void finish_job_locked(std::chrono::steady_clock::time_point now)
       LDPC_REQUIRES(state_mutex_);
+  /// Drop `job` from in_flight_: booked, shed, refused or failed.
+  void leave_locked(const Job& job) LDPC_REQUIRES(state_mutex_);
   /// Book one frame that reached a decoder on worker_id: its statistics
   /// (none when `result` is null, i.e. the decode threw), n and k decoded
   /// bits, a latency sample and its completion.
-  void book_ran_locked(unsigned worker_id, std::size_t frame_index,
-                       const DecodeResult* result,
+  void book_ran_locked(unsigned worker_id, const DecodeResult* result,
                        const SaturationStats& saturation, std::size_t n,
                        std::size_t k,
                        std::chrono::steady_clock::time_point enqueued,
@@ -418,9 +419,12 @@ class BatchEngine {
   std::size_t jobs_rejected_ LDPC_GUARDED_BY(state_mutex_) = 0;
   std::size_t workers_quarantined_ LDPC_GUARDED_BY(state_mutex_) = 0;
   std::size_t workers_spawned_ LDPC_GUARDED_BY(state_mutex_) = 0;
-  /// Frames submitted but not yet completed (frame -> in-flight attempts);
-  /// the straggler report of drain_until reads this.
-  std::map<std::size_t, unsigned> outstanding_ LDPC_GUARDED_BY(state_mutex_);
+  /// A record (Job::record) per accepted, unresolved job: a span over its
+  /// frames, which stay put as the job moves; emptied and freed when the
+  /// job leaves. drain_until lists the frames whose slot is unbooked.
+  std::vector<std::span<const BlockFrameJob>> in_flight_
+      LDPC_GUARDED_BY(state_mutex_);
+  std::vector<std::size_t> free_records_ LDPC_GUARDED_BY(state_mutex_);
   bool started_ LDPC_GUARDED_BY(state_mutex_) = false;
   std::chrono::steady_clock::time_point first_enqueue_
       LDPC_GUARDED_BY(state_mutex_);

@@ -1608,6 +1608,104 @@ TEST(BatchEngine, AvgIterationsCountsOnlyFramesThatRan) {
                                            static_cast<double>(ran));
 }
 
+/// A one-lane decoder that returns each frame at once (all-zero hard
+/// decisions, one iteration, converged), except its `wedge_at`-th decode
+/// (from 0): that one sets `gate.running` and waits for `gate.release`.
+class WedgingDecoder final : public Decoder {
+ public:
+  WedgingDecoder(std::size_t n, std::size_t wedge_at, Gate& gate)
+      : n_(n), wedge_at_(wedge_at), gate_(gate) {}
+
+  DecodeResult decode(std::span<const float>) override {
+    if (decodes_++ == wedge_at_) {
+      gate_.running = true;
+      wait_for(gate_.release);
+    }
+    DecodeResult r;
+    r.hard_bits = BitVec(n_);
+    r.iterations = 1;
+    r.converged = true;
+    r.status = DecodeStatus::kConverged;
+    return r;
+  }
+  std::size_t n() const override { return n_; }
+  std::string name() const override { return "wedging"; }
+
+ private:
+  std::size_t n_;
+  std::size_t wedge_at_;
+  Gate& gate_;
+  std::size_t decodes_ = 0;
+};
+
+TEST(BatchEngine, DrainUntilReportsBlockStragglers) {
+  // Block W (frames 10-12) books frame 10 and wedges on 11. Behind it,
+  // block S (20-21) fills the one-job queue, a retry of frame 11 queues
+  // past capacity, and block T (30) meets the full queue: under
+  // kShedOldest T sheds S, under kRejectNewest T is refused. A try_submit
+  // of frame 40 is refused under both. The straggler list then holds the
+  // unbooked frames of the jobs still in flight — frame 11 once, though
+  // two of its attempts are — and nothing of S when shed, of T when
+  // refused, or of frame 40.
+  constexpr std::size_t kN = 16;
+  const std::vector<float> llr(kN, 2.0F);
+  const auto frames = [&](std::size_t count) {
+    return std::vector<std::vector<float>>(count, llr);
+  };
+  for (const OverloadPolicy policy :
+       {OverloadPolicy::kShedOldest, OverloadPolicy::kRejectNewest}) {
+    SCOPED_TRACE(to_string(policy));
+    const bool shed = policy == OverloadPolicy::kShedOldest;
+    Gate gate;
+    BatchEngineConfig config = engine_config(1, 1);
+    config.overload_policy = policy;
+    BatchEngine engine(
+        [&] { return std::make_unique<WedgingDecoder>(kN, 1, gate); },
+        config);
+    std::vector<DecodeResult> w(3), s(2), retry(1), t(1), u(1);
+    ASSERT_EQ(engine.submit_block(block_of(frames(3), w, 10)),
+              SubmitStatus::kAccepted);
+    wait_for(gate.running);
+    ASSERT_EQ(engine.submit_block(block_of(frames(2), s, 20)),
+              SubmitStatus::kAccepted);
+    ASSERT_TRUE(engine.submit_retry(block_of(frames(1), retry, 11)));
+    EXPECT_EQ(engine.submit_block(block_of(frames(1), t, 30)),
+              shed ? SubmitStatus::kAcceptedShedOldest
+                   : SubmitStatus::kRejectedQueueFull);
+    std::vector<float> refused = llr;
+    EXPECT_FALSE(engine.try_submit(40, refused, &u[0]));
+    EXPECT_EQ(refused, llr);  // handed back intact
+
+    const DrainReport stuck = engine.drain_for(std::chrono::milliseconds(5));
+    EXPECT_FALSE(stuck.completed);
+    const std::vector<std::size_t> want =
+        shed ? std::vector<std::size_t>{11, 12, 30}
+             : std::vector<std::size_t>{11, 12, 20, 21};
+    EXPECT_EQ(stuck.straggler_frames, want);
+    // Frames, not jobs: W's two unbooked frames, the retry, and S or T.
+    EXPECT_EQ(stuck.outstanding, shed ? 4u : 5u);
+
+    gate.release = true;
+    engine.drain();
+    const DrainReport done = engine.drain_for(std::chrono::milliseconds(1));
+    EXPECT_TRUE(done.completed);
+    EXPECT_EQ(done.outstanding, 0u);
+    EXPECT_TRUE(done.straggler_frames.empty());
+    const auto m = engine.metrics();
+    EXPECT_EQ(m.jobs_completed, m.jobs_submitted);
+    EXPECT_EQ(m.jobs_submitted, shed ? 7u : 6u);
+    EXPECT_EQ(m.jobs_shed, shed ? 2u : 0u);
+    EXPECT_EQ(m.jobs_rejected, shed ? 0u : 1u);
+    for (const DecodeResult& r : w) EXPECT_TRUE(r.converged);
+    EXPECT_TRUE(retry[0].converged);
+    for (const DecodeResult& r : s)
+      EXPECT_EQ(r.status, shed ? DecodeStatus::kShedOverload
+                               : DecodeStatus::kConverged);
+    EXPECT_EQ(t[0].converged, shed);  // a refused submit leaves its slot
+    EXPECT_EQ(u[0].iterations, 0u);
+  }
+}
+
 TEST(Supervisor, RetryWithoutLadderRejectedAtConstruction) {
   const auto code = make_wimax_code(WimaxRate::kRate1_2, 24);
   SupervisorConfig config;
