@@ -16,9 +16,12 @@
 // "engine-simd-batched" entry — frames streamed through the BatchEngine
 // into the inter-frame-batched SIMD decoder as full lane-blocks, with
 // engine-level info/code throughput and p50/p95/p99 latency (acceptance
-// target >= 100 Mbps aggregate info throughput). Both SIMD rows hard-fail
-// the benchmark if any decode fell back to a scalar path: a tracked perf
-// number silently measured on the wrong kernel is worse than no number.
+// target >= 100 Mbps aggregate info throughput). Between them, two stream
+// rows time the inter-frame-batched kernels without the engine, the int16
+// q8.2 one and the int8 fa4 one (recorded, not gated). Every SIMD row
+// hard-fails the benchmark if any decode fell back to a scalar path: a
+// tracked perf number silently measured on the wrong kernel is worse than
+// no number.
 #include <benchmark/benchmark.h>
 
 #include <chrono>
@@ -102,12 +105,12 @@ std::vector<std::vector<float>> noisy_frames(const QCLdpcCode& code,
 /// Blocks of block_width() frames per timed batched-decoder call.
 constexpr std::size_t kStreamBlocks = 16;
 
-/// Wall-clock throughput of the inter-frame-batched decoder driven directly
+/// Wall-clock throughput of an inter-frame-batched decoder driven directly
 /// (no engine) with one stream of kStreamBlocks blocks per decode_block
 /// call: the shape an engine worker runs, where a freed lane takes the next
 /// frame across block boundaries instead of idling until its block's
 /// slowest frame ends. Fails the benchmark if any frame fell back.
-Throughput measure_stream(SimdBatchDecoder& dec, const QCLdpcCode& code,
+Throughput measure_stream(Decoder& dec, const QCLdpcCode& code,
                           const std::vector<std::vector<float>>& pool,
                           double min_seconds = 0.3) {
   using clock = std::chrono::steady_clock;
@@ -191,30 +194,32 @@ void write_throughput_json() {
                 t.iters_per_frame, speedup);
   }
 
-  // Inter-frame-batched kernel, driven with streams of distinct frames —
-  // the kernel-level ceiling of the engine rows.
+  // Inter-frame-batched kernels, driven with streams of distinct frames —
+  // the kernel-level ceiling of the engine rows: the int16 q8.2 kernel and
+  // the int8 finite-alphabet one (fa4).
   const auto pool = noisy_frames(code, 61);  // coprime to every lane count
-  {
-    SimdBatchDecoder dec(code, opt);
-    const Throughput t = measure_stream(dec, code, pool);
+  for (const char* name :
+       {"layered-minsum-simd-batched", "layered-minsum-simd-batched-fa4"}) {
+    auto dec = make_decoder(name, code, opt);
+    const Throughput t = measure_stream(*dec, code, pool);
+    const double speedup =
+        scalar_fps > 0.0 ? t.frames_per_s / scalar_fps : 0.0;
     report.add_row()
-        .set("decoder", "layered-minsum-simd-batched")
-        .set("label", dec.name())
+        .set("decoder", name)
+        .set("label", dec->name())
         .set("code", code_id)
         .set("ebn0_db", 2.0)
         .set("frames_per_s", t.frames_per_s)
         .set("info_mbps", t.info_mbps)
         .set("iters_per_frame", t.iters_per_frame)
-        .set("speedup_vs_scalar_fixed",
-             scalar_fps > 0.0 ? t.frames_per_s / scalar_fps : 0.0)
-        .set("block_width", static_cast<double>(dec.block_width()))
+        .set("speedup_vs_scalar_fixed", speedup)
+        .set("block_width", static_cast<double>(dec->block_width()))
         .set("stream_blocks", static_cast<double>(kStreamBlocks))
-        .set("simd_tier", simd::to_string(dec.tier()))
+        .set("simd_tier", simd::to_string(simd::best_tier()))
         .set("git_rev", rev);
     std::printf("  %-28s %10.0f frames/s  %8.2f Mbps  %5.2f iters/frame  %5.2fx\n",
-                dec.name().c_str(), t.frames_per_s, t.info_mbps,
-                t.iters_per_frame,
-                scalar_fps > 0.0 ? t.frames_per_s / scalar_fps : 0.0);
+                dec->name().c_str(), t.frames_per_s, t.info_mbps,
+                t.iters_per_frame, speedup);
   }
 
   // Aggregate engine-level number: the same frames streamed through the

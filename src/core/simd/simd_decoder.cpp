@@ -374,6 +374,7 @@ BatchDecoder<Family>::BatchDecoder(std::unique_ptr<ZLaneDecoder<Family>> single)
   p_.resize((code_.n() + kBatchPrefetchPad) * lanes_);
   r_.resize((r_rows + kBatchPrefetchPad) * lanes_);
   q_.resize(std::max<std::size_t>(max_deg, 1) * lanes_);
+  rows_.resize(2 * std::max<std::size_t>(max_deg, 1));
   active_.assign(lanes_, T{0});
   r_keep_.assign(lanes_, T{-1});
   hard_.resize((code_.n() + 63) / 64);
@@ -485,6 +486,8 @@ void BatchDecoder<Family>::run_stream(FrameSource& source) {
   pass.p = p_.data();
   pass.q = q_.data();
   pass.r = r_.data();
+  pass.p_rows = rows_.data();
+  pass.r_rows = rows_.data() + rows_.size() / 2;
   pass.z = z_;
   pass.active = active_.data();
   pass.r_keep = r_keep_.data();

@@ -335,6 +335,8 @@ class BatchDecoder : public Decoder {
   AlignedVec<T> p_;       ///< n rows * F lanes posteriors
   AlignedVec<T> r_;       ///< nonzero_blocks * z rows * F check messages
   AlignedVec<T> q_;       ///< max_deg * F row scratch
+  std::vector<T*> rows_;  ///< max_deg P then max_deg R row pointers
+                          ///< (BatchPass::p_rows / r_rows)
   AlignedVec<T> active_;  ///< F lane mask (-1 live, 0 idle)
   AlignedVec<T> r_keep_;  ///< F lane mask (0 = first iteration, R reads
                           ///< as 0 — see BatchPass::r_keep)

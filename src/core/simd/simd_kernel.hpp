@@ -4,9 +4,9 @@
 // the hardware instantiates z datapath copies (Fig. 3) and runs them in
 // lockstep. Every SIMD decoder executes one check-row update per vector
 // step (simd_row_update.hpp): a reduction (saturating Q = P - R, then
-// min1/min2/pos1/sign tracking via compare/blend), a magnitude map of
-// min1/min2, and a saturating R'/P' write-back. The row update comes in
-// two shapes and two element widths:
+// min1/min2/sign tracking with min/max), a magnitude map of min1/min2, and
+// a saturating R'/P' write-back. The row update comes in two shapes and
+// two element widths:
 //
 //   shape    z-lane: lane r = check row r of the layer (posteriors are
 //            pre-rotated into a structure-of-arrays scratch, so the
@@ -99,18 +99,18 @@ constexpr std::uint32_t lanes_for(SimdTier t) {
 /// does frame by frame, for a code whose z fills the z-lane vectors exactly
 /// (measured per tier with LDPC_SIMD_TIER on WiMAX 1/2 z = 96 at 2.0 dB,
 /// where the int8 AVX-512 z-lane stride pads 96 to 128, so its entry is the
-/// measured 15 / 0.75; see docs/simd_kernel.md). Where no block up to the
-/// lane count measured faster, the entry is the lane count: a full block
-/// still starts the batched kernel, whose lanes then refill from the
-/// stream. A batched decoder scales it by its z-lane twin's lane fill and
-/// decodes smaller blocks on the twin.
+/// measured 13 / 0.75, rounded down; see docs/simd_kernel.md). Where no
+/// block up to the lane count measured faster, the entry is the lane
+/// count: a full block still starts the batched kernel, whose lanes then
+/// refill from the stream. A batched decoder scales it by its z-lane twin's
+/// lane fill and decodes smaller blocks on the twin.
 template <class T>
 constexpr std::uint32_t batch_break_even(SimdTier t) {
   switch (t) {
     case SimdTier::kPortable: return sizeof(T) == 1 ? 16 : 8;
-    case SimdTier::kSse2:     return sizeof(T) == 1 ? 16 : 8;
-    case SimdTier::kAvx2:     return sizeof(T) == 1 ? 15 : 11;
-    case SimdTier::kAvx512:   return sizeof(T) == 1 ? 20 : 15;
+    case SimdTier::kSse2:     return sizeof(T) == 1 ? 12 : 8;
+    case SimdTier::kAvx2:     return sizeof(T) == 1 ? 12 : 11;
+    case SimdTier::kAvx512:   return sizeof(T) == 1 ? 17 : 15;
   }
   return 8;
 }
@@ -131,9 +131,8 @@ inline constexpr std::array<std::uint32_t, 9> kSpecializedDegrees = {
     5, 6, 7, 8, 10, 11, 14, 15, 20};
 
 /// True when a pass of `steps` row steps over layers of degree <= `deg`
-/// keeps the in-register lane counters (clip events, and pos1's block
-/// index) exact in T. Decoders route geometries outside this envelope to
-/// their scalar twin.
+/// keeps the in-register clip counters exact in T. Decoders route
+/// geometries outside this envelope to their scalar twin.
 template <class T>
 constexpr bool counters_fit(std::size_t steps, std::size_t deg) {
   return (kDrainEveryStep<T> ? 1 : steps) * deg <=
@@ -234,6 +233,10 @@ struct BatchPass {
   T* q;                        ///< deg * F Q scratch (one row at a time),
                                ///< used by the run-time-degree body only
   T* r;                        ///< R memory, nonzero_blocks * z rows * F
+  /// deg P and deg R row-pointer scratch: the run-time-degree body carries
+  /// each edge's pointers here across the pass (see batch_pass).
+  T** p_rows;
+  T** r_rows;
   const BatchBlock* blocks;    ///< deg block descriptors
   std::uint32_t deg;           ///< non-zero blocks in this layer
   std::uint32_t z;             ///< circulant size (serial row count)

@@ -5,11 +5,20 @@
 // so all tiers execute the same operation sequence on different widths.
 //
 // One row update = a reduction followed by a magnitude map:
-//   stage 1 (core 1)  Q = rail(P - R) per block, min1/min2/pos1/sign
-//                     across the layer, each lane its own check row
+//   stage 1 (core 1)  Q = rail(P - R) per block; min1, min2 and the sign
+//                     parity across the layer, each lane its own check
+//                     row: min2 = min(min2, max(min1, |Q|)), then
+//                     min1 = min(min1, |Q|)
 //   map               s1 = map(min1), s2 = map(min2) — hoisted out of the
 //                     block loop, like the hardware's once-per-row scaler
-//   stage 2 (core 2)  R' = ±(pos1 == j ? s2 : s1), P' = rail(Q + R')
+//   stage 2 (core 2)  R' = ±(|Q_j| == min1 ? s2 : s1), P' = rail(Q + R')
+//
+// Stage 2 selects on the magnitude instead of the paper's min index pos1
+// (the scalar references, src/hls and src/arch keep the index), and the
+// choice is exact: edge pos1 has |Q_j| == min1 and gets s2 either way; any
+// other edge with |Q_j| == min1 means min1 occurs twice, so min2 == min1
+// and s2 == s1 under every map (3/4 shift-add, num/16, offset, staircase).
+// Stage 1 thus needs no per-edge compare or blend and no index constants.
 //
 // LaneOps contract (Vec is a pack of kLanes values of element type T):
 //   load/store (unaligned), broadcast, zero
@@ -51,6 +60,13 @@
 // plus each edge's P/R pointers stay in registers; kDeg = 0 reads the
 // degree at run time, keeps Q in the row's scratch and serves every other
 // degree, every counted pass and every pass of the portable tier.
+//
+// The batched pass carries each edge's P and R row pointers across the
+// layer (batch_pass): set once per pass, they take the shared row offset
+// at each step, and a block's P pointer rewinds by z rows at its wrap row
+// z - shift, where the pass splits its row loop. A row step so loads no
+// block descriptor and tests no wrap. The pointers are locals at a
+// constant degree and the pass's pointer scratch at the run-time one.
 #pragma once
 
 #include <algorithm>
@@ -114,6 +130,24 @@ struct Width<std::int8_t> {
   }
 };
 
+/// Calls body(i) for i = 0 .. kN - 1, each i a std::integral_constant: an
+/// unrolled loop whose locals indexed by i can live in registers.
+template <std::uint32_t kN, class Body>
+inline void unrolled(Body&& body) {
+  [&]<std::uint32_t... I>(std::integer_sequence<std::uint32_t, I...>) {
+    (body(std::integral_constant<std::uint32_t, I>{}), ...);
+  }(std::make_integer_sequence<std::uint32_t, kN>{});
+}
+
+/// Calls body(i) like unrolled, stopping after the first call that returns
+/// false.
+template <std::uint32_t kN, class Body>
+inline void unrolled_while(Body&& body) {
+  [&]<std::uint32_t... I>(std::integer_sequence<std::uint32_t, I...>) {
+    (body(std::integral_constant<std::uint32_t, I>{}) && ...);
+  }(std::make_integer_sequence<std::uint32_t, kN>{});
+}
+
 template <class Ops, class Map>
 struct MagnitudeMap;
 
@@ -159,8 +193,11 @@ struct MagnitudeMap<Ops, ScaleMap> {
 /// Fa8 map: the staircase lookup (see StaircaseMap). A policy may provide
 /// staircase_add(s, mag, thr, delta) to fuse the compare/mask/add step
 /// (AVX-512 does it in two masked instructions); either way each step is
-/// s + ((mag > thr) ? delta : 0) exactly. The output is a table entry, so
-/// R' needs no clamp and r_clips stays zero, like the scalar FaRowKernel.
+/// s + ((mag > thr) ? delta : 0) exactly. The steps unroll to
+/// kFaMaxThresholds with num_thr as the exit, so each threshold and delta
+/// is a register where the tier has enough of them, not a reload from the
+/// map. The output is a table entry, so R' needs no clamp and r_clips
+/// stays zero, like the scalar FaRowKernel.
 template <class Ops>
 struct MagnitudeMap<Ops, StaircaseMap> {
   using V = typename Ops::Vec;
@@ -168,20 +205,24 @@ struct MagnitudeMap<Ops, StaircaseMap> {
 
   explicit MagnitudeMap(const StaircaseMap& m)
       : recon0(Ops::load(m.recon0_lanes)), num_thr(m.num_thr) {
-    for (std::uint32_t t = 0; t < num_thr; ++t) {
-      thr[t] = Ops::load(m.thr_lanes + t * Ops::kLanes);
-      delta[t] = Ops::load(m.delta_lanes + t * Ops::kLanes);
-    }
+    unrolled<kFaMaxThresholds>([&](auto t) {
+      const bool used = t < num_thr;
+      thr[t] = used ? Ops::load(m.thr_lanes + t * Ops::kLanes) : Ops::zero();
+      delta[t] =
+          used ? Ops::load(m.delta_lanes + t * Ops::kLanes) : Ops::zero();
+    });
   }
 
   V operator()(V mag) const {
     V s = recon0;
-    for (std::uint32_t t = 0; t < num_thr; ++t) {
+    unrolled_while<kFaMaxThresholds>([&](auto t) {
+      if (t >= num_thr) return false;
       if constexpr (requires { Ops::staircase_add(s, mag, thr[t], delta[t]); })
         s = Ops::staircase_add(s, mag, thr[t], delta[t]);
       else
         s = Ops::add(s, Ops::and_(Ops::cmpgt(mag, thr[t]), delta[t]));
-    }
+      return true;
+    });
     return s;
   }
 
@@ -203,8 +244,8 @@ struct Lanes {
         zero(Ops::zero()),
         ones(Ops::broadcast(static_cast<T>(-1))),
         // The type maximum is the min1/min2 sentinel: every railed |Q| is
-        // no larger, and for int8 a first magnitude of 127 still leaves
-        // pos1 = 0, like the scalar kernel's huge sentinel.
+        // no larger, so after one edge min1 is that edge's |Q|, like the
+        // scalar kernel's huge sentinel.
         sentinel(Ops::broadcast(std::numeric_limits<T>::max())),
         q_clips(zero),
         r_clips(zero),
@@ -259,32 +300,25 @@ struct ZLaneRow {
   V live() const { return all; }
 };
 
-/// Batched addressing: lane f is frame f, `row` is the check row; the
-/// circulant rotation is a scalar index per load.
+/// Batched addressing: lane f is frame f, one check row of the layer per
+/// step. p_rows / r_rows hold each edge's P and R pointers for the current
+/// segment of the pass (batch_pass sets and rewinds them); a step adds the
+/// shared row offset `off` (row * F).
 template <class Ops>
 struct BatchRow {
   using T = typename Ops::T;
   using V = typename Ops::Vec;
   static constexpr std::size_t kF = Ops::kLanes;
-  T* p_;
+  T* const* p_rows;
+  T* const* r_rows;
   T* q_;
-  T* r_;
-  const BatchBlock* blocks;
-  std::uint32_t z;
-  std::uint32_t row;
+  std::size_t off;
   V active;
   V r_keep;
 
-  T* p(std::uint32_t j) const {
-    const BatchBlock& b = blocks[j];
-    std::uint32_t rot = row + b.shift;
-    if (rot >= z) rot -= z;
-    return p_ + static_cast<std::size_t>(b.p_base + rot) * kF;
-  }
+  T* p(std::uint32_t j) const { return p_rows[j] + off; }
   T* q(std::uint32_t j) const { return q_ + j * kF; }
-  T* r(std::uint32_t j) const {
-    return r_ + static_cast<std::size_t>(blocks[j].r_base + row) * kF;
-  }
+  T* r(std::uint32_t j) const { return r_rows[j] + off; }
   // First-iteration lanes read R as 0 (r_keep masks the stale column);
   // stage 2 then stores the real value, so iteration 2 reads it back.
   V keep_r(V r) const { return Ops::and_(r, r_keep); }
@@ -299,15 +333,6 @@ struct BatchRow {
   }
   V live() const { return active; }
 };
-
-/// Calls body(i) for i = 0 .. kN - 1, each i a std::integral_constant: an
-/// unrolled loop whose locals indexed by i can live in registers.
-template <std::uint32_t kN, class Body>
-inline void unrolled(Body&& body) {
-  [&]<std::uint32_t... I>(std::integer_sequence<std::uint32_t, I...>) {
-    (body(std::integral_constant<std::uint32_t, I>{}), ...);
-  }(std::make_integer_sequence<std::uint32_t, kN>{});
-}
 
 /// Runs body(j) for every edge j of a row: a loop over the run-time degree
 /// when kDeg is 0, else kDeg calls with constant j, so per-edge locals
@@ -325,7 +350,8 @@ inline void for_each_edge(std::uint32_t deg, Body&& body) {
 /// each edge's P/R pointers are kept from stage 1 for stage 2. kDeg = 0
 /// takes `deg` at run time: Q goes through the row's scratch and stage 2
 /// recomputes the pointers. Each edge runs the same operations in the same
-/// order either way.
+/// order either way. Stage 2 gives s2 to the edges whose |Q| is min1 (see
+/// the file comment for why that equals the paper's pos1 select).
 template <class Ops, bool kCount, std::uint32_t kDeg, class Row, class Map>
 inline void row_update(const Row& row, std::uint32_t deg, const Map& map,
                        Lanes<Ops>& k) {
@@ -340,7 +366,6 @@ inline void row_update(const Row& row, std::uint32_t deg, const Map& map,
   T* r_kept[kKept];
   V min1 = k.sentinel;
   V min2 = k.sentinel;
-  V pos1 = k.zero;
   M signs{};
   for_each_edge<kDeg>(deg, [&](std::uint32_t j) {
     T* const pj = row.p(j);
@@ -359,10 +384,8 @@ inline void row_update(const Row& row, std::uint32_t deg, const Map& map,
       r_kept[j] = rj;
     }
     const V mag = Ops::abs(q);
-    const M lt1 = Ops::cmpgt(min1, mag);  // mag < min1, strict
-    min2 = Ops::blend(lt1, min1, Ops::min(min2, mag));
-    min1 = Ops::blend(lt1, mag, min1);
-    pos1 = Ops::blend(lt1, Ops::broadcast(static_cast<T>(j)), pos1);
+    min2 = Ops::min(min2, Ops::max(min1, mag));
+    min1 = Ops::min(min1, mag);
     signs = Ops::mask_xor(signs, Ops::cmpgt(k.zero, q));
   });
 
@@ -387,8 +410,7 @@ inline void row_update(const Row& row, std::uint32_t deg, const Map& map,
     }
     V r_new = k.zero;
     if (!degenerate) {
-      const M eq = Ops::cmpeq(pos1, Ops::broadcast(static_cast<T>(j)));
-      const V mag = Ops::blend(eq, s2, s1);
+      const V mag = Ops::blend(Ops::cmpeq(Ops::abs(q), min1), s2, s1);
       const M neg = Ops::mask_xor(signs, Ops::cmpgt(k.zero, q));
       const V val = Ops::blend(neg, Ops::sub(k.zero, mag), mag);
       if constexpr (Map::kInAlphabet) {
@@ -430,17 +452,50 @@ template <class Ops, bool kCount, std::uint32_t kDeg, class MapArgs>
 
 template <class Ops, bool kCount, std::uint32_t kDeg, class MapArgs>
 [[gnu::flatten]] void batch_pass(const BatchPass<typename Ops::T, MapArgs>& a) {
-  using W = Width<typename Ops::T>;
+  using T = typename Ops::T;
+  using W = Width<T>;
+  constexpr std::size_t kF = Ops::kLanes;
   Lanes<Ops> k(a.lo, a.hi);
   const MagnitudeMap<Ops, MapArgs> map(a.map);
   const typename Ops::Vec active = Ops::load(a.active);
   const typename Ops::Vec r_keep = Ops::load(a.r_keep);
   const auto drain = [&] { k.drain(a.q_clips, a.r_clips, a.p_clips, true); };
-  for (std::uint32_t row = 0; row < a.z; ++row) {
-    row_update<Ops, kCount, kDeg>(
-        BatchRow<Ops>{a.p, a.q, a.r, a.blocks, a.z, row, active, r_keep},
-        a.deg, map, k);
-    if constexpr (kCount && W::kDrainEveryStep) drain();
+  const std::uint32_t z = a.z;
+  const std::uint32_t deg = a.deg;
+  const BatchBlock* const blocks = a.blocks;
+  // Each edge's P and R pointers at row 0 (P row p_base + shift), in
+  // locals at a constant degree, else in the pass's pointer scratch.
+  constexpr std::uint32_t kKept = kDeg == 0 ? 1 : kDeg;
+  T* p_kept[kKept];
+  T* r_kept[kKept];
+  T** const p_rows = kDeg == 0 ? a.p_rows : p_kept;
+  T** const r_rows = kDeg == 0 ? a.r_rows : r_kept;
+  for_each_edge<kDeg>(deg, [&](std::uint32_t j) {
+    const BatchBlock& b = blocks[j];
+    p_rows[j] = a.p + static_cast<std::size_t>(b.p_base + b.shift) * kF;
+    r_rows[j] = a.r + static_cast<std::size_t>(b.r_base) * kF;
+  });
+  // The rows run in segments split at each block's wrap row z - shift,
+  // where its rotated row returns to 0 and its P pointer rewinds by z rows.
+  // Blocks that share a shift rewind at the same row; a shift of 0 never
+  // wraps.
+  std::uint32_t row = 0;
+  for (;;) {
+    std::uint32_t end = z;
+    for_each_edge<kDeg>(deg, [&](std::uint32_t j) {
+      const std::uint32_t wrap = z - blocks[j].shift;
+      if (wrap > row && wrap < end) end = wrap;
+    });
+    for (; row < end; ++row) {
+      row_update<Ops, kCount, kDeg>(
+          BatchRow<Ops>{p_rows, r_rows, a.q, row * kF, active, r_keep}, deg,
+          map, k);
+      if constexpr (kCount && W::kDrainEveryStep) drain();
+    }
+    if (row == z) break;
+    for_each_edge<kDeg>(deg, [&](std::uint32_t j) {
+      if (z - blocks[j].shift == row) p_rows[j] -= std::size_t{z} * kF;
+    });
   }
   if constexpr (kCount && !W::kDrainEveryStep) drain();
 }

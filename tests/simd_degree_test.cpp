@@ -2,11 +2,13 @@
 // instantiation per degree in simd::kSpecializedDegrees (uncounted passes
 // of the x86 tiers) and a body that reads the degree at run time (every
 // other degree, every counted pass, the portable tier). These suites decode
-// every registered code, a code whose degrees are all outside the list and
-// a code with a degree-1 layer through both shapes and both families on
-// every tier, counted and uncounted, and compare each frame with its scalar
-// reference bit for bit. scripts/check.sh runs them on the portable tier
-// alone and under ASan/UBSan too.
+// every registered code, a code whose degrees are all outside the list, a
+// code with a degree-1 layer and codes whose blocks wrap on coincident rows
+// through both shapes and both families on every tier, counted and
+// uncounted, plus tie-heavy frames through every magnitude map, and
+// compare each frame with its scalar reference bit for bit.
+// scripts/check.sh runs them on the portable tier alone and under
+// ASan/UBSan too.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -27,6 +29,7 @@
 #include "core/simd/simd_fa_batch.hpp"
 #include "core/simd/simd_fa_layered.hpp"
 #include "core/simd/simd_layered.hpp"
+#include "util/rng.hpp"
 
 namespace ldpc {
 namespace {
@@ -128,48 +131,97 @@ void expect_family_identical(const std::vector<Reference>& refs,
   }
 }
 
-/// Both shapes x both families (q8.2, fa4) x every tier, uncounted (the
+using Pool = std::vector<std::vector<float>>;
+
+constexpr FixedFormat kQ82{8, 2};
+
+/// One magnitude map through both shapes on every tier, uncounted (the
 /// degree's own instantiation when it has one) and counted (the run-time
-/// body). Returns the degenerate checks the scalar references counted.
-long long sweep_code(const QCLdpcCode& code, const std::string& name,
-                     float db_lo, float db_hi) {
-  const auto pool = frame_pool(code, db_lo, db_hi);
+/// body), against its scalar reference. Returns the degenerate checks the
+/// references counted.
+template <class MakeScalar, class MakeZLane, class MakeBatched>
+long long sweep_map(const Pool& pool, DecoderOptions opt,
+                    const std::string& ctx, MakeScalar make_scalar,
+                    MakeZLane make_zlane, MakeBatched make_batched) {
   long long degenerate = 0;
-  const auto scalar_refs = [&](Decoder& scalar) {
-    std::vector<Reference> refs = references(scalar, pool);
-    for (const Reference& r : refs) degenerate += r.saturation.degenerate_checks;
-    return refs;
-  };
   for (const bool counted : {false, true}) {
-    DecoderOptions opt;
     opt.count_saturation = counted;
-    const std::string ctx = name + (counted ? " counted" : " uncounted");
-    LayeredMinSumFixedDecoder q8(code, opt, FixedFormat{8, 2});
+    const auto scalar = make_scalar(opt);
+    const std::vector<Reference> refs = references(*scalar, pool);
+    for (const Reference& r : refs) degenerate += r.saturation.degenerate_checks;
     expect_family_identical(
-        scalar_refs(q8),
-        [&](simd::SimdTier tier) {
-          return std::make_unique<SimdLayeredDecoder>(code, opt,
-                                                      FixedFormat{8, 2}, tier);
-        },
-        [&](simd::SimdTier tier) {
-          return std::make_unique<SimdBatchDecoder>(code, opt,
-                                                    FixedFormat{8, 2}, tier);
-        },
-        pool, ctx + " q8.2");
-    LayeredMinSumFaDecoder fa4(code, opt, 4);
-    expect_family_identical(
-        scalar_refs(fa4),
-        [&](simd::SimdTier tier) {
-          return std::make_unique<SimdFaLayeredDecoder>(code, opt, 4, 2.0F,
-                                                        tier);
-        },
-        [&](simd::SimdTier tier) {
-          return std::make_unique<SimdFaBatchDecoder>(code, opt, 4, 2.0F,
-                                                      tier);
-        },
-        pool, ctx + " fa4");
+        refs, [&](simd::SimdTier tier) { return make_zlane(opt, tier); },
+        [&](simd::SimdTier tier) { return make_batched(opt, tier); }, pool,
+        ctx + (counted ? " counted" : " uncounted"));
   }
   return degenerate;
+}
+
+/// The scaled min-sum map of `opt.scale` on q8.2: the 3/4 shift-add, or
+/// num/16 for any other scale.
+long long sweep_scaled(const QCLdpcCode& code, const Pool& pool,
+                       const DecoderOptions& opt, const std::string& ctx) {
+  return sweep_map(
+      pool, opt, ctx,
+      [&](const DecoderOptions& o) {
+        return std::make_unique<LayeredMinSumFixedDecoder>(code, o, kQ82);
+      },
+      [&](const DecoderOptions& o, simd::SimdTier tier) {
+        return std::make_unique<SimdLayeredDecoder>(code, o, kQ82, tier);
+      },
+      [&](const DecoderOptions& o, simd::SimdTier tier) {
+        return std::make_unique<SimdBatchDecoder>(code, o, kQ82, tier);
+      });
+}
+
+/// Offset min-sum on q8.2, offset 2 codes.
+long long sweep_offset(const QCLdpcCode& code, const Pool& pool,
+                       const std::string& ctx) {
+  constexpr std::int32_t kOffset = 2;
+  const std::string label = "offset";
+  return sweep_map(
+      pool, DecoderOptions{}, ctx,
+      [&](const DecoderOptions& o) {
+        return std::make_unique<LayeredMinSumFixedDecoder>(
+            code, o, LayerRowKernel::offset_kernel(kQ82, kOffset), label);
+      },
+      [&](const DecoderOptions& o, simd::SimdTier tier) {
+        return std::make_unique<SimdLayeredDecoder>(code, o, kQ82, kOffset,
+                                                    label, tier);
+      },
+      [&](const DecoderOptions& o, simd::SimdTier tier) {
+        return std::make_unique<simd::BatchDecoder<simd::Fixed16>>(
+            std::make_unique<simd::ZLaneDecoder<simd::Fixed16>>(
+                code, o, simd::Fixed16(code, o, kQ82, kOffset, label), label,
+                tier));
+      });
+}
+
+/// The finite-alphabet staircase of `msg_bits` (2, 3 or 4).
+long long sweep_fa(const QCLdpcCode& code, const Pool& pool, int msg_bits,
+                   const std::string& ctx) {
+  return sweep_map(
+      pool, DecoderOptions{}, ctx,
+      [&](const DecoderOptions& o) {
+        return std::make_unique<LayeredMinSumFaDecoder>(code, o, msg_bits);
+      },
+      [&](const DecoderOptions& o, simd::SimdTier tier) {
+        return std::make_unique<SimdFaLayeredDecoder>(code, o, msg_bits, 2.0F,
+                                                      tier);
+      },
+      [&](const DecoderOptions& o, simd::SimdTier tier) {
+        return std::make_unique<SimdFaBatchDecoder>(code, o, msg_bits, 2.0F,
+                                                    tier);
+      });
+}
+
+/// Both shapes x both families (q8.2, fa4) x every tier, uncounted and
+/// counted. Returns the degenerate checks the scalar references counted.
+long long sweep_code(const QCLdpcCode& code, const std::string& name,
+                     float db_lo, float db_hi) {
+  const Pool pool = frame_pool(code, db_lo, db_hi);
+  return sweep_scaled(code, pool, DecoderOptions{}, name + " q8.2") +
+         sweep_fa(code, pool, 4, name + " fa4");
 }
 
 struct NamedCode {
@@ -247,6 +299,67 @@ TEST(SimdDegree, DegreeOneLayerMatchesScalar) {
   const QCLdpcCode code(base);
   EXPECT_EQ(layer_degrees(code), (std::set<std::uint32_t>{1, 4}));
   EXPECT_GT(sweep_code(code, "deg 4-1-4 z=24", 1.0F, 4.0F), 0);
+}
+
+/// kFrames frames, two in three of them tie-heavy: every LLR has magnitude
+/// 1 (code 4 on the q8.2 grid and on the finite-alphabet posterior grid),
+/// so on a frame's first iteration every |Q| of every check row ties at
+/// min1, and later iterations keep many rows tied. A third of those take
+/// random signs (they run to the iteration budget), a third are the
+/// all-zero codeword with one sign in ten flipped (most converge); the
+/// remaining frames are ordinary AWGN frames.
+Pool tie_pool(const QCLdpcCode& code) {
+  Pool pool;
+  Xoshiro256 rng(11);
+  for (std::size_t f = 0; f < kFrames; ++f) {
+    if (f % 3 == 2) {
+      pool.push_back(zero_codeword_llr(code, 1.5F + 0.1F * f, f * 31 + 7));
+      continue;
+    }
+    std::vector<float> llr(code.n(), 1.0F);
+    for (float& v : llr)
+      if (f % 3 == 0 ? rng.coin() : rng.uniform() < 0.1) v = -1.0F;
+    pool.push_back(std::move(llr));
+  }
+  return pool;
+}
+
+TEST(SimdDegree, TiedMinimaMatchScalar) {
+  // Stage 2 gives s2 to every edge whose |Q| equals min1 instead of to the
+  // first one only; with several edges at min1, min2 == min1 and both
+  // choices are equal. Every map, on rows that start tied.
+  const QCLdpcCode code = make_wimax_2304_half_rate();
+  const Pool pool = tie_pool(code);
+  const std::string name = "wimax 1/2 z=96 ties";
+  sweep_scaled(code, pool, DecoderOptions{}, name + " q8.2 3/4");
+  DecoderOptions num16;
+  num16.scale = 0.625F;
+  sweep_scaled(code, pool, num16, name + " q8.2 10/16");
+  sweep_offset(code, pool, name + " q8.2 offset");
+  for (const int bits : {2, 3, 4})
+    sweep_fa(code, pool, bits, name + " fa" + std::to_string(bits));
+}
+
+/// Layers of degree 6, 7 and 6 whose blocks wrap on coincident rows: each
+/// layer has a shift of 0 (never wraps), a shift of z - 1 (wraps after row
+/// 0) and two or three blocks that share a shift, so the batched passes
+/// rewind several P pointers at one row.
+QCLdpcCode wrap_code(int z) {
+  const int w = z - 1;
+  const int x = BaseMatrix::kZero;
+  return QCLdpcCode(BaseMatrix(3, 10,
+                               {0, w, 5, 5, 11, 17, x, x, x, x,  //
+                                x, x, w, 0, 9, 9, 9, 20, 1, x,   //
+                                3, x, x, 3, x, x, 0, w, 14, 2},
+                               z, "wrap-rows"));
+}
+
+TEST(SimdDegree, CoincidentWrapRowsMatchScalar) {
+  for (const int z : {33, 96}) {
+    const QCLdpcCode code = wrap_code(z);
+    EXPECT_EQ(layer_degrees(code), (std::set<std::uint32_t>{6, 7}));
+    sweep_code(code, "wrap rows z=" + std::to_string(z), 1.0F, 4.0F);
+  }
 }
 
 }  // namespace
