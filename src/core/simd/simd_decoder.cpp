@@ -360,12 +360,12 @@ BatchDecoder<Family>::BatchDecoder(std::unique_ptr<ZLaneDecoder<Family>> single)
       z_(static_cast<std::uint32_t>(code_.z())),
       lane_map_(single_->family(), lanes_) {
   std::size_t max_deg = 0;
+  layer_start_.push_back(0);
   for (const auto& layer : code_.layers()) {
-    std::vector<BatchBlock> blocks;
     for (const auto& blk : layer)
-      blocks.push_back({blk.block_col * z_, blk.shift % z_, blk.r_slot * z_});
-    max_deg = std::max(max_deg, blocks.size());
-    layers_.push_back(std::move(blocks));
+      blocks_.push_back({blk.block_col * z_, blk.shift % z_, blk.r_slot * z_});
+    max_deg = std::max(max_deg, layer.size());
+    layer_start_.push_back(static_cast<std::uint32_t>(blocks_.size()));
   }
   const std::size_t r_rows =
       code_.base().nonzero_blocks() * static_cast<std::size_t>(z_);
@@ -377,9 +377,10 @@ BatchDecoder<Family>::BatchDecoder(std::unique_ptr<ZLaneDecoder<Family>> single)
   rows_.resize(2 * std::max<std::size_t>(max_deg, 1));
   active_.assign(lanes_, T{0});
   r_keep_.assign(lanes_, T{-1});
-  hard_.resize((code_.n() + 63) / 64);
-  plane_.resize(hard_.size() * 64);
-  unsat_.resize(z_);
+  words_ = (code_.n() + 63) / 64;
+  hard_.resize(words_ * lanes_);
+  plane_.resize(words_ * 64 + kProbePadWords);
+  unsat_.resize(code_.layers().size() * z_ + kProbePadWords);
   lane_.assign(lanes_, Lane{});
   q_clips_.assign(lanes_, 0);
   r_clips_.assign(lanes_, 0);
@@ -447,27 +448,16 @@ void BatchDecoder<Family>::read_plane() {
 
 template <class Family>
 std::uint64_t BatchDecoder<Family>::probe(bool weigh) {
-  if (weigh) std::fill(weight_.begin(), weight_.end(), 0);
-  std::uint64_t unsat = 0;
-  std::uint64_t* const rows = unsat_.data();
-  for (const auto& blocks : layers_) {
-    if (blocks.empty()) continue;
-    // Row r XORs plane word p_base + (r + shift) mod z of every block: per
-    // block two contiguous runs, like the z-lane gather's two memcpys.
-    std::fill(rows, rows + z_, 0);
-    for (const BatchBlock& b : blocks) {
-      const std::uint64_t* const col = plane_.data() + b.p_base;
-      const std::uint32_t head = z_ - b.shift;
-#pragma GCC unroll 4
-      for (std::uint32_t r = 0; r < head; ++r) rows[r] ^= col[b.shift + r];
-#pragma GCC unroll 4
-      for (std::uint32_t r = 0; r < b.shift; ++r) rows[head + r] ^= col[r];
-    }
-    for (std::uint32_t r = 0; r < z_; ++r) unsat |= rows[r];
-    if (weigh)
-      for (std::uint32_t r = 0; r < z_; ++r)
-        for (std::uint64_t m = rows[r]; m != 0; m &= m - 1)
-          ++weight_[std::countr_zero(m)];
+  const auto layers = static_cast<std::uint32_t>(layer_start_.size() - 1);
+  const std::uint64_t unsat =
+      kernels_.probe({plane_.data(), blocks_.data(), layer_start_.data(),
+                      layers, z_, weigh ? unsat_.data() : nullptr});
+  if (weigh) {
+    std::fill(weight_.begin(), weight_.end(), 0);
+    const std::size_t rows = std::size_t{layers} * z_;
+    for (std::size_t r = 0; r < rows; ++r)
+      for (std::uint64_t m = unsat_[r]; m != 0; m &= m - 1)
+        ++weight_[std::countr_zero(m)];
   }
   return unsat;
 }
@@ -478,6 +468,9 @@ void BatchDecoder<Family>::run_stream(FrameSource& source) {
   const Family& family = single_->family();
   const auto& kernels = Family::kernels(kernels_);
   std::uint32_t live = 0;  // lanes currently carrying a frame
+  // Live lanes whose frame carries a cancel token: the layer boundaries
+  // poll tokens only while there is one.
+  std::uint32_t tokens = 0;
   // A stream that threw may have left frames in lanes: start from idle.
   std::fill(lane_.begin(), lane_.end(), Lane{});
   std::fill(active_.begin(), active_.end(), T{0});
@@ -501,6 +494,7 @@ void BatchDecoder<Family>::run_stream(FrameSource& source) {
 
   const bool et = options_.early_termination;
   const bool wd = options_.watchdog.enabled();
+  const auto layers = static_cast<std::uint32_t>(layer_start_.size() - 1);
 
   // Frames taken and not yet in P. The refill pass quantizes each taken
   // frame straight into its lane of P, in one pass over the rows: when
@@ -534,6 +528,7 @@ void BatchDecoder<Family>::run_stream(FrameSource& source) {
     lane.iter = 0;
     lane.watchdog = WatchdogState(options_.watchdog);
     lane.cancel = frame.frame.cancel;
+    if (lane.cancel != nullptr) ++tokens;
     refill.llr[refill.count] = frame.frame.llr.data();
     refill.lane[refill.count++] = f;
     if (refill.count == slots) run_refill();
@@ -549,14 +544,13 @@ void BatchDecoder<Family>::run_stream(FrameSource& source) {
   // as the scalar decoder's iteration tail + output parity recheck would
   // have produced it: hard bits from the sign plane, `parity` from the
   // probe over it, both read at the boundary where the lane finishes.
-  const auto finalize = [&](std::uint32_t f, bool watchdog_fired,
-                            bool cancelled, bool parity) {
+  const auto finish = [&](std::uint32_t f, bool watchdog_fired, bool cancelled,
+                          bool parity) {
     Lane& lane = lane_[f];
-    kernels_.lane_bits({plane_.data(), hard_.size(), f, hard_.data()});
     DecodeResult res;
     res.hard_bits.resize(n);
-    for (std::size_t w = 0; w < hard_.size(); ++w)
-      res.hard_bits.set_word(w, hard_[w]);
+    const std::uint64_t* const hard = hard_.data() + f * words_;
+    for (std::size_t w = 0; w < words_; ++w) res.hard_bits.set_word(w, hard[w]);
     res.iterations = lane.iter;
     res.converged = parity;
     res.status = classify_exit(res.converged, watchdog_fired, 0, cancelled);
@@ -567,11 +561,23 @@ void BatchDecoder<Family>::run_stream(FrameSource& source) {
     sat.p_clips = p_clips_[f];
     sat.datapath_clips = sat.q_clips + sat.r_clips + sat.p_clips;
     sat.degenerate_checks = degenerate_[f];
+    if (lane.cancel != nullptr) --tokens;
     lane.live = false;
     lane.cancel = nullptr;
     active_[f] = 0;
     --live;
     source.done(lane.tag, std::move(res), sat);
+  };
+  // Retire the lanes of `lanes` in lane order, their hard bits extracted
+  // from the plane in one pass for the whole set; `unsat` is the probe's
+  // mask at this boundary and `fired` marks the watchdog aborts.
+  const auto finalize = [&](std::uint64_t lanes, std::uint64_t unsat,
+                            std::uint64_t fired, bool cancelled) {
+    kernels_.lane_bits({plane_.data(), words_, lanes, hard_.data()});
+    for (std::uint64_t m = lanes; m != 0; m &= m - 1) {
+      const auto f = static_cast<std::uint32_t>(std::countr_zero(m));
+      finish(f, ((fired >> f) & 1U) != 0, cancelled, ((unsat >> f) & 1U) == 0);
+    }
   };
 
   for (;;) {
@@ -614,7 +620,7 @@ void BatchDecoder<Family>::run_stream(FrameSource& source) {
       lane_map_.set(f, lane.iter);
     }
 
-    for (std::size_t l = 0; l < layers_.size() && live > 0; ++l) {
+    for (std::uint32_t l = 0; l < layers && live > 0; ++l) {
       // Same cooperative-cancellation cadence as the scalar decoder:
       // polled at every layer boundary, where lane posteriors are
       // consistent. The clock is read once per boundary, by the first
@@ -624,7 +630,7 @@ void BatchDecoder<Family>::run_stream(FrameSource& source) {
       std::uint64_t expired = 0;
       std::chrono::steady_clock::time_point now{};
       bool clock_read = false;
-      for (std::uint32_t f = 0; f < lanes_; ++f) {
+      for (std::uint32_t f = 0; f < lanes_ && tokens > 0; ++f) {
         const Lane& lane = lane_[f];
         if (!lane.live || lane.cancel == nullptr) continue;
         if (!clock_read && lane.cancel->has_deadline()) {
@@ -635,21 +641,17 @@ void BatchDecoder<Family>::run_stream(FrameSource& source) {
       }
       if (expired != 0) {
         read_plane();
-        const std::uint64_t unsat = probe(false);
-        for (std::uint64_t m = expired; m != 0; m &= m - 1) {
-          const auto f = static_cast<std::uint32_t>(std::countr_zero(m));
-          finalize(f, false, true, ((unsat >> f) & 1U) == 0);
-        }
+        finalize(expired, probe(false), 0, true);
         if (live == 0) break;
       }
-      const auto& blocks = layers_[l];
-      if (blocks.empty()) continue;
-      pass.blocks = blocks.data();
-      pass.deg = static_cast<std::uint32_t>(blocks.size());
+      const std::uint32_t deg = layer_start_[l + 1] - layer_start_[l];
+      if (deg == 0) continue;
+      pass.blocks = blocks_.data() + layer_start_[l];
+      pass.deg = deg;
       kernels.batch(pass);
       // A degree-1 layer forces R' = 0 on every one of its z rows, once
       // per layer pass — same accounting as the scalar row kernels.
-      if (blocks.size() == 1)
+      if (deg == 1)
         for (std::uint32_t f = 0; f < lanes_; ++f)
           if (active_[f] != 0) degenerate_[f] += z_;
     }
@@ -661,21 +663,22 @@ void BatchDecoder<Family>::run_stream(FrameSource& source) {
     if (live == 0 || !(et || wd || at_budget)) continue;
     read_plane();
     const std::uint64_t unsat = probe(wd);
+    std::uint64_t finishing = 0;
+    std::uint64_t fired = 0;
     for (std::uint32_t f = 0; f < lanes_; ++f) {
       Lane& lane = lane_[f];
       if (!lane.live) continue;
-      const bool parity = ((unsat >> f) & 1U) == 0;
-      if (et && parity) {
-        finalize(f, false, false, true);
-        continue;
+      const std::uint64_t bit = std::uint64_t{1} << f;
+      if (et && (unsat & bit) == 0) {
+        finishing |= bit;
+      } else if (wd && lane.watchdog.should_abort(weight_[f])) {
+        finishing |= bit;
+        fired |= bit;
+      } else if (lane.iter >= options_.max_iterations) {
+        finishing |= bit;
       }
-      if (wd && lane.watchdog.should_abort(weight_[f])) {
-        finalize(f, true, false, parity);
-        continue;
-      }
-      if (lane.iter >= options_.max_iterations)
-        finalize(f, false, false, parity);
     }
+    finalize(finishing, unsat, fired, false);
   }
 }
 

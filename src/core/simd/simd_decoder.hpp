@@ -313,9 +313,9 @@ class BatchDecoder : public Decoder {
   void run_stream(FrameSource& source);
   /// Read the sign plane from P: one pass over the n posterior rows.
   void read_plane();
-  /// The parity probe over the sign plane: the mask of lanes with an
-  /// unsatisfied check row; with `weigh`, weight_[f] = lane f's syndrome
-  /// weight.
+  /// The parity probe over the sign plane (the tier's probe pass): the
+  /// mask of lanes with an unsatisfied check row; with `weigh`,
+  /// weight_[f] = lane f's syndrome weight.
   std::uint64_t probe(bool weigh);
   /// One frame on the z-lane twin, stamped with `reason` unless the twin
   /// bypassed its own lane kernel for a more specific one.
@@ -330,7 +330,8 @@ class BatchDecoder : public Decoder {
   std::uint32_t z_ = 0;
   std::size_t min_block_ = 1;  ///< see min_block()
 
-  std::vector<std::vector<BatchBlock>> layers_;
+  std::vector<BatchBlock> blocks_;          ///< every layer's blocks, in order
+  std::vector<std::uint32_t> layer_start_;  ///< layers + 1 offsets into blocks_
   typename Family::LaneMap lane_map_;
   AlignedVec<T> p_;       ///< n rows * F lanes posteriors
   AlignedVec<T> r_;       ///< nonzero_blocks * z rows * F check messages
@@ -340,11 +341,14 @@ class BatchDecoder : public Decoder {
   AlignedVec<T> active_;  ///< F lane mask (-1 live, 0 idle)
   AlignedVec<T> r_keep_;  ///< F lane mask (0 = first iteration, R reads
                           ///< as 0 — see BatchPass::r_keep)
-  /// The sign plane: bit f of plane_[v] = (P[v][f] < 0), n rows rounded up
-  /// to 64 (the tail rows stay zero).
+  std::size_t words_ = 0;  ///< hard-decision words per frame, ceil(n / 64)
+  /// The sign plane: bit f of plane_[v] = (P[v][f] < 0), words_ * 64 rows
+  /// (the rows past n stay zero) and kProbePadWords words of slack.
   std::vector<std::uint64_t> plane_;
-  std::vector<std::uint64_t> unsat_;  ///< z rows' unsatisfied-lane masks
-  std::vector<std::uint64_t> hard_;   ///< one lane's hard-decision words
+  /// Every layer's z check-row words of the last weighed probe (bit f set:
+  /// lane f's check is unsatisfied), and kProbePadWords words of slack.
+  std::vector<std::uint64_t> unsat_;
+  std::vector<std::uint64_t> hard_;  ///< words_ hard-decision words per lane
   std::vector<Lane> lane_;
   std::vector<long long> q_clips_;     ///< per-lane clip accumulators
   std::vector<long long> r_clips_;

@@ -23,7 +23,11 @@
 // passes: the sign pass (hard decisions and the batched sign plane), the
 // channel quantizer (the z-lane decoder's frame setup) and the batched
 // refill, which quantizes the frames taken into freed lanes straight into
-// their lanes of P, one pass over the rows per refill round.
+// their lanes of P, one pass over the rows per refill round. Two more
+// passes read the batched sign plane and do not depend on the element
+// width: the parity probe (every lane's unsatisfied checks) and the
+// lane-set extraction (the hard bits of every lane that finishes at a
+// boundary).
 //
 // Every tier compiles the same body over its own LaneOps policies and
 // publishes the result as one KernelSet (see kernels_for below):
@@ -99,7 +103,7 @@ constexpr std::uint32_t lanes_for(SimdTier t) {
 /// does frame by frame, for a code whose z fills the z-lane vectors exactly
 /// (measured per tier with LDPC_SIMD_TIER on WiMAX 1/2 z = 96 at 2.0 dB,
 /// where the int8 AVX-512 z-lane stride pads 96 to 128, so its entry is the
-/// measured 13 / 0.75, rounded down; see docs/simd_kernel.md). Where no
+/// measured 10 / 0.75, rounded down; see docs/simd_kernel.md). Where no
 /// block up to the lane count measured faster, the entry is the lane
 /// count: a full block still starts the batched kernel, whose lanes then
 /// refill from the stream. A batched decoder scales it by its z-lane twin's
@@ -107,10 +111,10 @@ constexpr std::uint32_t lanes_for(SimdTier t) {
 template <class T>
 constexpr std::uint32_t batch_break_even(SimdTier t) {
   switch (t) {
-    case SimdTier::kPortable: return sizeof(T) == 1 ? 16 : 8;
-    case SimdTier::kSse2:     return sizeof(T) == 1 ? 12 : 8;
-    case SimdTier::kAvx2:     return sizeof(T) == 1 ? 12 : 11;
-    case SimdTier::kAvx512:   return sizeof(T) == 1 ? 17 : 15;
+    case SimdTier::kPortable: return sizeof(T) == 1 ? 14 : 8;
+    case SimdTier::kSse2:     return sizeof(T) == 1 ? 12 : 6;
+    case SimdTier::kAvx2:     return sizeof(T) == 1 ? 12 : 9;
+    case SimdTier::kAvx512:   return 13;  // both widths
   }
   return 8;
 }
@@ -246,7 +250,8 @@ struct BatchPass {
   /// iteration (by its own layer) and rewritten in the same row step, so
   /// masking reads for one full iteration replaces zero-filling the lane's
   /// whole R column at refill — a strided walk over every R cache line that
-  /// cost more than a decode iteration.
+  /// cost more than a decode iteration. An uncounted pass on a tier with a
+  /// masked subtract turns it into the tier's lane Mask once per pass.
   const T* r_keep;
   T lo;
   T hi;
@@ -273,14 +278,37 @@ struct SignPass {
   std::uint64_t* out;      ///< `words` words
 };
 
-/// One lane's hard decisions from a sign plane: bit b of out[w] = bit
-/// `lane` of plane[64 w + b]. The plane holds words * 64 rows; rows past
-/// the code length are zero.
+/// A lane set's hard decisions from a sign plane: for every lane in
+/// `lanes`, bit b of out[lane * words + w] = bit `lane` of plane[64 w + b].
+/// The plane holds words * 64 rows; rows past the code length are zero.
+/// Nothing outside the set's words is written.
 struct LaneBitsPass {
   const std::uint64_t* plane;
   std::size_t words;
-  std::uint32_t lane;  ///< < 64
-  std::uint64_t* out;  ///< `words` words
+  std::uint64_t lanes;  ///< bit f set: extract lane f
+  std::uint64_t* out;   ///< 64 * words words, lane-major
+};
+
+/// Words of slack past the last sign-plane row (and past the last row
+/// word) that the probe pass may read (and write): the widest vector's
+/// words. Callers allocate that much more.
+inline constexpr std::uint32_t kProbePadWords = 8;
+
+/// The batched decoder's parity probe over a sign plane. Check row r of a
+/// layer XORs the plane words p_base + (r + shift) mod z of the layer's
+/// blocks; bit f of that row word is set when lane f's check is
+/// unsatisfied. The pass returns the OR of every layer's row words, the
+/// mask of lanes with an unsatisfied check. With `rows` set, layer l's row
+/// words also land in rows[l * z + r], so the caller can count each
+/// lane's unsatisfied checks (the watchdog's syndrome weight). A layer
+/// without blocks has no check rows: its words are 0.
+struct ProbePass {
+  const std::uint64_t* plane;        ///< the sign plane, padded
+  const BatchBlock* blocks;          ///< every layer's blocks, in order
+  const std::uint32_t* layer_start;  ///< layers + 1 offsets into blocks
+  std::uint32_t layers;
+  std::uint32_t z;
+  std::uint64_t* rows;  ///< null, or layers * z words, padded
 };
 
 /// The channel quantizer's grid, shared by the quantize and refill passes:
@@ -369,12 +397,13 @@ struct ShapeKernels {
   void (*refill)(const RefillPass<T>&);
 };
 
-/// Every kernel of one tier: each family's passes, and the sign-plane lane
-/// extraction both families share.
+/// Every kernel of one tier: each family's passes, and the two sign-plane
+/// passes both families share.
 struct KernelSet {
   ShapeKernels<std::int16_t, ScaleMap> fixed16;
   ShapeKernels<std::int8_t, StaircaseMap> fa8;
   void (*lane_bits)(const LaneBitsPass&);
+  std::uint64_t (*probe)(const ProbePass&);
 };
 
 /// True when `tier` is both compiled in and supported by this CPU.

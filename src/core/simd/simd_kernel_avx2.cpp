@@ -99,21 +99,25 @@ struct Avx2Base {
     detail::quantize_scalar(a, v);
   }
   static void lane_bits(const LaneBitsPass& a) {
-    // Shift bit `lane` of 4 plane rows into their sign bits; movmskpd.
-    const __m128i count = _mm_cvtsi32_si128(static_cast<int>(63 - a.lane));
-    for (std::size_t w = 0; w < a.words; ++w) {
-      const std::uint64_t* rows = a.plane + w * 64;
-      std::uint64_t bits = 0;
-      for (std::uint32_t g = 0; g < 16; ++g) {
-        const __m256i v = _mm256_sll_epi64(
-            _mm256_loadu_si256(reinterpret_cast<const __m256i*>(rows + 4 * g)),
-            count);
-        bits |= static_cast<std::uint64_t>(
-                    _mm256_movemask_pd(_mm256_castsi256_pd(v)))
-                << (4 * g);
+    // Per lane: shift bit `lane` of 4 plane rows into their sign bits;
+    // movmskpd.
+    detail::for_each_lane(a, [&](std::uint32_t lane, std::uint64_t* out) {
+      const __m128i count = _mm_cvtsi32_si128(static_cast<int>(63 - lane));
+      for (std::size_t w = 0; w < a.words; ++w) {
+        const std::uint64_t* rows = a.plane + w * 64;
+        std::uint64_t bits = 0;
+        for (std::uint32_t g = 0; g < 16; ++g) {
+          const __m256i v = _mm256_sll_epi64(
+              _mm256_loadu_si256(
+                  reinterpret_cast<const __m256i*>(rows + 4 * g)),
+              count);
+          bits |= static_cast<std::uint64_t>(
+                      _mm256_movemask_pd(_mm256_castsi256_pd(v)))
+                  << (4 * g);
+        }
+        out[w] = bits;
       }
-      a.out[w] = bits;
-    }
+    });
   }
 };
 

@@ -9,12 +9,23 @@
 // __mmask64 for int8), the form AVX-512 comparisons produce natively:
 // cmpgt/cmpeq are vpcmpw/vpcmpb into a k-register, blend is
 // vpblendmw/vpblendmb under it, and the row update's sign parity XORs two
-// masks (kxord/kxorq). No lane predicate is ever widened into a vector.
+// masks (kxord/kxorq). No lane predicate is ever widened into a vector:
+// an uncounted batched pass holds r_keep in a k-register too, and each
+// edge's Q = P - R is one vpsubw / vpsubsb under it with P as the merge
+// source (sub_keep), not an AND of every R load.
+//
+// The sign-plane passes use masked loads as well: the probe's straddling
+// load is a masked load plus an expanding load (load_split), and the
+// lane-set extraction transposes 64 plane rows in registers so that each
+// finishing lane costs one vptestmb per 64 rows (lane_bits).
 #include "core/simd/simd_row_update.hpp"
 
 #ifdef LDPC_SIMD_X86
 
 #include <immintrin.h>
+
+#include <algorithm>
+#include <bit>
 
 namespace ldpc::simd {
 namespace {
@@ -29,22 +40,37 @@ using detail::unrolled;
 #pragma GCC diagnostic push
 #pragma GCC diagnostic ignored "-Wmaybe-uninitialized"
 
-/// The channel quantizer's step (QuantizeGrid): 16 LLRs per step, one
-/// 16-wide float pipeline and the rail clamp on int32. Float bit-ops go
-/// through integer casts — _mm512_and_ps is AVX-512DQ, which this build
-/// does not assume (only F + BW).
+/// The channel quantizer (QuantizeGrid): 16 LLRs per float step, then
+/// saturating packs narrow a vector's steps to T (int32 -> int16, and
+/// int16 -> int8 for int8 codes), one permute restores the row order the
+/// packs interleave across 128-bit lanes, and the rail clamp runs once per
+/// vector of T. The packs cannot change a code: a step's code has
+/// |code| <= 2^15 + 1 and the rails fit T, so saturating before the clamp
+/// gives the clamp's result. Float bit-ops go through integer casts —
+/// _mm512_and_ps is AVX-512DQ, which this build does not assume (only F +
+/// BW).
 template <class T>
 struct Avx512Quantizer {
+  static constexpr std::uint32_t kCodes = 64 / sizeof(T);  ///< per vector
+
   explicit Avx512Quantizer(const QuantizeGrid<T>& g)
       : scale(_mm512_set1_ps(g.fscale)),
         fhi(_mm512_set1_ps(g.fhi)),
         flo(_mm512_set1_ps(g.flo)),
         half(_mm512_set1_ps(0.5F)),
         sign(_mm512_castps_si512(_mm512_set1_ps(-0.0F))),
-        hi(_mm512_set1_epi32(g.hi)),
-        lo(_mm512_set1_epi32(g.lo)) {}
+        hi(sizeof(T) == 1 ? _mm512_set1_epi8(static_cast<char>(g.hi))
+                          : _mm512_set1_epi16(g.hi)),
+        lo(sizeof(T) == 1 ? _mm512_set1_epi8(static_cast<char>(g.lo))
+                          : _mm512_set1_epi16(g.lo)),
+        // packs_epi32 leaves qword 2L + k = step k's codes 4L .. 4L + 3;
+        // for int8, packs_epi16 then leaves dword 4L + k = step k's codes
+        // 4L .. 4L + 3 (k = 0..3).
+        order(sizeof(T) == 1 ? _mm512_setr_epi32(0, 4, 8, 12, 1, 5, 9, 13, 2,
+                                                 6, 10, 14, 3, 7, 11, 15)
+                             : _mm512_setr_epi64(0, 2, 4, 6, 1, 3, 5, 7)) {}
 
-  /// 16 LLRs -> 16 railed int32 codes.
+  /// 16 LLRs -> 16 int32 codes before the rail clamp.
   __m512i step(__m512 llr) const {
     __m512 s = _mm512_mul_ps(llr, scale);
     // NaN and |s| < 0.5 -> 0 (the ordered compare is false for NaN).
@@ -54,12 +80,41 @@ struct Avx512Quantizer {
     const __m512 away = _mm512_castsi512_ps(_mm512_or_si512(
         _mm512_castps_si512(half),
         _mm512_and_si512(_mm512_castps_si512(s), sign)));
-    const __m512i t = _mm512_cvttps_epi32(_mm512_add_ps(s, away));
-    return _mm512_max_epi32(_mm512_min_epi32(t, hi), lo);
+    return _mm512_cvttps_epi32(_mm512_add_ps(s, away));
+  }
+
+  /// The step over rows [first, first + 16) of a block of `rows` LLRs:
+  /// rows past the block are not loaded (a masked load) and code 0.
+  __m512i step_rows(const float* llr, std::uint32_t first,
+                    std::uint32_t rows) const {
+    if (first >= rows) return _mm512_setzero_si512();
+    const std::uint32_t left = rows - first;
+    const auto live = static_cast<__mmask16>(left >= 16 ? 0xFFFFU
+                                                        : (1U << left) - 1);
+    return step(_mm512_maskz_loadu_ps(live, llr + first));
+  }
+
+  /// The railed codes of rows [0, rows <= kCodes) of `llr` in row order,
+  /// one vector of T; rows past `rows` code 0.
+  __m512i codes(const float* llr, std::uint32_t rows) const {
+    if constexpr (sizeof(T) == 1) {
+      const __m512i packed = _mm512_permutexvar_epi32(
+          order,
+          _mm512_packs_epi16(_mm512_packs_epi32(step_rows(llr, 0, rows),
+                                                step_rows(llr, 16, rows)),
+                             _mm512_packs_epi32(step_rows(llr, 32, rows),
+                                                step_rows(llr, 48, rows))));
+      return _mm512_max_epi8(_mm512_min_epi8(packed, hi), lo);
+    } else {
+      const __m512i packed = _mm512_permutexvar_epi64(
+          order, _mm512_packs_epi32(step_rows(llr, 0, rows),
+                                    step_rows(llr, 16, rows)));
+      return _mm512_max_epi16(_mm512_min_epi16(packed, hi), lo);
+    }
   }
 
   __m512 scale, fhi, flo, half;
-  __m512i sign, hi, lo;
+  __m512i sign, hi, lo, order;
 };
 
 /// Width-independent half of the AVX-512 policies.
@@ -78,45 +133,33 @@ struct Avx512Base {
   static Vec or_(Vec a, Vec b) { return _mm512_or_si512(a, b); }
   static Vec and_(Vec a, Vec b) { return _mm512_and_si512(a, b); }
   static void quantize(const QuantizePass<T>& a) {
-    // One quantizer step per 16 LLRs, then one narrowing move: vpmovdw
-    // (int16) or vpmovdb (int8).
+    // One vector of codes per step; the block tail is a masked load and a
+    // masked store.
+    constexpr std::uint32_t kCodes = Avx512Quantizer<T>::kCodes;
     const Avx512Quantizer<T> q(a.grid);
-    std::size_t v = 0;
-    for (; v + 16 <= a.n; v += 16) {
-      const __m512i t = q.step(_mm512_loadu_ps(a.llr + v));
+    for (std::size_t v = 0; v < a.n; v += kCodes) {
+      const auto rows =
+          static_cast<std::uint32_t>(std::min<std::size_t>(kCodes, a.n - v));
+      const std::uint64_t live =
+          rows == 64 ? ~std::uint64_t{0} : (std::uint64_t{1} << rows) - 1;
+      const Vec codes = q.codes(a.llr + v, rows);
       if constexpr (sizeof(T) == 1)
-        _mm_storeu_si128(reinterpret_cast<__m128i*>(a.out + v),
-                         _mm512_cvtepi32_epi8(t));
+        _mm512_mask_storeu_epi8(a.out + v, live, codes);
       else
-        _mm256_storeu_si256(reinterpret_cast<__m256i*>(a.out + v),
-                            _mm512_cvtepi32_epi16(t));
-    }
-    detail::quantize_scalar(a, v);
-  }
-  /// Quantizer step over rows [first, first + 16) of a block of `rows`
-  /// LLRs: rows past the block are not loaded (a masked load) and code 0.
-  static __m512i quantize_rows(const Avx512Quantizer<T>& q, const float* llr,
-                               std::uint32_t first, std::uint32_t rows) {
-    if (first >= rows) return zero();
-    const std::uint32_t left = rows - first;
-    const auto live = static_cast<__mmask16>(left >= 16 ? 0xFFFFU
-                                                        : (1U << left) - 1);
-    return q.step(_mm512_maskz_loadu_ps(live, llr + first));
-  }
-  static void lane_bits(const LaneBitsPass& a) {
-    // vptestmq: bit `lane` of 8 plane rows per instruction.
-    const __m512i sel =
-        _mm512_set1_epi64(static_cast<long long>(1ULL << a.lane));
-    for (std::size_t w = 0; w < a.words; ++w) {
-      const std::uint64_t* rows = a.plane + w * 64;
-      std::uint64_t bits = 0;
-      for (std::uint32_t g = 0; g < 8; ++g)
-        bits |= static_cast<std::uint64_t>(_mm512_test_epi64_mask(
-                    _mm512_loadu_si512(rows + 8 * g), sel))
-                << (8 * g);
-      a.out[w] = bits;
+        _mm512_mask_storeu_epi16(a.out + v, static_cast<__mmask32>(live),
+                                 codes);
     }
   }
+  /// The probe's straddling load (probe_pass): a masked load of the head
+  /// words and an expanding load of the tail's first 8 - split words into
+  /// the rest, so nothing before `tail` is read.
+  static Vec load_split(const std::uint64_t* head, const std::uint64_t* tail,
+                        std::uint32_t split) {
+    const auto first = static_cast<__mmask8>((1U << split) - 1);
+    return _mm512_mask_expandloadu_epi64(_mm512_maskz_loadu_epi64(first, head),
+                                         static_cast<__mmask8>(~first), tail);
+  }
+  static void lane_bits(const LaneBitsPass& a);  // below
 };
 
 /// Transposes kN vectors of kN-element 128-bit lanes (16 of bytes or 8 of
@@ -149,6 +192,9 @@ struct Avx512Ops16 : Avx512Base<std::int16_t> {
     return _mm512_mask_blend_epi16(m, b, a);
   }
   static Mask mask_xor(Mask a, Mask b) { return _kxor_mask32(a, b); }
+  static Vec sub_keep(Mask m, Vec a, Vec b) {
+    return _mm512_mask_sub_epi16(a, m, a, b);  // vpsubw, a merges
+  }
   static Vec abs(Vec a) { return _mm512_abs_epi16(a); }
   static std::uint64_t sign_bits(Vec a) { return _mm512_movepi16_mask(a); }
   template <int kShift>
@@ -187,11 +233,7 @@ struct Avx512Ops16 : Avx512Base<std::int16_t> {
     }
 
     Vec codes(const float* llr, std::uint32_t rows) const {
-      const __m256i lo =
-          _mm512_cvtepi32_epi16(quantize_rows(quant, llr, 0, rows));
-      const __m256i hi =
-          _mm512_cvtepi32_epi16(quantize_rows(quant, llr, 16, rows));
-      return _mm512_inserti64x4(_mm512_castsi256_si512(lo), hi, 1);
+      return quant.codes(llr, rows);
     }
 
     void place(const Vec (&codes)[kRefillSlots], T* p,
@@ -239,6 +281,9 @@ struct Avx512Ops8 : Avx512Base<std::int8_t> {
     return _mm512_mask_blend_epi8(m, b, a);
   }
   static Mask mask_xor(Mask a, Mask b) { return _kxor_mask64(a, b); }
+  static Vec sub_keep(Mask m, Vec a, Vec b) {
+    return _mm512_mask_subs_epi8(a, m, a, b);  // vpsubsb, a merges
+  }
   static Vec abs(Vec a) { return _mm512_abs_epi8(a); }
   static std::uint64_t sign_bits(Vec a) { return _mm512_movepi8_mask(a); }
   static Vec staircase_add(Vec s, Vec mag, Vec thr, Vec delta) {
@@ -267,13 +312,7 @@ struct Avx512Ops8 : Avx512Base<std::int8_t> {
     }
 
     Vec codes(const float* llr, std::uint32_t rows) const {
-      Vec v = zero();
-      unrolled<4>([&](auto i) {
-        v = _mm512_inserti32x4(
-            v, _mm512_cvtepi32_epi8(quantize_rows(quant, llr, 16 * i, rows)),
-            i);
-      });
-      return v;
+      return quant.codes(llr, rows);
     }
 
     void place(const Vec (&codes)[kRefillSlots], T* p,
@@ -297,6 +336,65 @@ struct Avx512Ops8 : Avx512Base<std::int8_t> {
     __mmask64 fresh;
   };
 };
+
+/// x[j] qword g <- x[g] qword j: an 8 x 8 qword transpose across 8
+/// registers (vpunpck{l,h}qdq, then two rounds of vshufi64x2).
+inline void transpose_qwords(__m512i (&x)[8]) {
+  __m512i t[8];
+  unrolled<4>([&](auto i) {
+    t[2 * i] = _mm512_unpacklo_epi64(x[2 * i], x[2 * i + 1]);
+    t[2 * i + 1] = _mm512_unpackhi_epi64(x[2 * i], x[2 * i + 1]);
+  });
+  __m512i u[8];
+  unrolled<2>([&](auto h) {  // registers 4h .. 4h + 3
+    u[4 * h] = _mm512_shuffle_i64x2(t[4 * h], t[4 * h + 2], 0x88);
+    u[4 * h + 1] = _mm512_shuffle_i64x2(t[4 * h + 1], t[4 * h + 3], 0x88);
+    u[4 * h + 2] = _mm512_shuffle_i64x2(t[4 * h], t[4 * h + 2], 0xDD);
+    u[4 * h + 3] = _mm512_shuffle_i64x2(t[4 * h + 1], t[4 * h + 3], 0xDD);
+  });
+  unrolled<4>([&](auto j) {
+    x[j] = _mm512_shuffle_i64x2(u[j], u[j + 4], 0x88);
+    x[j + 4] = _mm512_shuffle_i64x2(u[j], u[j + 4], 0xDD);
+  });
+}
+
+/// The lane-set extraction (LaneBitsPass), 64 plane rows per output word,
+/// whatever the set's size. Each register of 8 rows gets an 8 x 8 byte
+/// transpose: vpshufb pairs the two rows of each 128-bit lane byte by
+/// byte, and vpermw gathers byte column j's four row pairs into qword j.
+/// The qword transpose across the 8 registers then leaves byte b of
+/// register j = byte j of row b, so each lane of the set is one vptestmb
+/// of register lane / 8 against bit lane % 8 of every byte: row b's hard
+/// bit lands at bit b.
+template <class T_>
+void Avx512Base<T_>::lane_bits(const LaneBitsPass& a) {
+  if (a.lanes == 0) return;
+  using V = __m512i;
+  const V pair = _mm512_broadcast_i32x4(
+      _mm_setr_epi8(0, 8, 1, 9, 2, 10, 3, 11, 4, 12, 5, 13, 6, 14, 7, 15));
+  alignas(64) std::int16_t gather[32];  // word 4j + L <- word 8L + j
+  for (int o = 0; o < 32; ++o)
+    gather[o] = static_cast<std::int16_t>(8 * (o % 4) + o / 4);
+  const V column = _mm512_load_si512(gather);
+  alignas(64) std::uint64_t bytes[8][8];  // the transposed registers
+  V bit[8];
+  unrolled<8>([&](auto k) { bit[k] = _mm512_set1_epi8(1 << k); });
+  for (std::size_t w = 0; w < a.words; ++w) {
+    const std::uint64_t* const rows = a.plane + 64 * w;
+    V x[8];
+    unrolled<8>([&](auto g) {
+      x[g] = _mm512_permutexvar_epi16(
+          column, _mm512_shuffle_epi8(_mm512_loadu_si512(rows + 8 * g), pair));
+    });
+    transpose_qwords(x);
+    unrolled<8>([&](auto j) { _mm512_store_si512(bytes[j], x[j]); });
+    for (std::uint64_t m = a.lanes; m != 0; m &= m - 1) {
+      const auto lane = static_cast<std::uint32_t>(std::countr_zero(m));
+      a.out[lane * a.words + w] = _mm512_test_epi8_mask(
+          _mm512_load_si512(bytes[lane / 8]), bit[lane % 8]);
+    }
+  }
+}
 
 #pragma GCC diagnostic pop
 

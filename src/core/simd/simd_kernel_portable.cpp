@@ -145,13 +145,15 @@ struct PortableOps {
     detail::quantize_scalar(a, 0);
   }
   static void lane_bits(const LaneBitsPass& a) {
-    for (std::size_t w = 0; w < a.words; ++w) {
-      const std::uint64_t* rows = a.plane + w * 64;
-      std::uint64_t bits = 0;
-      for (std::uint32_t b = 0; b < 64; ++b)
-        bits |= ((rows[b] >> a.lane) & 1U) << b;
-      a.out[w] = bits;
-    }
+    detail::for_each_lane(a, [&](std::uint32_t lane, std::uint64_t* out) {
+      for (std::size_t w = 0; w < a.words; ++w) {
+        const std::uint64_t* rows = a.plane + w * 64;
+        std::uint64_t bits = 0;
+        for (std::uint32_t b = 0; b < 64; ++b)
+          bits |= ((rows[b] >> lane) & 1U) << b;
+        out[w] = bits;
+      }
+    });
   }
 };
 

@@ -35,20 +35,24 @@ struct Sse2Base {
   static Vec and_(Vec a, Vec b) { return _mm_and_si128(a, b); }
   static void quantize(const QuantizePass<T>& a);  // below
   static void lane_bits(const LaneBitsPass& a) {
-    // Shift bit `lane` of 2 plane rows into their sign bits; movmskpd.
-    const __m128i count = _mm_cvtsi32_si128(static_cast<int>(63 - a.lane));
-    for (std::size_t w = 0; w < a.words; ++w) {
-      const std::uint64_t* rows = a.plane + w * 64;
-      std::uint64_t bits = 0;
-      for (std::uint32_t g = 0; g < 32; ++g) {
-        const __m128i v = _mm_sll_epi64(
-            _mm_loadu_si128(reinterpret_cast<const __m128i*>(rows + 2 * g)),
-            count);
-        bits |= static_cast<std::uint64_t>(_mm_movemask_pd(_mm_castsi128_pd(v)))
-                << (2 * g);
+    // Per lane: shift bit `lane` of 2 plane rows into their sign bits;
+    // movmskpd.
+    detail::for_each_lane(a, [&](std::uint32_t lane, std::uint64_t* out) {
+      const __m128i count = _mm_cvtsi32_si128(static_cast<int>(63 - lane));
+      for (std::size_t w = 0; w < a.words; ++w) {
+        const std::uint64_t* rows = a.plane + w * 64;
+        std::uint64_t bits = 0;
+        for (std::uint32_t g = 0; g < 32; ++g) {
+          const __m128i v = _mm_sll_epi64(
+              _mm_loadu_si128(reinterpret_cast<const __m128i*>(rows + 2 * g)),
+              count);
+          bits |=
+              static_cast<std::uint64_t>(_mm_movemask_pd(_mm_castsi128_pd(v)))
+              << (2 * g);
+        }
+        out[w] = bits;
       }
-      a.out[w] = bits;
-    }
+    });
   }
 };
 

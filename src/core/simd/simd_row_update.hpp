@@ -34,6 +34,11 @@
 //   abs               |v| for every railed v
 //   xor_/or_/and_     bitwise
 //   staircase_add     optional fused s + (mag > thr ? delta : 0)
+//   sub_keep(m, a, b) optional masked subtract m ? a - b : a per lane,
+//                     with rail_sub's subtract (saturating for int8,
+//                     wrapping for int16): an uncounted batched pass then
+//                     holds r_keep as a Mask and applies it inside the
+//                     subtract, not with an and_ per edge
 //   kDegreeBodies     optional; false runs the run-time-degree body at
 //                     every degree (see with_degree)
 //   sign_bits         bit i = (lane i < 0), kLanes (<= 64) bits
@@ -47,8 +52,18 @@
 //                     writes each of the block's P rows once, under the
 //                     mask of the taken lanes. Without it, the pass
 //                     stores down each taken lane's column
-//   lane_bits         one lane's hard bits from a sign plane
-//                     (LaneBitsPass), width-independent
+//   lane_bits         a lane set's hard bits from a sign plane
+//                     (LaneBitsPass), width-independent: AVX-512
+//                     transposes 64 rows at a time for the whole set, the
+//                     other tiers run their one-lane body per lane
+//                     (for_each_lane)
+//   load_split        optional; the probe's straddling load: 64-bit words
+//                     [0, split) from head, [split, W) from tail[0 ..)
+//                     (AVX-512: a masked load and an expanding load).
+//                     Without it, a two-part copy through the stack
+//
+// The int8 policy also runs the parity probe (probe_pass): its Vec is read
+// as W = kLanes / 8 plane words, with load/store, xor_, or_ and and_.
 //
 // What differs by width lives in Width<T> below; what differs by family is
 // the magnitude map (MagnitudeMap); what differs by shape is addressing
@@ -70,6 +85,7 @@
 #pragma once
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
 #include <cstdint>
 #include <limits>
@@ -110,6 +126,11 @@ struct Width<std::int16_t> {
   static V rail_sub(V a, V b, V lo, V hi) {
     return Ops::max(lo, Ops::min(hi, Ops::sub(a, b)));
   }
+  /// rail_sub where m, else a (a railed value passes the clamp unchanged).
+  template <class Ops, class V, class M>
+  static V rail_sub_keep(M m, V a, V b, V lo, V hi) {
+    return Ops::max(lo, Ops::min(hi, Ops::sub_keep(m, a, b)));
+  }
   template <class Ops, class V>
   static V rail_add(V a, V b, V lo, V hi) {
     return Ops::max(lo, Ops::min(hi, Ops::add(a, b)));
@@ -124,11 +145,22 @@ struct Width<std::int8_t> {
   static V rail_sub(V a, V b, V lo, V /*hi*/) {
     return Ops::max(Ops::subs(a, b), lo);
   }
+  template <class Ops, class V, class M>
+  static V rail_sub_keep(M m, V a, V b, V lo, V /*hi*/) {
+    return Ops::max(Ops::sub_keep(m, a, b), lo);
+  }
   template <class Ops, class V>
   static V rail_add(V a, V b, V lo, V /*hi*/) {
     return Ops::max(Ops::adds(a, b), lo);
   }
 };
+
+/// True when the policy has the masked subtract sub_keep.
+template <class Ops>
+inline constexpr bool kHasSubKeep =
+    requires(typename Ops::Mask m, typename Ops::Vec v) {
+      Ops::sub_keep(m, v, v);
+    };
 
 /// Calls body(i) for i = 0 .. kN - 1, each i a std::integral_constant: an
 /// unrolled loop whose locals indexed by i can live in registers.
@@ -284,6 +316,7 @@ template <class Ops>
 struct ZLaneRow {
   using T = typename Ops::T;
   using V = typename Ops::Vec;
+  static constexpr bool kKeepMask = false;
   T* p_;
   T* q_;
   T* r_;
@@ -300,21 +333,36 @@ struct ZLaneRow {
   V live() const { return all; }
 };
 
+/// The type of BatchRow::r_keep: the tier's Mask or its Vec. (A vector
+/// type as a template argument drops its attributes, so the policy is the
+/// argument.)
+template <class Ops, bool kKeepMask>
+struct KeepType {
+  using type = typename Ops::Vec;
+};
+template <class Ops>
+struct KeepType<Ops, true> {
+  using type = typename Ops::Mask;
+};
+
 /// Batched addressing: lane f is frame f, one check row of the layer per
 /// step. p_rows / r_rows hold each edge's P and R pointers for the current
 /// segment of the pass (batch_pass sets and rewinds them); a step adds the
-/// shared row offset `off` (row * F).
-template <class Ops>
+/// shared row offset `off` (row * F). With kKeepMask, r_keep is the tier's
+/// lane Mask and the row update subtracts R under it (sub_keep); else it
+/// is a lane vector ANDed into each R load.
+template <class Ops, bool kKeepMask_>
 struct BatchRow {
   using T = typename Ops::T;
   using V = typename Ops::Vec;
   static constexpr std::size_t kF = Ops::kLanes;
+  static constexpr bool kKeepMask = kKeepMask_;
   T* const* p_rows;
   T* const* r_rows;
   T* q_;
   std::size_t off;
   V active;
-  V r_keep;
+  typename KeepType<Ops, kKeepMask>::type r_keep;
 
   T* p(std::uint32_t j) const { return p_rows[j] + off; }
   T* q(std::uint32_t j) const { return q_ + j * kF; }
@@ -367,15 +415,22 @@ inline void row_update(const Row& row, std::uint32_t deg, const Map& map,
   V min1 = k.sentinel;
   V min2 = k.sentinel;
   M signs{};
+  static_assert(!(kCount && Row::kKeepMask), "counted passes AND r_keep");
   for_each_edge<kDeg>(deg, [&](std::uint32_t j) {
     T* const pj = row.p(j);
     T* const rj = row.r(j);
     row.prefetch(pj, rj);
     const V p = Ops::load(pj);
-    const V r = row.keep_r(Ops::load(rj));
-    const V q = W::template rail_sub<Ops>(p, r, k.lo, k.hi);
-    if constexpr (kCount)
-      k.q_clips = k.count(k.q_clips, q, Ops::sub(p, r), row.live());
+    V q;
+    if constexpr (Row::kKeepMask) {
+      q = W::template rail_sub_keep<Ops>(row.r_keep, p, Ops::load(rj), k.lo,
+                                         k.hi);
+    } else {
+      const V r = row.keep_r(Ops::load(rj));
+      q = W::template rail_sub<Ops>(p, r, k.lo, k.hi);
+      if constexpr (kCount)
+        k.q_clips = k.count(k.q_clips, q, Ops::sub(p, r), row.live());
+    }
     if constexpr (kDeg == 0) {
       Ops::store(row.q(j), q);
     } else {
@@ -458,7 +513,16 @@ template <class Ops, bool kCount, std::uint32_t kDeg, class MapArgs>
   Lanes<Ops> k(a.lo, a.hi);
   const MagnitudeMap<Ops, MapArgs> map(a.map);
   const typename Ops::Vec active = Ops::load(a.active);
-  const typename Ops::Vec r_keep = Ops::load(a.r_keep);
+  // An uncounted pass on a tier with sub_keep holds r_keep as a Mask.
+  constexpr bool kKeepMask = !kCount && kHasSubKeep<Ops>;
+  using Row = BatchRow<Ops, kKeepMask>;
+  const auto r_keep = [&] {
+    const typename Ops::Vec keep = Ops::load(a.r_keep);
+    if constexpr (kKeepMask)
+      return Ops::cmpgt(k.zero, keep);
+    else
+      return keep;
+  }();
   const auto drain = [&] { k.drain(a.q_clips, a.r_clips, a.p_clips, true); };
   const std::uint32_t z = a.z;
   const std::uint32_t deg = a.deg;
@@ -488,8 +552,7 @@ template <class Ops, bool kCount, std::uint32_t kDeg, class MapArgs>
     });
     for (; row < end; ++row) {
       row_update<Ops, kCount, kDeg>(
-          BatchRow<Ops>{p_rows, r_rows, a.q, row * kF, active, r_keep}, deg,
-          map, k);
+          Row{p_rows, r_rows, a.q, row * kF, active, r_keep}, deg, map, k);
       if constexpr (kCount && W::kDrainEveryStep) drain();
     }
     if (row == z) break;
@@ -514,8 +577,143 @@ template <class Ops>
   }
 }
 
+/// Calls body(lane, out) for each lane of a LaneBitsPass's set, with `out`
+/// the lane's words of the output: the lane-set extraction of the tiers
+/// whose body reads one lane at a time.
+template <class Body>
+inline void for_each_lane(const LaneBitsPass& a, Body&& body) {
+  for (std::uint64_t m = a.lanes; m != 0; m &= m - 1) {
+    const auto lane = static_cast<std::uint32_t>(std::countr_zero(m));
+    body(lane, a.out + lane * a.words);
+  }
+}
+
+/// The probe's load of plane words [0, split) from head and [split, W)
+/// from tail: the policy's load_split, or a two-part copy.
+template <class Ops>
+inline typename Ops::Vec load_split(const std::uint64_t* head,
+                                    const std::uint64_t* tail,
+                                    std::uint32_t split) {
+  using T = typename Ops::T;
+  if constexpr (requires { Ops::load_split(head, tail, split); }) {
+    return Ops::load_split(head, tail, split);
+  } else {
+    constexpr std::uint32_t kW = Ops::kLanes * sizeof(T) / 8;
+    std::uint64_t buf[kW];
+    for (std::uint32_t i = 0; i < split; ++i) buf[i] = head[i];
+    for (std::uint32_t i = split; i < kW; ++i) buf[i] = tail[i - split];
+    return Ops::load(reinterpret_cast<const T*>(buf));
+  }
+}
+
+/// The parity probe (ProbePass), one vector of W plane words = W check
+/// rows at a time. For each layer, groups of kGroup row vectors sit in
+/// register accumulators while every block XORs its rotated words into
+/// them. Block (p_base, shift) gives rows [c, c + W) the words at
+/// p_base + shift + c while c lies before its wrap row z - shift, and z
+/// words lower from the wrap row on: both contiguous loads. A block so
+/// splits a group into a run of vectors before its wrap and a run after,
+/// and one dispatch on the split (a jump table over kGroup + 1
+/// straight-line bodies) replaces a test per vector. The one vector per
+/// block that straddles the wrap row read its tail past the column's
+/// wrap; a correction, the XOR of that load and the two-part one
+/// (load_split), goes into a per-group slot that the accumulators take
+/// after the blocks. Words read for rows past z are cleared before the
+/// OR; they lie in the block's column, the next one or the plane's
+/// kProbePadWords of slack.
+template <class Ops>
+[[gnu::flatten]] std::uint64_t probe_pass(const ProbePass& a) {
+  using T = typename Ops::T;
+  using V = typename Ops::Vec;
+  constexpr std::uint32_t kW = Ops::kLanes * sizeof(T) / 8;
+  // Vectors per group: 96 rows (the largest registered z) on AVX-512, 8
+  // vectors on the tiers with 16 vector registers.
+  constexpr std::uint32_t kGroup = kW == 8 ? 12 : 8;
+  static_assert(kW >= 1 && kW <= kProbePadWords);
+  const auto words = [](const std::uint64_t* w) {
+    return Ops::load(reinterpret_cast<const T*>(w));
+  };
+  const std::uint32_t z = a.z;
+  // The rows of a layer's last vector that lie below z.
+  std::uint64_t tail_words[kW];
+  for (std::uint32_t i = 0; i < kW; ++i)
+    tail_words[i] = i < z % kW || z % kW == 0 ? ~std::uint64_t{0} : 0;
+  const V tail = words(tail_words);
+  V unsat = Ops::zero();
+  // One group of row vectors from row c0, every vector below z when kFull.
+  const auto group = [&]<bool kFull>(const BatchBlock* first,
+                                     const BatchBlock* last, std::uint32_t c0,
+                                     std::uint64_t* rows) {
+    V acc[kGroup];
+    V fix[kGroup];
+    unrolled<kGroup>([&](auto i) { acc[i] = fix[i] = Ops::zero(); });
+    for (const BatchBlock* b = first; b != last; ++b) {
+      const std::uint64_t* const col = a.plane + b->p_base;
+      const std::uint32_t shift = b->shift;
+      // Rows of this group before the block's wrap row; a shift of 0
+      // never wraps.
+      const std::int64_t before =
+          (shift == 0 ? std::int64_t{z} + kGroup * kW
+                      : std::int64_t{z} - shift) -
+          c0;
+      const std::uint64_t* const pre = col + shift + c0;
+      // Vectors [0, kPre) start before the wrap row, the rest after it.
+      const auto run = [&]<std::uint32_t kPre>() {
+        unrolled<kGroup>([&](auto i) {
+          if (!kFull && c0 + i * kW >= z) return;
+          const std::uint64_t* const w = pre + i * kW;
+          acc[i] = Ops::xor_(acc[i], words(i < kPre ? w : w - z));
+        });
+      };
+      const auto pre_vectors = static_cast<std::uint32_t>(
+          std::clamp<std::int64_t>((before + kW - 1) / kW, 0, kGroup));
+      [&]<std::uint32_t... kPre>(
+          std::integer_sequence<std::uint32_t, kPre...>) {
+        (void)((pre_vectors == kPre &&
+                (run.template operator()<kPre>(), true)) ||
+               ...);
+      }(std::make_integer_sequence<std::uint32_t, kGroup + 1>{});
+      if (before > 0 && before < std::int64_t{kGroup} * kW &&
+          before % kW != 0) {
+        const auto i = static_cast<std::uint32_t>(before / kW);
+        const std::uint64_t* const head = pre + i * kW;
+        fix[i] = Ops::xor_(
+            fix[i], Ops::xor_(words(head),
+                              load_split<Ops>(head, col,
+                                              static_cast<std::uint32_t>(
+                                                  before % kW))));
+      }
+    }
+    unrolled<kGroup>([&](auto i) {
+      const std::uint32_t c = c0 + i * kW;
+      if (!kFull && c >= z) return;
+      V v = Ops::xor_(acc[i], fix[i]);
+      if (!kFull && c + kW > z) v = Ops::and_(v, tail);
+      unsat = Ops::or_(unsat, v);
+      if (rows != nullptr) Ops::store(reinterpret_cast<T*>(rows + c), v);
+    });
+  };
+  for (std::uint32_t l = 0; l < a.layers; ++l) {
+    const BatchBlock* const first = a.blocks + a.layer_start[l];
+    const BatchBlock* const last = a.blocks + a.layer_start[l + 1];
+    std::uint64_t* const rows =
+        a.rows == nullptr ? nullptr : a.rows + std::size_t{l} * z;
+    for (std::uint32_t c0 = 0; c0 < z; c0 += kGroup * kW) {
+      if (c0 + kGroup * kW <= z)
+        group.template operator()<true>(first, last, c0, rows);
+      else
+        group.template operator()<false>(first, last, c0, rows);
+    }
+  }
+  std::uint64_t lanes[kW];
+  Ops::store(reinterpret_cast<T*>(lanes), unsat);
+  std::uint64_t mask = 0;
+  for (const std::uint64_t w : lanes) mask |= w;
+  return mask;
+}
+
 /// Scalar body of the channel quantizer (see QuantizeGrid), for both
-/// widths: the portable tier's whole pass, the vector tiers' tail loop and
+/// widths: the portable tier's whole pass, the SSE2 and AVX2 tail loop and
 /// every counted refill. Returns the codes that lay outside [lo, hi] before
 /// the rail clamp when kCount (the counted scalar quantizers' clips), else
 /// 0. `static`: every tier TU gets its own copy, compiled for that TU's
@@ -698,11 +896,13 @@ constexpr ShapeKernels<typename Ops::T, MapArgs> shape_kernels() {
           &sign_pass<Ops>, &Ops::quantize, &refill_pass<Ops>};
 }
 
-/// A tier's KernelSet from its int16 and int8 lane policies.
+/// A tier's KernelSet from its int16 and int8 lane policies; the int8
+/// policy runs the width-independent sign-plane passes.
 template <class Ops16, class Ops8>
 constexpr KernelSet make_kernel_set() {
   return {shape_kernels<Ops16, ScaleMap>(),
-          shape_kernels<Ops8, StaircaseMap>(), &Ops8::lane_bits};
+          shape_kernels<Ops8, StaircaseMap>(), &Ops8::lane_bits,
+          &probe_pass<Ops8>};
 }
 
 /// One table per compiled tier, defined in its TU.

@@ -338,12 +338,15 @@ TEST(SimdBatch, BlocksAroundBreakEvenMatchScalar) {
 /// counter included. Frames alternate `db_a` and `db_b`. Frame W, the first
 /// to load into a lane another frame used, carries a pre-cancelled token:
 /// its hard bits come from a sign plane read at its first layer boundary,
-/// so a stale plane would show.
+/// so a stale plane would show. With `stale_r`, a block of W rail-magnitude
+/// frames with random signs decodes first, so every lane's R column holds
+/// messages near the rails when the stream's frames load into it: a first
+/// iteration that read them instead of 0 would show.
 template <class MakeBatched>
 void expect_stream_identical(Decoder& reference, MakeBatched make_batched,
                              std::uint32_t (*lanes)(simd::SimdTier),
                              const QCLdpcCode& code, float db_a, float db_b,
-                             const std::string& ctx) {
+                             bool stale_r, const std::string& ctx) {
   std::size_t max_width = 0;
   for (const simd::SimdTier tier : simd::available_tiers())
     max_width = std::max<std::size_t>(max_width, lanes(tier));
@@ -364,10 +367,22 @@ void expect_stream_identical(Decoder& reference, MakeBatched make_batched,
                                   reference.saturation()};
     reference.set_cancel_token(nullptr);
     std::vector<BlockFrame> frames;
+    std::vector<DecodeResult> results(w);
+    std::vector<SaturationStats> saturation(w);
+    if (stale_r) {
+      Xoshiro256 rng(w);
+      std::vector<std::vector<float>> rail(w, std::vector<float>(code.n()));
+      for (auto& llr : rail) {
+        for (float& x : llr) x = rng.coin() ? 1e4F : -1e4F;
+        frames.push_back({llr, nullptr});
+      }
+      batched->decode_block(frames, results, saturation);
+      frames.clear();
+    }
     for (std::size_t f = 0; f < pool.size(); ++f)
       frames.push_back({pool[f], f == w ? &cancelled : nullptr});
-    std::vector<DecodeResult> results(frames.size());
-    std::vector<SaturationStats> saturation(frames.size());
+    results.assign(frames.size(), DecodeResult{});
+    saturation.assign(frames.size(), SaturationStats{});
     batched->decode_block(frames, results, saturation);
     for (std::size_t f = 0; f < frames.size(); ++f)
       expect_frame_identical(f == w ? cancelled_ref : refs[f], results[f],
@@ -384,7 +399,7 @@ void expect_stream_identical(Decoder& reference, MakeBatched make_batched,
 template <class MakeReference, class MakeBatched>
 void sweep_streams(MakeReference make_reference, MakeBatched make_batched,
                    std::uint32_t (*lanes)(simd::SimdTier),
-                   const std::string& family) {
+                   const std::string& family, bool stale_r = false) {
   struct Case {
     const char* name;
     DecoderOptions opt;
@@ -409,8 +424,9 @@ void sweep_streams(MakeReference make_reference, MakeBatched make_batched,
       expect_stream_identical(
           *reference,
           [&](simd::SimdTier tier) { return make_batched(*code, c.opt, tier); },
-          lanes, *code, c.db_a, c.db_b,
-          family + " " + c.name + " n=" + std::to_string(code->n()));
+          lanes, *code, c.db_a, c.db_b, stale_r,
+          family + " " + c.name + " n=" + std::to_string(code->n()) +
+              (stale_r ? " stale-r" : ""));
     }
   }
 }
@@ -439,6 +455,36 @@ TEST(SimdBatch, StreamRefillingManyLanesMatchesScalarFa4) {
         return std::make_unique<SimdFaBatchDecoder>(code, opt, 4, 2.0F, tier);
       },
       &simd::tier_lanes8, "fa4");
+}
+
+// The same streams into lanes whose R columns a block of rail-magnitude
+// frames left full: first-iteration lanes must read R as 0 however the
+// tier masks it (an and_ on each R load, or a subtract under a lane mask
+// that keeps P).
+TEST(SimdBatch, StreamRefillingManyLanesOverStaleRMatchesScalarQ8) {
+  sweep_streams(
+      [](const QCLdpcCode& code, const DecoderOptions& opt) {
+        return std::make_unique<LayeredMinSumFixedDecoder>(code, opt,
+                                                           FixedFormat{8, 2});
+      },
+      [](const QCLdpcCode& code, const DecoderOptions& opt,
+         simd::SimdTier tier) {
+        return std::make_unique<SimdBatchDecoder>(code, opt, FixedFormat{8, 2},
+                                                  tier);
+      },
+      &simd::tier_lanes, "q8.2", true);
+}
+
+TEST(SimdBatch, StreamRefillingManyLanesOverStaleRMatchesScalarFa4) {
+  sweep_streams(
+      [](const QCLdpcCode& code, const DecoderOptions& opt) {
+        return std::make_unique<LayeredMinSumFaDecoder>(code, opt, 4);
+      },
+      [](const QCLdpcCode& code, const DecoderOptions& opt,
+         simd::SimdTier tier) {
+        return std::make_unique<SimdFaBatchDecoder>(code, opt, 4, 2.0F, tier);
+      },
+      &simd::tier_lanes8, "fa4", true);
 }
 
 /// Rail-hot channel LLRs (every third one x100, as in
