@@ -186,18 +186,18 @@ int main() {
                                                frames.begin() + warm_frames);
     for (int attempt = 0; attempt < 32; ++attempt) {
       engine.decode_batch(warm);
-      const auto workers = engine.metrics().workers;
+      const auto workers = engine.snapshot().workers;
       if (std::all_of(workers.begin(), workers.end(),
                       [](const auto& w) { return w.jobs > 0; }))
         break;
     }
-    const EngineMetrics before = engine.metrics();
+    const EngineMetrics before = engine.snapshot();
     const auto t0 = std::chrono::steady_clock::now();
     auto results = engine.decode_batch(frames);
     const double seconds = std::chrono::duration<double>(
                                std::chrono::steady_clock::now() - t0)
                                .count();
-    const EngineMetrics m = engine.metrics();
+    const EngineMetrics m = engine.snapshot();
     const double info_mbps =
         static_cast<double>(m.decoded_info_bits - before.decoded_info_bits) /
         seconds / 1e6;

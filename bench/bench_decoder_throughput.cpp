@@ -34,7 +34,6 @@
 #include "codes/encoder.hpp"
 #include "codes/wimax.hpp"
 #include "core/decoder_factory.hpp"
-#include "core/simd/simd_batch.hpp"
 #include "core/simd/simd_kernel.hpp"
 #include "runtime/batch_engine.hpp"
 #include "util/rng.hpp"
@@ -247,10 +246,11 @@ void write_throughput_json() {
     BatchEngineConfig cfg;
     cfg.num_workers = 1;  // single-core aggregate; workers scale separately
     cfg.queue_capacity = 64;
-    const auto probe = SimdBatchDecoder(code, opt).block_width();
-    cfg.block_frames = probe;
+    cfg.block_frames = decoder_block_width("layered-minsum-simd-batched");
     BatchEngine engine(
-        [&code, &opt] { return std::make_unique<SimdBatchDecoder>(code, opt); },
+        [&code, &opt] {
+          return make_decoder("layered-minsum-simd-batched", code, opt);
+        },
         cfg);
     const auto start = std::chrono::steady_clock::now();
     do {

@@ -40,8 +40,8 @@
 
 #include "bench/bench_common.hpp"
 #include "codes/wimax.hpp"
-#include "core/simd/simd_batch.hpp"
-#include "core/simd/simd_fa_batch.hpp"
+#include "core/decoder_factory.hpp"
+#include "core/simd/simd_kernel.hpp"
 #include "power/message_memory.hpp"
 
 using namespace ldpc;
@@ -165,8 +165,9 @@ int main() {
   tput_opt.early_termination = false;
   const FramePool tput_pool = make_pool(code, 61, 2.0F, 7001);
 
-  SimdBatchDecoder q8(code, tput_opt, FixedFormat{8, 2});
-  SimdFaBatchDecoder fa4(code, tput_opt, 4);
+  const auto q8 = make_decoder("layered-minsum-simd-batched", code, tput_opt);
+  const auto fa4 =
+      make_decoder("layered-minsum-simd-batched-fa4", code, tput_opt);
   std::size_t fallbacks_q8 = 0;
   std::size_t fallbacks_fa4 = 0;
   double mbps_q8 = 0.0;
@@ -176,9 +177,9 @@ int main() {
   std::vector<double> ratios;
   for (int round = 0; round < kRounds; ++round) {
     const double q8_round =
-        timed_mbps(q8, tput_pool, code.k(), kReps, fallbacks_q8);
+        timed_mbps(*q8, tput_pool, code.k(), kReps, fallbacks_q8);
     const double fa4_round =
-        timed_mbps(fa4, tput_pool, code.k(), kReps, fallbacks_fa4);
+        timed_mbps(*fa4, tput_pool, code.k(), kReps, fallbacks_fa4);
     mbps_q8 = std::max(mbps_q8, q8_round);
     mbps_fa4 = std::max(mbps_fa4, fa4_round);
     ratios.push_back(q8_round > 0.0 ? fa4_round / q8_round : 0.0);
@@ -190,33 +191,33 @@ int main() {
       "finite-alphabet throughput — %s, 30 iters fixed, ET off, "
       "best of %d rounds\n", code_name.c_str(), kRounds);
   std::printf("  int16 q8.2 batched (W=%zu): %8.1f info Mbps\n",
-              q8.block_width(), mbps_q8);
+              q8->block_width(), mbps_q8);
   std::printf("  int8  fa4  batched (W=%zu): %8.1f info Mbps  (%.2fx)\n",
-              fa4.block_width(), mbps_fa4, speedup_best);
+              fa4->block_width(), mbps_fa4, speedup_best);
   std::printf("  fa4/int16 per-round ratio: median %.2fx, range %.2f..%.2f\n",
               speedup, ratios.front(), ratios.back());
   json.add_row()
       .set("kind", "throughput")
-      .set("decoder", q8.name())
-      .set("message_format", q8.message_format())
+      .set("decoder", q8->name())
+      .set("message_format", q8->message_format())
       .set("code", code_name)
       .set("ebn0_db", 2.0)
       .set("info_mbps", mbps_q8)
       .set("code_mbps", mbps_q8 / code.rate())
-      .set("block_width", q8.block_width())
-      .set("simd_tier", simd::to_string(q8.tier()))
+      .set("block_width", q8->block_width())
+      .set("simd_tier", simd::to_string(simd::best_tier()))
       .set("simd_fallbacks", fallbacks_q8)
       .set("git_rev", rev);
   json.add_row()
       .set("kind", "throughput")
-      .set("decoder", fa4.name())
-      .set("message_format", fa4.message_format())
+      .set("decoder", fa4->name())
+      .set("message_format", fa4->message_format())
       .set("code", code_name)
       .set("ebn0_db", 2.0)
       .set("info_mbps", mbps_fa4)
       .set("code_mbps", mbps_fa4 / code.rate())
-      .set("block_width", fa4.block_width())
-      .set("simd_tier", simd::to_string(fa4.tier()))
+      .set("block_width", fa4->block_width())
+      .set("simd_tier", simd::to_string(simd::best_tier()))
       .set("simd_fallbacks", fallbacks_fa4)
       .set("speedup_int8_vs_int16", speedup)
       .set("speedup_best_of_rounds", speedup_best)
@@ -229,8 +230,9 @@ int main() {
   // have crossed 1e-5.
   DecoderOptions ber_opt;
   ber_opt.max_iterations = 30;
-  SimdBatchDecoder q6(code, ber_opt, FixedFormat{6, 1});
-  SimdFaBatchDecoder fa4_ber(code, ber_opt, 4);
+  const auto q6 = make_decoder("layered-minsum-simd-batched-q6", code, ber_opt);
+  const auto fa4_ber =
+      make_decoder("layered-minsum-simd-batched-fa4", code, ber_opt);
   constexpr double kTargetBer = 1e-5;
   constexpr long long kMinErrors = 40;
   constexpr std::size_t kChunkFrames = 64;
@@ -254,9 +256,9 @@ int main() {
       const long long bits =
           static_cast<long long>(kChunkFrames) *
           static_cast<long long>(code.k());
-      pq.errors += count_info_bit_errors(q6, chunk, code);
+      pq.errors += count_info_bit_errors(*q6, chunk, code);
       pq.bits += bits;
-      pf.errors += count_info_bit_errors(fa4_ber, chunk, code);
+      pf.errors += count_info_bit_errors(*fa4_ber, chunk, code);
       pf.bits += bits;
       frames += kChunkFrames;
     }
@@ -268,9 +270,9 @@ int main() {
     for (const auto* p : {&pq, &pf})
       json.add_row()
           .set("kind", "ber")
-          .set("decoder", p == &pq ? q6.name() : fa4_ber.name())
-          .set("message_format", p == &pq ? q6.message_format()
-                                          : fa4_ber.message_format())
+          .set("decoder", p == &pq ? q6->name() : fa4_ber->name())
+          .set("message_format", p == &pq ? q6->message_format()
+                                          : fa4_ber->message_format())
           .set("code", code_name)
           .set("ebn0_db", static_cast<double>(ebn0))
           .set("bits", p->bits)
@@ -296,7 +298,7 @@ int main() {
   {
     auto& row = json.add_row()
                     .set("kind", "ber-crossing")
-                    .set("message_format", q6.message_format())
+                    .set("message_format", q6->message_format())
                     .set("code", code_name)
                     .set("crossed", q6_crossed);
     if (q6_crossed) row.set("ebn0_db", q6_cross);
@@ -305,7 +307,7 @@ int main() {
   {
     auto& row = json.add_row()
                     .set("kind", "ber-crossing")
-                    .set("message_format", fa4_ber.message_format())
+                    .set("message_format", fa4_ber->message_format())
                     .set("code", code_name)
                     .set("crossed", fa4_crossed);
     if (fa4_crossed) row.set("ebn0_db", fa4_cross).set("gap_vs_q6_db", gap);

@@ -1,7 +1,10 @@
 #include "core/decoder_factory.hpp"
 
 #include <cstdint>
+#include <optional>
 #include <sstream>
+#include <string>
+#include <utility>
 
 #include "core/flooding_bp.hpp"
 #include "core/flooding_minsum.hpp"
@@ -9,9 +12,6 @@
 #include "core/layered_minsum_fa.hpp"
 #include "core/layered_minsum_fixed.hpp"
 #include "core/layered_minsum_float.hpp"
-#include "core/simd/simd_batch.hpp"
-#include "core/simd/simd_fa_batch.hpp"
-#include "core/simd/simd_fa_layered.hpp"
 #include "core/simd/simd_layered.hpp"
 
 namespace ldpc {
@@ -33,9 +33,21 @@ constexpr FixedFormat kQ6{6, 1};
 /// Offset 0.5 in LLR units at the q8.2 format = 2 codes.
 constexpr std::int32_t kOffsetCode = 2;
 
+/// A `-batched` name: the SIMD decoder of Family(code, options, kArgs...),
+/// the same decoder as the name without `-batched`, under the name() the
+/// batched names have always reported.
+template <class Family, auto... kArgs>
+std::unique_ptr<Decoder> build_batched(const QCLdpcCode& code,
+                                       const DecoderOptions& options) {
+  Family family(code, options, kArgs...);
+  std::string label = "layered-minsum-simd-batched-" + family.format_name();
+  return std::make_unique<simd::SimdDecoder<Family>>(
+      code, options, std::move(family), std::move(label), std::nullopt);
+}
+
 std::size_t one_frame() { return 1; }
 
-/// A batched decoder's block_width(): one frame per lane of the tier its
+/// A SIMD decoder's block_width(): one frame per lane of the tier its
 /// constructor picks, whatever the code.
 template <class D>
 std::size_t lanes() {
@@ -49,11 +61,11 @@ struct Entry {
   std::size_t (*block_width)() = &one_frame;
 };
 
-/// Every registered decoder, in decoder_names() order. The SIMD z-lane
-/// and batched names are bit-identical twins of their scalar references
-/// (tests/simd_*_test.cpp); the batch engine hands the batched ones whole
-/// frame blocks. The finite-alphabet family (fa2/fa3/fa4) uses MIM
-/// staircase tables on an int8 posterior, see core/fa_tables.hpp.
+/// Every registered decoder, in decoder_names() order. Each SIMD name and
+/// its `-batched` twin build the same decoder, bit-identical to its scalar
+/// reference (tests/simd_*_test.cpp); the batch engine hands it whole frame
+/// blocks. The finite-alphabet family (fa2/fa3/fa4) uses MIM staircase
+/// tables on an int8 posterior, see core/fa_tables.hpp.
 const Entry kDecoders[] = {
     {"flooding-bp", &build<FloodingBpDecoder>},
     {"flooding-minsum", &build<FloodingMinSumDecoder, MinSumVariant::kPlain>},
@@ -74,31 +86,37 @@ const Entry kDecoders[] = {
            code, options, LayerRowKernel::offset_kernel(kQ8, kOffsetCode),
            "layered-minsum-offset-" + kQ8.name());
      }},
-    {"layered-minsum-simd", &build<SimdLayeredDecoder, kQ8>},
-    {"layered-minsum-simd-q6", &build<SimdLayeredDecoder, kQ6>},
+    {"layered-minsum-simd", &build<SimdFixedDecoder, kQ8>,
+     &lanes<SimdFixedDecoder>},
+    {"layered-minsum-simd-q6", &build<SimdFixedDecoder, kQ6>,
+     &lanes<SimdFixedDecoder>},
     {"layered-minsum-simd-offset",
      [](const QCLdpcCode& code,
         const DecoderOptions& options) -> std::unique_ptr<Decoder> {
-       return std::make_unique<SimdLayeredDecoder>(
+       return std::make_unique<SimdFixedDecoder>(
            code, options, kQ8, kOffsetCode,
            "layered-minsum-simd-offset-" + kQ8.name());
-     }},
-    {"layered-minsum-simd-batched", &build<SimdBatchDecoder, kQ8>,
-     &lanes<SimdBatchDecoder>},
-    {"layered-minsum-simd-batched-q6", &build<SimdBatchDecoder, kQ6>,
-     &lanes<SimdBatchDecoder>},
+     },
+     &lanes<SimdFixedDecoder>},
+    {"layered-minsum-simd-batched", &build_batched<simd::Fixed16, kQ8>,
+     &lanes<SimdFixedDecoder>},
+    {"layered-minsum-simd-batched-q6", &build_batched<simd::Fixed16, kQ6>,
+     &lanes<SimdFixedDecoder>},
     {"layered-minsum-fa2", &build<LayeredMinSumFaDecoder, 2>},
     {"layered-minsum-fa3", &build<LayeredMinSumFaDecoder, 3>},
     {"layered-minsum-fa4", &build<LayeredMinSumFaDecoder, 4>},
-    {"layered-minsum-simd-fa2", &build<SimdFaLayeredDecoder, 2>},
-    {"layered-minsum-simd-fa3", &build<SimdFaLayeredDecoder, 3>},
-    {"layered-minsum-simd-fa4", &build<SimdFaLayeredDecoder, 4>},
-    {"layered-minsum-simd-batched-fa2", &build<SimdFaBatchDecoder, 2>,
-     &lanes<SimdFaBatchDecoder>},
-    {"layered-minsum-simd-batched-fa3", &build<SimdFaBatchDecoder, 3>,
-     &lanes<SimdFaBatchDecoder>},
-    {"layered-minsum-simd-batched-fa4", &build<SimdFaBatchDecoder, 4>,
-     &lanes<SimdFaBatchDecoder>},
+    {"layered-minsum-simd-fa2", &build<SimdFaDecoder, 2>,
+     &lanes<SimdFaDecoder>},
+    {"layered-minsum-simd-fa3", &build<SimdFaDecoder, 3>,
+     &lanes<SimdFaDecoder>},
+    {"layered-minsum-simd-fa4", &build<SimdFaDecoder, 4>,
+     &lanes<SimdFaDecoder>},
+    {"layered-minsum-simd-batched-fa2", &build_batched<simd::Fa8, 2, 2.0F>,
+     &lanes<SimdFaDecoder>},
+    {"layered-minsum-simd-batched-fa3", &build_batched<simd::Fa8, 3, 2.0F>,
+     &lanes<SimdFaDecoder>},
+    {"layered-minsum-simd-batched-fa4", &build_batched<simd::Fa8, 4, 2.0F>,
+     &lanes<SimdFaDecoder>},
 };
 
 const Entry& find_entry(const std::string& name) {

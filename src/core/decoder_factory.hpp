@@ -29,7 +29,7 @@ std::unique_ptr<Decoder> make_decoder(const std::string& name,
 const std::vector<std::string>& decoder_names();
 
 /// block_width() of any decoder make_decoder(name, ...) builds now, without
-/// building one: a batched decoder's width is the lane count of the tier it
+/// building one: a SIMD decoder's width is the lane count of the tier it
 /// picks, independent of the code. Throws ldpc::Error for unknown names.
 std::size_t decoder_block_width(const std::string& name);
 

@@ -114,70 +114,100 @@ StaircaseMap Fa8::LaneMap::args() const {
   return {thr_.data(), delta_.data(), recon0_.data(), num_thr_};
 }
 
-// ------------------------------------------------------- z-lane shape ----
+// --------------------------------------------------------------- decoder ----
 
 template <class Family>
-ZLaneDecoder<Family>::ZLaneDecoder(const QCLdpcCode& code,
-                                   DecoderOptions options, Family family,
-                                   std::string label,
-                                   std::optional<SimdTier> tier)
+SimdDecoder<Family>::SimdDecoder(const QCLdpcCode& code, DecoderOptions options,
+                                 Family family, std::string label,
+                                 std::optional<SimdTier> tier)
     : code_(code),
       options_(std::move(options)),
       family_(std::move(family)),
       label_(std::move(label)),
       tier_(tier.value_or(best_tier())),
       kernels_(kernels_for(tier_)),
-      lane_map_(family_, lanes_for<T>(tier_)) {
-  z_ = static_cast<std::uint32_t>(code_.z());
+      lanes_(lanes_for<T>(tier_)),
+      z_(static_cast<std::uint32_t>(code_.z())),
+      lane_map_(family_, lanes_) {
   // Stride granularity: at least 16 lanes (one layout covers the narrow
   // tiers), or the tier's own lane count when wider — a vector step is a
   // full vector, so z = 10 pads to 32 on the 32-lane tier.
-  const std::uint32_t lanes = lanes_for<T>(tier_);
-  const std::uint32_t grain = std::max(16U, lanes);
+  const std::uint32_t grain = std::max(16U, lanes_);
   z_pad_ = (z_ + grain - 1) & ~(grain - 1);
   std::size_t max_deg = 0;
+  layer_start_.push_back(0);
   for (const auto& layer : code_.layers()) {
-    std::vector<GatherBlock> gs;
-    std::vector<std::uint32_t> rb;
     for (const auto& blk : layer) {
-      gs.push_back({blk.block_col * z_, blk.shift % z_});
-      rb.push_back(blk.r_slot * z_pad_);
+      blocks_.push_back({blk.block_col * z_, blk.shift % z_, blk.r_slot * z_});
+      zlane_r_base_.push_back(blk.r_slot * z_pad_);
     }
     max_deg = std::max(max_deg, layer.size());
-    gather_.push_back(std::move(gs));
-    r_base_.push_back(std::move(rb));
+    layer_start_.push_back(static_cast<std::uint32_t>(blocks_.size()));
   }
-  hard_.resize((code_.n() + 63) / 64);
-  posterior_.resize(hard_.size() * 64);
-  r_.resize(code_.base().nonzero_blocks() * static_cast<std::size_t>(z_pad_));
+  max_deg = std::max<std::size_t>(max_deg, 1);
+  words_ = (code_.n() + 63) / 64;
+  hard_.resize(words_);
+  posterior_.resize(words_ * 64);
+  zlane_r_.resize(code_.base().nonzero_blocks() *
+                  static_cast<std::size_t>(z_pad_));
   p_scratch_.resize(max_deg * z_pad_);
-  q_scratch_.resize(max_deg * z_pad_);
-  force_scalar_ =
-      family_.wide() || !counters_fit<T>(z_pad_ / lanes, max_deg);
+  q_.resize(max_deg * z_pad_);  // z_pad >= F: room for a lane row too
+  rows_.resize(2 * max_deg);
+  // Every shipped code is orders of magnitude inside both counter
+  // envelopes (WiMAX 1/2 z=96: 96 rows x degree 7 against int16's 32767).
+  zlane_fits_ = !family_.wide() && counters_fit<T>(z_pad_ / lanes_, max_deg);
+  stream_fits_ = !family_.wide() && counters_fit<T>(z_, max_deg);
+  min_block_ = std::max<std::size_t>(
+      1, (batch_break_even<T>(tier_) * std::size_t{z_} + z_pad_ - 1) / z_pad_);
 }
 
 template <class Family>
-SaturationStats ZLaneDecoder<Family>::saturation() const {
+void SimdDecoder<Family>::allocate_lanes() {
+  const std::size_t r_rows =
+      code_.base().nonzero_blocks() * static_cast<std::size_t>(z_);
+  // kBatchPrefetchPad rows of slack so the kernels' look-ahead prefetches
+  // stay inside the allocations.
+  p_.resize((code_.n() + kBatchPrefetchPad) * lanes_);
+  r_.resize((r_rows + kBatchPrefetchPad) * lanes_);
+  active_.assign(lanes_, T{0});
+  r_keep_.assign(lanes_, T{-1});
+  hard_.resize(words_ * lanes_);
+  plane_.resize(words_ * 64 + kProbePadWords);
+  unsat_.resize(code_.layers().size() * z_ + kProbePadWords);
+  lane_.assign(lanes_, Lane{});
+  q_clips_.assign(lanes_, 0);
+  r_clips_.assign(lanes_, 0);
+  p_clips_.assign(lanes_, 0);
+  degenerate_.assign(lanes_, 0);
+  weight_.assign(lanes_, 0);
+}
+
+template <class Family>
+SaturationStats SimdDecoder<Family>::saturation() const {
   return last_used_scalar_ ? family_.scalar().saturation() : saturation_;
 }
 
 template <class Family>
-void ZLaneDecoder<Family>::set_cancel_token(const CancelToken* token) {
+void SimdDecoder<Family>::set_cancel_token(const CancelToken* token) {
   cancel_ = token;
   family_.scalar().set_cancel_token(token);
 }
 
 template <class Family>
-SimdFallback ZLaneDecoder<Family>::bypass_reason() const {
-  if (force_scalar_) return SimdFallback::kWideFormat;
+SimdFallback SimdDecoder<Family>::bypass_reason(bool stream) const {
+  if (!(stream ? stream_fits_ : zlane_fits_)) return SimdFallback::kWideFormat;
+  // Fault-campaign corruption order is defined by scalar access order.
   if (options_.fault_injector && options_.fault_injector->enabled())
     return SimdFallback::kFaultInjector;
+  // The observer contract is one snapshot per iteration of one frame;
+  // interleaved lanes have no meaningful single-frame cadence.
+  if (stream && options_.observer) return SimdFallback::kObserver;
   return SimdFallback::kNone;
 }
 
 template <class Family>
-DecodeResult ZLaneDecoder<Family>::fallback(DecodeResult result,
-                                            SimdFallback reason) {
+DecodeResult SimdDecoder<Family>::fallback(DecodeResult result,
+                                           SimdFallback reason) {
   // Record *why* the lane kernel was bypassed: a benchmark or serving
   // config silently riding the scalar twin is a perf bug, not a
   // correctness one, and must be visible from the outside.
@@ -187,9 +217,9 @@ DecodeResult ZLaneDecoder<Family>::fallback(DecodeResult result,
 }
 
 template <class Family>
-DecodeResult ZLaneDecoder<Family>::decode(std::span<const float> llr) {
+DecodeResult SimdDecoder<Family>::decode(std::span<const float> llr) {
   LDPC_CHECK(llr.size() == code_.n());
-  if (const SimdFallback why = bypass_reason(); why != SimdFallback::kNone)
+  if (const SimdFallback why = bypass_reason(false); why != SimdFallback::kNone)
     return fallback(family_.scalar().decode(llr), why);
   last_used_scalar_ = false;
   saturation_.quantizer_clips = 0;
@@ -200,10 +230,10 @@ DecodeResult ZLaneDecoder<Family>::decode(std::span<const float> llr) {
 }
 
 template <class Family>
-DecodeResult ZLaneDecoder<Family>::decode_quantized(
+DecodeResult SimdDecoder<Family>::decode_quantized(
     std::span<const std::int32_t> channel_codes) {
   LDPC_CHECK(channel_codes.size() == code_.n());
-  SimdFallback why = bypass_reason();
+  SimdFallback why = bypass_reason(false);
   if (why == SimdFallback::kNone) {
     // The lane kernels assume rail-bounded inputs; out-of-rail codes
     // (never produced by the quantizers) ride the scalar twin instead.
@@ -225,8 +255,8 @@ DecodeResult ZLaneDecoder<Family>::decode_quantized(
 }
 
 template <class Family>
-DecodeResult ZLaneDecoder<Family>::run() {
-  std::fill(r_.begin(), r_.end(), T{0});
+DecodeResult SimdDecoder<Family>::run() {
+  std::fill(zlane_r_.begin(), zlane_r_.end(), T{0});
   saturation_.datapath_clips = 0;
   saturation_.q_clips = 0;
   saturation_.r_clips = 0;
@@ -241,47 +271,47 @@ DecodeResult ZLaneDecoder<Family>::run() {
   BitVec previous_hard;
   if (options_.observer) previous_hard.resize(code_.n());
 
-  const std::uint32_t lanes = lanes_for<T>(tier_);
   const auto& kernels = Family::kernels(kernels_);
   ZLanePass<T, typename Family::Map> pass{};
   pass.p = p_scratch_.data();
-  pass.q = q_scratch_.data();
-  pass.r = r_.data();
+  pass.q = q_.data();
+  pass.r = zlane_r_.data();
   pass.z_pad = z_pad_;
   pass.lo = family_.lo();
   pass.hi = family_.hi();
   pass.count_clips = options_.count_saturation;
   pass.stats = &saturation_;
   const std::size_t pad = (z_pad_ - z_) * sizeof(T);
+  const auto layers = static_cast<std::uint32_t>(layer_start_.size() - 1);
 
   for (std::size_t iter = 1; iter <= options_.max_iterations; ++iter) {
     result.iterations = iter;
-    for (std::uint32_t f = 0; f < lanes; ++f) lane_map_.set(f, iter);
+    for (std::uint32_t f = 0; f < lanes_; ++f) lane_map_.set(f, iter);
     pass.map = lane_map_.args();
 
-    for (std::size_t l = 0; l < gather_.size(); ++l) {
+    for (std::uint32_t l = 0; l < layers; ++l) {
       // Same cooperative-cancellation cadence as the scalar decoder: the
       // posterior memory is consistent at every layer boundary.
       if (cancel_ && cancel_->expired()) {
         cancelled = true;
         break;
       }
-      const auto& gs = gather_[l];
-      const auto deg = static_cast<std::uint32_t>(gs.size());
+      const BatchBlock* const blocks = blocks_.data() + layer_start_[l];
+      const std::uint32_t deg = layer_start_[l + 1] - layer_start_[l];
       if (deg == 0) continue;
 
       // Barrel-shift gather: rotate each block column's z posteriors into
       // contiguous lane order, zero the padding lanes.
       for (std::uint32_t j = 0; j < deg; ++j) {
-        const T* src = posterior_.data() + gs[j].p_base;
+        const T* src = posterior_.data() + blocks[j].p_base;
         T* dst = p_scratch_.data() + j * z_pad_;
-        const std::uint32_t shift = gs[j].shift;
+        const std::uint32_t shift = blocks[j].shift;
         std::memcpy(dst, src + shift, (z_ - shift) * sizeof(T));
         std::memcpy(dst + (z_ - shift), src, shift * sizeof(T));
         std::memset(dst + z_, 0, pad);
       }
 
-      pass.r_base = r_base_[l].data();
+      pass.r_base = zlane_r_base_.data() + layer_start_[l];
       pass.deg = deg;
       kernels.zlane(pass);
       // A degree-1 layer forces R' = 0 on every one of its z rows, once
@@ -293,20 +323,20 @@ DecodeResult ZLaneDecoder<Family>::run() {
       // lanes (the scale maps write 0). With P_pad = R_pad = 0 at pass
       // entry, pad lanes provably produce no saturation events.
       for (std::uint32_t j = 0; j < deg && pad != 0; ++j)
-        std::memset(r_.data() + r_base_[l][j] + z_, 0, pad);
+        std::memset(zlane_r_.data() + pass.r_base[j] + z_, 0, pad);
 
       // Scatter: inverse rotation back into natural variable order.
       for (std::uint32_t j = 0; j < deg; ++j) {
         const T* src = p_scratch_.data() + j * z_pad_;
-        T* dst = posterior_.data() + gs[j].p_base;
-        const std::uint32_t shift = gs[j].shift;
+        T* dst = posterior_.data() + blocks[j].p_base;
+        const std::uint32_t shift = blocks[j].shift;
         std::memcpy(dst + shift, src, (z_ - shift) * sizeof(T));
         std::memcpy(dst, src + (z_ - shift), shift * sizeof(T));
       }
     }
 
-    kernels.signs({posterior_.data(), hard_.size(), 64, hard_.data()});
-    for (std::size_t w = 0; w < hard_.size(); ++w)
+    kernels.signs({posterior_.data(), words_, 64, hard_.data()});
+    for (std::size_t w = 0; w < words_; ++w)
       result.hard_bits.set_word(w, hard_[w]);
     const bool want_weight =
         static_cast<bool>(options_.observer) || options_.watchdog.enabled();
@@ -348,106 +378,50 @@ DecodeResult ZLaneDecoder<Family>::run() {
   return result;
 }
 
-// ------------------------------------------------------ batched shape ----
-
 template <class Family>
-BatchDecoder<Family>::BatchDecoder(std::unique_ptr<ZLaneDecoder<Family>> single)
-    : single_(std::move(single)),
-      code_(single_->code()),
-      options_(single_->options()),
-      kernels_(kernels_for(single_->tier())),
-      lanes_(lanes_for<T>(single_->tier())),
-      z_(static_cast<std::uint32_t>(code_.z())),
-      lane_map_(single_->family(), lanes_) {
-  std::size_t max_deg = 0;
-  layer_start_.push_back(0);
-  for (const auto& layer : code_.layers()) {
-    for (const auto& blk : layer)
-      blocks_.push_back({blk.block_col * z_, blk.shift % z_, blk.r_slot * z_});
-    max_deg = std::max(max_deg, layer.size());
-    layer_start_.push_back(static_cast<std::uint32_t>(blocks_.size()));
+void SimdDecoder<Family>::decode_stream(FrameSource& source) {
+  const SimdFallback reason = bypass_reason(true);
+  for (;;) {
+    // No lane is live here: the stream ends when the source runs dry, and
+    // a few ready frames cost less on the z-lane shape than in a block of
+    // idle lanes.
+    const std::size_t ready = source.ready();
+    if (ready == 0) break;
+    if (reason == SimdFallback::kNone && ready >= min_block_) {
+      run_lanes(source);
+      continue;
+    }
+    for (std::size_t i = 0; i < ready; ++i) {
+      const std::optional<StreamFrame> frame = source.next();
+      if (!frame) break;
+      decode_frame(source, *frame, reason);
+    }
   }
-  const std::size_t r_rows =
-      code_.base().nonzero_blocks() * static_cast<std::size_t>(z_);
-  // kBatchPrefetchPad rows of slack so the kernels' look-ahead prefetches
-  // stay inside the allocations.
-  p_.resize((code_.n() + kBatchPrefetchPad) * lanes_);
-  r_.resize((r_rows + kBatchPrefetchPad) * lanes_);
-  q_.resize(std::max<std::size_t>(max_deg, 1) * lanes_);
-  rows_.resize(2 * std::max<std::size_t>(max_deg, 1));
-  active_.assign(lanes_, T{0});
-  r_keep_.assign(lanes_, T{-1});
-  words_ = (code_.n() + 63) / 64;
-  hard_.resize(words_ * lanes_);
-  plane_.resize(words_ * 64 + kProbePadWords);
-  unsat_.resize(code_.layers().size() * z_ + kProbePadWords);
-  lane_.assign(lanes_, Lane{});
-  q_clips_.assign(lanes_, 0);
-  r_clips_.assign(lanes_, 0);
-  p_clips_.assign(lanes_, 0);
-  degenerate_.assign(lanes_, 0);
-  weight_.assign(lanes_, 0);
-  // Every shipped code is orders of magnitude inside the counter envelope
-  // (WiMAX 1/2 z=96: 96 rows x degree 7 against int16's 32767).
-  force_fallback_ = single_->family().wide() || !counters_fit<T>(z_, max_deg);
-  const std::size_t z_pad = single_->z_pad();
-  min_block_ = std::max<std::size_t>(
-      1, (batch_break_even<T>(single_->tier()) * std::size_t{z_} + z_pad - 1) /
-             z_pad);
+  set_cancel_token(nullptr);
 }
 
 template <class Family>
-DecodeResult BatchDecoder<Family>::decode(std::span<const float> llr) {
-  DecodeResult result = single_->decode(llr);
-  last_saturation_ = single_->saturation();
-  return result;
-}
-
-template <class Family>
-void BatchDecoder<Family>::decode_stream(FrameSource& source) {
-  SimdFallback reason = SimdFallback::kNone;
-  if (force_fallback_) {
-    reason = SimdFallback::kWideFormat;
-  } else if (options_.fault_injector && options_.fault_injector->enabled()) {
-    // Fault-campaign corruption order is defined by scalar access order.
-    reason = SimdFallback::kFaultInjector;
-  } else if (options_.observer) {
-    // The observer contract is one snapshot per iteration of one frame;
-    // interleaved lanes have no meaningful single-frame cadence.
-    reason = SimdFallback::kObserver;
-  }
-  if (reason == SimdFallback::kNone) {
-    run_stream(source);
-  } else {
-    while (const std::optional<StreamFrame> f = source.next())
-      decode_on_twin(source, *f, reason);
-  }
-  single_->set_cancel_token(nullptr);
-}
-
-template <class Family>
-void BatchDecoder<Family>::decode_on_twin(FrameSource& source,
-                                          const StreamFrame& frame,
-                                          SimdFallback reason) {
-  single_->set_cancel_token(frame.frame.cancel);
-  DecodeResult result = single_->decode(frame.frame.llr);
-  last_saturation_ = single_->saturation();
-  // The twin stamps its own, more specific reason when *it* also had to
-  // bypass its lane kernel; otherwise record why batching was off (nothing
-  // for a small block).
+void SimdDecoder<Family>::decode_frame(FrameSource& source,
+                                       const StreamFrame& frame,
+                                       SimdFallback reason) {
+  set_cancel_token(frame.frame.cancel);
+  DecodeResult result = decode(frame.frame.llr);
+  // decode() stamps its own, more specific reason when the z-lane shape
+  // also had to bypass its lane kernel; otherwise record why the lanes were
+  // off (nothing for a small block).
   if (result.simd_fallback == SimdFallback::kNone)
     result.simd_fallback = reason;
-  source.done(frame.tag, std::move(result), last_saturation_);
+  source.done(frame.tag, std::move(result), saturation());
 }
 
 template <class Family>
-void BatchDecoder<Family>::read_plane() {
+void SimdDecoder<Family>::read_plane() {
   Family::kernels(kernels_).signs(
       {p_.data(), code_.n(), lanes_, plane_.data()});
 }
 
 template <class Family>
-std::uint64_t BatchDecoder<Family>::probe(bool weigh) {
+std::uint64_t SimdDecoder<Family>::probe(bool weigh) {
   const auto layers = static_cast<std::uint32_t>(layer_start_.size() - 1);
   const std::uint64_t unsat =
       kernels_.probe({plane_.data(), blocks_.data(), layer_start_.data(),
@@ -463,9 +437,9 @@ std::uint64_t BatchDecoder<Family>::probe(bool weigh) {
 }
 
 template <class Family>
-void BatchDecoder<Family>::run_stream(FrameSource& source) {
+void SimdDecoder<Family>::run_lanes(FrameSource& source) {
+  if (lane_.empty()) allocate_lanes();
   const std::size_t n = code_.n();
-  const Family& family = single_->family();
   const auto& kernels = Family::kernels(kernels_);
   std::uint32_t live = 0;  // lanes currently carrying a frame
   // Live lanes whose frame carries a cancel token: the layer boundaries
@@ -484,8 +458,8 @@ void BatchDecoder<Family>::run_stream(FrameSource& source) {
   pass.z = z_;
   pass.active = active_.data();
   pass.r_keep = r_keep_.data();
-  pass.lo = family.lo();
-  pass.hi = family.hi();
+  pass.lo = family_.lo();
+  pass.hi = family_.hi();
   pass.map = lane_map_.args();
   pass.count_clips = options_.count_saturation;
   pass.q_clips = q_clips_.data();
@@ -504,7 +478,7 @@ void BatchDecoder<Family>::run_stream(FrameSource& source) {
   RefillPass<T> refill{};
   refill.n = n;
   refill.p = p_.data();
-  refill.grid = family.grid();
+  refill.grid = family_.grid();
   std::array<long long, kRefillSlots> clips{};
   if (options_.count_saturation) refill.clips = clips.data();
   const std::uint32_t slots = std::min(lanes_, kRefillSlots);
@@ -554,7 +528,8 @@ void BatchDecoder<Family>::run_stream(FrameSource& source) {
     res.iterations = lane.iter;
     res.converged = parity;
     res.status = classify_exit(res.converged, watchdog_fired, 0, cancelled);
-    SaturationStats& sat = last_saturation_;
+    SaturationStats& sat = saturation_;
+    last_used_scalar_ = false;
     sat.quantizer_clips = lane.quantizer_clips;
     sat.q_clips = q_clips_[f];
     sat.r_clips = r_clips_[f];
@@ -580,23 +555,7 @@ void BatchDecoder<Family>::run_stream(FrameSource& source) {
     }
   };
 
-  for (;;) {
-    if (live == 0) {
-      // Nothing in flight: the stream ends when the source runs dry, and a
-      // few ready frames cost less on the twin than in a block of idle
-      // lanes.
-      const std::size_t ready = source.ready();
-      if (ready == 0) return;
-      if (ready < min_block_) {
-        for (std::size_t i = 0; i < ready; ++i) {
-          const std::optional<StreamFrame> frame = source.next();
-          if (!frame) break;
-          decode_on_twin(source, *frame, SimdFallback::kNone);
-        }
-        continue;
-      }
-    }
-
+  do {
     // Refill: idle lanes take the source's next frames, so lanes stay full
     // while their neighbours are still iterating.
     for (std::uint32_t f = 0; f < lanes_; ++f) {
@@ -606,7 +565,7 @@ void BatchDecoder<Family>::run_stream(FrameSource& source) {
       load_lane(f, *frame);
     }
     run_refill();
-    if (live == 0) continue;  // every ready frame resolved without a lane
+    if (live == 0) return;  // every ready frame resolved without a lane
 
     bool at_budget = false;  // a lane runs its last permitted iteration
     for (std::uint32_t f = 0; f < lanes_; ++f) {
@@ -679,12 +638,10 @@ void BatchDecoder<Family>::run_stream(FrameSource& source) {
       }
     }
     finalize(finishing, unsat, fired, false);
-  }
+  } while (live > 0);
 }
 
-template class ZLaneDecoder<Fixed16>;
-template class ZLaneDecoder<Fa8>;
-template class BatchDecoder<Fixed16>;
-template class BatchDecoder<Fa8>;
+template class SimdDecoder<Fixed16>;
+template class SimdDecoder<Fa8>;
 
 }  // namespace ldpc::simd

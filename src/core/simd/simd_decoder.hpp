@@ -1,26 +1,27 @@
-// The two SIMD decoder shapes, each written once over a decoder family.
+// The SIMD decoder, written once over a decoder family: one object runs
+// both shapes of the check-row update (simd_row_update.hpp).
 //
-//   ZLaneDecoder<Family>   one frame at a time; the z check rows of a
-//                          layer are the lanes (the paper's z datapath
-//                          copies, Fig. 3). Posteriors live in natural
-//                          variable order; per layer each block column's z
-//                          posteriors are gathered pre-rotated into a
-//                          padded structure-of-arrays scratch — the
-//                          (row + shift) % z barrel shift collapses into
-//                          two memcpys — and scattered back after the pass.
-//   BatchDecoder<Family>   lane f carries one frame of a stream; arrays
-//                          are lane-major with stride F (p[v * F + f]) and
-//                          the z rows of a layer run serially, so every
-//                          lane is full for any z and the rotation is a
-//                          scalar index. Frames iterate independently: a
-//                          lane whose frame converges, expires or exhausts
-//                          its budget is refilled with the source's next
-//                          frame, so throughput tracks the mean iteration
-//                          count, not the max — across block and engine job
-//                          boundaries alike (decode_stream). With no lane
-//                          live, fewer ready frames than pay for the idle
-//                          lanes (batch_break_even, scaled by the z-lane
-//                          fill) decode frame by frame on the z-lane twin.
+//   z-lane   decode() and decode_quantized(): one frame at a time; the z
+//            check rows of a layer are the lanes (the paper's z datapath
+//            copies, Fig. 3). Posteriors live in natural variable order;
+//            per layer each block column's z posteriors are gathered
+//            pre-rotated into a padded structure-of-arrays scratch — the
+//            (row + shift) % z barrel shift collapses into two memcpys —
+//            and scattered back after the pass.
+//   lanes    decode_stream(): lane f carries one frame of a stream; arrays
+//            are lane-major with stride F (p[v * F + f]) and the z rows of
+//            a layer run serially, so every lane is full for any z and the
+//            rotation is a scalar index. Frames iterate independently: a
+//            lane whose frame converges, expires or exhausts its budget is
+//            refilled with the source's next frame, so throughput tracks
+//            the mean iteration count, not the max — across block and
+//            engine job boundaries alike. With no lane live, fewer ready
+//            frames than pay for the idle lanes (min_block()) decode frame
+//            by frame on the z-lane shape. The lane memory is allocated by
+//            the first stream that starts the lanes, so a decoder used
+//            frame by frame never holds it.
+//
+// Both shapes read one block table (blocks_ / layer_start_), the probe's.
 //
 // A family fixes the lane element type, the magnitude map and the scalar
 // twin every result is bit-identical to:
@@ -30,13 +31,12 @@
 //   Fa8       int8 lanes, per-iteration finite-alphabet staircase —
 //             LayeredMinSumFaDecoder (fa2/fa3/fa4, see core/fa_tables.hpp)
 //
-// Both shapes embed their family's scalar twin (the batched decoder through
-// a z-lane twin, which also serves single-frame decode()). The twin runs
-// the construction-time validation and takes over any decode the lane
-// kernels cannot reproduce bit-exactly — a format outside the lane
-// envelope, an active fault injector (corruption order is scalar),
-// out-of-rail quantized input, or (batched only) a per-iteration observer.
-// The reason is recorded in DecodeResult::simd_fallback, never silent.
+// The family's scalar twin runs the construction-time validation and takes
+// over any decode the lane kernels cannot reproduce bit-exactly — a format
+// outside the lane envelope, an active fault injector (corruption order is
+// scalar) or out-of-rail quantized input. A stream with a per-iteration
+// observer decodes frame by frame on the z-lane shape. The reason is
+// recorded in DecodeResult::simd_fallback, never silent.
 #pragma once
 
 #include <cstdint>
@@ -174,18 +174,25 @@ class Fa8 {
   std::vector<IterTable> iter_tables_;
 };
 
-/// z-lane shape over `Family` (see the file comment).
+/// The SIMD decoder of `Family`, both shapes (see the file comment).
 template <class Family>
-class ZLaneDecoder : public Decoder {
+class SimdDecoder : public Decoder {
  public:
   using T = typename Family::T;
 
   /// `label` overrides name() when non-empty; `tier` pins a kernel tier
   /// (tests), default picks the best available at runtime.
-  ZLaneDecoder(const QCLdpcCode& code, DecoderOptions options, Family family,
-               std::string label, std::optional<SimdTier> tier);
+  SimdDecoder(const QCLdpcCode& code, DecoderOptions options, Family family,
+              std::string label, std::optional<SimdTier> tier);
 
+  /// One frame on the z-lane shape.
   DecodeResult decode(std::span<const float> llr) override;
+
+  /// Streams run the lanes; with no lane live and fewer than min_block()
+  /// frames ready, those frames decode one by one on the z-lane shape
+  /// (bit-identical either way, simd_fallback kNone).
+  void decode_stream(FrameSource& source) override;
+
   std::size_t n() const override { return code_.n(); }
   std::size_t k() const override { return code_.k(); }
   std::string name() const override {
@@ -198,103 +205,26 @@ class ZLaneDecoder : public Decoder {
   SaturationStats saturation() const override;
   void set_cancel_token(const CancelToken* token) override;
 
+  /// Frames per full block = the tier's lane count for T.
+  std::size_t block_width() const override { return lanes_; }
+  /// Fewest ready frames that start the lanes: the tier's batch_break_even
+  /// times the z-lane fill z / z_pad, rounded up — the z-lane shape's cost
+  /// per frame grows with its idle lanes (a z = 1 code fills one of them),
+  /// the lanes' does not.
+  std::size_t min_block() const { return min_block_; }
+
   /// Decode from already-quantized channel codes (the scalar twin's
-  /// bit-exact entry point). Codes outside the rails route to the scalar
-  /// twin, which accepts arbitrary int32 codes (kOutOfRailInput).
+  /// bit-exact entry point) on the z-lane shape. Codes outside the rails
+  /// route to the scalar twin, which accepts arbitrary int32 codes
+  /// (kOutOfRailInput).
   DecodeResult decode_quantized(std::span<const std::int32_t> channel_codes);
 
   SimdTier tier() const { return tier_; }
-  const Family& family() const { return family_; }
-  const QCLdpcCode& code() const { return code_; }
-  const DecoderOptions& options() const { return options_; }
-  /// Lanes per row sweep: z rounded up to the stride granularity.
-  std::uint32_t z_pad() const { return z_pad_; }
 
-  /// True when the configuration is outside the lane envelope and every
-  /// decode delegates to the scalar twin.
-  bool scalar_only() const { return force_scalar_; }
-
- private:
-  struct GatherBlock {
-    std::uint32_t p_base;  ///< block_col * z into the posterior array
-    std::uint32_t shift;   ///< circulant rotation, already reduced mod z
-  };
-
-  SimdFallback bypass_reason() const;
-  DecodeResult fallback(DecodeResult result, SimdFallback reason);
-  DecodeResult run();
-
-  const QCLdpcCode& code_;
-  DecoderOptions options_;
-  Family family_;
-  std::string label_;
-  SimdTier tier_;
-  const KernelSet& kernels_;
-  const CancelToken* cancel_ = nullptr;  ///< non-owning, may be null
-
-  std::uint32_t z_ = 0;
-  std::uint32_t z_pad_ = 0;  ///< z rounded up to max(16, tier lane count)
-  std::vector<std::vector<GatherBlock>> gather_;    ///< per layer
-  std::vector<std::vector<std::uint32_t>> r_base_;  ///< per layer
-  typename Family::LaneMap lane_map_;
-  AlignedVec<T> posterior_;  ///< P memory, natural order, n rounded up to 64
-                             ///< (the zero tail is whole sign-pass words)
-  AlignedVec<T> r_;          ///< R memory, r_slot * z_pad + row
-  AlignedVec<T> p_scratch_;  ///< gathered P lanes, deg * z_pad
-  AlignedVec<T> q_scratch_;  ///< Q_array lanes, deg * z_pad
-  std::vector<std::uint64_t> hard_;  ///< hard-decision words of posterior_
-
-  bool force_scalar_ = false;
-  bool last_used_scalar_ = false;
-  SaturationStats saturation_;
-};
-
-/// Inter-frame-batched shape over `Family` (see the file comment).
-template <class Family>
-class BatchDecoder : public Decoder {
- public:
-  using T = typename Family::T;
-
-  /// `single` is the z-lane twin: single-frame decode path, the family's
-  /// validation and scalar twin, and the exact per-frame fallback.
-  explicit BatchDecoder(std::unique_ptr<ZLaneDecoder<Family>> single);
-
-  /// Single-frame decode rides the z-lane twin — with one frame there is
-  /// nothing to batch.
-  DecodeResult decode(std::span<const float> llr) override;
-
-  /// Streams run the batched kernel; with no lane live and fewer than
-  /// min_block() frames ready, those frames decode one by one on the
-  /// z-lane twin (bit-identical either way, simd_fallback kNone).
-  void decode_stream(FrameSource& source) override;
-
-  std::size_t n() const override { return code_.n(); }
-  std::size_t k() const override { return code_.k(); }
-  std::string name() const override {
-    return "layered-minsum-simd-batched-" + family().format_name();
-  }
-  std::string message_format() const override {
-    return family().format_name();
-  }
-  SaturationStats saturation() const override { return last_saturation_; }
-  void set_cancel_token(const CancelToken* token) override {
-    single_->set_cancel_token(token);
-  }
-
-  /// Frames per full block = the tier's lane count for T.
-  std::size_t block_width() const override { return lanes_; }
-  /// Fewest ready frames that start the batched kernel: the tier's
-  /// batch_break_even times the twin's lane fill z / z_pad, rounded up —
-  /// the twin's cost per frame grows with its idle lanes (a z = 1 code
-  /// fills one of them), the batched kernel's does not.
-  std::size_t min_block() const { return min_block_; }
-
-  SimdTier tier() const { return single_->tier(); }
-  const Family& family() const { return single_->family(); }
-
-  /// True when the configuration can never use the batched kernel and
-  /// every block decodes per-frame on the z-lane twin.
-  bool scalar_only() const { return force_fallback_; }
+  /// True when the configuration is outside a shape's lane envelope, so
+  /// that shape's kernel never runs (kWideFormat): single frames then ride
+  /// the scalar twin, or stream frames the z-lane shape.
+  bool scalar_only() const { return !zlane_fits_ || !stream_fits_; }
 
  private:
   /// Per-lane decode-in-flight state; `tag` is the source's tag for the
@@ -308,61 +238,87 @@ class BatchDecoder : public Decoder {
     long long quantizer_clips = 0;
   };
 
-  /// The lane state machine: refill free lanes from `source`, iterate, and
-  /// hand each frame to source.done() the iteration it finishes.
-  void run_stream(FrameSource& source);
+  /// Why a single frame (`stream` false) or a stream (true) cannot take its
+  /// shape's lane kernel, or kNone.
+  SimdFallback bypass_reason(bool stream) const;
+  DecodeResult fallback(DecodeResult result, SimdFallback reason);
+  /// The z-lane iterations over the quantized frame in posterior_.
+  DecodeResult run();
+  /// One stream frame on the z-lane shape, stamped with `reason` unless
+  /// the shape bypassed its own lane kernel for a more specific one.
+  void decode_frame(FrameSource& source, const StreamFrame& frame,
+                    SimdFallback reason);
+  /// The lane state machine, from every lane idle until every lane is idle
+  /// again: refill free lanes from `source`, iterate, and hand each frame
+  /// to source.done() the iteration it finishes.
+  void run_lanes(FrameSource& source);
+  /// The lane memory, allocated by the first stream that starts the lanes.
+  void allocate_lanes();
   /// Read the sign plane from P: one pass over the n posterior rows.
   void read_plane();
   /// The parity probe over the sign plane (the tier's probe pass): the
   /// mask of lanes with an unsatisfied check row; with `weigh`,
   /// weight_[f] = lane f's syndrome weight.
   std::uint64_t probe(bool weigh);
-  /// One frame on the z-lane twin, stamped with `reason` unless the twin
-  /// bypassed its own lane kernel for a more specific one.
-  void decode_on_twin(FrameSource& source, const StreamFrame& frame,
-                      SimdFallback reason);
 
-  std::unique_ptr<ZLaneDecoder<Family>> single_;
   const QCLdpcCode& code_;
   DecoderOptions options_;
+  Family family_;
+  std::string label_;
+  SimdTier tier_;
   const KernelSet& kernels_;
-  std::uint32_t lanes_ = 0;  ///< F: frames per block, lane-major stride
+  const CancelToken* cancel_ = nullptr;  ///< non-owning, may be null
+  std::uint32_t lanes_ = 0;  ///< F: the tier's lanes for T, frames per block
   std::uint32_t z_ = 0;
+  std::uint32_t z_pad_ = 0;  ///< z rounded up to max(16, F)
   std::size_t min_block_ = 1;  ///< see min_block()
+  /// The clip counters stay exact in T: z-lane passes run z_pad / F row
+  /// steps, lane passes z.
+  bool zlane_fits_ = false;
+  bool stream_fits_ = false;
 
   std::vector<BatchBlock> blocks_;          ///< every layer's blocks, in order
   std::vector<std::uint32_t> layer_start_;  ///< layers + 1 offsets into blocks_
+  /// Per block, its z-lane R offset r_slot * z_pad (ZLanePass::r_base).
+  std::vector<std::uint32_t> zlane_r_base_;
   typename Family::LaneMap lane_map_;
-  AlignedVec<T> p_;       ///< n rows * F lanes posteriors
-  AlignedVec<T> r_;       ///< nonzero_blocks * z rows * F check messages
-  AlignedVec<T> q_;       ///< max_deg * F row scratch
+  AlignedVec<T> q_;  ///< max_deg * z_pad row scratch, both shapes
   std::vector<T*> rows_;  ///< max_deg P then max_deg R row pointers
                           ///< (BatchPass::p_rows / r_rows)
+  /// Hard-decision words: the z-lane frame's, or words_ per lane.
+  std::vector<std::uint64_t> hard_;
+  std::size_t words_ = 0;  ///< hard-decision words per frame, ceil(n / 64)
+  SaturationStats saturation_;  ///< the last frame's, either shape
+  bool last_used_scalar_ = false;
+
+  // The z-lane shape.
+  AlignedVec<T> posterior_;   ///< P memory, natural order, words_ * 64
+                              ///< values (the zero tail is whole sign-pass
+                              ///< words)
+  AlignedVec<T> zlane_r_;    ///< R memory, r_slot * z_pad + row
+  AlignedVec<T> p_scratch_;  ///< gathered P lanes, max_deg * z_pad
+
+  // The lanes (allocate_lanes).
+  AlignedVec<T> p_;       ///< n rows * F lanes posteriors
+  AlignedVec<T> r_;       ///< nonzero_blocks * z rows * F check messages
   AlignedVec<T> active_;  ///< F lane mask (-1 live, 0 idle)
   AlignedVec<T> r_keep_;  ///< F lane mask (0 = first iteration, R reads
                           ///< as 0 — see BatchPass::r_keep)
-  std::size_t words_ = 0;  ///< hard-decision words per frame, ceil(n / 64)
   /// The sign plane: bit f of plane_[v] = (P[v][f] < 0), words_ * 64 rows
   /// (the rows past n stay zero) and kProbePadWords words of slack.
   std::vector<std::uint64_t> plane_;
   /// Every layer's z check-row words of the last weighed probe (bit f set:
   /// lane f's check is unsatisfied), and kProbePadWords words of slack.
   std::vector<std::uint64_t> unsat_;
-  std::vector<std::uint64_t> hard_;  ///< words_ hard-decision words per lane
   std::vector<Lane> lane_;
   std::vector<long long> q_clips_;     ///< per-lane clip accumulators
   std::vector<long long> r_clips_;
   std::vector<long long> p_clips_;
   std::vector<long long> degenerate_;  ///< per-lane degenerate checks
   std::vector<std::size_t> weight_;    ///< per-lane syndrome weights
-
-  bool force_fallback_ = false;
-  SaturationStats last_saturation_;
 };
 
-extern template class ZLaneDecoder<Fixed16>;
-extern template class ZLaneDecoder<Fa8>;
-extern template class BatchDecoder<Fixed16>;
-extern template class BatchDecoder<Fa8>;
+extern template class SimdDecoder<Fixed16>;
+extern template class SimdDecoder<Fa8>;
 
 }  // namespace ldpc::simd

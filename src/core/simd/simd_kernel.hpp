@@ -21,7 +21,7 @@
 //
 // Besides the two row-update passes, each family has three data-movement
 // passes: the sign pass (hard decisions and the batched sign plane), the
-// channel quantizer (the z-lane decoder's frame setup) and the batched
+// channel quantizer (the z-lane shape's frame setup) and the batched
 // refill, which quantizes the frames taken into freed lanes straight into
 // their lanes of P, one pass over the rows per refill round. Two more
 // passes read the batched sign plane and do not depend on the element
@@ -106,8 +106,8 @@ constexpr std::uint32_t lanes_for(SimdTier t) {
 /// measured 10 / 0.75, rounded down; see docs/simd_kernel.md). Where no
 /// block up to the lane count measured faster, the entry is the lane
 /// count: a full block still starts the batched kernel, whose lanes then
-/// refill from the stream. A batched decoder scales it by its z-lane twin's
-/// lane fill and decodes smaller blocks on the twin.
+/// refill from the stream. The SIMD decoder scales it by its z-lane fill
+/// and decodes smaller blocks on its z-lane shape.
 template <class T>
 constexpr std::uint32_t batch_break_even(SimdTier t) {
   switch (t) {
@@ -174,7 +174,7 @@ inline constexpr std::uint32_t kFaMaxThresholds = 7;
 /// (reconstruction levels are nondecreasing), so the wrapping adds cannot
 /// overflow and the output is always in-alphabet. Tables are lane-major
 /// rows (num_thr rows of F lanes, one recon0 row) because batched lanes
-/// sit at independent decode iterations; the z-lane decoder fills every
+/// sit at independent decode iterations; the z-lane shape fills every
 /// lane of a row with the same value.
 struct StaircaseMap {
   const std::int8_t* thr_lanes = nullptr;
@@ -266,9 +266,9 @@ struct BatchPass {
 
 /// The sign pass of both shapes: packs the hard decisions (value < 0) of
 /// words * per_word contiguous values into `words` 64-bit words, bit b of
-/// out[w] = (p[w * per_word + b] < 0). The batched decoder reads its sign
+/// out[w] = (p[w * per_word + b] < 0). The batched shape reads its sign
 /// plane with per_word = F (one posterior row per word, bit f = lane f);
-/// the z-lane decoder packs its natural-order posteriors with per_word =
+/// the z-lane shape packs its natural-order posteriors with per_word =
 /// 64, straight into hard-decision words.
 template <class T>
 struct SignPass {
@@ -294,7 +294,7 @@ struct LaneBitsPass {
 /// words. Callers allocate that much more.
 inline constexpr std::uint32_t kProbePadWords = 8;
 
-/// The batched decoder's parity probe over a sign plane. Check row r of a
+/// The batched shape's parity probe over a sign plane. Check row r of a
 /// layer XORs the plane words p_base + (r + shift) mod z of the layer's
 /// blocks; bit f of that row word is set when lane f's check is
 /// unsatisfied. The pass returns the OR of every layer's row words, the
@@ -348,7 +348,7 @@ QuantizeGrid<T> quantize_grid(const FixedFormat& fmt, T lo, T hi) {
 }
 
 /// The channel quantize pass: contiguous float LLRs -> contiguous codes
-/// (the z-lane decoder's frame setup).
+/// (the z-lane shape's frame setup).
 template <class T>
 struct QuantizePass {
   const float* llr;  ///< n channel LLRs
@@ -364,11 +364,11 @@ QuantizePass<T> quantize_pass(const FixedFormat& fmt, T lo, T hi,
   return {llr.data(), out, llr.size(), quantize_grid(fmt, lo, hi)};
 }
 
-/// Frames one refill pass loads: the batched decoder takes freed lanes'
+/// Frames one refill pass loads: the batched shape takes freed lanes'
 /// frames in rounds of at most this many.
 inline constexpr std::uint32_t kRefillSlots = 16;
 
-/// The batched decoder's refill: quantize `count` taken frames straight
+/// The batched shape's refill: quantize `count` taken frames straight
 /// into their lanes of P, in one pass over its rows. For each block of
 /// rows every slot's LLRs are quantized on `grid`, and the codes land in
 /// P[v * F + lane[k]]; no other lane and no row past n is written. An

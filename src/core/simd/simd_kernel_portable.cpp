@@ -25,8 +25,9 @@ struct PortableOps {
     T v[kLanes];
   };
   using Mask = Vec;  // -1 lanes where true
-  // Every degree runs the run-time-degree row update (see with_degree).
-  static constexpr bool kDegreeBodies = false;
+  // Every degree runs the run-time-degree row update (see with_degree),
+  // and the probe a short group (see probe_pass).
+  static constexpr bool kUnrolledBodies = false;
 
   template <class F>
   static Vec map(F f) {

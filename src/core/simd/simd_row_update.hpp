@@ -39,8 +39,9 @@
 //                     wrapping for int16): an uncounted batched pass then
 //                     holds r_keep as a Mask and applies it inside the
 //                     subtract, not with an and_ per edge
-//   kDegreeBodies     optional; false runs the run-time-degree body at
-//                     every degree (see with_degree)
+//   kUnrolledBodies   optional; false runs the run-time-degree body at
+//                     every degree (see with_degree) and the probe two
+//                     vectors per group (see probe_pass)
 //   sign_bits         bit i = (lane i < 0), kLanes (<= 64) bits
 //   quantize          the channel quantizer (QuantizePass): one float
 //                     pipeline per tier, narrowed to T
@@ -606,6 +607,14 @@ inline typename Ops::Vec load_split(const std::uint64_t* head,
   }
 }
 
+/// The policy's kUnrolledBodies, true when it sets none.
+template <class Ops>
+constexpr bool unrolled_bodies() {
+  if constexpr (requires { Ops::kUnrolledBodies; })
+    return Ops::kUnrolledBodies;
+  return true;
+}
+
 /// The parity probe (ProbePass), one vector of W plane words = W check
 /// rows at a time. For each layer, groups of kGroup row vectors sit in
 /// register accumulators while every block XORs its rotated words into
@@ -627,8 +636,13 @@ template <class Ops>
   using V = typename Ops::Vec;
   constexpr std::uint32_t kW = Ops::kLanes * sizeof(T) / 8;
   // Vectors per group: 96 rows (the largest registered z) on AVX-512, 8
-  // vectors on the tiers with 16 vector registers.
-  constexpr std::uint32_t kGroup = kW == 8 ? 12 : 8;
+  // vectors on the tiers with 16 vector registers, and 2 where the vectors
+  // are arrays in memory (kUnrolledBodies = false): there an 8-vector
+  // group's 9 straight-line bodies cost a third of the TU's compile time
+  // and overrun GCC's variable tracking under ASan, for a pass that runs
+  // once per round.
+  constexpr std::uint32_t kGroup =
+      !unrolled_bodies<Ops>() ? 2 : kW == 8 ? 12 : 8;
   static_assert(kW >= 1 && kW <= kProbePadWords);
   const auto words = [](const std::uint64_t* w) {
     return Ops::load(reinterpret_cast<const T*>(w));
@@ -846,17 +860,15 @@ template <class Ops>
 
 /// Calls run.template operator()<kDeg>() once: kDeg = deg when deg is in
 /// kSpecializedDegrees, else kDeg = 0, the run-time-degree body. A policy
-/// with kDegreeBodies = false always gets kDeg = 0: the portable tier's
+/// with kUnrolledBodies = false always gets kDeg = 0: the portable tier's
 /// lanes are arrays in memory, and GCC's alias analysis over an unrolled
 /// body of them took minutes per degree to compile (the whole list: 4 s ->
 /// 120 s at -O2, over 20 minutes with ASan) for a few percent.
 template <class Ops, class Run>
 inline void with_degree(std::uint32_t deg, Run&& run) {
-  if constexpr (requires { Ops::kDegreeBodies; }) {
-    if constexpr (!Ops::kDegreeBodies) {
-      run.template operator()<0>();
-      return;
-    }
+  if constexpr (!unrolled_bodies<Ops>()) {
+    run.template operator()<0>();
+    return;
   }
   [&]<std::size_t... I>(std::index_sequence<I...>) {
     const bool specialized =

@@ -350,9 +350,6 @@ class BatchEngine {
   /// both together).
   EngineMetrics snapshot() const LDPC_EXCLUDES(state_mutex_);
 
-  /// Back-compat alias for snapshot().
-  EngineMetrics metrics() const { return snapshot(); }
-
   unsigned num_workers() const { return config_.num_workers; }
 
  private:

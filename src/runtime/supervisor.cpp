@@ -169,7 +169,7 @@ void DecodeSupervisor::drain() {
 
 SupervisorMetrics DecodeSupervisor::metrics() const {
   SupervisorMetrics m;
-  m.engine = engine_.metrics();
+  m.engine = engine_.snapshot();
   {
     const MutexLock lock(stats_mutex_);
     m.retry = stats_;

@@ -91,8 +91,8 @@ struct ServiceConfig {
   /// Decoder each worker builds per (standard, rate, z); see
   /// core/decoder_factory.hpp for names. The default is the batched SIMD
   /// twin of layered-minsum-fixed (bit-identical results), which decodes a
-  /// block's requests one per lane; any name works, a one-lane decoder
-  /// just decodes its blocks frame by frame.
+  /// block's requests one per lane, as every SIMD name does; any name
+  /// works, and a scalar one just decodes its blocks frame by frame.
   std::string decoder_name = "layered-minsum-simd-batched";
   DecoderOptions decoder_options;
   /// Hook run on the *worker thread* when it builds a decoder, after

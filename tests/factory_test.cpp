@@ -7,12 +7,15 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstdint>
+#include <iterator>
 #include <memory>
 #include <string>
 #include <vector>
 
 #include "codes/wimax.hpp"
 #include "core/decoder_factory.hpp"
+#include "core/simd/simd_kernel.hpp"
 #include "util/check.hpp"
 
 namespace ldpc {
@@ -68,6 +71,67 @@ TEST(DecoderFactory, BlockWidthKnownWithoutBuildingADecoder) {
           << name << " z=" << z;
   }
   EXPECT_THROW(decoder_block_width("no-such-decoder"), Error);
+}
+
+TEST(DecoderFactory, NameFormatAndBlockWidthArePinned) {
+  // The bench JSON artifacts key their rows by name(), and the service
+  // sizes its blocks by block_width(): every registered name pins both,
+  // and its message_format(), for any code. A SIMD name streams one frame
+  // per lane of the best tier, whether or not it says `-batched`.
+  struct Pinned {
+    const char* name;
+    const char* label;   ///< name()
+    const char* format;  ///< message_format()
+    std::size_t width;   ///< block_width()
+  };
+  const std::size_t w16 = simd::lanes_for<std::int16_t>(simd::best_tier());
+  const std::size_t w8 = simd::lanes_for<std::int8_t>(simd::best_tier());
+  const Pinned pinned[] = {
+      {"flooding-bp", "flooding-bp", "float", 1},
+      {"flooding-minsum", "flooding-minsum", "float", 1},
+      {"flooding-minsum-norm", "flooding-minsum-norm", "float", 1},
+      {"flooding-minsum-offset", "flooding-minsum-offset", "float", 1},
+      {"flooding-minsum-scms", "flooding-minsum-scms", "float", 1},
+      {"gallager-b", "gallager-b", "bit", 1},
+      {"layered-minsum-float", "layered-minsum-float", "float", 1},
+      {"layered-minsum-fixed", "layered-minsum-q8.2", "q8.2", 1},
+      {"layered-minsum-q6", "layered-minsum-q6.1", "q6.1", 1},
+      {"layered-minsum-offset-fixed", "layered-minsum-offset-q8.2", "q8.2",
+       1},
+      {"layered-minsum-simd", "layered-minsum-simd-q8.2", "q8.2", w16},
+      {"layered-minsum-simd-q6", "layered-minsum-simd-q6.1", "q6.1", w16},
+      {"layered-minsum-simd-offset", "layered-minsum-simd-offset-q8.2",
+       "q8.2", w16},
+      {"layered-minsum-simd-batched", "layered-minsum-simd-batched-q8.2",
+       "q8.2", w16},
+      {"layered-minsum-simd-batched-q6", "layered-minsum-simd-batched-q6.1",
+       "q6.1", w16},
+      {"layered-minsum-fa2", "layered-minsum-fa2", "fa2", 1},
+      {"layered-minsum-fa3", "layered-minsum-fa3", "fa3", 1},
+      {"layered-minsum-fa4", "layered-minsum-fa4", "fa4", 1},
+      {"layered-minsum-simd-fa2", "layered-minsum-simd-fa2", "fa2", w8},
+      {"layered-minsum-simd-fa3", "layered-minsum-simd-fa3", "fa3", w8},
+      {"layered-minsum-simd-fa4", "layered-minsum-simd-fa4", "fa4", w8},
+      {"layered-minsum-simd-batched-fa2", "layered-minsum-simd-batched-fa2",
+       "fa2", w8},
+      {"layered-minsum-simd-batched-fa3", "layered-minsum-simd-batched-fa3",
+       "fa3", w8},
+      {"layered-minsum-simd-batched-fa4", "layered-minsum-simd-batched-fa4",
+       "fa4", w8},
+  };
+  ASSERT_EQ(decoder_names().size(), std::size(pinned));
+  for (const int z : {24, 96}) {
+    const QCLdpcCode code = make_wimax_code(WimaxRate::kRate1_2, z);
+    for (std::size_t i = 0; i < std::size(pinned); ++i) {
+      const Pinned& p = pinned[i];
+      const std::string ctx = std::string(p.name) + " z=" + std::to_string(z);
+      ASSERT_EQ(decoder_names()[i], p.name) << ctx;
+      const auto dec = make_decoder(p.name, code, DecoderOptions{});
+      EXPECT_EQ(dec->name(), p.label) << ctx;
+      EXPECT_EQ(dec->message_format(), p.format) << ctx;
+      EXPECT_EQ(dec->block_width(), p.width) << ctx;
+    }
+  }
 }
 
 TEST(DecoderFactory, NamesAreUniqueAndNonEmpty) {

@@ -268,7 +268,7 @@ TEST(BatchEngine, BackpressureWithTinyQueue) {
   BatchEngine engine(fixed_factory(code), engine_config(2, 1));
   const auto results = engine.decode_batch(frames);
   ASSERT_EQ(results.size(), frames.size());
-  const auto m = engine.metrics();
+  const auto m = engine.snapshot();
   EXPECT_EQ(m.jobs_completed, frames.size());
   EXPECT_LE(m.queue_max_occupancy, 1u);
 }
@@ -308,7 +308,7 @@ TEST(BatchEngine, DrainIsReusable) {
   for (std::size_t f = 0; f < frames.size(); ++f)
     ASSERT_TRUE(submit_accepted(engine.submit(f, frames[f], &second[f])));
   engine.drain();
-  const auto m = engine.metrics();
+  const auto m = engine.snapshot();
   EXPECT_EQ(m.jobs_submitted, 2 * frames.size());
   EXPECT_EQ(m.jobs_completed, 2 * frames.size());
   for (std::size_t f = 0; f < frames.size(); ++f)
@@ -324,7 +324,7 @@ TEST(BatchEngine, DrainWithZeroJobsReturnsImmediately) {
   EXPECT_TRUE(report.completed);
   EXPECT_EQ(report.outstanding, 0u);
   EXPECT_TRUE(report.straggler_frames.empty());
-  const auto m = engine.metrics();
+  const auto m = engine.snapshot();
   EXPECT_EQ(m.jobs_submitted, 0u);
   EXPECT_EQ(m.jobs_completed, 0u);
   EXPECT_EQ(m.latency.samples, 0u);
@@ -367,7 +367,7 @@ TEST(BatchEngine, QueuedExpiredJobNeverReachesDecoder) {
   EXPECT_EQ(expired.status, DecodeStatus::kDeadlineExpired);
   EXPECT_EQ(expired.iterations, 0u);  // no decoder ever saw the frame
   EXPECT_FALSE(expired.converged);
-  const auto m = engine.metrics();
+  const auto m = engine.snapshot();
   EXPECT_EQ(m.jobs_expired, 1u);
   EXPECT_EQ(m.jobs_completed, 2u);  // expiry still completes the job
   std::size_t worker_jobs = 0;
@@ -395,7 +395,7 @@ TEST(BatchEngine, RejectNewestReportsAndCounts) {
             SubmitStatus::kRejectedQueueFull);
   gate.release = true;
   engine.drain();
-  const auto m = engine.metrics();
+  const auto m = engine.snapshot();
   EXPECT_EQ(m.jobs_rejected, 1u);
   EXPECT_EQ(m.jobs_submitted, 2u);  // rejected job never counted submitted
   EXPECT_EQ(m.jobs_completed, 2u);
@@ -425,7 +425,7 @@ TEST(BatchEngine, ShedOldestCompletesEvictedJob) {
   EXPECT_EQ(slots[1].status, DecodeStatus::kShedOverload);
   EXPECT_EQ(slots[1].iterations, 0u);
   EXPECT_GE(slots[2].iterations, 1u);  // the fresh job decoded
-  const auto m = engine.metrics();
+  const auto m = engine.snapshot();
   EXPECT_EQ(m.jobs_shed, 1u);
   EXPECT_EQ(m.jobs_submitted, 3u);
   EXPECT_EQ(m.jobs_completed, 3u);
@@ -439,7 +439,7 @@ TEST(BatchEngine, MetricsReadableDuringLiveBatch) {
   std::thread reader([&] {
     // Hammer the snapshot while jobs are in flight; TSAN guards this.
     while (!stop.load()) {
-      const auto m = engine.metrics();
+      const auto m = engine.snapshot();
       EXPECT_LE(m.jobs_completed, m.jobs_submitted);
       EXPECT_LE(m.latency.p50_us, m.latency.max_us + 1e-9);
     }
@@ -450,7 +450,7 @@ TEST(BatchEngine, MetricsReadableDuringLiveBatch) {
   engine.drain();
   stop = true;
   reader.join();
-  const auto m = engine.metrics();
+  const auto m = engine.snapshot();
   EXPECT_EQ(m.jobs_completed, frames.size());
 }
 
@@ -473,7 +473,7 @@ TEST(BatchEngine, MetricsAggregateDecodeStatistics) {
   const auto frames = make_frames(code, 20, 6.0F);
   BatchEngine engine(fixed_factory(code), engine_config(2, 16));
   const auto results = engine.decode_batch(frames);
-  const auto m = engine.metrics();
+  const auto m = engine.snapshot();
   EXPECT_EQ(m.jobs_submitted, frames.size());
   EXPECT_EQ(m.jobs_completed, frames.size());
   EXPECT_EQ(m.decoded_bits, frames.size() * code.n());
@@ -557,7 +557,7 @@ TEST(BatchEngine, ThrowingJobIsCountedNotFatal) {
   ASSERT_TRUE(submit_accepted(engine.submit(1, good[0], &results[1])));
   ASSERT_TRUE(submit_accepted(engine.submit(2, good[1], &results[2])));
   engine.drain();
-  const auto m = engine.metrics();
+  const auto m = engine.snapshot();
   EXPECT_EQ(m.jobs_completed, 3u);
   std::size_t exceptions = 0;
   for (const auto& w : m.workers) exceptions += w.exceptions;
@@ -591,7 +591,7 @@ TEST(BatchEngine, QuarantineReplacesStrikingWorker) {
         submit_accepted(engine.submit(10 + f, good[f], &slots[f])));
   engine.drain();
   for (const auto& r : slots) EXPECT_TRUE(r.converged);
-  const auto m = engine.metrics();
+  const auto m = engine.snapshot();
   EXPECT_EQ(m.workers_quarantined, 1u);
   EXPECT_EQ(m.workers_spawned, 1u);
   ASSERT_EQ(m.workers.size(), 2u);  // original + replacement
@@ -962,7 +962,7 @@ TEST(BatchEngineBlocks, SubmitBlockResolvesEveryFrameOnce) {
     EXPECT_GE(r.iterations, 1u);
     EXPECT_TRUE(r.converged);
   }
-  const auto m = engine.metrics();
+  const auto m = engine.snapshot();
   EXPECT_EQ(m.jobs_submitted, frames.size());
   EXPECT_EQ(m.jobs_completed, frames.size());
   EXPECT_EQ(m.decoded_bits, frames.size() * code.n());
@@ -991,7 +991,7 @@ TEST(BatchEngineBlocks, DecodeBatchBlockShapeMatchesPerFrame) {
       EXPECT_EQ(results[f].converged, reference[f].converged) << f;
       EXPECT_EQ(results[f].hard_bits, reference[f].hard_bits) << f;
     }
-    const auto m = engine.metrics();
+    const auto m = engine.snapshot();
     EXPECT_EQ(m.jobs_completed, frames.size());
     EXPECT_EQ(m.decoded_info_bits, frames.size() * code.k());
   }
@@ -1020,7 +1020,7 @@ TEST(BatchEngineBlocks, ExpiredFrameInBlockResolvesLaneMates) {
     EXPECT_TRUE(slots[f].converged) << f;
     EXPECT_GE(slots[f].iterations, 1u) << f;
   }
-  const auto m = engine.metrics();
+  const auto m = engine.snapshot();
   EXPECT_EQ(m.jobs_completed, frames.size());
   EXPECT_EQ(m.jobs_expired, 1u);
 }
@@ -1042,7 +1042,7 @@ TEST(BatchEngineBlocks, FallbackFramesCountedPerWorker) {
   const auto results = engine.decode_batch(frames);
   for (const auto& r : results)
     EXPECT_EQ(r.simd_fallback, SimdFallback::kObserver);
-  const auto m = engine.metrics();
+  const auto m = engine.snapshot();
   std::size_t fallbacks = 0;
   for (const auto& w : m.workers) fallbacks += w.simd_fallbacks;
   EXPECT_EQ(fallbacks, frames.size());
@@ -1140,7 +1140,7 @@ TEST(BatchEngineBlocks, PickedDecoderAndHookRunOncePerBookedFrame) {
   }
   // The gate frame ran on the factory decoder, the block on the picked
   // one: each is booked with the n of the decoder that ran it.
-  EXPECT_EQ(engine.metrics().decoded_bits, other.n() + 2 * code.n());
+  EXPECT_EQ(engine.snapshot().decoded_bits, other.n() + 2 * code.n());
 }
 
 // ---------------------------------------------------------- lane streams ----
@@ -1317,7 +1317,7 @@ TEST(BatchEngineStream, LanesCarryConsecutiveJobs) {
       expect_same_decode(slots_a[i], ref_a[i], "A " + std::to_string(i));
     for (std::size_t i = 0; i < b.size(); ++i)
       expect_same_decode(slots_b[i], ref_b[i], "B " + std::to_string(i));
-    const auto m = engine.metrics();
+    const auto m = engine.snapshot();
     EXPECT_EQ(m.jobs_completed, 1 + a.size() + b.size());
     EXPECT_EQ(m.workers[0].simd_fallbacks, 0u);
   }
@@ -1377,7 +1377,7 @@ TEST(BatchEngineStream, HeldJobsRunOnTheirOwnDecoder) {
                          "C " + std::to_string(i));
     }
     // The gate, A and C ran on the rung decoder, B on its picked one.
-    EXPECT_EQ(engine.metrics().decoded_bits,
+    EXPECT_EQ(engine.snapshot().decoded_bits,
               (2 * width + 1) * code.n() + width * other.n());
   }
 }
@@ -1463,7 +1463,7 @@ TEST(BatchEngineStream, ThrowMidStreamResolvesEveryFrameOnce) {
     const auto booked = log.wait_for(a.size() + b.size());
 
     expect_each_frame_booked_once(booked, {a.size(), b.size()});
-    const auto m = engine.metrics();
+    const auto m = engine.snapshot();
     EXPECT_EQ(m.jobs_completed, 1 + a.size() + b.size());
     EXPECT_EQ(m.workers[0].exceptions, 1u);
     // A frame still in a lane at the throw fails with the default result
@@ -1522,7 +1522,7 @@ TEST(BatchEngineBlocks, DeadlineBailsRunningFrame) {
 
     EXPECT_EQ(slots_a[0].status, DecodeStatus::kDeadlineExpired);
     EXPECT_LT(slots_a[0].iterations, kBudget);
-    EXPECT_EQ(engine.metrics().jobs_expired, 0u);  // bailed, not skipped
+    EXPECT_EQ(engine.snapshot().jobs_expired, 0u);  // bailed, not skipped
     for (std::size_t i = 1; i < a.size(); ++i)
       expect_same_decode(slots_a[i], scalar->decode(a[i]),
                          "A " + std::to_string(i));
@@ -1601,7 +1601,7 @@ TEST(BatchEngine, AvgIterationsCountsOnlyFramesThatRan) {
     ++ran;
     iterations += r.iterations;
   }
-  const auto m = engine.metrics();
+  const auto m = engine.snapshot();
   ASSERT_EQ(m.jobs_expired, 3u);
   ASSERT_EQ(ran, 5u);
   EXPECT_DOUBLE_EQ(m.avg_iterations(), static_cast<double>(iterations) /
@@ -1691,7 +1691,7 @@ TEST(BatchEngine, DrainUntilReportsBlockStragglers) {
     EXPECT_TRUE(done.completed);
     EXPECT_EQ(done.outstanding, 0u);
     EXPECT_TRUE(done.straggler_frames.empty());
-    const auto m = engine.metrics();
+    const auto m = engine.snapshot();
     EXPECT_EQ(m.jobs_completed, m.jobs_submitted);
     EXPECT_EQ(m.jobs_submitted, shed ? 7u : 6u);
     EXPECT_EQ(m.jobs_shed, shed ? 2u : 0u);

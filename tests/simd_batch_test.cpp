@@ -1,5 +1,5 @@
 // Block equivalence for the inter-frame-batched SIMD decoder: every frame
-// of a SimdBatchDecoder::decode_block must be *bit-identical* to a
+// of a SimdFixedDecoder::decode_block must be *bit-identical* to a
 // standalone LayeredMinSumFixedDecoder decode of the same LLRs — hard
 // bits, iteration counts, status, and every per-site saturation counter —
 // on every kernel tier, for block sizes below / at / above the lane width
@@ -15,6 +15,7 @@
 #include <cstdlib>
 #include <memory>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "channel/awgn.hpp"
@@ -27,8 +28,7 @@
 #include "core/decoder_factory.hpp"
 #include "core/layered_minsum_fa.hpp"
 #include "core/layered_minsum_fixed.hpp"
-#include "core/simd/simd_batch.hpp"
-#include "core/simd/simd_fa_batch.hpp"
+#include "core/simd/simd_layered.hpp"
 #include "fault/fault_injector.hpp"
 #include "util/rng.hpp"
 
@@ -71,7 +71,7 @@ void expect_frame_identical(const Reference& ref, const DecodeResult& rv,
 
 /// Decode the pool's first `count` frames as one block and compare each
 /// against its scalar reference.
-void expect_block_identical(SimdBatchDecoder& batched,
+void expect_block_identical(Decoder& batched,
                             const std::vector<std::vector<float>>& pool,
                             const std::vector<Reference>& refs,
                             std::size_t count, const std::string& ctx) {
@@ -109,7 +109,7 @@ void sweep_code(const QCLdpcCode& code, const DecoderOptions& opt,
   }
 
   for (const simd::SimdTier tier : simd::available_tiers()) {
-    SimdBatchDecoder batched(code, opt, fmt, tier);
+    SimdFixedDecoder batched(code, opt, fmt, tier);
     ASSERT_FALSE(batched.scalar_only());
     const std::size_t w = batched.block_width();
     EXPECT_EQ(w, simd::tier_lanes(tier));
@@ -243,7 +243,7 @@ TEST(SimdBatch, CancelledFrameInBlockLeavesLaneMatesIntact) {
   EXPECT_EQ(cancelled_ref.result.status, DecodeStatus::kDeadlineExpired);
 
   for (const simd::SimdTier tier : simd::available_tiers()) {
-    SimdBatchDecoder batched(code, opt, fmt, tier);
+    SimdFixedDecoder batched(code, opt, fmt, tier);
     std::vector<BlockFrame> frames;
     for (std::size_t f = 0; f < pool.size(); ++f)
       frames.push_back({pool[f], f == 2 ? &cancelled : nullptr});
@@ -259,7 +259,7 @@ TEST(SimdBatch, CancelledFrameInBlockLeavesLaneMatesIntact) {
   }
 }
 
-/// Blocks below, at and above `batched`'s min_block() — the twin's
+/// Blocks below, at and above `batched`'s min_block() — the z-lane
 /// frame-by-frame path and the batched kernel — each with a pre-cancelled
 /// frame, must match `scalar` frame for frame with no SIMD fallback.
 template <class Batched>
@@ -302,7 +302,7 @@ void expect_break_even_identical(Decoder& scalar, Batched& batched,
 }
 
 TEST(SimdBatch, BlocksAroundBreakEvenMatchScalar) {
-  // Small blocks decode frame by frame on the z-lane twin, larger ones on
+  // Small blocks decode frame by frame on the z-lane path, larger ones on
   // the batched kernel: the switch must be invisible in every result. At
   // z = 96 every tier has a block size below the break-even; a z = 1 code
   // fills one z-lane, so every block of it runs the batched kernel.
@@ -315,8 +315,8 @@ TEST(SimdBatch, BlocksAroundBreakEvenMatchScalar) {
     for (const simd::SimdTier tier : simd::available_tiers()) {
       const std::string ctx = "z=" + std::to_string(code.z()) +
                               " tier=" + simd::to_string(tier);
-      SimdBatchDecoder batched(code, opt, FixedFormat{8, 2}, tier);
-      SimdFaBatchDecoder batched_fa(code, opt, 4, 2.0F, tier);
+      SimdFixedDecoder batched(code, opt, FixedFormat{8, 2}, tier);
+      SimdFaDecoder batched_fa(code, opt, 4, 2.0F, tier);
       if (code.z() == 1) {
         EXPECT_EQ(batched.min_block(), 1U) << ctx;
         EXPECT_EQ(batched_fa.min_block(), 1U) << ctx;
@@ -439,7 +439,7 @@ TEST(SimdBatch, StreamRefillingManyLanesMatchesScalarQ8) {
       },
       [](const QCLdpcCode& code, const DecoderOptions& opt,
          simd::SimdTier tier) {
-        return std::make_unique<SimdBatchDecoder>(code, opt, FixedFormat{8, 2},
+        return std::make_unique<SimdFixedDecoder>(code, opt, FixedFormat{8, 2},
                                                   tier);
       },
       &simd::tier_lanes, "q8.2");
@@ -452,7 +452,7 @@ TEST(SimdBatch, StreamRefillingManyLanesMatchesScalarFa4) {
       },
       [](const QCLdpcCode& code, const DecoderOptions& opt,
          simd::SimdTier tier) {
-        return std::make_unique<SimdFaBatchDecoder>(code, opt, 4, 2.0F, tier);
+        return std::make_unique<SimdFaDecoder>(code, opt, 4, 2.0F, tier);
       },
       &simd::tier_lanes8, "fa4");
 }
@@ -469,7 +469,7 @@ TEST(SimdBatch, StreamRefillingManyLanesOverStaleRMatchesScalarQ8) {
       },
       [](const QCLdpcCode& code, const DecoderOptions& opt,
          simd::SimdTier tier) {
-        return std::make_unique<SimdBatchDecoder>(code, opt, FixedFormat{8, 2},
+        return std::make_unique<SimdFixedDecoder>(code, opt, FixedFormat{8, 2},
                                                   tier);
       },
       &simd::tier_lanes, "q8.2", true);
@@ -482,7 +482,7 @@ TEST(SimdBatch, StreamRefillingManyLanesOverStaleRMatchesScalarFa4) {
       },
       [](const QCLdpcCode& code, const DecoderOptions& opt,
          simd::SimdTier tier) {
-        return std::make_unique<SimdFaBatchDecoder>(code, opt, 4, 2.0F, tier);
+        return std::make_unique<SimdFaDecoder>(code, opt, 4, 2.0F, tier);
       },
       &simd::tier_lanes8, "fa4", true);
 }
@@ -532,7 +532,7 @@ TEST(SimdBatch, RailHotCountedStreamClipsAtQuantizer) {
   expect_rail_hot_stream(
       scalar,
       [&](simd::SimdTier tier) {
-        return std::make_unique<SimdBatchDecoder>(code, opt, FixedFormat{8, 2},
+        return std::make_unique<SimdFixedDecoder>(code, opt, FixedFormat{8, 2},
                                                   tier);
       },
       &simd::tier_lanes, code, "q8.2");
@@ -540,7 +540,7 @@ TEST(SimdBatch, RailHotCountedStreamClipsAtQuantizer) {
   expect_rail_hot_stream(
       scalar_fa,
       [&](simd::SimdTier tier) {
-        return std::make_unique<SimdFaBatchDecoder>(code, opt, 4, 2.0F, tier);
+        return std::make_unique<SimdFaDecoder>(code, opt, 4, 2.0F, tier);
       },
       &simd::tier_lanes8, code, "fa4");
 }
@@ -573,10 +573,10 @@ TEST(SimdBatch, DecodeBlockDetachesAttachedCancelToken) {
   for (const simd::SimdTier tier : simd::available_tiers()) {
     const std::string ctx = std::string("tier=") + simd::to_string(tier);
     LayeredMinSumFixedDecoder scalar(code, opt, FixedFormat{8, 2});
-    SimdBatchDecoder batched(code, opt, FixedFormat{8, 2}, tier);
+    SimdFixedDecoder batched(code, opt, FixedFormat{8, 2}, tier);
     expect_block_detaches_token(scalar, batched, llr, "q8.2 " + ctx);
     LayeredMinSumFaDecoder scalar_fa(code, opt, 4);
-    SimdFaBatchDecoder batched_fa(code, opt, 4, 2.0F, tier);
+    SimdFaDecoder batched_fa(code, opt, 4, 2.0F, tier);
     expect_block_detaches_token(scalar_fa, batched_fa, llr, "fa4 " + ctx);
   }
 }
@@ -585,13 +585,13 @@ TEST(SimdBatch, DecodeBlockDetachesAttachedCancelToken) {
 
 TEST(SimdBatch, WideFormatFallsBackPerFrameAndSaysSo) {
   // q16.4 is outside the int16 lane envelope: the block decodes per-frame
-  // on the z-lane twin's scalar path, matches the reference decoder, and
+  // on the z-lane path's scalar twin, matches the reference decoder, and
   // every result carries the fallback reason — never silent.
   const auto code = make_wifi_648_half_rate();
   const DecoderOptions opt = counting_options();
   const FixedFormat fmt{16, 4};
   LayeredMinSumFixedDecoder scalar(code, opt, fmt);
-  SimdBatchDecoder batched(code, opt, fmt);
+  SimdFixedDecoder batched(code, opt, fmt);
   EXPECT_TRUE(batched.scalar_only());
 
   std::vector<std::vector<float>> pool;
@@ -621,7 +621,7 @@ TEST(SimdBatch, FaultCampaignFallsBackPerFrame) {
   FaultInjector injector(cfg);
   DecoderOptions opt;
   opt.fault_injector = &injector;
-  SimdBatchDecoder batched(code, opt, FixedFormat{8, 2});
+  SimdFixedDecoder batched(code, opt, FixedFormat{8, 2});
   EXPECT_FALSE(batched.scalar_only());  // config-dependent, not structural
 
   const auto llr = noisy_llr(code, 1.8F, 99);
@@ -640,7 +640,7 @@ TEST(SimdBatch, ObserverFallsBackPerFrame) {
   std::size_t snapshots = 0;
   DecoderOptions opt;
   opt.observer = [&](const IterationSnapshot&) { ++snapshots; };
-  SimdBatchDecoder batched(code, opt, FixedFormat{8, 2});
+  SimdFixedDecoder batched(code, opt, FixedFormat{8, 2});
 
   const auto llr = noisy_llr(code, 1.8F, 42);
   const BlockFrame frames[] = {{llr, nullptr}, {llr, nullptr}};
@@ -660,7 +660,7 @@ TEST(SimdBatch, BenchConfigurationNeverFallsBack) {
   const auto code = make_wimax_2304_half_rate();
   DecoderOptions opt;
   for (const simd::SimdTier tier : simd::available_tiers()) {
-    SimdBatchDecoder batched(code, opt, FixedFormat{8, 2}, tier);
+    SimdFixedDecoder batched(code, opt, FixedFormat{8, 2}, tier);
     EXPECT_FALSE(batched.scalar_only()) << simd::to_string(tier);
   }
 }
@@ -681,13 +681,70 @@ TEST(SimdBatch, UnknownTierOverrideThrows) {
   EXPECT_NO_THROW(simd::best_tier());
 }
 
+// ------------------------------------------------------- z-lane names ----
+
+/// tier() and min_block() of a factory-built SIMD decoder of either family.
+std::pair<simd::SimdTier, std::size_t> tier_and_min_block(const Decoder& dec) {
+  using Fixed = simd::SimdDecoder<simd::Fixed16>;
+  if (const auto* d = dynamic_cast<const Fixed*>(&dec))
+    return {d->tier(), d->min_block()};
+  const auto& d = dynamic_cast<const simd::SimdDecoder<simd::Fa8>&>(dec);
+  return {d.tier(), d.min_block()};
+}
+
+TEST(SimdBatch, ZLaneNamesStreamBitIdentically) {
+  // The names without `-batched` stream through the lanes like their twins:
+  // blocks of 1 and min_block() - 1 frames decode on the z-lane path,
+  // min_block() starts the lanes and 2 W + 3 refills them. Every frame
+  // must match its scalar reference on every tier, counted and uncounted.
+  const std::pair<const char*, const char*> names[] = {
+      {"layered-minsum-simd", "layered-minsum-fixed"},
+      {"layered-minsum-simd-q6", "layered-minsum-q6"},
+      {"layered-minsum-simd-offset", "layered-minsum-offset-fixed"},
+      {"layered-minsum-simd-fa2", "layered-minsum-fa2"},
+      {"layered-minsum-simd-fa3", "layered-minsum-fa3"},
+      {"layered-minsum-simd-fa4", "layered-minsum-fa4"},
+  };
+  const QCLdpcCode code = make_wimax_2304_half_rate();
+  std::size_t max_width = 0;
+  for (const simd::SimdTier tier : simd::available_tiers())
+    max_width = std::max<std::size_t>(max_width, simd::tier_lanes8(tier));
+  std::vector<std::vector<float>> pool;
+  for (std::size_t f = 0; f < 2 * max_width + 3; ++f)
+    pool.push_back(noisy_llr(code, f % 2 == 0 ? 1.5F : 2.5F, f * 6151 + 3));
+  for (const bool counted : {false, true}) {
+    DecoderOptions opt;
+    opt.count_saturation = counted;
+    for (const auto& [name, reference_name] : names) {
+      const auto reference = make_decoder(reference_name, code, opt);
+      std::vector<Reference> refs;
+      for (const std::vector<float>& llr : pool)
+        refs.push_back({reference->decode(llr), reference->saturation()});
+      for (const simd::SimdTier tier : simd::available_tiers()) {
+        const std::string ctx = std::string(name) +
+                                (counted ? " counted" : " uncounted") +
+                                " tier=" + simd::to_string(tier);
+        ASSERT_EQ(setenv("LDPC_SIMD_TIER", simd::to_string(tier), 1), 0);
+        const auto dec = make_decoder(name, code, opt);
+        ASSERT_EQ(unsetenv("LDPC_SIMD_TIER"), 0);
+        const auto [dec_tier, m] = tier_and_min_block(*dec);
+        ASSERT_EQ(dec_tier, tier) << ctx;
+        ASSERT_GT(m, 1U) << ctx;
+        const std::size_t w = dec->block_width();
+        for (const std::size_t count : {std::size_t{1}, m - 1, m, 2 * w + 3})
+          expect_block_identical(*dec, pool, refs, count, ctx);
+      }
+    }
+  }
+}
+
 TEST(SimdBatch, FactoryNameProducesBatchedDecoder) {
   const auto code = make_wimax_code(WimaxRate::kRate1_2, 24);
   DecoderOptions opt;
   const auto dec = make_decoder("layered-minsum-simd-batched", code, opt);
   EXPECT_GT(dec->block_width(), 1U);
   EXPECT_NE(dec->name().find("batched"), std::string::npos);
-  // Single-frame decode rides the z-lane twin and still works.
+  // Single-frame decode rides the z-lane path and still works.
   const auto llr = noisy_llr(code, 3.0F, 5);
   const DecodeResult r = dec->decode(llr);
   EXPECT_TRUE(r.converged);

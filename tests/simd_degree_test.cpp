@@ -25,9 +25,6 @@
 #include "codes/wimax.hpp"
 #include "core/layered_minsum_fa.hpp"
 #include "core/layered_minsum_fixed.hpp"
-#include "core/simd/simd_batch.hpp"
-#include "core/simd/simd_fa_batch.hpp"
-#include "core/simd/simd_fa_layered.hpp"
 #include "core/simd/simd_layered.hpp"
 #include "util/rng.hpp"
 
@@ -167,10 +164,10 @@ long long sweep_scaled(const QCLdpcCode& code, const Pool& pool,
         return std::make_unique<LayeredMinSumFixedDecoder>(code, o, kQ82);
       },
       [&](const DecoderOptions& o, simd::SimdTier tier) {
-        return std::make_unique<SimdLayeredDecoder>(code, o, kQ82, tier);
+        return std::make_unique<SimdFixedDecoder>(code, o, kQ82, tier);
       },
       [&](const DecoderOptions& o, simd::SimdTier tier) {
-        return std::make_unique<SimdBatchDecoder>(code, o, kQ82, tier);
+        return std::make_unique<SimdFixedDecoder>(code, o, kQ82, tier);
       });
 }
 
@@ -186,14 +183,12 @@ long long sweep_offset(const QCLdpcCode& code, const Pool& pool,
             code, o, LayerRowKernel::offset_kernel(kQ82, kOffset), label);
       },
       [&](const DecoderOptions& o, simd::SimdTier tier) {
-        return std::make_unique<SimdLayeredDecoder>(code, o, kQ82, kOffset,
-                                                    label, tier);
+        return std::make_unique<SimdFixedDecoder>(code, o, kQ82, kOffset,
+                                                  label, tier);
       },
       [&](const DecoderOptions& o, simd::SimdTier tier) {
-        return std::make_unique<simd::BatchDecoder<simd::Fixed16>>(
-            std::make_unique<simd::ZLaneDecoder<simd::Fixed16>>(
-                code, o, simd::Fixed16(code, o, kQ82, kOffset, label), label,
-                tier));
+        return std::make_unique<SimdFixedDecoder>(code, o, kQ82, kOffset,
+                                                  label, tier);
       });
 }
 
@@ -206,12 +201,12 @@ long long sweep_fa(const QCLdpcCode& code, const Pool& pool, int msg_bits,
         return std::make_unique<LayeredMinSumFaDecoder>(code, o, msg_bits);
       },
       [&](const DecoderOptions& o, simd::SimdTier tier) {
-        return std::make_unique<SimdFaLayeredDecoder>(code, o, msg_bits, 2.0F,
-                                                      tier);
+        return std::make_unique<SimdFaDecoder>(code, o, msg_bits, 2.0F,
+                                               tier);
       },
       [&](const DecoderOptions& o, simd::SimdTier tier) {
-        return std::make_unique<SimdFaBatchDecoder>(code, o, msg_bits, 2.0F,
-                                                    tier);
+        return std::make_unique<SimdFaDecoder>(code, o, msg_bits, 2.0F,
+                                               tier);
       });
 }
 

@@ -1,5 +1,5 @@
 // SIMD/scalar equivalence: the contract of src/core/simd is that
-// SimdLayeredDecoder is *bit-identical* to LayeredMinSumFixedDecoder —
+// SimdFixedDecoder is *bit-identical* to LayeredMinSumFixedDecoder —
 // hard bits, iteration counts, convergence status, and every saturation
 // counter — on every kernel tier, for every code geometry, including z
 // values that are not a multiple of the vector lane width (tail lanes).
@@ -67,7 +67,7 @@ void sweep_code(const QCLdpcCode& code, DecoderOptions opt, FixedFormat fmt,
                 float ebn0_db, int frames) {
   LayeredMinSumFixedDecoder scalar(code, opt, fmt);
   for (const simd::SimdTier tier : simd::available_tiers()) {
-    SimdLayeredDecoder simd_dec(code, opt, fmt, tier);
+    SimdFixedDecoder simd_dec(code, opt, fmt, tier);
     EXPECT_FALSE(simd_dec.scalar_only());
     for (int f = 0; f < frames; ++f) {
       const auto seed = static_cast<std::uint64_t>(f) * 71 + 11;
@@ -161,7 +161,7 @@ TEST(SimdEquivalence, OffsetMinSum) {
                                    LayerRowKernel::offset_kernel(fmt, 2),
                                    "offset-scalar");
   for (const simd::SimdTier tier : simd::available_tiers()) {
-    SimdLayeredDecoder simd_dec(code, opt, fmt, 2, "offset-simd", tier);
+    SimdFixedDecoder simd_dec(code, opt, fmt, 2, "offset-simd", tier);
     for (int f = 0; f < 3; ++f) {
       const auto seed = static_cast<std::uint64_t>(f) * 31 + 5;
       expect_identical(scalar, simd_dec, noisy_llr(code, 1.8F, seed),
@@ -200,7 +200,7 @@ TEST(SimdEquivalence, SaturationStress) {
   for (std::size_t v = 0; v < llr.size(); v += 3) llr[v] *= 100.0F;
   LayeredMinSumFixedDecoder scalar(code, opt, fmt);
   for (const simd::SimdTier tier : simd::available_tiers()) {
-    SimdLayeredDecoder simd_dec(code, opt, fmt, tier);
+    SimdFixedDecoder simd_dec(code, opt, fmt, tier);
     expect_identical(scalar, simd_dec, llr, ctx_name(code, tier, 3));
     const auto stats = simd_dec.saturation();
     EXPECT_GT(stats.quantizer_clips, 0);
@@ -219,7 +219,7 @@ TEST(SimdEquivalence, QuantizedEntryPoint) {
   std::vector<std::int32_t> codes(llr.size());
   for (std::size_t v = 0; v < llr.size(); ++v) codes[v] = fmt.quantize(llr[v]);
   for (const simd::SimdTier tier : simd::available_tiers()) {
-    SimdLayeredDecoder simd_dec(code, opt, fmt, tier);
+    SimdFixedDecoder simd_dec(code, opt, fmt, tier);
     const auto rs = scalar.decode_quantized(codes);
     const auto rv = simd_dec.decode_quantized(codes);
     EXPECT_TRUE(rs.hard_bits == rv.hard_bits);
@@ -247,7 +247,7 @@ TEST(SimdEquivalence, OutOfRailQuantizedInputFallsBack) {
   codes[5] = fmt.max_code() + 1;
   const DecodeResult rs = scalar.decode_quantized(codes);
   for (const simd::SimdTier tier : simd::available_tiers()) {
-    SimdLayeredDecoder simd_dec(code, opt, fmt, tier);
+    SimdFixedDecoder simd_dec(code, opt, fmt, tier);
     const DecodeResult rv = simd_dec.decode_quantized(codes);
     const std::string ctx = std::string("tier=") + simd::to_string(tier);
     EXPECT_EQ(rv.simd_fallback, SimdFallback::kOutOfRailInput) << ctx;
@@ -280,7 +280,7 @@ TEST(SimdEquivalence, ObserverSnapshotsIdentical) {
       simd_snaps.push_back(s);
     };
     LayeredMinSumFixedDecoder scalar(code, opt_s, FixedFormat{8, 2});
-    SimdLayeredDecoder simd_dec(code, opt_v, FixedFormat{8, 2}, tier);
+    SimdFixedDecoder simd_dec(code, opt_v, FixedFormat{8, 2}, tier);
     capture(scalar, scalar_snaps);
     capture(simd_dec, simd_snaps);
     ASSERT_EQ(scalar_snaps.size(), simd_snaps.size());
@@ -337,7 +337,7 @@ TEST(SimdEquivalence, WideFormatFallsBackToScalar) {
   opt.count_saturation = true;
   const FixedFormat fmt{16, 4};
   LayeredMinSumFixedDecoder scalar(code, opt, fmt);
-  SimdLayeredDecoder simd_dec(code, opt, fmt);
+  SimdFixedDecoder simd_dec(code, opt, fmt);
   EXPECT_TRUE(simd_dec.scalar_only());
   expect_identical(scalar, simd_dec, noisy_llr(code, 1.8F, 17), "q16.4");
 }

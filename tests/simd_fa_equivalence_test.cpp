@@ -1,9 +1,10 @@
 // Bit-identity proof for the finite-alphabet SIMD decoder family: every
-// frame decoded by the z-lane SimdFaLayeredDecoder and by the inter-frame
-// batched SimdFaBatchDecoder must match a standalone LayeredMinSumFaDecoder
-// decode of the same LLRs — hard bits, iteration counts, status, and every
-// saturation counter — on every kernel tier, at every message resolution
-// (fa2/fa3/fa4), for block sizes below / at / above the lane width, and
+// frame SimdFaDecoder decodes, one at a time on its z-lane shape and in
+// streams on its inter-frame lanes, must match a standalone
+// LayeredMinSumFaDecoder decode of the same LLRs — hard bits, iteration
+// counts, status, and every saturation counter — on every kernel tier, at
+// every message resolution (fa2/fa3/fa4), for block sizes below / at /
+// above the lane width, and
 // across code geometries including z values that collide with none of the
 // int8 lane counts. Both quantizer paths are covered: the counted
 // per-element fa_quantize and the uncounted vector quantize kernel
@@ -23,8 +24,7 @@
 #include "codes/wifi.hpp"
 #include "codes/wimax.hpp"
 #include "core/layered_minsum_fa.hpp"
-#include "core/simd/simd_fa_batch.hpp"
-#include "core/simd/simd_fa_layered.hpp"
+#include "core/simd/simd_layered.hpp"
 #include "fault/fault_injector.hpp"
 #include "util/rng.hpp"
 
@@ -66,7 +66,7 @@ void expect_frame_identical(const Reference& ref, const DecodeResult& rv,
   EXPECT_EQ(sv.r_clips, 0) << ctx;
 }
 
-void expect_block_identical(SimdFaBatchDecoder& batched,
+void expect_block_identical(SimdFaDecoder& batched,
                             const std::vector<std::vector<float>>& pool,
                             const std::vector<Reference>& refs,
                             std::size_t count, const std::string& ctx) {
@@ -107,14 +107,14 @@ void sweep_code(const QCLdpcCode& code, const DecoderOptions& opt,
                             " z=" + std::to_string(code.z()) +
                             " n=" + std::to_string(code.n()) +
                             " tier=" + simd::to_string(tier);
-    SimdFaLayeredDecoder lane(code, opt, msg_bits, 2.0F, tier);
+    SimdFaDecoder lane(code, opt, msg_bits, 2.0F, tier);
     for (std::size_t f = 0; f < pool.size(); ++f) {
       const DecodeResult rv = lane.decode(pool[f]);
       expect_frame_identical(refs[f], rv, lane.saturation(),
                              ctx + " zlane frame=" + std::to_string(f));
     }
 
-    SimdFaBatchDecoder batched(code, opt, msg_bits, 2.0F, tier);
+    SimdFaDecoder batched(code, opt, msg_bits, 2.0F, tier);
     ASSERT_FALSE(batched.scalar_only());
     const std::size_t w = batched.block_width();
     EXPECT_EQ(w, simd::tier_lanes8(tier));
@@ -223,7 +223,7 @@ TEST(SimdFaEquivalence, QuantizedEntryPoint) {
   for (std::size_t v = 0; v < llr.size(); ++v)
     codes[v] = fa_quantize(posterior, llr[v]);
   for (const simd::SimdTier tier : simd::available_tiers()) {
-    SimdFaLayeredDecoder lane(code, opt, 4, 2.0F, tier);
+    SimdFaDecoder lane(code, opt, 4, 2.0F, tier);
     const Reference ref{scalar.decode_quantized(codes), scalar.saturation()};
     const DecodeResult rv = lane.decode_quantized(codes);
     const SaturationStats sv = lane.saturation();
@@ -254,7 +254,7 @@ TEST(SimdFaEquivalence, OutOfRailQuantizedInputFallsBack) {
   codes[5] = kFaRail + 1;
   const Reference ref{scalar.decode_quantized(codes), scalar.saturation()};
   for (const simd::SimdTier tier : simd::available_tiers()) {
-    SimdFaLayeredDecoder lane(code, opt, 4, 2.0F, tier);
+    SimdFaDecoder lane(code, opt, 4, 2.0F, tier);
     const DecodeResult rv = lane.decode_quantized(codes);
     const std::string ctx = std::string("tier=") + simd::to_string(tier);
     EXPECT_EQ(rv.simd_fallback, SimdFallback::kOutOfRailInput) << ctx;
@@ -282,7 +282,7 @@ TEST(SimdFaEquivalence, ObserverSnapshotsIdentical) {
       simd_snaps.push_back(s);
     };
     LayeredMinSumFaDecoder scalar(code, opt_s, 4);
-    SimdFaLayeredDecoder lane(code, opt_v, 4, 2.0F, tier);
+    SimdFaDecoder lane(code, opt_v, 4, 2.0F, tier);
     scalar.decode(llr);
     EXPECT_EQ(lane.decode(llr).simd_fallback, SimdFallback::kNone);
     ASSERT_EQ(scalar_snaps.size(), simd_snaps.size());
@@ -319,7 +319,7 @@ TEST(SimdFaEquivalence, CancelledFrameInBlockLeavesLaneMatesIntact) {
   EXPECT_EQ(cancelled_ref.result.status, DecodeStatus::kDeadlineExpired);
 
   for (const simd::SimdTier tier : simd::available_tiers()) {
-    SimdFaBatchDecoder batched(code, opt, 4, 2.0F, tier);
+    SimdFaDecoder batched(code, opt, 4, 2.0F, tier);
     std::vector<BlockFrame> frames;
     for (std::size_t f = 0; f < pool.size(); ++f)
       frames.push_back({pool[f], f == 2 ? &cancelled : nullptr});
@@ -348,11 +348,11 @@ TEST(SimdFaEquivalence, FaultCampaignFallsBackPerFrame) {
   opt.fault_injector = &injector;
   const auto llr = noisy_llr(code, 2.4F, 99);
 
-  SimdFaLayeredDecoder lane(code, opt, 4);
+  SimdFaDecoder lane(code, opt, 4);
   EXPECT_FALSE(lane.scalar_only());  // config-dependent, not structural
   EXPECT_EQ(lane.decode(llr).simd_fallback, SimdFallback::kFaultInjector);
 
-  SimdFaBatchDecoder batched(code, opt, 4);
+  SimdFaDecoder batched(code, opt, 4);
   EXPECT_FALSE(batched.scalar_only());
   const BlockFrame frames[] = {{llr, nullptr}, {llr, nullptr}};
   std::vector<DecodeResult> results(2);
@@ -369,7 +369,7 @@ TEST(SimdFaEquivalence, ObserverFallsBackPerFrame) {
   std::size_t snapshots = 0;
   DecoderOptions opt;
   opt.observer = [&](const IterationSnapshot&) { ++snapshots; };
-  SimdFaBatchDecoder batched(code, opt, 4);
+  SimdFaDecoder batched(code, opt, 4);
 
   const auto llr = noisy_llr(code, 2.4F, 42);
   const BlockFrame frames[] = {{llr, nullptr}, {llr, nullptr}};
